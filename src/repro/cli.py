@@ -108,15 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for --parallel (default: all available CPUs)",
     )
     mine.add_argument(
-        "--shared-memory",
-        action="store_true",
-        help=(
-            "ship --parallel worker payloads through POSIX shared memory "
-            "(zero-copy array views instead of pickled copies; identical "
-            "pattern set, falls back to pickling where unsupported)"
-        ),
-    )
-    mine.add_argument(
         "--session",
         help=(
             "mining-session state file: with --input, mine and save the "
@@ -243,9 +234,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if args.workers is not None and not args.parallel:
         print("error: --workers requires --parallel", file=sys.stderr)
         return 2
-    if args.shared_memory and not args.parallel:
-        print("error: --shared-memory requires --parallel", file=sys.stderr)
-        return 2
     if not args.approximate and (
         args.mi_threshold is not None or args.density is not None
     ):
@@ -329,9 +317,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         session = read_session(args.session)
         series_set = read_time_series_csv(args.append)
         n_before = session.n_sequences
-        append_config = session.config.with_engine(
-            engine, args.workers, args.shared_memory
-        )
+        append_config = session.config.with_engine(engine, args.workers)
         if memory_budget_bytes is not None:
             append_config = append_config.with_memory_budget(memory_budget_bytes)
         if args.max_retries is not None or args.shard_timeout is not None:
@@ -372,7 +358,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             max_pattern_size=args.max_size,
             engine=engine,
             n_workers=args.workers,
-            shared_memory=args.shared_memory,
             retry=retry,
             checkpoint_path=args.checkpoint,
             memory_budget_bytes=memory_budget_bytes,

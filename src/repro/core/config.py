@@ -126,7 +126,6 @@ class RetryPolicy:
 _EXECUTION_FIELDS = (
     "engine",
     "n_workers",
-    "shared_memory",
     "retry",
     "checkpoint_path",
     "memory_budget_bytes",
@@ -170,17 +169,6 @@ class MiningConfig:
     n_workers:
         Worker count for the ``"process"`` engine; ``None`` uses all available
         CPUs.  Ignored by the serial engine.
-    shared_memory:
-        When True the ``"process"`` engine ships worker payloads through
-        POSIX shared memory (:mod:`repro.core.shm`): the level-1 columnar
-        arrays and occurrence index matrices are placed in
-        ``multiprocessing.shared_memory`` blocks and workers receive only
-        block names plus ``(offset, shape, dtype)`` descriptors, rebuilding
-        zero-copy NumPy views instead of unpickling copies; shard returns
-        travel the same way.  A pure transport choice — results are
-        byte-identical either way — that falls back to the pickle path
-        automatically where shared memory is unavailable.  Ignored by the
-        serial engine.
     vectorized:
         When True (the default) instance-pair relation classification runs
         through the NumPy batch kernel
@@ -189,17 +177,10 @@ class MiningConfig:
         implementation.  Both paths produce byte-identical results — same
         patterns, same occurrence order, same work counters — so the flag is
         purely a performance switch (and the scalar path the executable
-        specification the kernel is fuzzed against).
-    kernel_min_pairs:
-        Minimum instance-pair batch size routed through the vectorized
-        kernel; smaller batches run the scalar loop, whose per-pair cost
-        beats the kernel's fixed per-batch overhead on sparse sequences.
-        ``None`` (the default) auto-tunes the crossover once per process from
-        a timed scalar-vs-kernel microprobe
-        (:func:`repro.core.engine.calibrate_kernel_min_pairs`), falling back
-        to the historical ``64`` when calibration is unavailable.  Routing is
-        a pure scheduling choice — every threshold mines the identical
-        output — so the knob only affects speed.
+        specification the kernel is fuzzed against).  Sequence batches
+        smaller than ``repro.core.engine._KERNEL_MIN_PAIRS`` (64) instance
+        pairs take the scalar loop either way, where NumPy's fixed per-batch
+        overhead would lose.
     kernel_chunk_bytes:
         Approximate byte budget for the transient working set of one
         vectorized kernel batch — the ``rows × k`` feasibility/relation
@@ -248,9 +229,7 @@ class MiningConfig:
     pruning: PruningMode = PruningMode.ALL
     engine: str = "serial"
     n_workers: int | None = None
-    shared_memory: bool = False
     vectorized: bool = True
-    kernel_min_pairs: int | None = None
     kernel_chunk_bytes: int | None = 64 * 1024 * 1024
     memory_budget_bytes: int | None = None
     retry: RetryPolicy = RetryPolicy()
@@ -293,10 +272,6 @@ class MiningConfig:
             raise ConfigurationError(
                 f"n_workers must be >= 1 or None, got {self.n_workers}"
             )
-        if self.kernel_min_pairs is not None and self.kernel_min_pairs < 1:
-            raise ConfigurationError(
-                f"kernel_min_pairs must be >= 1 or None, got {self.kernel_min_pairs}"
-            )
         if self.kernel_chunk_bytes is not None and self.kernel_chunk_bytes < 1:
             raise ConfigurationError(
                 "kernel_chunk_bytes must be >= 1 or None, "
@@ -331,21 +306,15 @@ class MiningConfig:
         return replace(self, pruning=PruningMode(pruning))
 
     def with_engine(
-        self,
-        engine: str,
-        n_workers: int | None = None,
-        shared_memory: bool = False,
+        self, engine: str, n_workers: int | None = None
     ) -> "MiningConfig":
         """Copy of this configuration with a different execution backend.
 
-        ``n_workers`` and ``shared_memory`` are execution details of the
-        target backend, so they are overwritten (not inherited) — a serially
-        mined session can be re-run with ``engine="process",
-        shared_memory=True`` and vice versa.
+        ``n_workers`` is an execution detail of the target backend, so it is
+        overwritten (not inherited) — a serially mined session can be re-run
+        with ``engine="process"`` and vice versa.
         """
-        return replace(
-            self, engine=engine, n_workers=n_workers, shared_memory=shared_memory
-        )
+        return replace(self, engine=engine, n_workers=n_workers)
 
     def with_retry(self, retry: RetryPolicy) -> "MiningConfig":
         """Copy of this configuration with a different fault-tolerance policy."""
@@ -364,7 +333,7 @@ class MiningConfig:
         """Copy of this configuration with ``other``'s execution details.
 
         Adopts every field in ``_EXECUTION_FIELDS`` — backend, worker count,
-        transport, retry policy, checkpoint path — while keeping the mining
+        retry policy, checkpoint path, memory budget — while keeping the mining
         parameters (thresholds, pruning, kernel routing) of ``self``.  This is
         how an appended or resumed session follows the *current* run's
         execution environment without being able to drift on anything that

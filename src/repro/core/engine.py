@@ -18,7 +18,11 @@ functions over a picklable :class:`LevelContext`, and puts an
     (:mod:`concurrent.futures`), evaluates each shard with the same pure
     functions, and merges the per-worker :class:`CombinationNode` lists and
     :class:`MiningStatistics` deterministically (node order = candidate
-    order, wall-clock merged as max-of-shards).
+    order, wall-clock merged as max-of-shards).  Where ``fork`` exists a
+    fresh pool is forked per batch and inherits the level context through
+    copy-on-write memory; otherwise (or under an explicit non-fork
+    ``start_method``) a persistent pool receives the context pickled with
+    each shard.
 
 Three throughput features live in the process backend:
 
@@ -50,7 +54,7 @@ node none of whose events shares a frequent pair node with a further event
 can never be extended (Lemma 5), so its occurrences ship as counts too.
 
 *Generic sharded map.*  :meth:`ExecutionBackend.map_shards` runs any pure
-``func(payload, items)`` over item shards with the same worker transports;
+``func(payload, items)`` over item shards with the same two executors;
 A-HTPGM's pairwise-NMI phase (the dominant pre-mining cost) uses it to shard
 series pairs across the same worker pool that later mines the patterns.
 
@@ -58,9 +62,8 @@ Orthogonally to the backend choice, the relation-classification inner loops
 (:func:`_grow_pair_patterns`, :func:`_extend_entry`) route dense sequence
 batches through the vectorized kernel of :mod:`repro.core.relation_kernel`
 when ``MiningConfig.vectorized`` is set (the default), falling back to the
-scalar per-pair reference loop for small batches and for
-``vectorized=False``.  The small-batch crossover is auto-tuned once per
-process (:func:`calibrate_kernel_min_pairs`), and oversized batches are
+scalar per-pair reference loop for batches below :data:`_KERNEL_MIN_PAIRS`
+instance pairs and for ``vectorized=False``.  Oversized batches are
 processed in order-preserving chunks bounded by
 ``MiningConfig.kernel_chunk_bytes``.  Both paths — under every backend —
 produce byte-identical nodes and counters, down to the occurrence store
@@ -100,7 +103,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, MemoryBudgetExceeded, MiningError
 from ..timeseries.sequences import EventInstance
-from . import faults, resources, shm
+from . import faults, resources
 from .bitmap import Bitmap
 from .config import MiningConfig, RetryPolicy
 from .events import EventKey
@@ -120,8 +123,6 @@ __all__ = [
     "backend_from_config",
     "available_workers",
     "evaluate_candidates",
-    "calibrate_kernel_min_pairs",
-    "effective_kernel_min_pairs",
 ]
 
 #: One unit of level work: the event pair (level 2, generation order, possibly
@@ -309,113 +310,9 @@ def _evaluate_pair(
 #: byte-identical nodes and counters, so the routing is purely a scheduling
 #: choice and can never change the mined output.
 #:
-#: This constant is the *no-calibration fallback*: by default the crossover
-#: is auto-tuned once per process by :func:`calibrate_kernel_min_pairs`
-#: (override with ``MiningConfig(kernel_min_pairs=...)``, disable the probe
-#: with ``REPRO_KERNEL_CALIBRATION=0``).
+#: Read at call time (here and by the session's columnar prebuild), so tests
+#: force either path by monkeypatching this one name.
 _KERNEL_MIN_PAIRS = 64
-
-#: Clamp for the calibrated crossover.  The floor is the historical
-#: :data:`_KERNEL_MIN_PAIRS`: the probe times the bare ``classify_pairs``
-#: call, but the real kernel path also pays for windowing, hit grouping and
-#: block insertion per batch — costs the probe cannot see — so probe
-#: evidence alone is never allowed to *lower* the threshold (it would
-#: over-route small batches to the kernel).  Calibration only raises the
-#: crossover on hosts where NumPy's fixed per-batch overhead is unusually
-#: high; above 4096 pairs the scalar loop has certainly lost.
-_CALIBRATION_BOUNDS = (_KERNEL_MIN_PAIRS, 4096)
-
-#: Per-process cache of the calibrated crossover (forked workers inherit it).
-_calibrated_min_pairs: int | None = None
-
-
-def calibrate_kernel_min_pairs() -> int:
-    """Measure the scalar-vs-kernel crossover batch size on this host.
-
-    One-time per-process microprobe (a few milliseconds, cached — forked
-    worker processes inherit the parent's value): the scalar per-pair cost
-    ``c`` comes from timing :func:`~repro.core.relations.classify` over a
-    synthetic instance batch, the kernel's fixed overhead ``a`` and per-pair
-    slope ``b`` from timing :func:`classify_pairs` at two batch sizes, and
-    the crossover is ``a / (c - b)`` — the batch size where the kernel starts
-    winning — clamped to :data:`_CALIBRATION_BOUNDS`, whose floor is the
-    historical default (see the bounds' docstring for why calibration may
-    only raise the threshold, never lower it).
-
-    Returns :data:`_KERNEL_MIN_PAIRS` when the probe is disabled
-    (``REPRO_KERNEL_CALIBRATION=0``) or yields nothing usable (e.g. the
-    scalar loop measures faster per pair than the kernel slope, which only
-    happens under severe timer noise).  Routing never changes the mined
-    output, so any returned threshold is correct; calibration only moves the
-    scalar/kernel split point to where this host actually breaks even.
-    """
-    global _calibrated_min_pairs
-    if _calibrated_min_pairs is not None:
-        return _calibrated_min_pairs
-    if os.environ.get("REPRO_KERNEL_CALIBRATION", "1").lower() in ("0", "false", "off"):
-        _calibrated_min_pairs = _KERNEL_MIN_PAIRS
-        return _calibrated_min_pairs
-    try:
-        _calibrated_min_pairs = _probe_kernel_crossover()
-    except Exception:  # pragma: no cover - defensive: never fail a mine over timing
-        _calibrated_min_pairs = _KERNEL_MIN_PAIRS
-    return _calibrated_min_pairs
-
-
-def _probe_kernel_crossover(
-    n_pairs: int = 512, small: int = 32, repeats: int = 3
-) -> int:
-    """The timed microprobe behind :func:`calibrate_kernel_min_pairs`."""
-    starts1 = np.linspace(0.0, 100.0, n_pairs)
-    ends1 = starts1 + 2.0 + 3.0 * (np.arange(n_pairs) % 5)
-    starts2 = starts1 + 1.0 + (np.arange(n_pairs) % 7)
-    ends2 = starts2 + 1.0 + 2.0 * (np.arange(n_pairs) % 4)
-    instances = [
-        (
-            EventInstance(float(s1), float(e1), "calib", "A"),
-            EventInstance(float(s2), float(e2), "calib", "B"),
-        )
-        for s1, e1, s2, e2 in zip(starts1, ends1, starts2, ends2)
-    ]
-
-    def timed(run) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            began = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - began)
-        return best
-
-    classify_pairs(starts1, ends1, starts2, ends2)  # warm the kernel path
-    scalar_seconds = timed(
-        lambda: [classify(first, second) for first, second in instances]
-    )
-    big_seconds = timed(lambda: classify_pairs(starts1, ends1, starts2, ends2))
-    small_seconds = timed(
-        lambda: classify_pairs(
-            starts1[:small], ends1[:small], starts2[:small], ends2[:small]
-        )
-    )
-    scalar_per_pair = scalar_seconds / n_pairs
-    kernel_slope = max(0.0, (big_seconds - small_seconds) / (n_pairs - small))
-    kernel_overhead = max(0.0, small_seconds - kernel_slope * small)
-    if scalar_per_pair <= kernel_slope or kernel_overhead == 0.0:
-        return _KERNEL_MIN_PAIRS
-    crossover = int(round(kernel_overhead / (scalar_per_pair - kernel_slope)))
-    low, high = _CALIBRATION_BOUNDS
-    return min(max(crossover, low), high)
-
-
-def effective_kernel_min_pairs(config: MiningConfig) -> int:
-    """The kernel-routing threshold this run should use.
-
-    An explicit ``MiningConfig(kernel_min_pairs=...)`` always wins; otherwise
-    the per-process calibrated crossover (computed on first use, 64 when the
-    probe is disabled or unusable).
-    """
-    if config.kernel_min_pairs is not None:
-        return config.kernel_min_pairs
-    return calibrate_kernel_min_pairs()
 
 
 def _grow_pair_patterns(
@@ -435,7 +332,7 @@ def _grow_pair_patterns(
     """
     same_event = node_a.event == node_b.event
     vectorized = config.vectorized
-    min_pairs = effective_kernel_min_pairs(config) if vectorized else 0
+    min_pairs = _KERNEL_MIN_PAIRS
     pattern_cache: dict[tuple[bool, int], tuple[TemporalPattern, tuple]] = {}
     for sequence_id in node.bitmap.indices():
         instances_a = node_a.instances_by_sequence.get(sequence_id, [])
@@ -843,7 +740,7 @@ def _extend_entry(
     counters.
     """
     vectorized = context.config.vectorized
-    min_pairs = effective_kernel_min_pairs(context.config) if vectorized else 0
+    min_pairs = _KERNEL_MIN_PAIRS
     kernel_state: _ExtensionKernelState | None = None
     entry.bind_sources(context.level1)
     extended_sources = entry.sources + (new_event_node.instances_by_sequence,)
@@ -1365,48 +1262,16 @@ def _call_forked(
         return func(payload, items)
 
 
-def _call_forked_shared(
-    items: list, response_name: str, directive: tuple[str, float] | None = None
-) -> Any:
-    """Fork worker entry point returning its result through a shared block."""
-    assert _FORK_PAYLOAD is not None, "fork worker started without a payload"
-    func, payload = _FORK_PAYLOAD
-    with resources.worker_scope():
-        fail_shm = faults.apply_worker_fault(directive)
-        result = func(payload, items)
-    return shm.pack_shared(result, response_name, fail_injected=fail_shm)
-
-
 def _call_plain(
     func: Callable[[Any, list], Any],
     payload: Any,
     items: list,
     directive: tuple[str, float] | None = None,
 ) -> Any:
-    """Pool worker entry point on the pickle transport."""
+    """Persistent-pool worker entry point: func and payload arrive pickled."""
     with resources.worker_scope():
         faults.apply_worker_fault(directive)
         return func(payload, items)
-
-
-def _call_pooled_shared(
-    func: Callable[[Any, list], Any],
-    request: "shm.SharedPayload",
-    items: list,
-    response_name: str,
-    directive: tuple[str, float] | None = None,
-) -> Any:
-    """Pool worker entry point with both directions over shared memory.
-
-    The request payload is mapped (and cached per block name, so one batch's
-    shards unpickle the context once per worker); the result's arrays go back
-    through the pre-named response block.
-    """
-    with resources.worker_scope():
-        fail_shm = faults.apply_worker_fault(directive)
-        payload = shm.load_request(request)
-        result = func(payload, items)
-    return shm.pack_shared(result, response_name, fail_injected=fail_shm)
 
 
 def _fork_available() -> bool:
@@ -1451,14 +1316,6 @@ class _ShardPiece:
 _CHUNK_SHRINK_FLOOR = 1 << 20
 
 
-#: Transport failures tolerated before the zero-copy path is abandoned for
-#: the remainder of the run.  Two strikes: one failure may be a transient
-#: spike in ``/dev/shm`` usage, repeated failures mean the environment
-#: cannot sustain the transport and every further attempt just burns a
-#: retry round.
-_SHM_FAILURE_LIMIT = 2
-
-
 class ProcessPoolBackend:
     """Shards candidate evaluation across ``n_workers`` processes.
 
@@ -1479,21 +1336,8 @@ class ProcessPoolBackend:
       item shards are pickled in, and only the results are pickled out
       (final-level results additionally slimmed to summaries, see
       :func:`_evaluate_level_shard`).
-    * Otherwise (Windows, or an explicit ``start_method``) a persistent pool
-      is kept and the payload is pickled once per shard.
-
-    ``shared_memory=True`` layers the zero-copy transport of
-    :mod:`repro.core.shm` on top of either: shard *returns* write their
-    survivor index matrices into a per-shard response block the coordinator
-    pre-names (so only descriptors cross the pipe, and crash cleanup can
-    unlink by name), and on the pooled transport the *request* — pickle blob
-    plus the level-1 columnar arrays, instance-count vectors and parent index
-    matrices — is packed into one block per batch instead of being re-pickled
-    per shard.  The flag silently falls back to the pickle transports when
-    shared memory is unavailable, and it never changes results: all blocks
-    are unlinked by the coordinator on every exit path (see
-    :func:`shm.cleanup_blocks`), including worker crashes and
-    ``KeyboardInterrupt``.
+    * Otherwise (Windows, or an explicit non-fork ``start_method``) a
+      persistent pool is kept and the payload is pickled once per shard.
 
     ``start_method`` pins the :mod:`multiprocessing` start method (e.g.
     ``"spawn"`` to exercise the spawn transport on a fork-capable platform);
@@ -1530,7 +1374,6 @@ class ProcessPoolBackend:
         min_candidates_per_worker: int = 4,
         cost_balanced: bool = True,
         shards_per_worker: int = 1,
-        shared_memory: bool = False,
         start_method: str | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: "faults.FaultPlan | None" = None,
@@ -1563,12 +1406,6 @@ class ProcessPoolBackend:
         self.cost_balanced = cost_balanced
         self.shards_per_worker = shards_per_worker
         self.start_method = start_method
-        self.shared_memory = bool(shared_memory)
-        #: Whether the zero-copy transport is actually in effect (requested
-        #: *and* supported by the platform; otherwise pickle fallback).
-        self.shared_memory_active = (
-            self.shared_memory and shm.shared_memory_available()
-        )
         #: Only a cost-balancing backend can use the miner's estimates.
         self.wants_costs = cost_balanced
         #: How crashed/hung/failed shards are resubmitted (see
@@ -1581,7 +1418,6 @@ class ProcessPoolBackend:
         self._fault_plan = (
             fault_plan if fault_plan is not None else faults.active_plan()
         )
-        self._shm_failures = 0
         self._serial_degraded = False
         self._level_retries: dict[int, int] = {}
         #: Coordinator side of the memory budget (``None`` = ungoverned);
@@ -1757,12 +1593,12 @@ class ProcessPoolBackend:
         level: int = 0,
         combine: Callable[[list], Any] | None = None,
     ) -> list[_R]:
-        """Execute one shard batch with retries over the configured transport.
+        """Execute one shard batch with retries.
 
         Shards are pure functions of ``(payload, shard_items)``, so the loop
         below may resubmit any failed shard without affecting the others:
-        each retry *round* re-runs only the still-unfinished work, with
-        fresh response blocks and a rebuilt pool where necessary, until every
+        each retry *round* re-runs only the still-unfinished work, with a
+        rebuilt pool where necessary, until every
         shard has a result or one shard has exhausted
         :attr:`RetryPolicy.max_retries` (whose last error then propagates).
         A pool that cannot be obtained at all degrades the whole backend to
@@ -1913,7 +1749,7 @@ class ProcessPoolBackend:
         Chunking is output-preserving by construction (anchor-granular
         chunks concatenate to the unchunked result, see
         :func:`_anchor_chunks`), so mutating the shared context's config is
-        safe — every subsequent round, on any transport, re-ships the
+        safe — every subsequent round, forked or pooled, re-ships the
         payload and picks the new cap up.
         """
         if not isinstance(payload, LevelContext):
@@ -1961,17 +1797,6 @@ class ProcessPoolBackend:
         if not self._fault_plan:
             return None
         return self._fault_plan.take(faults.WORKER_KINDS, level, shard)
-
-    def _note_shm_failure(self, detail: str) -> None:
-        """Count a zero-copy transport failure; disable it past the limit."""
-        self._shm_failures += 1
-        if self.shared_memory_active and self._shm_failures >= _SHM_FAILURE_LIMIT:
-            self.shared_memory_active = False
-            self._warn(
-                "shared-memory transport disabled after repeated failures "
-                f"(last: {detail}); using pickle transport for the "
-                "remainder of the run"
-            )
 
     def _degrade_to_serial(self, error: BaseException) -> None:
         """Give up on worker processes for the rest of this backend's life."""
@@ -2049,51 +1874,21 @@ class ProcessPoolBackend:
         """
         global _FORK_PAYLOAD
         executor, ephemeral = self._round_executor(len(pending), level)
-        use_shm = self.shared_memory_active
-        names: dict[int, str | None] | None = (
-            {position: shm.generate_block_name() for position in range(len(pending))}
-            if use_shm
-            else None
-        )
-        request_store = None
         teardown = False
         if ephemeral:
             _FORK_PAYLOAD = (func, payload)
         try:
-            request = None
-            if not ephemeral and names is not None:
-                try:
-                    request, request_store = shm.pack_request(payload)
-                except (OSError, ValueError) as error:
-                    # The request block failed to allocate; fall back to
-                    # pickling the payload per shard for this round.
-                    self._note_shm_failure(f"request packing failed: {error}")
-                    shm.cleanup_blocks([n for n in names.values() if n])
-                    names = None
-            futures = {}
-            for position, piece in enumerate(pending):
+            futures = []
+            for piece in pending:
                 directive = self._worker_fault(level, piece.shard)
-                if ephemeral and names is not None:
-                    future = executor.submit(
-                        _call_forked_shared, piece.items, names[position], directive
-                    )
-                elif ephemeral:
+                if ephemeral:
                     future = executor.submit(_call_forked, piece.items, directive)
-                elif names is not None:
-                    future = executor.submit(
-                        _call_pooled_shared,
-                        func,
-                        request,
-                        piece.items,
-                        names[position],
-                        directive,
-                    )
                 else:
                     future = executor.submit(
                         _call_plain, func, payload, piece.items, directive
                     )
-                futures[position] = future
-            done, failed, teardown = self._collect_round(futures, names, pending)
+                futures.append(future)
+            done, failed, teardown = self._collect_round(futures, pending)
             return done, failed
         except BaseException:
             teardown = True
@@ -2110,18 +1905,10 @@ class ProcessPoolBackend:
                 # and let the next round (or run) build a fresh one.
                 self._executor = None
                 self._kill_executor(executor)
-            if request_store is not None:
-                request_store.unlink()
-            if names is not None:
-                # Unconsumed response blocks (worker crash, timeout, interrupt,
-                # a failed resolve) — unlink whatever exists.  Safe only after
-                # the workers are gone, hence after the executor teardown.
-                shm.cleanup_blocks([n for n in names.values() if n])
 
     def _collect_round(
         self,
-        futures: "dict[int, Any]",
-        names: dict[int, str | None] | None,
+        futures: list[Any],
         pending: list[_ShardPiece],
     ) -> tuple[
         list[tuple[_ShardPiece, Any]],
@@ -2143,8 +1930,7 @@ class ProcessPoolBackend:
         if self.retry.shard_timeout is not None:
             waves = math.ceil(len(futures) / max(1, self.n_workers))
             deadline = time.monotonic() + self.retry.shard_timeout * max(1, waves)
-        for position, future in futures.items():
-            piece = pending[position]
+        for piece, future in zip(pending, futures):
             try:
                 if deadline is None:
                     result = future.result()
@@ -2171,24 +1957,6 @@ class ProcessPoolBackend:
                 # usable result, resubmitting it is safe.
                 failed.append((piece, error))
                 continue
-            if isinstance(result, shm.SharedFallback):
-                self._note_shm_failure("worker response block allocation failed")
-                result = result.result
-            elif isinstance(result, shm.SharedOutcome):
-                if names is not None:
-                    # load_shared unlinks the block itself (success *or*
-                    # failure), so the finally must not unlink it again.
-                    names[position] = None
-                try:
-                    result = shm.load_shared(result)
-                except (OSError, ValueError) as error:
-                    self._note_shm_failure(
-                        f"response block resolve failed: {error}"
-                    )
-                    failed.append((piece, error))
-                    continue
-            if names is not None:
-                names[position] = None
             done.append((piece, result))
         return done, failed, teardown
 
@@ -2196,8 +1964,7 @@ class ProcessPoolBackend:
         return (
             f"ProcessPoolBackend(n_workers={self.n_workers}, "
             f"cost_balanced={self.cost_balanced}, "
-            f"shards_per_worker={self.shards_per_worker}, "
-            f"shared_memory={self.shared_memory})"
+            f"shards_per_worker={self.shards_per_worker})"
         )
 
 
@@ -2289,9 +2056,8 @@ def backend_from_config(config: MiningConfig) -> ExecutionBackend:
     if config.engine == "process":
         return ProcessPoolBackend(
             n_workers=config.n_workers,
-            shared_memory=config.shared_memory,
-            retry=getattr(config, "retry", None),
-            memory_budget=getattr(config, "memory_budget_bytes", None),
+            retry=config.retry,
+            memory_budget=config.memory_budget_bytes,
         )
     raise ConfigurationError(  # pragma: no cover - caught by MiningConfig validation
         f"unknown engine {config.engine!r}; known: 'serial', 'process'"

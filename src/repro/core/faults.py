@@ -15,7 +15,7 @@ Plans come from two places, checked in order:
 2. The ``REPRO_FAULT`` environment variable, e.g.::
 
        REPRO_FAULT="crash:level=2,shard=1"  repro mine ...
-       REPRO_FAULT="hang:level=3,seconds=120;shm:level=2,times=2"  ...
+       REPRO_FAULT="hang:level=3,seconds=120;pickle:level=2,times=2"  ...
 
 Supported kinds:
 
@@ -28,10 +28,6 @@ Supported kinds:
 ``pickle``
     The worker raises :class:`pickle.PicklingError` instead of returning —
     the transport-failure shape of an unpicklable shard result.
-``shm``
-    The worker's shared-memory response packing fails with ``OSError``, as
-    if ``/dev/shm`` allocation were exhausted; the result falls back to the
-    pickle return path and the coordinator counts a transport failure.
 ``oom``
     The worker raises ``MemoryError`` before evaluating the shard — the
     allocator-failure shape the memory governor must recover from by
@@ -78,7 +74,7 @@ __all__ = [
 
 #: Fault kinds executed inside a worker process, as ``(kind, seconds)``
 #: directives attached to the shard's submit arguments.
-WORKER_KINDS = ("crash", "hang", "pickle", "shm", "oom", "membudget")
+WORKER_KINDS = ("crash", "hang", "pickle", "oom", "membudget")
 #: The subset of worker kinds that surface as memory pressure; the engine's
 #: serial degradation fallback consults exactly these so a ``times=N`` plan
 #: can drive recovery all the way to the one-candidate floor.
@@ -153,7 +149,7 @@ class FaultPlan:
         ``shard``, ``times`` (ints) and ``seconds`` (float).  Examples::
 
             crash:level=2,shard=1
-            hang:level=3,seconds=0.5;shm:level=2,times=2
+            hang:level=3,seconds=0.5;pickle:level=2,times=2
         """
         specs: list[FaultSpec] = []
         for chunk in (text or "").split(";"):
@@ -247,27 +243,22 @@ def coordinator_exit(plan: FaultPlan | None, level: int) -> None:
         os._exit(EXIT_STATUS)
 
 
-def apply_worker_fault(directive: tuple[str, float] | None) -> bool:
+def apply_worker_fault(directive: tuple[str, float] | None) -> None:
     """Execute a worker-side fault directive; runs inside the worker process.
 
-    Returns True when the shared-memory response packing should be made to
-    fail (the ``shm`` kind); other kinds either kill the worker, delay it,
-    or raise before evaluation.
+    Every kind either kills the worker, delays it, or raises before
+    evaluation; ``None`` (no fault armed) does nothing.
     """
     if directive is None:
-        return False
+        return
     kind, seconds = directive
     if kind == "crash":
         os._exit(1)
-    if kind == "hang":
+    elif kind == "hang":
         time.sleep(seconds)
-        return False
-    if kind == "pickle":
+    elif kind == "pickle":
         raise pickle.PicklingError("injected pickling failure")
-    if kind == "shm":
-        return True
-    if kind == "oom":
+    elif kind == "oom":
         raise MemoryError("injected memory exhaustion")
-    if kind == "membudget":
+    elif kind == "membudget":
         raise MemoryBudgetExceeded("injected memory-budget abort")
-    return False

@@ -146,7 +146,6 @@ class PatternEntry:
         "_sources",
         "_row_cache",
         "_view_cache",
-        "_legacy_occurrences",
     )
 
     def __init__(
@@ -170,9 +169,6 @@ class PatternEntry:
         # tuple-store construction cost over and over.
         self._row_cache: dict[int, list[IndexRow]] = {}
         self._view_cache: dict[int, list[Occurrence]] = {}
-        # Instance-tuple payload of a version-2 session file, held until
-        # session_io migrates it to index matrices (see convert_legacy).
-        self._legacy_occurrences: dict[int, list[Occurrence]] | None = None
 
     # ------------------------------------------------------------------ measures
     @property
@@ -314,25 +310,6 @@ class PatternEntry:
                 level1[event].instances_by_sequence for event in self.pattern.events
             )
 
-    def attach_index_matrices(
-        self, matrices: Mapping[int, np.ndarray]
-    ) -> None:
-        """Adopt externally owned consolidated index matrices wholesale.
-
-        The buffer-attach counterpart of :meth:`bind_sources`: where
-        ``bind_sources`` re-attaches the *instance* side of an entry that
-        crossed a process boundary, this attaches the *matrix* side without
-        copying — the shared-memory transport
-        (:mod:`repro.core.shm`) rebuilds entries around read-only NumPy views
-        into a mapped block instead of unpickled array copies.  The matrices
-        must already be consolidated ``(n_occurrences, k)`` arrays keyed by
-        sequence id, in insertion order; the entry stores them as-is (views
-        stay views) and sources remain unbound until :meth:`bind_sources`.
-        """
-        self._store = dict(matrices)
-        self._row_cache = {}
-        self._view_cache = {}
-
     # ------------------------------------------------------------------ materialisation
     def materialise(self, sequence_id: int) -> list[Occurrence]:
         """The instance-tuple view of one sequence's supporting assignments
@@ -361,7 +338,7 @@ class PatternEntry:
             for sequence_id in self._store
         }
 
-    # ------------------------------------------------------------------ validation & legacy migration
+    # ------------------------------------------------------------------ validation
     def validate_indices(self) -> None:
         """Check every index row resolves inside its bound instance list.
 
@@ -386,58 +363,9 @@ class PatternEntry:
                     f"{sequence_id} points outside the instance lists"
                 )
 
-    def convert_legacy(
-        self,
-        level1: Mapping[EventKey, "EventNode"],
-        index_cache: dict | None = None,
-    ) -> None:
-        """Convert a version-2 instance-tuple payload into index matrices.
-
-        Instance objects are resolved to their positions inside the event's
-        chronologically sorted per-sequence list; exact duplicates cannot
-        occur there (:class:`~repro.timeseries.sequences.TemporalSequence`
-        collapses them), so the resolution is unambiguous.  ``index_cache``
-        (keyed by ``(event, sequence_id)``) shares the instance→position
-        maps across the many entries of one graph that reference the same
-        event — without it a large migration would rebuild identical maps
-        per entry.
-        """
-        legacy = self._legacy_occurrences
-        if legacy is None:
-            return
-        self._legacy_occurrences = None
-        if self.occurrence_counts is not None:
-            return  # summarised in v2: counts carry over, nothing to convert
-        events = self.pattern.events
-        nodes = [level1[event] for event in events]
-        for sequence_id, assignments in legacy.items():
-            rows = np.empty((len(assignments), len(events)), dtype=np.int32)
-            for position, (event, node) in enumerate(zip(events, nodes)):
-                cache_key = (event, sequence_id)
-                index_of = None if index_cache is None else index_cache.get(cache_key)
-                if index_of is None:
-                    index_of = {
-                        instance: index
-                        for index, instance in enumerate(
-                            node.instances_by_sequence[sequence_id]
-                        )
-                    }
-                    if index_cache is not None:
-                        index_cache[cache_key] = index_of
-                for row, occurrence in enumerate(assignments):
-                    rows[row, position] = index_of[occurrence[position]]
-            self._store[sequence_id] = rows
-
     # ------------------------------------------------------------------ pickling
     def __getstate__(self) -> dict:
         """Pickle the consolidated matrices only — sources are process-local."""
-        if self._legacy_occurrences is not None:
-            # Unconverted v2 payload: re-emit the legacy wire shape faithfully.
-            return {
-                "pattern": self.pattern,
-                "occurrences": self._legacy_occurrences,
-                "occurrence_counts": self.occurrence_counts,
-            }
         return {
             "pattern": self.pattern,
             "index": {
@@ -449,19 +377,13 @@ class PatternEntry:
 
     def __setstate__(self, state: dict) -> None:
         self.pattern = state["pattern"]
+        # ``get``: an older session file's entries (another wire shape) must
+        # still unpickle far enough for session_io to report its version.
+        self._store = dict(state.get("index", {}))
+        self.occurrence_counts = state.get("counts")
         self._sources = None
         self._row_cache = {}
         self._view_cache = {}
-        self._legacy_occurrences = None
-        if "index" in state:
-            self._store = dict(state["index"])
-            self.occurrence_counts = state["counts"]
-        else:
-            # Version-2 wire shape (instance-tuple lists): hold the payload
-            # until session_io resolves it against the loaded level-1 nodes.
-            self._store = {}
-            self._legacy_occurrences = state["occurrences"]
-            self.occurrence_counts = state["occurrence_counts"]
 
     # ------------------------------------------------------------------ dunder
     def __eq__(self, other: object) -> bool:
@@ -560,30 +482,6 @@ class EventNode:
         """
         if other._sequence_arrays:
             self._sequence_arrays = other._sequence_arrays
-
-    def attach_sequence_arrays(
-        self,
-        arrays: dict[int, tuple[np.ndarray, np.ndarray]] | None,
-        instance_counts: np.ndarray | None = None,
-    ) -> None:
-        """Adopt externally built columnar views (the buffer-attach path).
-
-        Used by the shared-memory transport (:mod:`repro.core.shm`) to hand a
-        worker the coordinator's cached per-sequence ``(starts, ends)`` arrays
-        as read-only views into a mapped block, so the worker neither
-        unpickles copies nor rebuilds them from the instance lists.  Safe for
-        the same reason :meth:`adopt_sequence_arrays` is: an existing
-        sequence's columnar view never changes, so attached views can only be
-        the views the coordinator would have shipped anyway.
-        """
-        if arrays:
-            cache = self._sequence_arrays
-            if cache is None:
-                self._sequence_arrays = dict(arrays)
-            else:
-                cache.update(arrays)
-        if instance_counts is not None:
-            self._instance_counts = instance_counts
 
     def instance_counts(self, n_sequences: int) -> np.ndarray:
         """Dense per-sequence instance-count vector of length ``n_sequences``.

@@ -12,10 +12,9 @@ to die again).  This module makes memory a *governed* resource instead:
 * :class:`ResourceGovernor` — the coordinator side.  Before a level is
   split, it estimates each shard's working set from data the engine already
   has — the miner's per-candidate cost estimates (instance-pair counts), the
-  context's columnar ``nbytes`` (measured through the shared-memory
-  packer's dry run, see :func:`estimate_context_bytes`) — and raises the
-  shard count until no shard's estimated transient footprint exceeds its
-  share of the budget.
+  context's columnar ``nbytes`` (see :func:`estimate_context_bytes`) — and
+  raises the shard count until no shard's estimated transient footprint
+  exceeds its share of the budget.
 * :class:`MemoryWatchdog` — the worker side.  A stdlib-only resident-set
   poll (``/proc/self/statm``, falling back to ``resource.getrusage``)
   consulted between candidates; when the worker's RSS *growth* since shard
@@ -244,31 +243,23 @@ def shard_watchdog(context) -> MemoryWatchdog | None:
 def estimate_context_bytes(context) -> int:
     """Estimated resident bytes of one shipped level context.
 
-    Preferred source: a dry run of the shared-memory packer
-    (:func:`repro.core.shm.dumps_shared` against an unsealed
-    :class:`~repro.core.shm.SharedArrayStore`), which measures exactly the
-    columnar arrays plus the pickled object graph a worker materialises —
-    no block is ever created.  Falls back to walking the context's columnar
-    caches directly when the payload resists pickling (estimation must
-    never fail a run).
+    Walks the context's columnar data — the level-1 nodes' cached start/end
+    arrays and the parent entries' index matrices — which is what grows with
+    the data.  Anything that is not a level context prices at 0 (estimation
+    must never fail a run).
     """
-    try:
-        from . import shm
-
-        return shm.payload_nbytes(context)
-    except Exception:
-        total = 0
-        for node in getattr(context, "level1", {}).values():
-            for starts, ends in (getattr(node, "_sequence_arrays", None) or {}).values():
-                total += getattr(starts, "nbytes", 0) + getattr(ends, "nbytes", 0)
-        for parent in getattr(context, "parents", {}).values():
-            for entry in getattr(parent, "patterns", {}).values():
-                try:
-                    for _sequence_id, matrix in entry.iter_index_matrices():
-                        total += matrix.nbytes
-                except Exception:
-                    continue
-        return total
+    total = 0
+    for node in getattr(context, "level1", {}).values():
+        for starts, ends in (getattr(node, "_sequence_arrays", None) or {}).values():
+            total += getattr(starts, "nbytes", 0) + getattr(ends, "nbytes", 0)
+    for parent in getattr(context, "parents", {}).values():
+        for entry in getattr(parent, "patterns", {}).values():
+            try:
+                for _sequence_id, matrix in entry.iter_index_matrices():
+                    total += matrix.nbytes
+            except Exception:
+                continue
+    return total
 
 
 # --------------------------------------------------------------------------- governor

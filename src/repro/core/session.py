@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 
 from ..exceptions import MiningError
 from ..timeseries.sequences import SequenceDatabase, TemporalSequence
-from . import faults
+from . import engine, faults
 from .bitmap import Bitmap
 from .config import MiningConfig
 from .engine import (
@@ -65,7 +64,6 @@ from .engine import (
     LevelContext,
     apriori_pair_prune,
     backend_from_config,
-    effective_kernel_min_pairs,
 )
 from .events import EventKey, TemporalEvent, collect_events
 from .hpg import (
@@ -98,22 +96,20 @@ def _restrict_level1(
     return {event: graph.level1[event] for event in graph.level1 if event in needed}
 
 
-def _prebuild_columnar_views(
-    node: EventNode, min_pairs: int, sequence_ids=None
-) -> None:
+def _prebuild_columnar_views(node: EventNode, sequence_ids=None) -> None:
     """Eagerly build a frequent event's columnar start/end arrays.
 
     Only instance lists long enough that a pairing could plausibly reach the
-    kernel routing threshold (``len² >= min_pairs``, the effective — possibly
-    calibrated — crossover) are built here — sparse lists would pay the
-    array-construction cost without the kernel ever reading it.  A short
-    list paired against a very dense partner can still reach the kernel;
-    :meth:`EventNode.sequence_arrays` then builds its arrays lazily, once,
-    on first use.
+    kernel routing threshold (``len² >= engine._KERNEL_MIN_PAIRS``) are built
+    here — sparse lists would pay the array-construction cost without the
+    kernel ever reading it.  A short list paired against a very dense partner
+    can still reach the kernel; :meth:`EventNode.sequence_arrays` then builds
+    its arrays lazily, once, on first use.
     """
     by_sequence = node.instances_by_sequence
     if sequence_ids is None:
         sequence_ids = by_sequence.keys()
+    min_pairs = engine._KERNEL_MIN_PAIRS
     node.build_sequence_arrays(
         sequence_id
         for sequence_id in sequence_ids
@@ -615,9 +611,6 @@ class MiningSession:
         events = collect_events(database)
         stats.events_scanned = len(events)
         all_nodes: dict[EventKey, EventNode] = {}
-        min_pairs = (
-            effective_kernel_min_pairs(self.config) if self.config.vectorized else 0
-        )
         for key, event in events.items():
             if self.event_filter is not None and not self.event_filter(key):
                 continue
@@ -633,7 +626,7 @@ class MiningSession:
                 all_nodes[key] = node
             if bitmap.count() >= min_count:
                 if self.config.vectorized:
-                    _prebuild_columnar_views(node, min_pairs)
+                    _prebuild_columnar_views(node)
                 graph.add_event_node(node)
         stats.frequent_events = len(graph.level1)
         stats.patterns_found[1] = len(graph.level1)
@@ -653,7 +646,6 @@ class MiningSession:
         material of the *touched candidate* test.
         """
         vectorized = self.config.vectorized
-        min_pairs = effective_kernel_min_pairs(self.config) if vectorized else 0
         merged: dict[EventKey, EventNode] = {}
         delta_ids: dict[EventKey, set[int]] = {}
         for key, node in self.events.items():
@@ -680,9 +672,7 @@ class MiningSession:
             # instead of rebuilding every sequence's arrays from scratch.
             merged_node.adopt_sequence_arrays(node)
             if vectorized:
-                _prebuild_columnar_views(
-                    merged_node, min_pairs, delta.instances_by_sequence
-                )
+                _prebuild_columnar_views(merged_node, delta.instances_by_sequence)
             merged[key] = merged_node
             delta_ids[key] = set(delta.instances_by_sequence)
         for key, delta in delta_events.items():
@@ -963,15 +953,6 @@ class MiningSession:
         durable on disk.
         """
         config = self.config
-        if config.vectorized and config.kernel_min_pairs is None:
-            # Pin the coordinator's calibrated scalar/kernel crossover into
-            # the shipped config: forked workers would inherit it anyway, but
-            # spawn workers re-run the timed microprobe and could calibrate
-            # differently — changing kernel routing (a scheduling choice, but
-            # one that should not silently vary per worker mid-run).
-            config = replace(
-                config, kernel_min_pairs=effective_kernel_min_pairs(config)
-            )
         final_level = (
             not self.retain_occurrences and config.max_pattern_size == level
         )

@@ -64,8 +64,8 @@ class MiningStatistics:
     #: only under ``memory_budget_bytes``; the mined pattern set is
     #: unaffected (every recovery is output-preserving).
     shard_splits: dict[int, int] = field(default_factory=dict)
-    #: Degradation warnings recorded during the run (shared-memory transport
-    #: disabled, process pool degraded to serial, ...).  Deduplicated.
+    #: Degradation warnings recorded during the run (process pool degraded
+    #: to serial, memory-budget splits, ...).  Deduplicated.
     warnings: list[str] = field(default_factory=list)
 
     # ------------------------------------------------------------------ increments
@@ -97,15 +97,13 @@ class MiningStatistics:
             mine = getattr(self, name)
             for level, amount in getattr(other, name).items():
                 mine[level] = mine.get(level, 0) + amount
-        # Fault-tolerance bookkeeping rides along: retry counts add like any
-        # work counter, warnings merge deduplicated.  Guarded with getattr so
-        # statistics unpickled from pre-fault-tolerance session files (which
-        # lack the fields) still absorb cleanly.
-        for level, amount in getattr(other, "shard_retries", {}).items():
+        # Fault-tolerance bookkeeping rides along: retry and split counts add
+        # like any work counter, warnings merge deduplicated.
+        for level, amount in other.shard_retries.items():
             self.shard_retries[level] = self.shard_retries.get(level, 0) + amount
-        for level, amount in getattr(other, "shard_splits", {}).items():
+        for level, amount in other.shard_splits.items():
             self.shard_splits[level] = self.shard_splits.get(level, 0) + amount
-        for message in getattr(other, "warnings", ()):
+        for message in other.warnings:
             self.record_warning(message)
 
     def merge_shard(self, other: "MiningStatistics") -> None:

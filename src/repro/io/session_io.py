@@ -29,9 +29,6 @@ import pickle
 import tempfile
 from pathlib import Path
 
-from dataclasses import fields as _dataclass_fields
-
-from ..core.config import MiningConfig
 from ..core.hpg import HierarchicalPatternGraph
 from ..core.session import MiningSession
 from ..exceptions import MiningError, SessionFormatError
@@ -53,21 +50,19 @@ __all__ = ["read_session", "write_session"]
 #: 3. ``PatternEntry`` stores occurrences as columnar per-sequence int32
 #:    index matrices instead of instance-tuple lists (smaller files, and the
 #:    wire shape changed from an ``occurrences`` dict to an ``index`` dict).
-#:    Version-2 payloads are still **read**: ``PatternEntry.__setstate__``
-#:    parks the legacy tuples and :func:`read_session` resolves each tuple
-#:    to its position in the event's per-sequence instance list (exact
-#:    duplicates cannot occur there, so the resolution is unambiguous).
-#:    Files are always written in the current version.
+#:    Later version-3 files also carry a ``mining_state`` key.
+#: 4. The pickled ``MiningConfig`` lost two fields (the shared-memory
+#:    transport flag and the kernel-crossover override), and every file
+#:    carries ``mining_state`` — the progress marker of an interrupted
+#:    checkpointed run (see ``MiningConfig.checkpoint_path``), ``None`` for
+#:    a complete session.
 #:
-#: Version 3 files may additionally carry an optional ``mining_state`` key —
-#: the progress marker of an interrupted checkpointed run (see
-#: ``MiningConfig.checkpoint_path``).  Files without the key (older writers)
-#: load as complete sessions, and older readers ignore the extra key, so the
-#: addition is compatible in both directions and needs no version bump.
+#: Only the current version is read; files of any older version raise
+#: :class:`~repro.exceptions.SessionFormatError` and must be re-mined.
 FORMAT_NAME = "repro-mining-session"
-FORMAT_VERSION = 3
-#: Versions :func:`read_session` can migrate on load.
-READABLE_VERSIONS = (2, FORMAT_VERSION)
+FORMAT_VERSION = 4
+#: Versions :func:`read_session` accepts.
+READABLE_VERSIONS = (FORMAT_VERSION,)
 
 
 def write_session(session: MiningSession, path: str | Path) -> Path:
@@ -101,7 +96,7 @@ def write_session(session: MiningSession, path: str | Path) -> Path:
         "levels": session.graph.levels,
         "statistics": session.statistics,
         "appends": session.appends,
-        "mining_state": getattr(session, "_mining_state", None),
+        "mining_state": session._mining_state,
     }
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -120,37 +115,6 @@ def write_session(session: MiningSession, path: str | Path) -> Path:
             pass
         raise
     return path
-
-
-def _normalise_config(config: object) -> MiningConfig:
-    """Fill fields a pre-fault-tolerance pickled config does not carry.
-
-    Frozen dataclasses unpickle through ``__dict__`` state, bypassing
-    ``__init__`` — a config written before ``retry``/``checkpoint_path``
-    existed therefore simply *lacks* those attributes.  Rebuilding through
-    the constructor restores every missing field's default (and re-runs the
-    validation).
-    """
-    field_names = [f.name for f in _dataclass_fields(MiningConfig)]
-    if all(hasattr(config, name) for name in field_names):
-        return config  # type: ignore[return-value]
-    return MiningConfig(
-        **{
-            name: getattr(config, name)
-            for name in field_names
-            if hasattr(config, name)
-        }
-    )
-
-
-def _normalise_statistics(statistics: object) -> object:
-    """Backfill counter fields a pre-fault-tolerance statistics pickle lacks."""
-    if statistics is not None:
-        if not hasattr(statistics, "shard_retries"):
-            statistics.shard_retries = {}
-        if not hasattr(statistics, "warnings"):
-            statistics.warnings = []
-    return statistics
 
 
 def read_session(path: str | Path) -> MiningSession:
@@ -180,17 +144,17 @@ def read_session(path: str | Path) -> MiningSession:
         )
     version = payload.get("version")
     if version not in READABLE_VERSIONS:
+        older = isinstance(version, int) and version < FORMAT_VERSION
         raise SessionFormatError(
-            f"{path} uses session format version {version!r}; "
-            f"this build reads versions {', '.join(map(str, READABLE_VERSIONS))}",
+            f"{path} uses session format version {version!r}; this build "
+            f"reads version {FORMAT_VERSION} only"
+            + ("; re-mine to upgrade" if older else ""),
             path=path,
             version=version if isinstance(version, int) else None,
         )
 
     try:
-        session = MiningSession(
-            config=_normalise_config(payload["config"]), retain_occurrences=True
-        )
+        session = MiningSession(config=payload["config"], retain_occurrences=True)
         session.n_sequences = payload["n_sequences"]
         session.events = payload["events"]
         # Level-1 nodes are the same objects as their ``events`` entries
@@ -201,9 +165,9 @@ def read_session(path: str | Path) -> MiningSession:
             level1={key: payload["events"][key] for key in payload["level1_keys"]},
             levels=payload["levels"],
         )
-        session.statistics = _normalise_statistics(payload["statistics"])
+        session.statistics = payload["statistics"]
         session.appends = payload["appends"]
-        session._mining_state = payload.get("mining_state")
+        session._mining_state = payload["mining_state"]
     except KeyError as error:
         raise SessionFormatError(
             f"{path} is missing session payload entry {error}",
@@ -211,12 +175,7 @@ def read_session(path: str | Path) -> MiningSession:
             version=version,
         ) from error
     try:
-        # Instance→position maps shared by every entry referencing the same
-        # (event, sequence) during a v2 migration.
-        index_cache: dict = {}
         for _level, _node, entry in session.graph.iter_pattern_entries():
-            if version == 2:
-                entry.convert_legacy(session.graph.level1, index_cache)
             # Index matrices travel bare; re-attach the loaded instance lists
             # so the lazy tuple views (and future appends) resolve, and range-
             # check every index — a corrupted matrix would otherwise

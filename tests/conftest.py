@@ -9,35 +9,11 @@ datasets at a size where every miner finishes in well under a second.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import MiningConfig
 from repro.datasets import make_dataset
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
-
-
-def _repro_shm_entries() -> set[str]:
-    """Live repro-owned shared-memory blocks (Linux exposes them in /dev/shm)."""
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_shared_memory_blocks():
-    """Every test must leave /dev/shm exactly as it found it.
-
-    The shared-memory transport (:mod:`repro.core.shm`) promises that the
-    coordinator unlinks every block it names on every exit path — including
-    worker crashes.  This backstop turns any violation, anywhere in the
-    suite, into a failure of the test that leaked."""
-    before = _repro_shm_entries()
-    yield
-    leaked = _repro_shm_entries() - before
-    assert not leaked, f"leaked shared-memory blocks: {sorted(leaked)}"
 
 
 def _instance(series: str, symbol: str, start: float, end: float) -> EventInstance:

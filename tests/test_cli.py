@@ -97,30 +97,22 @@ class TestMineCommand:
         assert code == 2
         assert "--workers requires --parallel" in capsys.readouterr().err
 
-    def test_shared_memory_without_parallel_rejected(self, tmp_path, capsys):
-        code = main(
-            ["mine", "--input", str(tmp_path / "data.csv"), "--output",
-             str(tmp_path / "out.json"), "--window", "1440", "--shared-memory"]
-        )
-        assert code == 2
-        assert "--shared-memory requires --parallel" in capsys.readouterr().err
-
-    def test_mine_parallel_shared_memory_matches_serial(self, csv_path, tmp_path):
+    def test_mine_parallel_matches_serial(self, csv_path, tmp_path):
         common = [
             "--input", str(csv_path), "--window", "1440", "--support", "0.4",
             "--confidence", "0.4", "--epsilon", "1", "--min-overlap", "5",
             "--tmax", "360", "--max-size", "2",
         ]
         serial_out = tmp_path / "serial.json"
-        shm_out = tmp_path / "shm.json"
+        parallel_out = tmp_path / "parallel.json"
         assert main(["mine", *common, "--output", str(serial_out)]) == 0
         assert main(
-            ["mine", *common, "--output", str(shm_out),
-             "--parallel", "--workers", "2", "--shared-memory"]
+            ["mine", *common, "--output", str(parallel_out),
+             "--parallel", "--workers", "2"]
         ) == 0
         serial = json.loads(serial_out.read_text())
-        shared = json.loads(shm_out.read_text())
-        assert serial["patterns"] == shared["patterns"]
+        parallel = json.loads(parallel_out.read_text())
+        assert serial["patterns"] == parallel["patterns"]
 
     def test_mi_threshold_without_approximate_rejected(self, tmp_path, capsys):
         """--mi-threshold used to be silently ignored without --approximate."""

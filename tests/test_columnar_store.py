@@ -1,17 +1,18 @@
 """The columnar occurrence store: index matrices, gather parity, chunking,
-kernel-threshold calibration.
+kernel-threshold routing.
 
 The store's contract (see :class:`repro.core.hpg.PatternEntry`) is that the
 int32 index matrices are a lossless re-encoding of the historical
 instance-tuple lists: gather-built endpoint blocks equal the old per-call list
 comprehensions bit for bit, per-hit and batched inserts build the identical
 matrix, and the lazy ``occurrences`` view materialises the exact tuples the
-old store held.  The chunking and calibration satellites are pure scheduling
+old store held.  Chunking and scalar/kernel routing are pure scheduling
 choices and must never change a mined result.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
 from dataclasses import replace
@@ -25,21 +26,17 @@ from repro import (
     HTPGM,
     MiningConfig,
     MiningSession,
+    ProcessPoolBackend,
+    PruningMode,
     Relation,
     TemporalPattern,
 )
-from repro.core.engine import (
-    _KERNEL_MIN_PAIRS,
-    _anchor_chunks,
-    _CALIBRATION_BOUNDS,
-    calibrate_kernel_min_pairs,
-    effective_kernel_min_pairs,
-)
+from repro.core.engine import _anchor_chunks
 from repro.core.hpg import EventNode, PatternEntry
 from repro.core.bitmap import Bitmap
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
-from test_engine_parity import mined_tuples, random_database
+from test_engine_parity import assert_parity, mined_tuples, random_database
 
 
 def _pattern(size: int) -> TemporalPattern:
@@ -309,10 +306,11 @@ class TestKernelChunking:
         assert list(_anchor_chunks(empty, empty, 10)) == []
 
     @pytest.mark.parametrize("tmax", [None, 60.0])
-    def test_tiny_chunk_budget_changes_nothing(self, tmax):
+    def test_tiny_chunk_budget_changes_nothing(self, tmax, monkeypatch):
         """A pathologically small mask budget forces many chunks at both
         kernel entry points; results and counters must be untouched —
         including on the ``tmax=None`` dense workload the budget exists for."""
+        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", 1)  # kernel everywhere
         database = random_database(31, n_sequences=6, n_series=2, max_instances=40)
         base = MiningConfig(
             min_support=0.3,
@@ -320,7 +318,6 @@ class TestKernelChunking:
             min_overlap=1.0,
             tmax=tmax,
             max_pattern_size=3,
-            kernel_min_pairs=1,  # force the kernel everywhere
         )
         chunked = HTPGM(replace(base, kernel_chunk_bytes=64)).mine(database)
         unchunked = HTPGM(replace(base, kernel_chunk_bytes=None)).mine(database)
@@ -342,47 +339,89 @@ class TestKernelChunking:
         assert MiningConfig().kernel_chunk_bytes == 64 * 1024 * 1024
 
 
-class TestKernelCalibration:
-    def test_calibrated_crossover_is_cached_and_bounded(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_calibrated_min_pairs", None)
-        first = calibrate_kernel_min_pairs()
-        low, high = _CALIBRATION_BOUNDS
-        assert first == _KERNEL_MIN_PAIRS or low <= first <= high
-        assert calibrate_kernel_min_pairs() == first  # cached per process
-        assert engine_module._calibrated_min_pairs == first
+class TestKernelRouting:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Every ``classify_pairs`` call the engine makes, in order."""
+        calls = []
+        classify_pairs = engine_module.classify_pairs
 
-    def test_explicit_config_overrides_calibration(self):
-        assert effective_kernel_min_pairs(MiningConfig(kernel_min_pairs=7)) == 7
-        assert (
-            effective_kernel_min_pairs(MiningConfig())
-            == calibrate_kernel_min_pairs()
-        )
+        def counting_classify_pairs(*args):
+            calls.append(args)
+            return classify_pairs(*args)
 
-    def test_env_var_disables_the_probe(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_calibrated_min_pairs", None)
-        monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", "0")
-        assert calibrate_kernel_min_pairs() == _KERNEL_MIN_PAIRS == 64
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            MiningConfig(kernel_min_pairs=0)
-        assert MiningConfig(kernel_min_pairs=None).kernel_min_pairs is None
+        monkeypatch.setattr(engine_module, "classify_pairs", counting_classify_pairs)
+        return calls
 
     @pytest.mark.parametrize("threshold", [1, 10**9])
-    def test_extreme_thresholds_mine_the_identical_output(self, threshold):
-        """kernel_min_pairs=1 forces the kernel everywhere, 10**9 forces the
+    def test_extreme_thresholds_mine_the_identical_output(
+        self, threshold, monkeypatch, kernel_calls
+    ):
+        """A threshold of 1 forces the kernel everywhere, 10**9 forces the
         scalar loop everywhere; routing is a pure scheduling choice."""
+        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", threshold)
         database = random_database(19, n_sequences=8)
         config = MiningConfig(
             min_support=0.25,
             min_confidence=0.25,
             min_overlap=1.0,
-            kernel_min_pairs=threshold,
         )
         forced = HTPGM(config).mine(database)
+        # The patched constant is read at call time: it really routed.
+        assert bool(kernel_calls) == (threshold == 1)
         reference = HTPGM(config.with_vectorized(False)).mine(database)
         assert mined_tuples(forced) == mined_tuples(reference)
         assert (
             forced.statistics.relation_checks
             == reference.statistics.relation_checks
         )
+
+    @pytest.mark.parametrize("pruning", list(PruningMode))
+    @pytest.mark.parametrize("allow_self", [True, False])
+    def test_forced_kernel_matches_forced_scalar_in_every_pruning_mode(
+        self, pruning, allow_self, monkeypatch, kernel_calls
+    ):
+        """The kernel applies the Lemma-4/6/7 membership table and rebuilds
+        the early-exit check counts itself; forced onto every batch it must
+        agree with the scalar loop in every pruning mode, counters included."""
+        database = random_database(19, n_sequences=8)
+        config = MiningConfig(
+            min_support=0.25,
+            min_confidence=0.25,
+            min_overlap=1.0,
+            pruning=pruning,
+            allow_self_relations=allow_self,
+        )
+        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", 10**9)
+        scalar = HTPGM(config).mine(database)
+        assert not kernel_calls
+        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", 1)
+        kernel = HTPGM(config).mine(database)
+        assert kernel_calls
+        assert_parity(scalar, kernel)
+
+    @pytest.mark.parametrize("threshold", [1, 10**9])
+    def test_forced_routing_reaches_fork_workers(
+        self, threshold, monkeypatch, tmp_path
+    ):
+        """Fork pools start per batch, after the patch, so their workers
+        route the same way — and the pooled result equals the scalar one."""
+        log = tmp_path / "kernel-pids"
+        classify_pairs = engine_module.classify_pairs
+
+        def logging_classify_pairs(*args):
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return classify_pairs(*args)
+
+        monkeypatch.setattr(engine_module, "classify_pairs", logging_classify_pairs)
+        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", threshold)
+        database = random_database(19, n_sequences=8)
+        config = MiningConfig(min_support=0.25, min_confidence=0.25, min_overlap=1.0)
+        with ProcessPoolBackend(
+            n_workers=2, min_candidates_per_worker=1, start_method="fork"
+        ) as backend:
+            pooled = HTPGM(config, backend=backend).mine(database)
+        pids = set(log.read_text().split()) if log.exists() else set()
+        assert bool(pids - {str(os.getpid())}) == (threshold == 1)
+        assert_parity(HTPGM(config.with_vectorized(False)).mine(database), pooled)

@@ -107,6 +107,17 @@ def process_backend():
         yield backend
 
 
+@pytest.fixture(scope="module")
+def spawn_backend():
+    """The other executor: a persistent spawn pool, whose workers receive the
+    level context pickled with every shard instead of inheriting it through
+    fork copy-on-write."""
+    with ProcessPoolBackend(
+        n_workers=2, min_candidates_per_worker=1, start_method="spawn"
+    ) as backend:
+        yield backend
+
+
 class TestRandomDatabaseParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_default_config(self, seed, process_backend):
@@ -154,6 +165,15 @@ class TestPaperExampleParity:
         serial = HTPGM(default_config, backend=SerialBackend()).mine(paper_sequence_db)
         parallel = HTPGM(default_config, backend=process_backend).mine(paper_sequence_db)
         assert_parity(serial, parallel)
+
+
+class TestSpawnPoolParity(TestRandomDatabaseParity, TestPaperExampleParity):
+    """Every sweep above, rerun on the persistent spawn pool: the executor
+    used where fork is unavailable or a non-fork start method is asked for."""
+
+    @pytest.fixture
+    def process_backend(self, spawn_backend):
+        return spawn_backend
 
 
 class TestVectorizedScalarParity:
@@ -289,13 +309,10 @@ class TestColumnarStoreParity:
         scalar = self._session_store(database, self.CONFIG.with_vectorized(False))
         assert store_snapshot(vectorized.graph) == store_snapshot(scalar.graph)
 
-    def test_process_engine_builds_the_identical_store(self, process_backend):
-        """Retaining sessions disable worker-side summaries, so the process
-        engine must ship back the exact index matrices serial builds — and
-        the coordinator must rebind them so the tuple views materialise."""
+    def _assert_pool_builds_the_serial_store(self, backend):
         database = random_database(seed=23, n_sequences=10, max_instances=14)
         serial = self._session_store(database, self.CONFIG)
-        parallel = self._session_store(database, self.CONFIG, backend=process_backend)
+        parallel = self._session_store(database, self.CONFIG, backend=backend)
         assert store_snapshot(serial.graph) == store_snapshot(parallel.graph)
         for (_, _, serial_entry), (_, _, parallel_entry) in zip(
             serial.graph.iter_pattern_entries(),
@@ -303,8 +320,19 @@ class TestColumnarStoreParity:
         ):
             assert serial_entry.occurrences == parallel_entry.occurrences
 
-    @pytest.mark.parametrize("engine", ["serial", "process"])
-    def test_append_builds_the_scratch_store(self, engine, process_backend):
+    def test_process_engine_builds_the_identical_store(self, process_backend):
+        """Retaining sessions disable worker-side summaries, so the process
+        engine must ship back the exact index matrices serial builds — and
+        the coordinator must rebind them so the tuple views materialise."""
+        self._assert_pool_builds_the_serial_store(process_backend)
+
+    def test_spawn_pool_builds_the_identical_store(self, spawn_backend):
+        """The same through the spawn pool, whose workers rebuild their
+        columnar caches from the pickled context on every shard."""
+        self._assert_pool_builds_the_serial_store(spawn_backend)
+
+    @pytest.mark.parametrize("engine", ["serial", "process", "spawn"])
+    def test_append_builds_the_scratch_store(self, engine, request):
         database = random_database(seed=41, n_sequences=14, max_instances=14)
         base = SequenceDatabase(database.sequences[:10])
         delta = [
@@ -313,7 +341,9 @@ class TestColumnarStoreParity:
         ]
         from repro import MiningSession
 
-        backend = process_backend if engine == "process" else None
+        backend = (
+            None if engine == "serial" else request.getfixturevalue(f"{engine}_backend")
+        )
         session = MiningSession(self.CONFIG)
         session.mine(base, backend=backend)
         appended = session.append(delta, backend=backend)
@@ -324,102 +354,30 @@ class TestColumnarStoreParity:
         assert store_snapshot(session.graph) == store_snapshot(scratch.graph)
 
 
-@pytest.fixture(scope="module")
-def shared_backend():
-    """A shm-transport pool shared by the module, forced into real sharding."""
-    with ProcessPoolBackend(
-        n_workers=2, min_candidates_per_worker=1, shared_memory=True
-    ) as backend:
-        yield backend
-
-
-class TestSharedMemoryParity:
-    """The zero-copy transport is semantically invisible: the mined result
-    *and* the columnar occurrence store are byte-identical to a serial run,
-    across every pruning mode, on scalar as well as vectorized configs, from
-    scratch as well as through an append, and on the spawn start method
-    (whose workers unpack the request from one block per batch instead of
-    inheriting it through fork copy-on-write)."""
+class TestWorkerPoolParity:
+    """Two more pool axes: a scalar config evaluated by workers, and the
+    spawn start method's persistent pool (context pickled with every shard
+    instead of inherited through fork copy-on-write)."""
 
     CONFIG = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
 
-    @pytest.mark.parametrize("pruning", list(PruningMode))
-    @pytest.mark.parametrize("allow_self", [True, False])
-    def test_all_pruning_modes_and_self_relations(
-        self, pruning, allow_self, shared_backend
-    ):
-        database = random_database(seed=7, n_sequences=8)
-        config = MiningConfig(
-            min_support=0.25,
-            min_confidence=0.25,
-            min_overlap=1.0,
-            pruning=pruning,
-            allow_self_relations=allow_self,
-        )
-        serial = HTPGM(config, backend=SerialBackend()).mine(database)
-        parallel = HTPGM(config, backend=shared_backend).mine(database)
-        assert_parity(serial, parallel)
-
-    def test_paper_database(self, paper_sequence_db, default_config, shared_backend):
-        serial = HTPGM(default_config, backend=SerialBackend()).mine(paper_sequence_db)
-        parallel = HTPGM(default_config, backend=shared_backend).mine(paper_sequence_db)
-        assert_parity(serial, parallel)
-
-    def test_scalar_config_through_shared_memory(self, shared_backend):
+    def test_scalar_config_through_the_pool(self, process_backend):
         database = random_database(seed=19, n_sequences=8)
         config = self.CONFIG.with_vectorized(False)
         serial = HTPGM(config, backend=SerialBackend()).mine(database)
-        parallel = HTPGM(config, backend=shared_backend).mine(database)
+        parallel = HTPGM(config, backend=process_backend).mine(database)
         assert_parity(serial, parallel)
 
-    def test_builds_the_identical_store(self, shared_backend):
-        from repro import MiningSession
-
-        database = random_database(seed=23, n_sequences=10, max_instances=14)
-        serial = MiningSession(self.CONFIG)
-        serial.mine(database)
-        shared = MiningSession(self.CONFIG)
-        shared.mine(database, backend=shared_backend)
-        assert store_snapshot(serial.graph) == store_snapshot(shared.graph)
-        for (_, _, serial_entry), (_, _, shared_entry) in zip(
-            serial.graph.iter_pattern_entries(),
-            shared.graph.iter_pattern_entries(),
-        ):
-            assert serial_entry.occurrences == shared_entry.occurrences
-
-    def test_append_builds_the_scratch_store(self, shared_backend):
-        from repro import MiningSession
-
-        database = random_database(seed=41, n_sequences=14, max_instances=14)
-        base = SequenceDatabase(database.sequences[:10])
-        delta = [
-            TemporalSequence(index, list(sequence.instances))
-            for index, sequence in enumerate(database.sequences[10:])
-        ]
-        session = MiningSession(self.CONFIG)
-        session.mine(base, backend=shared_backend)
-        appended = session.append(delta, backend=shared_backend)
-        scratch = MiningSession(self.CONFIG)
-        scratch.mine(database)
-        assert mined_tuples(appended) == mined_tuples(HTPGM(self.CONFIG).mine(database))
-        assert store_snapshot(session.graph) == store_snapshot(scratch.graph)
-
-    def test_spawn_start_method_parity(self):
-        """The pooled request-block transport (no fork inheritance) agrees too."""
-        database = random_database(seed=7, n_sequences=8)
-        serial = HTPGM(self.CONFIG, backend=SerialBackend()).mine(database)
-        with ProcessPoolBackend(
-            n_workers=2,
-            min_candidates_per_worker=1,
-            shared_memory=True,
-            start_method="spawn",
-        ) as backend:
-            parallel = HTPGM(self.CONFIG, backend=backend).mine(database)
+    def test_scalar_config_through_the_spawn_pool(self, spawn_backend):
+        database = random_database(seed=19, n_sequences=8)
+        config = self.CONFIG.with_vectorized(False)
+        serial = HTPGM(config, backend=SerialBackend()).mine(database)
+        parallel = HTPGM(config, backend=spawn_backend).mine(database)
         assert_parity(serial, parallel)
 
     def test_plain_spawn_parity(self):
-        """start_method="spawn" without shared memory: the per-shard pickle
-        transport on a persistent pool is equally transparent."""
+        """start_method="spawn": the per-shard pickle transport on a
+        persistent pool mines what serial mines."""
         database = random_database(seed=7, n_sequences=8)
         serial = HTPGM(self.CONFIG, backend=SerialBackend()).mine(database)
         with ProcessPoolBackend(
@@ -595,13 +553,21 @@ class TestDeadEndSummaries:
     def test_dead_end_level3_nodes_ship_as_summaries(self):
         """No max_pattern_size is set, yet the level-3 entries arrive
         summarised because no fourth event shares a pair with all three."""
+        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
+            self._assert_dead_ends_ship_as_summaries(backend)
+
+    def test_spawn_workers_summarise_dead_ends_too(self, spawn_backend):
+        """The Lemma-5 check reads only the shard context, which spawn
+        workers receive pickled: the same entries arrive summarised."""
+        self._assert_dead_ends_ship_as_summaries(spawn_backend)
+
+    def _assert_dead_ends_ship_as_summaries(self, backend):
         database = self._two_triangle_database()
         config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
         serial_miner = HTPGM(config, backend=SerialBackend())
         serial = serial_miner.mine(database)
-        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
-            parallel_miner = HTPGM(config, backend=backend)
-            parallel = parallel_miner.mine(database)
+        parallel_miner = HTPGM(config, backend=backend)
+        parallel = parallel_miner.mine(database)
         assert_parity(serial, parallel)
         final_entries = [
             entry
@@ -675,15 +641,21 @@ class TestFinalLevelSummaries:
     def test_process_workers_return_summaries_at_max_pattern_size(self):
         """Final-level entries ship as counts, not occurrence lists, yet the
         mined output (support, confidence, order) matches serial exactly."""
+        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
+            self._assert_final_level_ships_summaries(backend)
+
+    def test_spawn_workers_return_summaries_at_max_pattern_size(self, spawn_backend):
+        self._assert_final_level_ships_summaries(spawn_backend)
+
+    def _assert_final_level_ships_summaries(self, backend):
         database = random_database(seed=0)
         config = MiningConfig(
             min_support=0.3, min_confidence=0.3, min_overlap=1.0, max_pattern_size=3
         )
         serial_miner = HTPGM(config, backend=SerialBackend())
         serial = serial_miner.mine(database)
-        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
-            parallel_miner = HTPGM(config, backend=backend)
-            parallel = parallel_miner.mine(database)
+        parallel_miner = HTPGM(config, backend=backend)
+        parallel = parallel_miner.mine(database)
         assert_parity(serial, parallel)
 
         final_entries = [
@@ -757,6 +729,14 @@ class TestApproximateMinerParity:
             parallel_values = pairwise_nmi(symbolic_db, backend=backend)
         assert serial_values == parallel_values
 
+    def test_spawn_pool_nmi_values_bit_identical(self, small_energy, spawn_backend):
+        """Spawn workers receive the symbolic database pickled with every
+        shard of series pairs; the values still match bit for bit."""
+        _, symbolic_db, _ = small_energy
+        assert pairwise_nmi(symbolic_db, backend=spawn_backend) == pairwise_nmi(
+            symbolic_db
+        )
+
 
 class TestBackendBehaviour:
     def test_backend_reuse_across_mines(self, process_backend):
@@ -770,9 +750,12 @@ class TestBackendBehaviour:
 
     def test_config_engine_resolution(self):
         assert isinstance(backend_from_config(MiningConfig()), SerialBackend)
-        process = backend_from_config(MiningConfig(engine="process", n_workers=3))
+        config = MiningConfig(engine="process", n_workers=3)
+        process = backend_from_config(config)
         assert isinstance(process, ProcessPoolBackend)
         assert process.n_workers == 3
+        assert process.retry == config.retry
+        assert process.governor is None
         default_workers = backend_from_config(MiningConfig(engine="process"))
         assert default_workers.n_workers == available_workers()
 
@@ -801,17 +784,33 @@ class TestBackendBehaviour:
         config = MiningConfig().with_engine("process", 4)
         assert config.engine == "process"
         assert config.n_workers == 4
-        assert config.shared_memory is False
         back = config.with_engine("serial")
         assert back.engine == "serial"
         assert back.n_workers is None
 
-    def test_with_engine_threads_shared_memory(self):
-        config = MiningConfig().with_engine("process", 4, shared_memory=True)
-        assert config.shared_memory is True
-        assert config.with_engine("serial").shared_memory is False
-        resolved = backend_from_config(config)
-        try:
-            assert resolved.shared_memory is True
-        finally:
-            resolved.close()
+    def test_worker_exception_leaves_the_backend_usable(self):
+        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
+            with pytest.raises(ValueError, match="worker says no"):
+                backend.map_shards(_failing_shard, None, list(range(8)))
+            results = backend.map_shards(_echo_shard, None, list(range(8)))
+        assert sorted(sum(results, [])) == list(range(8))
+
+    def test_double_close_is_idempotent(self):
+        backend = ProcessPoolBackend(n_workers=2, start_method="spawn")
+        backend.map_shards(_echo_shard, None, list(range(8)))
+        backend.close()
+        backend.close()
+        assert backend._executor is None
+
+    def test_invalid_start_method_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ProcessPoolBackend(n_workers=2, start_method="telepathy")
+
+
+# Module-level so the spawn start method can pickle references to them.
+def _echo_shard(payload, items):
+    return list(items)
+
+
+def _failing_shard(payload, items):
+    raise ValueError("worker says no")

@@ -1,14 +1,13 @@
 """Fault tolerance: injected faults must never change the mined output.
 
 The execution layer promises that worker crashes, hangs, transport failures
-and pool loss are recovered — by retrying shards, degrading the transport, or
-degrading to in-process evaluation — without any effect on the mined pattern
-set or its occurrence evidence.  These tests drive every recovery path with
-the deterministic fault-injection harness (:mod:`repro.core.faults`), across
-both start methods and both transports, asserting:
+and pool loss are recovered — by retrying shards or degrading to in-process
+evaluation — without any effect on the mined pattern set or its occurrence
+evidence.  These tests drive every recovery path with the deterministic
+fault-injection harness (:mod:`repro.core.faults`), across both start
+methods, asserting:
 
 * byte-identical patterns *and* occurrence-store snapshot versus a serial run,
-* ``/dev/shm`` left exactly as found (the conftest autouse fixture backstops),
 * the retry/degradation events recorded in :class:`MiningStatistics`.
 
 Checkpoint/resume gets the same treatment, including a subprocess run killed
@@ -40,7 +39,7 @@ from repro import (
     SerialBackend,
     SessionFormatError,
 )
-from repro.core import faults, shm
+from repro.core import faults
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.cli import main as cli_main
 from repro.io import read_session, write_session
@@ -59,6 +58,10 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 # Module-level so the spawn transport can pickle references.
 def _echo_shard(payload, items):
     return list(items)
+
+
+def _crashing_shard(payload, items):
+    os._exit(13)
 
 
 def _mine_with_plan(database, plan, **backend_kwargs):
@@ -107,6 +110,7 @@ class TestFaultPlan:
             "crash:level=two",  # non-integer
             "crash:colour=red",  # unknown key
             "crash:times=0",  # out of range
+            "shm:level=2",  # no shared-memory transport, so no such kind
         ],
     )
     def test_malformed_specs_rejected(self, text):
@@ -169,61 +173,78 @@ class TestRetryPolicy:
         assert backend.retry == policy
 
 
+@pytest.fixture(scope="module")
+def deep_baseline():
+    """A serial reference that mines to level 4, so level-3 shards carry
+    real occurrence evidence built from their level-2 parents."""
+    database = random_database(seed=23, n_sequences=10, max_instances=14)
+    session = MiningSession(CONFIG)
+    result = session.mine(database, backend=SerialBackend())
+    assert session.graph.levels.get(3), "the reference must mine level 3"
+    return database, session, result
+
+
 # One spec per worker-fault kind, aimed at the (always sharded) pair level.
 _WORKER_FAULTS = {
     "crash": "crash:level=2,shard=1",
     "hang": "hang:level=2,shard=0,seconds=30",
     "pickle": "pickle:level=2,shard=1",
-    "shm": "shm:level=2,times=2",
 }
 
 
-class TestWorkerFaultMatrix:
-    """Every worker-fault kind × start method × transport mines identically."""
+def _assert_fault_preserves_parity(reference, kind, spec, level, start_method):
+    database, serial_session, serial_result = reference
+    retry = FAST_RETRY
+    if kind == "hang":
+        retry = replace(FAST_RETRY, shard_timeout=5.0)
+    session, result, _backend = _mine_with_plan(
+        database, FaultPlan.parse(spec), start_method=start_method, retry=retry
+    )
+    assert mined_tuples(result) == mined_tuples(serial_result)
+    assert store_snapshot(session.graph) == store_snapshot(serial_session.graph)
+    if kind == "crash":
+        # A crash breaks the whole pool, so sibling shards of the same
+        # round legitimately retry along with the faulted one.
+        assert result.statistics.shard_retries.get(level, 0) >= 1
+    elif kind in ("hang", "pickle"):
+        # The fault fired exactly once and the retry bookkeeping saw it.
+        assert result.statistics.shard_retries == {level: 1}
 
-    @pytest.mark.parametrize("shared_memory", [False, True], ids=["pickle", "shm"])
+
+class TestWorkerFaultMatrix:
+    """Every worker-fault kind × start method mines identically, at the
+    pair level and at the first combination level."""
+
     @pytest.mark.parametrize("start_method", [None, "spawn"], ids=["fork", "spawn"])
     @pytest.mark.parametrize("kind", sorted(_WORKER_FAULTS))
-    def test_injected_fault_preserves_parity(
-        self, baseline, kind, start_method, shared_memory
+    def test_injected_fault_preserves_parity(self, baseline, kind, start_method):
+        _assert_fault_preserves_parity(
+            baseline, kind, _WORKER_FAULTS[kind], 2, start_method
+        )
+
+    @pytest.mark.parametrize("start_method", [None, "spawn"], ids=["fork", "spawn"])
+    @pytest.mark.parametrize("kind", sorted(_WORKER_FAULTS))
+    def test_injected_level_k_fault_preserves_parity(
+        self, deep_baseline, kind, start_method
     ):
-        database, serial_session, serial_result = baseline
-        retry = FAST_RETRY
-        if kind == "hang":
-            retry = replace(FAST_RETRY, shard_timeout=5.0)
-        plan = FaultPlan.parse(_WORKER_FAULTS[kind])
-        session, result, backend = _mine_with_plan(
-            database,
-            plan,
-            start_method=start_method,
-            shared_memory=shared_memory,
-            retry=retry,
-        )
-        assert mined_tuples(result) == mined_tuples(serial_result)
-        assert store_snapshot(session.graph) == store_snapshot(
-            serial_session.graph
-        )
-        if kind == "crash":
-            # A crash breaks the whole pool, so sibling shards of the same
-            # round legitimately retry along with the faulted one.
-            assert result.statistics.shard_retries.get(2, 0) >= 1
-        elif kind in ("hang", "pickle"):
-            # The fault fired exactly once and the retry bookkeeping saw it.
-            assert result.statistics.shard_retries == {2: 1}
-        elif shared_memory and shm.shared_memory_available():
-            # Two injected allocation failures trip the transport downgrade.
-            assert backend.shared_memory_active is False
-            assert any(
-                "shared-memory transport disabled" in warning
-                for warning in result.statistics.warnings
-            )
+        spec = _WORKER_FAULTS[kind].replace("level=2", "level=3")
+        _assert_fault_preserves_parity(deep_baseline, kind, spec, 3, start_method)
 
 
 class TestGracefulDegradation:
     def test_pool_loss_degrades_to_in_process_evaluation(self, baseline):
+        self._assert_pool_loss_degrades(baseline, start_method=None)
+
+    def test_spawn_pool_loss_degrades_the_same_way(self, baseline):
+        self._assert_pool_loss_degrades(baseline, start_method="spawn")
+
+    @staticmethod
+    def _assert_pool_loss_degrades(baseline, start_method):
         database, serial_session, serial_result = baseline
         plan = FaultPlan.parse("pool:level=2")
-        session, result, backend = _mine_with_plan(database, plan)
+        session, result, backend = _mine_with_plan(
+            database, plan, start_method=start_method
+        )
         assert backend._serial_degraded is True
         assert mined_tuples(result) == mined_tuples(serial_result)
         assert store_snapshot(session.graph) == store_snapshot(
@@ -276,6 +297,34 @@ class TestRetryExhaustion:
                 backend.map_shards(_echo_shard, None, list(range(8)))
         finally:
             backend.close()
+
+    def test_crash_without_retries_leaves_the_backend_reusable(self, baseline):
+        database, serial_session, _ = baseline
+        with ProcessPoolBackend(
+            n_workers=2,
+            min_candidates_per_worker=1,
+            retry=RetryPolicy(max_retries=0),
+        ) as backend:
+            with pytest.raises(BrokenProcessPool):
+                backend.map_shards(_crashing_shard, None, list(range(8)))
+            recovered = MiningSession(CONFIG)
+            recovered.mine(database, backend=backend)
+        assert store_snapshot(recovered.graph) == store_snapshot(
+            serial_session.graph
+        )
+
+    def test_spawn_pool_crash_drops_the_broken_executor(self):
+        with ProcessPoolBackend(
+            n_workers=2,
+            min_candidates_per_worker=1,
+            start_method="spawn",
+            retry=RetryPolicy(max_retries=0),
+        ) as backend:
+            with pytest.raises(BrokenProcessPool):
+                backend.map_shards(_crashing_shard, None, list(range(8)))
+            assert backend._executor is None  # the broken pool was not kept
+            results = backend.map_shards(_echo_shard, None, list(range(8)))
+        assert sorted(sum(results, [])) == list(range(8))
 
     def test_persistent_hang_raises_a_timeout_mining_error(self):
         plan = FaultPlan.parse("hang:seconds=30,times=10")

@@ -8,9 +8,9 @@ aborts, recursive shard splitting, kernel-chunk shrinking, forced
 summarisation and the in-process floor are all output-preserving.  These
 tests drive every one of those paths deterministically — the ``oom`` and
 ``membudget`` fault kinds stand in for real memory exhaustion — across
-fork × spawn start methods and pickle × shared-memory transports, plus the
-unit arithmetic (byte-size parsing, shares, watchdog throttling, governor
-planning), the CLI flag guards, and the checkpoint interplay.
+fork × spawn start methods, plus the unit arithmetic (byte-size parsing,
+shares, watchdog throttling, governor planning), the CLI flag guards, and
+the checkpoint interplay.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro import (
     SerialBackend,
 )
 from repro.cli import main as cli_main
-from repro.core import faults, resources, shm
+from repro.core import faults, resources
 from repro.core.engine import LevelContext, _ShardPiece
 from repro.core.faults import FaultPlan
 from repro.io import read_session
@@ -247,12 +247,32 @@ class TestGovernorPlanning:
 
 
 class TestContextEstimation:
-    def test_payload_nbytes_prices_arrays_without_allocating(self):
-        import numpy as np
-
-        payload = {"arrays": [np.zeros(1000), np.ones((50, 2))]}
-        measured = shm.payload_nbytes(payload)
-        assert measured >= 1000 * 8 + 100 * 8
+    def test_columnar_walk_prices_arrays_and_index_matrices(self):
+        session = MiningSession(CONFIG)
+        session.mine(random_database(seed=23, n_sequences=10, max_instances=14))
+        graph = session.graph
+        for node in graph.level1.values():
+            node.build_sequence_arrays()
+        context = LevelContext(
+            level=3,
+            config=CONFIG,
+            min_count=1,
+            level1=graph.level1,
+            parents=graph.levels[2],
+        )
+        arrays = sum(
+            starts.nbytes + ends.nbytes
+            for node in graph.level1.values()
+            for starts, ends in node._sequence_arrays.values()
+        )
+        matrices = sum(
+            matrix.nbytes
+            for node in graph.levels[2].values()
+            for entry in node.patterns.values()
+            for _sequence_id, matrix in entry.iter_index_matrices()
+        )
+        assert matrices > 0
+        assert resources.estimate_context_bytes(context) == arrays + matrices
 
     def test_estimate_never_raises_on_opaque_payloads(self):
         class Opaque:
@@ -385,31 +405,48 @@ _MEMORY_FAULTS = {
 }
 
 
-class TestGovernorFaultMatrix:
-    """Memory faults × start method × transport: byte-identical output."""
+@pytest.fixture(scope="module")
+def deep_baseline():
+    """A serial reference that mines to level 4: split level-3 pieces must
+    recombine real occurrence evidence, not empty nodes."""
+    database = random_database(seed=23, n_sequences=10, max_instances=14)
+    session = MiningSession(CONFIG)
+    result = session.mine(database, backend=SerialBackend())
+    assert session.graph.levels.get(3), "the reference must mine level 3"
+    return database, session, result
 
-    @pytest.mark.parametrize("shared_memory", [False, True], ids=["pickle", "shm"])
+
+def _assert_memory_fault_preserves_parity(reference, spec, level, start_method):
+    database, serial_session, serial_result = reference
+    session, result, _backend = _mine_budgeted(
+        database, FaultPlan.parse(spec), start_method=start_method
+    )
+    assert mined_tuples(result) == mined_tuples(serial_result)
+    assert store_snapshot(session.graph) == store_snapshot(serial_session.graph)
+    assert result.statistics.shard_splits.get(level, 0) >= 1
+    assert any("memory share" in warning for warning in result.statistics.warnings)
+
+
+class TestGovernorFaultMatrix:
+    """Memory faults × start method: byte-identical output, at the pair
+    level and at the first combination level."""
+
     @pytest.mark.parametrize("start_method", [None, "spawn"], ids=["fork", "spawn"])
     @pytest.mark.parametrize("kind", sorted(_MEMORY_FAULTS))
     def test_injected_memory_fault_preserves_parity(
-        self, baseline, kind, start_method, shared_memory
+        self, baseline, kind, start_method
     ):
-        database, serial_session, serial_result = baseline
-        plan = FaultPlan.parse(_MEMORY_FAULTS[kind])
-        session, result, _backend = _mine_budgeted(
-            database,
-            plan,
-            start_method=start_method,
-            shared_memory=shared_memory,
+        _assert_memory_fault_preserves_parity(
+            baseline, _MEMORY_FAULTS[kind], 2, start_method
         )
-        assert mined_tuples(result) == mined_tuples(serial_result)
-        assert store_snapshot(session.graph) == store_snapshot(
-            serial_session.graph
-        )
-        assert result.statistics.shard_splits.get(2, 0) >= 1
-        assert any(
-            "memory share" in warning for warning in result.statistics.warnings
-        )
+
+    @pytest.mark.parametrize("start_method", [None, "spawn"], ids=["fork", "spawn"])
+    @pytest.mark.parametrize("kind", sorted(_MEMORY_FAULTS))
+    def test_injected_level_k_memory_fault_preserves_parity(
+        self, deep_baseline, kind, start_method
+    ):
+        spec = _MEMORY_FAULTS[kind].replace("level=2", "level=3")
+        _assert_memory_fault_preserves_parity(deep_baseline, spec, 3, start_method)
 
     def test_recursive_splitting_terminates_at_floor(self, baseline):
         database, _serial_session, _serial_result = baseline

@@ -96,6 +96,15 @@ def process_backend():
         yield backend
 
 
+@pytest.fixture(scope="module")
+def spawn_backend():
+    """The persistent spawn pool: shard contexts travel as pickles."""
+    with ProcessPoolBackend(
+        n_workers=2, min_candidates_per_worker=1, start_method="spawn"
+    ) as backend:
+        yield backend
+
+
 class TestAppendParityRandomDatabases:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("base_fraction", [0.5, 0.9])
@@ -119,6 +128,17 @@ class TestAppendParityRandomDatabases:
         )
         assert_incremental_parity(
             config, random_database(seed=3), backend=process_backend
+        )
+
+    @pytest.mark.parametrize("pruning", list(PruningMode))
+    def test_spawn_pool_all_pruning_modes(self, pruning, spawn_backend):
+        """Spawn workers get the append's re-evaluation context pickled —
+        bitmaps resized and instance arrays extended in place included."""
+        config = MiningConfig(
+            min_support=0.25, min_confidence=0.25, min_overlap=1.0, pruning=pruning
+        )
+        assert_incremental_parity(
+            config, random_database(seed=3), backend=spawn_backend
         )
 
     def test_serial_and_process_appends_agree(self, process_backend):

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import copyreg
 import pickle
 
 import pytest
 
-from repro import DataError, MiningConfig, MiningError, MiningSession
+from repro import (
+    DataError,
+    MiningConfig,
+    MiningError,
+    MiningSession,
+    PruningMode,
+    SessionFormatError,
+)
+from repro.cli import main
+from repro.core.hpg import PatternEntry
 from repro.io import read_session, write_session
 from repro.io.session_io import FORMAT_NAME, FORMAT_VERSION
 
+from test_engine_parity import store_snapshot
 from test_session import mined_tuples, random_database, split_database
 
 CONFIG = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
@@ -86,77 +97,126 @@ def deep_session():
     return session
 
 
-class TestVersion2Migration:
-    """Version-2 files (instance-tuple occurrence lists) still load: the
-    legacy tuples are resolved to index matrices against the level-1 instance
-    lists, and the migrated session behaves exactly like a native one."""
+class _Version2Entry:
+    """Pickles as a version-2 ``PatternEntry``: instance-tuple occurrences."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __reduce__(self):
+        state = {
+            "pattern": self.entry.pattern,
+            "occurrences": self.entry.occurrences,
+            "occurrence_counts": self.entry.occurrence_counts,
+        }
+        return copyreg._reconstructor, (PatternEntry, object, None), state
+
+
+class TestOlderVersionsRejected:
+    """Only the current format is read; older files name their version and
+    ask to be re-mined instead of being migrated."""
 
     @staticmethod
-    def _as_v2(payload, graph):
-        """Rewrite a freshly written payload into the version-2 wire shape."""
-        import numpy as np  # noqa: F401 - parity helpers below use it
-
-        from repro.core.hpg import CombinationNode, PatternEntry
-
-        legacy_levels = {}
-        for level, nodes in graph.levels.items():
-            legacy_nodes = {}
-            for key, node in nodes.items():
-                legacy_node = CombinationNode(events=node.events, bitmap=node.bitmap)
-                for pattern, entry in node.patterns.items():
-                    legacy_entry = PatternEntry.__new__(PatternEntry)
-                    # The exact state dict a version-2 pickle delivers.
-                    legacy_entry.__setstate__(
-                        {
-                            "pattern": pattern,
-                            "occurrences": {
-                                sequence_id: list(occurrences)
-                                for sequence_id, occurrences in entry.occurrences.items()
-                            },
-                            "occurrence_counts": entry.occurrence_counts,
-                        }
-                    )
-                    legacy_node.patterns[pattern] = legacy_entry
-                legacy_nodes[key] = legacy_node
-            legacy_levels[level] = legacy_nodes
-        payload["levels"] = legacy_levels
+    def _as_v2(payload):
+        """A freshly written payload in the version-2 wire shape."""
+        for nodes in payload["levels"].values():
+            for node in nodes.values():
+                for entry in node.patterns.values():
+                    entry.bind_sources(payload["events"])
+                node.patterns = {
+                    pattern: _Version2Entry(entry)
+                    for pattern, entry in node.patterns.items()
+                }
+        del payload["mining_state"]
         payload["version"] = 2
         return payload
 
-    def test_v2_file_loads_with_the_identical_store(self, deep_session, tmp_path):
-        import numpy as np
+    @staticmethod
+    def _as_v3(payload):
+        """A freshly written payload stamped version 3.  (A real version-3
+        config also carries two fields version 4 dropped; they unpickle as
+        plain attributes, so the version gate is what rejects the file.)"""
+        payload["version"] = 3
+        return payload
 
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_file_names_its_version(self, deep_session, tmp_path, version):
         path = write_session(deep_session, tmp_path / "state.bin")
-        assert pickle.loads(path.read_bytes())["version"] == FORMAT_VERSION == 3
-        payload = self._as_v2(
-            pickle.loads(path.read_bytes()), deep_session.graph
-        )
-        path.write_bytes(pickle.dumps(payload))
-        loaded = read_session(path)
-        originals = list(deep_session.graph.iter_pattern_entries())
-        migrated = list(loaded.graph.iter_pattern_entries())
-        assert len(originals) == len(migrated) > 0
-        for (_, _, original), (_, _, entry) in zip(originals, migrated):
-            assert original.pattern == entry.pattern
-            assert not entry.is_summary
-            assert original.sequence_ids() == entry.sequence_ids()
-            for sequence_id in original.sequence_ids():
-                assert np.array_equal(
-                    original.index_matrix(sequence_id),
-                    entry.index_matrix(sequence_id),
-                )
+        assert pickle.loads(path.read_bytes())["version"] == FORMAT_VERSION == 4
+        rewrite = self._as_v2 if version == 2 else self._as_v3
+        path.write_bytes(pickle.dumps(rewrite(pickle.loads(path.read_bytes()))))
+        with pytest.raises(SessionFormatError, match="re-mine to upgrade") as excinfo:
+            read_session(path)
+        assert excinfo.value.path == path
+        assert excinfo.value.version == version
+        assert f"version {version}" in str(excinfo.value)
+        assert str(path) in str(excinfo.value)
 
-    def test_append_after_v2_migration_matches_native_append(
-        self, deep_session, tmp_path
+    def test_cli_append_to_a_version_3_file_exits_1(
+        self, deep_session, tmp_path, capsys
     ):
         path = write_session(deep_session, tmp_path / "state.bin")
-        payload = self._as_v2(pickle.loads(path.read_bytes()), deep_session.graph)
-        path.write_bytes(pickle.dumps(payload))
+        path.write_bytes(pickle.dumps(self._as_v3(pickle.loads(path.read_bytes()))))
+        code = main(
+            [
+                "mine", "--append", str(tmp_path / "new.csv"),
+                "--session", str(path),
+                "--output", str(tmp_path / "out.json"), "--window", "60",
+            ]
+        )
+        assert code == 1
+        assert "re-mine to upgrade" in capsys.readouterr().err
+
+
+class TestVersion4RoundTrip:
+    """A current-format file restores the whole occurrence store, and an
+    append to the restored session equals the from-scratch mine, in every
+    pruning mode."""
+
+    @staticmethod
+    def _config(pruning, allow_self=True):
+        return MiningConfig(
+            min_support=0.25,
+            min_confidence=0.25,
+            min_overlap=1.0,
+            pruning=pruning,
+            allow_self_relations=allow_self,
+        )
+
+    @staticmethod
+    def _database():
+        return random_database(0, n_sequences=14, n_series=3, max_instances=16)
+
+    @pytest.mark.parametrize("pruning", list(PruningMode))
+    @pytest.mark.parametrize("allow_self", [True, False])
+    def test_store_survives_the_round_trip(self, pruning, allow_self, tmp_path):
+        session = MiningSession(self._config(pruning, allow_self))
+        session.mine(self._database())
+        assert session.graph.levels.get(3)
+        path = write_session(session, tmp_path / "state.bin")
+        assert pickle.loads(path.read_bytes())["version"] == FORMAT_VERSION
         loaded = read_session(path)
-        delta = random_database(9, n_sequences=3, n_series=3, max_instances=16).sequences
-        migrated_result = loaded.append(list(delta))
-        native_result = deep_session.append(list(delta))
-        assert mined_tuples(migrated_result) == mined_tuples(native_result)
+        assert store_snapshot(loaded.graph) == store_snapshot(session.graph)
+        # The matrices resolve against the rebound level-1 instance lists.
+        for (_, _, loaded_entry), (_, _, entry) in zip(
+            loaded.graph.iter_pattern_entries(), session.graph.iter_pattern_entries()
+        ):
+            assert loaded_entry.occurrences == entry.occurrences
+
+    @pytest.mark.parametrize("pruning", list(PruningMode))
+    def test_append_to_a_loaded_file_equals_the_scratch_mine(
+        self, pruning, tmp_path
+    ):
+        config = self._config(pruning)
+        database = self._database()
+        base, delta = split_database(database, 0.75)
+        session = MiningSession(config)
+        session.mine(base)
+        loaded = read_session(write_session(session, tmp_path / "state.bin"))
+        appended = loaded.append(delta)
+        scratch = MiningSession(config)
+        assert mined_tuples(appended) == mined_tuples(scratch.mine(database))
+        assert store_snapshot(loaded.graph) == store_snapshot(scratch.graph)
 
 
 class TestGuards:
@@ -224,7 +284,7 @@ class TestGuards:
 
     @pytest.mark.parametrize("bad_index", [-1, 10_000])
     def test_corrupted_index_matrix_rejected(self, deep_session, tmp_path, bad_index):
-        """A v3 file whose index matrices point outside the instance lists is
+        """A session file whose index matrices point outside the instance lists is
         a clean DataError at load time — a negative index would otherwise
         silently materialise the wrong instance via Python indexing."""
         path = write_session(deep_session, tmp_path / "state.bin")
