@@ -2,10 +2,10 @@
 workload, plus the two structural wins the store exists for.
 
 The store's target regime is the level-``k`` hot loop: every surviving
-occurrence used to be an instance-object tuple, and ``_extend_entry`` rebuilt
-its ``(n_occurrences, k-1)`` endpoint blocks from those objects on every call.
-With the columnar store the blocks are gathered from the event nodes' cached
-start/end arrays through the entry's int32 index matrix, and survivors are
+occurrence used to be an instance-object tuple, and the extension rebuilt its
+``(n_occurrences, k-1)`` endpoint blocks from those objects on every call.
+With the columnar store the blocks are gathered from the level's flat
+instance table through the entry's int32 index matrix, and survivors are
 inserted as batched row-stacks instead of per-hit Python calls.
 
 Three measurements accumulate in ``BENCH_columnar_store.json``:
@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import HTPGM, MiningConfig, MiningSession
+from repro.core.hpg import InstanceTable
 from repro.evaluation import format_table
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
@@ -105,36 +106,27 @@ def _block_build_micro(graph) -> float:
     """Gather-built endpoint blocks vs the legacy list-comprehension build.
 
     Times one pass over every (entry, sequence) block of the graph's deepest
-    level — exactly the work ``_extend_sequence_kernel`` performs per call."""
+    level: the endpoint gather the level-k extension performs."""
     _level, entries = _deepest_entries(graph)
+    table = InstanceTable(graph.level1, graph.n_sequences)
     jobs = []
     for entry in entries:
-        nodes = [graph.level1[event] for event in entry.pattern.events]
+        rows = np.array([table.index[event] for event in entry.pattern.events])
         for sequence_id, matrix in entry.iter_index_matrices():
-            occurrences = entry.materialise(sequence_id)
-            jobs.append((nodes, sequence_id, matrix, occurrences))
+            jobs.append((rows, sequence_id, matrix, entry.materialise(sequence_id)))
 
     def gather():
         total = 0
-        for nodes, sequence_id, matrix, _ in jobs:
-            starts = np.column_stack(
-                [
-                    nodes[j].sequence_arrays(sequence_id)[0][matrix[:, j]]
-                    for j in range(len(nodes))
-                ]
-            )
-            ends = np.column_stack(
-                [
-                    nodes[j].sequence_arrays(sequence_id)[1][matrix[:, j]]
-                    for j in range(len(nodes))
-                ]
-            )
+        for rows, sequence_id, matrix, _ in jobs:
+            positions = table.offset[rows, sequence_id] + matrix
+            starts = table.starts[positions]
+            ends = table.ends[positions]
             total += starts.shape[0] + ends.shape[0]
         return total
 
     def legacy():
         total = 0
-        for _nodes, _sequence_id, _matrix, occurrences in jobs:
+        for _rows, _sequence_id, _matrix, occurrences in jobs:
             starts = np.array(
                 [[instance.start for instance in occ] for occ in occurrences],
                 dtype=np.float64,

@@ -25,6 +25,7 @@ be run with ``python -m repro.cli``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -293,6 +294,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         if args.memory_budget is not None
         else None
     )
+    notes: list[str] = []
     if args.append:
         overridden = [
             flag
@@ -336,7 +338,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         )
         result = process.mine_incremental(series_set, session)
         write_session(session, args.session)
-        print(
+        notes.append(
             f"appended {session.n_sequences - n_before} sequences to "
             f"{args.session} (now {session.n_sequences} total)"
         )
@@ -398,7 +400,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             session.config = session.config.adopt_execution(config)
             _, sequence_db = process.transform(series_set)
             result = session.resume(sequence_db)
-            print(
+            notes.append(
                 f"resumed checkpointed run from {args.checkpoint} "
                 f"({session.n_sequences} sequences)"
             )
@@ -411,7 +413,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             result = process.mine(series_set, session=session)
         if session is not None and args.session:
             write_session(session, args.session)
-            print(
+            notes.append(
                 f"saved mining session ({session.n_sequences} sequences) "
                 f"to {args.session}"
             )
@@ -424,6 +426,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     else:
         path = write_patterns_json(result, args.output)
 
+    # Nothing reaches stdout before every file is written, so a reader that
+    # leaves early (see ``main``) cannot cut a run short.
+    for note in notes:
+        print(note)
     print(result.summary())
     for mined in result.top(args.top):
         print(f"  {mined.describe()}")
@@ -482,6 +488,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # The reader of stdout left early (``repro mine ... | head``); the
+        # handlers print only after every output file is written.  Point
+        # stdout at devnull, as the ``signal`` module docs recommend, so the
+        # flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except MiningError as error:
         # Runtime mining failures (exhausted retries, corrupt session files,
         # inconsistent state) — distinct from usage problems, which exit 2.

@@ -171,16 +171,15 @@ class MiningConfig:
         CPUs.  Ignored by the serial engine.
     vectorized:
         When True (the default) instance-pair relation classification runs
-        through the NumPy batch kernel
-        (:mod:`repro.core.relation_kernel`) over columnar per-sequence
-        start/end arrays; ``False`` keeps the scalar per-pair reference
-        implementation.  Both paths produce byte-identical results — same
-        patterns, same occurrence order, same work counters — so the flag is
-        purely a performance switch (and the scalar path the executable
-        specification the kernel is fuzzed against).  Sequence batches
-        smaller than ``repro.core.engine._KERNEL_MIN_PAIRS`` (64) instance
-        pairs take the scalar loop either way, where NumPy's fixed per-batch
-        overhead would lose.
+        through the NumPy batch kernel (:mod:`repro.core.relation_kernel`)
+        over each level's flat :class:`~repro.core.hpg.InstanceTable`;
+        ``False`` keeps the scalar per-pair reference implementation.  Both
+        paths produce byte-identical results — same patterns, same
+        occurrence order, same work counters — so the flag is purely a
+        performance switch (and the scalar path the executable specification
+        the kernel is fuzzed against).  Level-2 batches below
+        ``engine._KERNEL_MIN_PAIRS`` (64) instance pairs run the scalar loop
+        either way; level ``k`` runs batched passes over many candidates.
     kernel_chunk_bytes:
         Approximate byte budget for the transient working set of one
         vectorized kernel batch — the ``rows × k`` feasibility/relation

@@ -58,24 +58,20 @@ can never be extended (Lemma 5), so its occurrences ship as counts too.
 A-HTPGM's pairwise-NMI phase (the dominant pre-mining cost) uses it to shard
 series pairs across the same worker pool that later mines the patterns.
 
-Orthogonally to the backend choice, the relation-classification inner loops
-(:func:`_grow_pair_patterns`, :func:`_extend_entry`) route dense sequence
-batches through the vectorized kernel of :mod:`repro.core.relation_kernel`
-when ``MiningConfig.vectorized`` is set (the default), falling back to the
-scalar per-pair reference loop for batches below :data:`_KERNEL_MIN_PAIRS`
-instance pairs and for ``vectorized=False``.  Oversized batches are
-processed in order-preserving chunks bounded by
+Orthogonally to the backend choice, ``MiningConfig.vectorized`` (the
+default) runs relation classification through the kernel of
+:mod:`repro.core.relation_kernel` over the level's flat
+:class:`~repro.core.hpg.InstanceTable` (``LevelContext.instances``): level 2
+per sequence batch of at least :data:`_KERNEL_MIN_PAIRS` instance pairs
+(smaller ones run the scalar loop), level ``k`` in segmented passes over
+:data:`_EXTENSION_BATCH_ROWS` parent-occurrence rows of many candidates
+(:class:`_ExtensionBatch`).  ``vectorized=False`` keeps the scalar
+reference loops.  Kernel batches are chunked by
 ``MiningConfig.kernel_chunk_bytes``.  Both paths — under every backend —
-produce byte-identical nodes and counters, down to the occurrence store
-itself: hits land in the columnar index matrices of
-:class:`~repro.core.hpg.PatternEntry` (per-hit rows on the scalar path, one
-batched block per kernel batch), whose level-``k`` endpoint blocks are then
-*gathered* from the columnar start/end arrays cached on
-:class:`~repro.core.hpg.EventNode`.  Neither the array caches nor the
-entries' instance-source bindings are pickled into worker payloads — workers
-rebuild the former on first use and rebind the latter from
-``LevelContext.level1``, so only the compact index matrices cross the
-process boundary in either direction.
+produce byte-identical nodes and counters, down to the columnar index
+matrices of :class:`~repro.core.hpg.PatternEntry`.  Entries' instance-source
+bindings are not pickled — workers rebind them from ``LevelContext.level1``
+— so only the compact index matrices cross the process boundary.
 
 Every backend mines the *identical* pattern set; the parity tests in
 ``tests/test_engine_parity.py`` and the golden fixtures in ``tests/golden/``
@@ -97,17 +93,17 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Any, Protocol, TypeVar, runtime_checkable
+from typing import Any, NamedTuple, Protocol, TypeVar, runtime_checkable
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, MemoryBudgetExceeded, MiningError
 from ..timeseries.sequences import EventInstance
-from . import faults, resources
+from . import faults, hpg, resources
 from .bitmap import Bitmap
 from .config import MiningConfig, RetryPolicy
 from .events import EventKey
-from .hpg import CombinationNode, EventNode, Occurrence, PatternEntry
+from .hpg import CombinationNode, EventNode, InstanceTable, Occurrence, PatternEntry
 from .patterns import TemporalPattern
 from .relation_kernel import candidate_windows, classify_pairs, expand_windows
 from .relations import RELATIONS_BY_CODE, Relation, classify
@@ -158,7 +154,9 @@ class LevelContext:
     * ``pair_patterns`` — the frequent 2-event pattern set per pair node, used
       by the transitivity checks of Lemmas 4–7 (empty when transitivity
       pruning is off or at level 2).  Shipping only the pattern *identities*
-      instead of the full pair nodes keeps the per-worker payload light.
+      instead of the full pair nodes keeps the per-worker payload light;
+    * ``instances`` — the flat :class:`~repro.core.hpg.InstanceTable` of the
+      ``level1`` events with the Lemma 4–7 tables (built at construction).
 
     ``final_level`` marks a level whose nodes will never be extended again
     (the miner sets it when ``max_pattern_size`` is reached).  Parallel
@@ -200,11 +198,17 @@ class LevelContext:
     summarise_dead_ends: bool = False
     memory_share_bytes: int | None = None
     allow_summarise: bool = False
+    instances: InstanceTable | None = None
 
     def event_support(self, event: EventKey) -> int:
         """Support of a frequent event (0 when absent, mirroring the graph)."""
         node = self.level1.get(event)
         return node.support if node is not None else 0
+
+    def __post_init__(self) -> None:
+        if self.instances is None:
+            n = max((node.bitmap.length for node in self.level1.values()), default=0)
+            self.instances = InstanceTable(self.level1, n, self.pair_patterns)
 
 
 @dataclass
@@ -255,11 +259,16 @@ def evaluate_candidates(
     it directly, the process-pool backend calls it once per shard in each
     worker process.  Given the same context and candidates it always produces
     the same nodes and counters, which is what makes backend parity testable.
+    Vectorized level-``k`` candidates go through an :class:`_ExtensionBatch`.
     """
     started = time.perf_counter()
     stats = MiningStatistics()
     nodes: list[CombinationNode] = []
     evaluate = _evaluate_pair if context.level == 2 else _evaluate_combination
+    batch = None
+    if context.level >= 3 and context.config.vectorized:
+        batch = _ExtensionBatch(context, stats, nodes)
+        evaluate = batch.add
     # Armed only inside process-pool workers shipping a budgeted context;
     # serial runs and the in-process degradation fallback get None.
     watchdog = resources.shard_watchdog(context)
@@ -269,6 +278,8 @@ def evaluate_candidates(
         node = evaluate(context, candidate, stats)
         if node is not None:
             nodes.append(node)
+    if batch is not None:
+        batch.flush()
     stats.level_seconds[context.level] = time.perf_counter() - started
     return LevelOutcome(nodes=nodes, stats=stats)
 
@@ -297,21 +308,17 @@ def _evaluate_pair(
         return None
 
     node = CombinationNode(events=tuple(sorted((event_a, event_b))), bitmap=joint)
-    _grow_pair_patterns(config, node, node_a, node_b, stats)
+    _grow_pair_patterns(config, node, node_a, node_b, stats, context.instances)
     return _finalise_node(context, node, stats, level=2)
 
 
-#: Minimum instance-pair count for which a sequence batch is routed through
-#: the NumPy relation kernel.  Vectorization pays a fixed per-batch cost
-#: (array slicing, mask allocation, a handful of kernel launches) that only
-#: amortizes over enough pairs; below the threshold the scalar loop is
-#: faster, so the hybrid dispatch keeps sparse workloads at their historical
-#: speed while dense batches get the kernel.  Both paths produce
-#: byte-identical nodes and counters, so the routing is purely a scheduling
-#: choice and can never change the mined output.
-#:
-#: Read at call time (here and by the session's columnar prebuild), so tests
-#: force either path by monkeypatching this one name.
+#: Minimum instance-pair count for which a level-2 sequence batch is routed
+#: through the NumPy relation kernel.  Vectorization pays a fixed per-batch
+#: cost (array slicing, mask allocation, a handful of kernel launches) that
+#: only amortizes over enough pairs; below the threshold the scalar loop is
+#: faster.  Both paths produce byte-identical nodes and counters, so the
+#: routing is purely a scheduling choice and can never change the mined
+#: output.  Read at call time, so tests monkeypatch it.
 _KERNEL_MIN_PAIRS = 64
 
 
@@ -321,6 +328,7 @@ def _grow_pair_patterns(
     node_a: EventNode,
     node_b: EventNode,
     stats: MiningStatistics,
+    table: InstanceTable,
 ) -> None:
     """Classify every chronologically ordered instance pair in shared sequences.
 
@@ -346,12 +354,11 @@ def _grow_pair_patterns(
         if vectorized and n_pairs >= min_pairs:
             _grow_sequence_pairs_kernel(
                 config,
+                table,
                 node,
                 node_a,
                 node_b,
                 sequence_id,
-                instances_a,
-                instances_b,
                 same_event,
                 pattern_cache,
                 stats,
@@ -496,12 +503,11 @@ def _anchor_chunks(lo: np.ndarray, hi: np.ndarray, max_pairs: int | None):
 
 def _grow_sequence_pairs_kernel(
     config: MiningConfig,
+    table: InstanceTable,
     node: CombinationNode,
     node_a: EventNode,
     node_b: EventNode,
     sequence_id: int,
-    instances_a: list[EventInstance],
-    instances_b: list[EventInstance],
     same_event: bool,
     pattern_cache: dict[tuple[bool, int], tuple[TemporalPattern, tuple]],
     stats: MiningStatistics,
@@ -530,8 +536,8 @@ def _grow_sequence_pairs_kernel(
     tmax = config.tmax
     key_a, key_b = node_a.event, node_b.event
     if same_event:
-        n = len(instances_a)
-        starts, ends = node_a.sequence_arrays(sequence_id)
+        starts, ends = table.arrays(key_a, sequence_id)
+        n = len(starts)
         # Upper triangle: partners j > i, windowed by tmax on the right.
         lo = np.arange(1, n + 1, dtype=np.intp)
         if tmax is None:
@@ -539,8 +545,8 @@ def _grow_sequence_pairs_kernel(
         else:
             hi = np.searchsorted(starts, starts + tmax, side="right")
     else:
-        starts_a, ends_a = node_a.sequence_arrays(sequence_id)
-        starts_b, ends_b = node_b.sequence_arrays(sequence_id)
+        starts_a, ends_a = table.arrays(key_a, sequence_id)
+        starts_b, ends_b = table.arrays(key_b, sequence_id)
         lo, hi = candidate_windows(starts_b, starts_a, tmax)
     budget = config.kernel_chunk_bytes
     max_pairs = (
@@ -653,10 +659,11 @@ def _insert_pair_hits(
         node.add_pattern_occurrences(pattern, sequence_id, block, sources)
 
 
-def _evaluate_combination(
+def _open_combination(
     context: LevelContext, candidate: Candidate, stats: MiningStatistics
 ) -> CombinationNode | None:
-    """Alg. 1 lines 16–20 for one candidate k-event combination."""
+    """Alg. 1 lines 16–17: the Apriori checks of one candidate k-event
+    combination; the (still empty) node of a surviving candidate."""
     config = context.config
     level = context.level
     stats.bump(stats.candidates_generated, level)
@@ -674,10 +681,18 @@ def _evaluate_combination(
             return None
     if support == 0:
         return None
+    return CombinationNode(events=candidate, bitmap=bitmap)
 
-    node = CombinationNode(events=candidate, bitmap=bitmap)
+
+def _evaluate_combination(
+    context: LevelContext, candidate: Candidate, stats: MiningStatistics
+) -> CombinationNode | None:
+    """Alg. 1 lines 16–20 for one candidate k-event combination (scalar path)."""
+    node = _open_combination(context, candidate, stats)
+    if node is None:
+        return None
     _grow_combination_patterns(context, node, stats)
-    return _finalise_node(context, node, stats, level)
+    return _finalise_node(context, node, stats, context.level)
 
 
 def _grow_combination_patterns(
@@ -732,53 +747,25 @@ def _extend_entry(
 ) -> None:
     """Extend the stored occurrences of one (k-1)-pattern with the new event.
 
-    With ``config.vectorized``, each sequence whose occurrence-block ×
-    new-instance-block product is large enough to amortize the kernel
-    overhead (:data:`_KERNEL_MIN_PAIRS`) is classified in one batched kernel
-    call; smaller sequences — and everything when the flag is off — run the
-    scalar reference loop.  Both paths produce byte-identical nodes and
-    counters.
+    The scalar reference of level ``k`` (``vectorized=False``): one
+    :func:`_extend_sequence_scalar` call per supporting sequence.
     """
-    vectorized = context.config.vectorized
-    min_pairs = _KERNEL_MIN_PAIRS
-    kernel_state: _ExtensionKernelState | None = None
     entry.bind_sources(context.level1)
     extended_sources = entry.sources + (new_event_node.instances_by_sequence,)
     for sequence_id, index_matrix in entry.iter_index_matrices():
         new_instances = new_event_node.instances_by_sequence.get(sequence_id)
         if not new_instances:
             continue
-        if (
-            vectorized
-            and index_matrix.shape[0] * len(new_instances) >= min_pairs
-        ):
-            if kernel_state is None:
-                kernel_state = _ExtensionKernelState(
-                    context, entry.pattern, new_event_node.event
-                )
-            _extend_sequence_kernel(
-                context,
-                node,
-                entry,
-                new_event_node,
-                sequence_id,
-                index_matrix,
-                new_instances,
-                extended_sources,
-                kernel_state,
-                stats,
-            )
-        else:
-            _extend_sequence_scalar(
-                context,
-                node,
-                entry,
-                sequence_id,
-                index_matrix,
-                new_instances,
-                extended_sources,
-                stats,
-            )
+        _extend_sequence_scalar(
+            context,
+            node,
+            entry,
+            sequence_id,
+            index_matrix,
+            new_instances,
+            extended_sources,
+            stats,
+        )
 
 
 def _extend_sequence_scalar(
@@ -860,209 +847,274 @@ def _relations_for_extension(
     return tuple(relations)
 
 
-class _ExtensionKernelState:
-    """Per-(entry, new event) constants of the kernel extension path.
+#: Occurrence rows the vectorized level-``k`` evaluation queues, whole
+#: candidates at a time, before it evaluates them in one NumPy pass
+#: (:class:`_ExtensionBatch`).  A few thousand rows amortize a pass's fixed
+#: cost; larger batches only grow its scratch arrays.  Results never depend
+#: on it.  Read at call time, so tests monkeypatch it.
+_EXTENSION_BATCH_ROWS = 4096
 
-    Built lazily on the first sequence that is routed through the kernel:
 
-    * ``allowed`` — the transitivity lookup table.  ``allowed[i, c]`` is True
-      when the 2-event pattern ``(pattern.events[i], new_key)`` with relation
-      code ``c`` is a frequent, confident level-2 pattern — the membership
-      test of Lemmas 4, 6, 7, precomputed once (at most ``3 * (k-1)`` cells)
-      instead of once per instance pair.  ``None`` when transitivity pruning
-      is off.
-    * ``key_after_last`` — tie-break for the strict chronological-successor
-      test: when a candidate instance has exactly the last instance's
-      interval, the instance total order falls through to the
-      ``(series, symbol)`` keys, and the last pattern event is the same for
-      every occurrence of the entry.
-    * ``extended_cache`` — extended patterns by relation-code row, so equal
-      extensions reuse one :class:`TemporalPattern` object.
-    * ``parent_nodes`` — the level-1 node of every pattern event, whose
-      cached columnar start/end arrays the gather-built endpoint blocks read.
+def _levelk_bytes_per_pair(level: int) -> int:
+    """Transient bytes of one level-``level`` extension pair (a parent row
+    and a new instance, classified at ``level - 1`` positions), fitted to
+    ``tracemalloc`` peaks of whole passes (about 200, 245 and 300 bytes at
+    levels 3, 4 and 5).  Sizes both the pass's ``kernel_chunk_bytes`` chunks
+    and the governor's level-``k`` cost unit."""
+    return 104 + 52 * (level - 1)
+
+
+def _group_keys(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``groups + values * 1j``, built without arithmetic.  NumPy orders
+    complex numbers lexicographically, so one ``searchsorted`` over such keys
+    searches inside each query's own (event, sequence) group."""
+    keys = np.empty(len(groups), dtype=np.complex128)
+    keys.real, keys.imag = groups, values
+    return keys
+
+
+class _ParentRows(NamedTuple):
+    """A parent node's stored rows, stacked once per shard.
+
+    ``index_rows`` holds the entries' index matrices, entry by entry and
+    sequence by sequence, and ``runs`` one ``(entry position, sequence, row
+    count)`` row per matrix, so per-row sequence and entry columns exist only
+    inside a pass.
     """
 
-    __slots__ = ("allowed", "key_after_last", "extended_cache", "parent_nodes")
+    #: The parent's entries with stored rows.
+    entries: list[PatternEntry]
+    #: ``(len(entries), k - 1)`` table rows of each entry's pattern events.
+    events: np.ndarray
+    index_rows: np.ndarray
+    runs: np.ndarray
+
+
+class _Extension(NamedTuple):
+    """One queued (candidate node, new event, parent node) decomposition."""
+
+    node: CombinationNode
+    new_event: EventKey
+    parent: _ParentRows
+
+
+class _ExtensionBatch:
+    """Vectorized level-``k`` extension (Alg. 1 lines 16–20) across candidates.
+
+    :meth:`add` runs a candidate's Apriori checks and queues an
+    :class:`_Extension` per (new event, parent node) decomposition.  Once
+    :data:`_EXTENSION_BATCH_ROWS` rows are queued — checked between
+    candidates, so no candidate spans two passes — :meth:`flush` evaluates
+    them in one pass and finalises the queued nodes in candidate order.  The
+    pass is :func:`_grow_combination_patterns` batched: the same pair order
+    and gates, Lemmas 4–7 as table lookups, the scalar loop's early-exit
+    counters rebuilt from each pair's first failing position, and one stored
+    block per (pattern, sequence) in first-hit order — skipping patterns
+    whose (complete) support :func:`_finalise_node` would reject.
+    """
 
     def __init__(
-        self, context: LevelContext, pattern: TemporalPattern, new_key: EventKey
+        self, context: LevelContext, stats: MiningStatistics, nodes: list
     ) -> None:
-        self.key_after_last = new_key > pattern.events[-1]
-        self.extended_cache: dict[bytes, TemporalPattern] = {}
-        self.parent_nodes = tuple(
-            context.level1[event] for event in pattern.events
+        self.context, self.stats, self.nodes = context, stats, nodes
+        self.table = table = context.instances
+        self.transitivity = context.config.pruning.uses_transitivity
+        self.supports = {e: node.support for e, node in context.level1.items()}
+        # Lemma 5 is tested per (candidate, new event): Python lookups win.
+        self.partners = table.has_pair.tolist()
+        self.group_starts = _group_keys(
+            np.repeat(np.arange(table.count.size), table.count.ravel()), table.starts
         )
-        if not context.config.pruning.uses_transitivity:
-            self.allowed = None
+        self.parents: dict[tuple[EventKey, ...], tuple | None] = {}
+        self.queue: list[_Extension] = []
+        self.pending: list[CombinationNode] = []
+        self.rows = 0
+
+    def _parent(self, key: tuple[EventKey, ...]) -> tuple | None:
+        """``(parent, its events' table rows, its stacked rows)`` of a parent
+        node, built once (rows ``None`` when no entry has any); ``None`` if
+        the parent is absent."""
+        if key not in self.parents:
+            parent = self.context.parents.get(key)
+            if parent is None:
+                self.parents[key] = None
+                return None
+            index = self.table.index
+            entries, events, runs, matrices = [], [], [], []
+            for entry in parent.patterns.values():
+                store = list(entry.iter_index_matrices())
+                if store:
+                    entry.bind_sources(self.context.level1)
+                    runs += [(len(entries), seq, len(matrix)) for seq, matrix in store]
+                    matrices += [matrix for _, matrix in store]
+                    events.append([index[event] for event in entry.pattern.events])
+                    entries.append(entry)
+            rows = None
+            if entries:
+                arrays = np.array(events), np.concatenate(matrices), np.array(runs)
+                rows = _ParentRows(entries, *arrays)
+            self.parents[key] = (parent, [index[e] for e in key], rows)
+        return self.parents[key]
+
+    def add(
+        self, context: LevelContext, candidate: Candidate, stats: MiningStatistics
+    ) -> None:
+        """Queue one candidate; run a pass once enough rows are queued."""
+        node = _open_combination(context, candidate, stats)
+        if node is None:
             return
-        allowed = np.zeros((len(pattern.events), len(RELATIONS_BY_CODE)), dtype=bool)
-        for position, event in enumerate(pattern.events):
-            known = context.pair_patterns.get(_pair_key(event, new_key))
-            if not known:
+        for new_event in node.events:
+            stack = self._parent(tuple(e for e in node.events if e != new_event))
+            if stack is None:
                 continue
-            for code, relation in enumerate(RELATIONS_BY_CODE):
-                triple = TemporalPattern(
-                    events=(event, new_key), relations=(relation,)
-                )
-                if triple in known:
-                    allowed[position, code] = True
-        self.allowed = allowed
+            parent, parent_rows, rows = stack
+            partners = self.partners[self.table.index[new_event]]
+            if self.transitivity and not all(partners[row] for row in parent_rows):
+                # Lemma 5 fails for every entry alike; the scalar loop counts each.
+                level, n_entries = context.level, len(parent.patterns)
+                stats.bump(stats.pruned_relation_checks, level, n_entries)
+            elif rows is not None:
+                self.queue.append(_Extension(node, new_event, rows))
+                self.rows += len(rows.index_rows)
+        self.pending.append(node)
+        if self.rows >= _EXTENSION_BATCH_ROWS:
+            self.flush()
 
+    def flush(self) -> None:
+        """Evaluate the queue, then finalise the queued nodes in order."""
+        if self.queue:
+            self._evaluate()
+        for node in self.pending:
+            node = _finalise_node(self.context, node, self.stats, self.context.level)
+            if node is not None:
+                self.nodes.append(node)
+        self.queue, self.pending, self.rows = [], [], 0
 
-def _extend_sequence_kernel(
-    context: LevelContext,
-    node: CombinationNode,
-    entry: PatternEntry,
-    new_event_node: EventNode,
-    sequence_id: int,
-    index_matrix: np.ndarray,
-    new_instances: list[EventInstance],
-    extended_sources: tuple,
-    state: _ExtensionKernelState,
-    stats: MiningStatistics,
-) -> None:
-    """Kernel path: one batched call per (occurrence block × instance block).
-
-    The occurrence endpoint blocks — ``(n_occurrences, k-1)`` start/end
-    matrices — are *gathered* from the pattern events' cached columnar
-    per-sequence arrays through the entry's index matrix
-    (``starts[index_matrix[:, j]]``), replacing the historical per-call
-    Python list comprehensions over instance objects; the new event's
-    instances are a cached column.  The chronological-successor and ``tmax``
-    gates become boolean masks, and a single :func:`classify_pairs` call
-    classifies every remaining (occurrence instance, new instance) pair at
-    once.  When the ``(n_occurrences × n_candidates)`` feasibility mask would
-    exceed ``config.kernel_chunk_bytes``, the occurrence rows are processed
-    in order-preserving chunks, bounding peak mask memory on dense
-    ``tmax=None`` workloads.
-
-    The scalar reference loop early-exits per pair — it stops classifying an
-    extension at its first failing position, counting one ``relation_checks``
-    bump per classification actually performed and one
-    ``pruned_relation_checks`` bump only when the stopper was the
-    transitivity membership test.  The kernel classifies all positions and
-    then *reconstructs* those counters from the first failing position of
-    each row, so the statistics stay byte-identical to the scalar path.
-
-    Survivors never touch instance objects at all: rows are grouped by their
-    relation-code row (one group per distinct extended pattern, visited in
-    first-hit order) and each group joins the store as one batched
-    ``(n, k)`` block — the parent rows gathered from the index matrix with
-    the candidate position appended.
-    """
-    config = context.config
-    level = context.level
-    pattern = entry.pattern
-    n_events = len(pattern.events)
-    new_key = new_event_node.event
-    tmax = config.tmax
-    candidate_starts, candidate_ends = new_event_node.sequence_arrays(sequence_id)
-    n_candidates = candidate_starts.shape[0]
-    budget = config.kernel_chunk_bytes
-    # Per (occurrence, candidate) cell the chunk pays the feasibility-mask
-    # byte, the selection indices, and — for pairs surviving selection — the
-    # gathered float64 endpoint copies plus relation masks/codes across all
-    # k-1 positions, so the divisor scales with the pattern size.
-    cell_bytes = 16 + 28 * n_events
-    chunk_rows = (
-        index_matrix.shape[0]
-        if budget is None
-        else max(1, budget // max(1, n_candidates * cell_bytes))
-    )
-    parent_nodes = state.parent_nodes
-    parent_columns = [
-        parent_node.sequence_arrays(sequence_id) for parent_node in parent_nodes
-    ]
-    extended_cache = state.extended_cache
-    for chunk_start in range(0, index_matrix.shape[0], chunk_rows):
-        idx = index_matrix[chunk_start : chunk_start + chunk_rows]
-        occurrence_starts = np.empty((idx.shape[0], n_events), dtype=np.float64)
-        occurrence_ends = np.empty_like(occurrence_starts)
-        for position, (starts, ends) in enumerate(parent_columns):
-            column = idx[:, position]
-            occurrence_starts[:, position] = starts[column]
-            occurrence_ends[:, position] = ends[column]
-        last_starts = occurrence_starts[:, -1:]
-        last_ends = occurrence_ends[:, -1:]
-        feasible = (candidate_starts > last_starts) | (
-            (candidate_starts == last_starts)
-            & (
-                (candidate_ends > last_ends)
-                | ((candidate_ends == last_ends) & state.key_after_last)
+    def _evaluate(self) -> None:
+        config, table, stats = self.context.config, self.table, self.stats
+        level, parents = self.context.level, [item.parent for item in self.queue]
+        # A job is one (decomposition, entry) pair, numbered across the
+        # queue; jobs never span passes.
+        owners = [(item, entry) for item in self.queue for entry in item.parent.entries]
+        first_jobs = np.cumsum([0] + [len(parent.entries) for parent in parents])[:-1]
+        runs = np.concatenate([parent.runs for parent in parents])
+        runs[:, 0] += np.repeat(first_jobs, [len(parent.runs) for parent in parents])
+        jobs, sequences = np.repeat(runs[:, :2], runs[:, 2], axis=0).T
+        index_rows = np.concatenate([parent.index_rows for parent in parents])
+        event_rows = np.concatenate([parent.events for parent in parents])[jobs]
+        new_rows = np.array([table.index[item.new_event] for item, _ in owners])[jobs]
+        # The new event's instances of each row's sequence: flat positions
+        # first .. stop, list position = flat position - first.
+        first = table.offset[new_rows, sequences]
+        stop = first + table.count[new_rows, sequences]
+        positions = table.offset[event_rows, sequences[:, None]] + index_rows
+        row_starts, row_ends = table.starts[positions], table.ends[positions]
+        # Rows are in event-key order, so this is the successor key tie-break.
+        after_last = new_rows > event_rows[:, -1]
+        # Windows holding every pair the masks below accept: successors start
+        # no earlier than the last instance, and none starts after ``bound``.
+        # The exact tmax mask passes an end only if ``end - first start``
+        # rounds to at most tmax, so the end is below ``first start + tmax +
+        # spacing(tmax) / 2``; the computed sum is off by at most
+        # ``spacing(|bound|)``, and the slack covers both errors.
+        groups = new_rows * table.count.shape[1] + sequences
+        lo = np.searchsorted(self.group_starts, _group_keys(groups, row_starts[:, -1]))
+        tmax, hi = config.tmax, stop
+        if tmax is not None and math.isfinite(tmax):
+            bound = row_starts[:, 0] + tmax
+            bound += 4 * (np.spacing(np.abs(bound)) + np.spacing(tmax))
+            keys = _group_keys(groups, bound)
+            hi = np.minimum(np.searchsorted(self.group_starts, keys, "right"), stop)
+        budget = config.kernel_chunk_bytes
+        max_pairs = budget and max(1, budget // _levelk_bytes_per_pair(level))
+        hits = []
+        for row_start, row_stop in _anchor_chunks(lo, hi, max_pairs):
+            window = slice(row_start, row_stop)
+            rows, candidates = expand_windows(lo[window], hi[window])
+            rows += row_start
+            starts, ends = table.starts[candidates], table.ends[candidates]
+            last_starts, last_ends = row_starts[rows, -1], row_ends[rows, -1]
+            # Strict successor of the last instance in the instance total
+            # order: start, end, then the (distinct) event keys.
+            feasible = (starts > last_starts) | (
+                (starts == last_starts)
+                & ((ends > last_ends) | ((ends == last_ends) & after_last[rows]))
             )
-        )
-        if tmax is not None:
-            feasible &= candidate_ends - occurrence_starts[:, :1] <= tmax
-        occurrence_index, candidate_index = np.nonzero(feasible)
-        if occurrence_index.size == 0:
-            continue
-        codes = classify_pairs(
-            occurrence_starts[occurrence_index],
-            occurrence_ends[occurrence_index],
-            candidate_starts[candidate_index, None],
-            candidate_ends[candidate_index, None],
-            config.epsilon,
-            config.min_overlap,
-        )
-        failed = codes < 0
-        transitivity_failed = None
-        if state.allowed is not None:
-            classified = ~failed
-            transitivity_failed = np.zeros_like(failed)
-            transitivity_failed[classified] = ~state.allowed[
-                np.nonzero(classified)[1], codes[classified]
-            ]
-            failed |= transitivity_failed
-        any_failed = failed.any(axis=1)
-        first_failed = failed.argmax(axis=1)
-        # The scalar loop performs first_failed + 1 classifications for a
-        # failing row and n_events for a surviving one.
-        stats.bump(
-            stats.relation_checks,
-            level,
-            int(np.where(any_failed, first_failed + 1, n_events).sum()),
-        )
-        if transitivity_failed is not None:
-            failed_rows = np.nonzero(any_failed)[0]
-            stats.bump(
-                stats.pruned_relation_checks,
-                level,
-                int(transitivity_failed[failed_rows, first_failed[failed_rows]].sum()),
+            if tmax is not None:
+                feasible &= ends - row_starts[rows, 0] <= tmax
+            rows, candidates = rows[feasible], candidates[feasible]
+            if not rows.size:
+                continue
+            codes = classify_pairs(
+                row_starts[rows],
+                row_ends[rows],
+                starts[feasible, None],
+                ends[feasible, None],
+                config.epsilon,
+                config.min_overlap,
             )
-        surviving_rows = np.nonzero(~any_failed)[0]
-        if surviving_rows.size == 0:
-            continue
-        surviving_codes = codes[surviving_rows]
-        surviving_occurrences = occurrence_index[surviving_rows]
-        surviving_candidates = candidate_index[surviving_rows]
-        unique_rows, inverse = np.unique(
-            surviving_codes, axis=0, return_inverse=True
+            failed = codes < 0
+            if self.transitivity:
+                allowed = table.allowed[event_rows[rows], new_rows[rows, None], codes]
+                pruned = ~failed & ~allowed
+                failed |= pruned
+            any_failed = failed.any(axis=1)
+            first_failed = failed.argmax(axis=1)
+            # A failing pair costs first_failed + 1 scalar classifications.
+            checks = np.where(any_failed, first_failed + 1, level - 1).sum()
+            stats.bump(stats.relation_checks, level, int(checks))
+            if self.transitivity:
+                failing = np.flatnonzero(any_failed)
+                pruned_checks = pruned[failing, first_failed[failing]].sum()
+                stats.bump(stats.pruned_relation_checks, level, int(pruned_checks))
+            kept = ~any_failed
+            hits.append((rows[kept], candidates[kept], codes[kept]))
+        if hits:
+            rows, candidates, codes = map(np.concatenate, zip(*hits))
+            block = np.column_stack((index_rows[rows], candidates - first[rows]))
+            if len(block):
+                self._store(jobs[rows], owners, block, sequences[rows], codes)
+
+    def _store(self, jobs, owners, block, sequences, codes) -> None:
+        """Store surviving pairs (in enumeration order) by extended pattern;
+        ``owners[job]`` is a job's (queued decomposition, parent entry)."""
+        _, code_rows = np.unique(codes, axis=0, return_inverse=True)
+        keys = jobs * (int(code_rows.max()) + 1) + code_rows.reshape(-1)
+        _, first_hit, group = np.unique(keys, return_index=True, return_inverse=True)
+        # Groups in first-hit order, each group's pairs in enumeration order.
+        order = np.argsort(first_hit[group.reshape(-1)], kind="stable")
+        group, sequences = group.reshape(-1)[order], sequences[order]
+        block = hpg._checked_rows(block[order])
+        # A group's pairs of one sequence are contiguous (its job's rows are
+        # stacked sequence by sequence): each run is one stored block.
+        runs = np.flatnonzero(
+            np.r_[True, (group[1:] != group[:-1]) | (sequences[1:] != sequences[:-1])]
         )
-        inverse = inverse.reshape(-1)
-        if len(unique_rows) == 1:
-            group_order = [0]
-        else:
-            # np.unique sorts lexicographically; recover first-hit order so
-            # the pattern-dict insertion order matches the scalar loop.
-            first_hit = np.full(len(unique_rows), len(inverse), dtype=np.intp)
-            np.minimum.at(first_hit, inverse, np.arange(len(inverse)))
-            group_order = np.argsort(first_hit).tolist()
-        for group in group_order:
-            row_codes = unique_rows[group]
-            cache_key = row_codes.tobytes()
-            new_pattern = extended_cache.get(cache_key)
-            if new_pattern is None:
-                new_pattern = pattern.extend(
-                    new_key,
-                    tuple(RELATIONS_BY_CODE[code] for code in row_codes.tolist()),
-                )
-                extended_cache[cache_key] = new_pattern
-            member = inverse == group
-            block = np.column_stack(
-                (idx[surviving_occurrences[member]], surviving_candidates[member])
-            )
-            node.add_pattern_occurrences(
-                new_pattern, sequence_id, block, extended_sources
+        support = np.bincount(group[runs], minlength=len(first_hit))
+        queued = [owners[job] for job in jobs[first_hit].tolist()]
+        supports = [max(map(self.supports.get, item.node.events)) for item, _ in queued]
+        frequent = (support >= self.context.min_count) & ~(
+            support / np.array(supports) < self.context.config.min_confidence
+        )
+        bounds = np.r_[runs, len(block)].tolist()
+        run_sequences = sequences[runs].tolist()
+        # A group's runs are adjacent: split the runs where the group changes.
+        run_groups = group[runs]
+        splits = np.flatnonzero(np.r_[True, run_groups[1:] != run_groups[:-1]]).tolist()
+        for a, b in zip(splits, splits[1:] + [len(runs)]):
+            g = run_groups[a]
+            if not frequent[g]:
+                continue
+            item, entry = queued[g]
+            codes_row = codes[first_hit[g]].tolist()
+            relations = tuple(RELATIONS_BY_CODE[code] for code in codes_row)
+            pattern = entry.pattern.extend(item.new_event, relations)
+            new_sources = self.context.level1[item.new_event].instances_by_sequence
+            item.node.patterns[pattern] = PatternEntry.from_index_blocks(
+                pattern,
+                entry.sources + (new_sources,),
+                run_sequences[a:b],
+                [block[bounds[i] : bounds[i + 1]].copy() for i in range(a, b)],
             )
 
 
@@ -1205,28 +1257,17 @@ def _summarise_dead_end_nodes(
     forms a frequent pair node with *every* event of the node (Lemma 5; the
     workers enforce exactly this via :func:`_may_extend`, so a node failing
     it for every candidate event will never have its occurrences read again).
-    The adjacency of the frequent pair set is known from
-    ``context.pair_patterns``, so each produced node is checked against it
-    and dead ends ship as summaries, like a known-final level would.  The
-    adjacency rebuild is per shard but O(|frequent pairs|) set inserts —
-    noise next to the evaluation work the shard just did — and is skipped
-    entirely when the shard produced nothing.
+    The instance table's ``has_pair`` holds that adjacency for every event of
+    the level — a superset of the next level's extension events, which all
+    occur in this level's nodes — so dead ends ship as summaries, like a
+    known-final level would.
     """
-    if not outcome.nodes:
-        return outcome
-    partners: dict[EventKey, set[EventKey]] = {}
-    for (event_a, event_b), patterns in context.pair_patterns.items():
-        if patterns:
-            partners.setdefault(event_a, set()).add(event_b)
-            partners.setdefault(event_b, set()).add(event_a)
+    table = context.instances
     for node in outcome.nodes:
-        node_events = set(node.events)
-        extendable = any(
-            extension not in node_events
-            and all(extension in partners.get(event, ()) for event in node.events)
-            for extension in partners.get(node.events[0], ())
-        )
-        if not extendable:
+        rows = [table.index[event] for event in node.events]
+        extensions = table.has_pair[rows].all(axis=0)
+        extensions[rows] = False
+        if not extensions.any():
             for entry in node.patterns.values():
                 entry.summarise()
     return outcome
@@ -1514,13 +1555,12 @@ class ProcessPoolBackend:
 
         Level-2 costs are instance-pair counts (the kernel's per-pair
         working set is :data:`_LEVEL2_BYTES_PER_PAIR`); level-``k`` costs
-        are occurrence×instance pair counts whose gathered cell rows grow
-        with the combination arity, mirroring the kernel's own chunk
-        arithmetic in :func:`_anchor_chunks` callers.
+        are occurrence×instance pair counts, priced by the same
+        :func:`_levelk_bytes_per_pair` the batched pass chunks with.
         """
         if level == 2:
             return float(_LEVEL2_BYTES_PER_PAIR)
-        return float(16 + 28 * max(2, level))
+        return float(_levelk_bytes_per_pair(level))
 
     def _stamp_stats(
         self,

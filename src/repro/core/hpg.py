@@ -12,8 +12,8 @@ supporting sequence, an ``int32`` index matrix of shape
 ``(n_occurrences, k)`` whose column ``j`` indexes into the instance list of
 ``pattern.events[j]`` in that sequence.  The index representation is what
 makes the level-``k`` hot loop vectorizable (endpoint blocks are gathered
-from the event nodes' cached columnar start/end arrays instead of rebuilt
-from instance objects per call), pickles far smaller and faster than
+through the per-level flat :class:`InstanceTable` instead of rebuilt from
+instance objects per call), pickles far smaller and faster than
 object-tuple lists (the matrices are the entire per-entry worker payload),
 and still materialises the historical instance-tuple view lazily through
 :attr:`PatternEntry.occurrences`, so downstream consumers are unchanged.
@@ -31,6 +31,7 @@ from ..timeseries.sequences import EventInstance
 from .bitmap import Bitmap
 from .events import EventKey
 from .patterns import TemporalPattern
+from .relations import RELATIONS_BY_CODE
 
 __all__ = [
     "Occurrence",
@@ -38,6 +39,7 @@ __all__ = [
     "InstanceSources",
     "PatternEntry",
     "EventNode",
+    "InstanceTable",
     "CombinationNode",
     "HierarchicalPatternGraph",
 ]
@@ -169,6 +171,20 @@ class PatternEntry:
         # tuple-store construction cost over and over.
         self._row_cache: dict[int, list[IndexRow]] = {}
         self._view_cache: dict[int, list[Occurrence]] = {}
+
+    @classmethod
+    def from_index_blocks(
+        cls,
+        pattern: TemporalPattern,
+        sources: InstanceSources,
+        sequence_ids: list[int],
+        blocks: list[np.ndarray],
+    ) -> "PatternEntry":
+        """A whole entry at once: ``blocks[i]`` (a contiguous ``(n, k)`` int32
+        array owning its memory) is the matrix of ``sequence_ids[i]``."""
+        entry = cls(pattern=pattern, sources=sources)
+        entry._store = dict(zip(sequence_ids, blocks))
+        return entry
 
     # ------------------------------------------------------------------ measures
     @property
@@ -410,107 +426,75 @@ class PatternEntry:
 
 @dataclass
 class EventNode:
-    """Level-1 node: one frequent single event.
-
-    Besides the object-level instance lists (the source of truth for
-    occurrence tuples), the node lazily caches a *columnar* view of each
-    sequence — parallel ``float64`` start/end arrays in chronological order —
-    which is what the vectorized relation kernel
-    (:mod:`repro.core.relation_kernel`) consumes.  The caches are derived
-    data: they are dropped when the node is pickled (worker processes and
-    session files rebuild them on demand from the instance lists) and they
-    never need invalidation, because appends only ever add *new* sequence ids
-    — the instance list of an existing sequence is immutable.
-    """
+    """Level-1 node: one frequent single event and its instance lists."""
 
     event: EventKey
     bitmap: Bitmap
     instances_by_sequence: dict[int, list[EventInstance]]
-    #: Per-sequence ``(starts, ends)`` float64 arrays, built on first use.
-    _sequence_arrays: dict[int, tuple[np.ndarray, np.ndarray]] | None = field(
-        default=None, repr=False, compare=False
-    )
-    #: Per-sequence instance counts as a dense float64 vector (for the cost
-    #: estimator's dot products), keyed implicitly by its length ``|DSEQ|``.
-    _instance_counts: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def support(self) -> int:
         """Sequence-level support of the event."""
         return self.bitmap.count()
 
-    def sequence_arrays(self, sequence_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar ``(starts, ends)`` view of one sequence's instances.
 
-        Built once per sequence and cached; both arrays are chronologically
-        ordered (the instance lists are sorted), so ``starts`` is
-        non-decreasing — the precondition of the ``searchsorted`` prefilter.
-        """
-        cache = self._sequence_arrays
-        if cache is None:
-            cache = {}
-            self._sequence_arrays = cache
-        arrays = cache.get(sequence_id)
-        if arrays is None:
-            instances = self.instances_by_sequence.get(sequence_id, ())
-            n = len(instances)
-            starts = np.fromiter(
-                (instance.start for instance in instances), np.float64, count=n
-            )
-            ends = np.fromiter(
-                (instance.end for instance in instances), np.float64, count=n
-            )
-            arrays = (starts, ends)
-            cache[sequence_id] = arrays
-        return arrays
+class InstanceTable:
+    """Flat columnar copy of the level-1 instances one level evaluates against.
 
-    def build_sequence_arrays(self, sequence_ids=None) -> None:
-        """Eagerly build the columnar caches (all sequences, or a subset)."""
-        if sequence_ids is None:
-            sequence_ids = self.instances_by_sequence.keys()
-        for sequence_id in sequence_ids:
-            self.sequence_arrays(sequence_id)
+    ``index`` maps each event to its row (rows in event-key order);
+    ``starts``/``ends`` hold the ``float64`` endpoints of every instance,
+    grouped by (row, sequence) and in list (chronological) order inside a
+    group, which ``offset[row, sequence]`` and ``count[row, sequence]``
+    locate — list position ``i`` of an event is ``offset[row, s] + i``.
+    ``allowed[a, b, c]`` (Lemmas 4, 6, 7) is True when the 2-event pattern
+    with events ``(a, b)``, in that order, and relation code ``c`` is a
+    frequent, confident level-2 pattern; ``has_pair[a, b]`` (Lemma 5) when
+    ``a`` and ``b`` share a frequent pair node.  Both come from
+    ``pair_patterns`` and are all False without it.
+    """
 
-    def adopt_sequence_arrays(self, other: "EventNode") -> None:
-        """Take over another node's columnar cache (used by incremental append).
+    __slots__ = ("index", "starts", "ends", "offset", "count", "allowed", "has_pair")
 
-        Valid because appends never mutate an existing sequence's instance
-        list — only new sequence ids appear, and those are absent from the
-        donor's cache.
-        """
-        if other._sequence_arrays:
-            self._sequence_arrays = other._sequence_arrays
+    def __init__(
+        self,
+        level1: Mapping[EventKey, EventNode],
+        n_sequences: int,
+        pair_patterns: Mapping[
+            tuple[EventKey, EventKey], frozenset[TemporalPattern]
+        ] | None = None,
+    ) -> None:
+        nodes = [level1[event] for event in sorted(level1)]
+        index = self.index = {node.event: row for row, node in enumerate(nodes)}
+        count = self.count = np.zeros((len(nodes), n_sequences), dtype=np.int64)
+        for row, node in enumerate(nodes):
+            for sequence_id, instances in node.instances_by_sequence.items():
+                count[row, sequence_id] = len(instances)
+        self.offset = (np.cumsum(count) - count.ravel()).reshape(count.shape)
+        ordered = [
+            instance
+            for node in nodes
+            for sequence_id in sorted(node.instances_by_sequence)
+            for instance in node.instances_by_sequence[sequence_id]
+        ]
+        self.starts = np.array([instance.start for instance in ordered], float)
+        self.ends = np.array([instance.end for instance in ordered], float)
+        self.allowed = np.zeros((len(nodes), len(nodes), len(RELATIONS_BY_CODE)), bool)
+        self.has_pair = np.zeros((len(nodes), len(nodes)), dtype=bool)
+        for (event_a, event_b), patterns in (pair_patterns or {}).items():
+            if patterns and event_a in index and event_b in index:
+                self.has_pair[index[event_a], index[event_b]] = True
+                self.has_pair[index[event_b], index[event_a]] = True
+                for pattern in patterns:
+                    first, second = pattern.events
+                    code = pattern.relations[0].code
+                    self.allowed[index[first], index[second], code] = True
 
-    def instance_counts(self, n_sequences: int) -> np.ndarray:
-        """Dense per-sequence instance-count vector of length ``n_sequences``.
-
-        Cached until the database grows (the vector length is the cache key);
-        the cost estimator dots these vectors over shared sequence ids
-        instead of looping in Python.
-        """
-        counts = self._instance_counts
-        if counts is None or len(counts) != n_sequences:
-            counts = np.zeros(n_sequences, dtype=np.float64)
-            for sequence_id, instances in self.instances_by_sequence.items():
-                counts[sequence_id] = len(instances)
-            self._instance_counts = counts
-        return counts
-
-    def __getstate__(self) -> dict:
-        """Pickle without the derived array caches.
-
-        The caches can be large and are cheap to rebuild, so worker processes
-        (:class:`~repro.core.engine.ProcessPoolBackend` pickles
-        :class:`~repro.core.engine.LevelContext`) and session files
-        (:mod:`repro.io.session_io`) transport only the object lists and
-        reconstruct the columnar views on first use.
-        """
-        state = self.__dict__.copy()
-        state["_sequence_arrays"] = None
-        state["_instance_counts"] = None
-        return state
+    def arrays(self, event: EventKey, sequence_id: int) -> tuple[np.ndarray, ...]:
+        """``(starts, ends)`` views of one event's instances in one sequence."""
+        row = self.index[event]
+        start = self.offset[row, sequence_id]
+        stop = start + self.count[row, sequence_id]
+        return self.starts[start:stop], self.ends[start:stop]
 
 
 @dataclass

@@ -8,10 +8,10 @@ pair*; on dense sequences the miner performs millions of such calls and spends
 the bulk of its wall-clock in interpreter overhead.
 
 This module is the batch counterpart: event instances are represented as
-columnar ``float64`` start/end arrays (cached per sequence on
-:class:`~repro.core.hpg.EventNode`) and :func:`classify_pairs` classifies a
-whole block of chronologically ordered interval pairs in a handful of NumPy
-kernel launches.  Relations are encoded as ``int8`` codes:
+columnar ``float64`` start/end arrays (each level's flat
+:class:`~repro.core.hpg.InstanceTable`) and :func:`classify_pairs`
+classifies a whole block of chronologically ordered interval pairs in a
+handful of NumPy kernel launches.  Relations are encoded as ``int8`` codes:
 
 ======  =============  ==========================================
 code    relation       scalar definition

@@ -243,20 +243,22 @@ def shard_watchdog(context) -> MemoryWatchdog | None:
 def estimate_context_bytes(context) -> int:
     """Estimated resident bytes of one shipped level context.
 
-    Walks the context's columnar data — the level-1 nodes' cached start/end
-    arrays and the parent entries' index matrices — which is what grows with
-    the data.  Anything that is not a level context prices at 0 (estimation
-    must never fail a run).
+    Walks the context's columnar data — the level's flat instance table and
+    the parent entries' index matrices — which is what grows with the data.
+    The vectorized level-``k`` pass stacks one copy of every parent's index
+    matrices it reads, so a vectorized context prices them twice.  Anything
+    that is not a level context prices at 0 (estimation must never fail a
+    run).
     """
-    total = 0
-    for node in getattr(context, "level1", {}).values():
-        for starts, ends in (getattr(node, "_sequence_arrays", None) or {}).values():
-            total += getattr(starts, "nbytes", 0) + getattr(ends, "nbytes", 0)
+    table = getattr(context, "instances", None)
+    arrays = ("starts", "ends", "offset", "count", "allowed", "has_pair")
+    total = sum(getattr(table, name).nbytes for name in arrays) if table else 0
+    copies = 2 if getattr(getattr(context, "config", None), "vectorized", False) else 1
     for parent in getattr(context, "parents", {}).values():
         for entry in getattr(parent, "patterns", {}).values():
             try:
                 for _sequence_id, matrix in entry.iter_index_matrices():
-                    total += matrix.nbytes
+                    total += copies * matrix.nbytes
             except Exception:
                 continue
     return total

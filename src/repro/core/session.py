@@ -55,7 +55,7 @@ import numpy as np
 
 from ..exceptions import MiningError
 from ..timeseries.sequences import SequenceDatabase, TemporalSequence
-from . import engine, faults
+from . import faults
 from .bitmap import Bitmap
 from .config import MiningConfig
 from .engine import (
@@ -96,27 +96,6 @@ def _restrict_level1(
     return {event: graph.level1[event] for event in graph.level1 if event in needed}
 
 
-def _prebuild_columnar_views(node: EventNode, sequence_ids=None) -> None:
-    """Eagerly build a frequent event's columnar start/end arrays.
-
-    Only instance lists long enough that a pairing could plausibly reach the
-    kernel routing threshold (``len² >= engine._KERNEL_MIN_PAIRS``) are built
-    here — sparse lists would pay the array-construction cost without the
-    kernel ever reading it.  A short list paired against a very dense partner
-    can still reach the kernel; :meth:`EventNode.sequence_arrays` then builds
-    its arrays lazily, once, on first use.
-    """
-    by_sequence = node.instances_by_sequence
-    if sequence_ids is None:
-        sequence_ids = by_sequence.keys()
-    min_pairs = engine._KERNEL_MIN_PAIRS
-    node.build_sequence_arrays(
-        sequence_id
-        for sequence_id in sequence_ids
-        if len(by_sequence[sequence_id]) ** 2 >= min_pairs
-    )
-
-
 # --------------------------------------------------------------------------- cost model
 def _backend_uses_costs(backend: ExecutionBackend, n_candidates: int) -> bool:
     """Whether estimating candidate costs for this level is worth anything.
@@ -134,7 +113,7 @@ def _backend_uses_costs(backend: ExecutionBackend, n_candidates: int) -> bool:
 
 
 def _estimate_pair_costs(
-    graph: HierarchicalPatternGraph,
+    context: LevelContext,
     candidates: list[Candidate],
     config: MiningConfig,
     min_count: int,
@@ -145,9 +124,9 @@ def _estimate_pair_costs(
     chronologically ordered instance pairs in shared sequences, so the
     estimate is the product of the two instance counts summed over the shared
     sequences (the self-pair analogue: instances choose two) — computed as a
-    dot product of the events' cached per-sequence instance-count vectors
-    (:meth:`EventNode.instance_counts`) over the shared sequence ids, instead
-    of a Python loop per sequence.  Pairs the Apriori checks of Lemmas 2–3
+    dot product of the events' rows of the level's instance-table ``count``
+    matrix over the shared sequence ids, instead of a Python loop per
+    sequence.  Pairs the Apriori checks of Lemmas 2–3
     would discard stop after one bitmap intersection, so they are estimated
     at unit cost.
 
@@ -162,11 +141,11 @@ def _estimate_pair_costs(
     payload the engine tries to keep small.
     """
     uses_apriori = config.pruning.uses_apriori
-    n_sequences = graph.n_sequences
+    table = context.instances
     costs: list[float] = []
     for event_a, event_b in candidates:
-        node_a = graph.level1[event_a]
-        node_b = graph.level1[event_b]
+        node_a = context.level1[event_a]
+        node_b = context.level1[event_b]
         if uses_apriori and min(node_a.support, node_b.support) < min_count:
             costs.append(1.0)
             continue
@@ -181,13 +160,11 @@ def _estimate_pair_costs(
             costs.append(1.0)
             continue
         shared = np.fromiter(joint.indices(), dtype=np.intp, count=joint_support)
-        counts_a = node_a.instance_counts(n_sequences)[shared]
+        counts_a = table.count[table.index[event_a], shared]
         if event_a == event_b:
             pair_count = float(counts_a @ (counts_a - 1.0)) / 2.0
         else:
-            pair_count = float(
-                counts_a @ node_b.instance_counts(n_sequences)[shared]
-            )
+            pair_count = float(counts_a @ table.count[table.index[event_b], shared])
         costs.append(max(pair_count, 1.0))
     return costs
 
@@ -625,8 +602,6 @@ class MiningSession:
             if self.retain_occurrences:
                 all_nodes[key] = node
             if bitmap.count() >= min_count:
-                if self.config.vectorized:
-                    _prebuild_columnar_views(node)
                 graph.add_event_node(node)
         stats.frequent_events = len(graph.level1)
         stats.patterns_found[1] = len(graph.level1)
@@ -645,35 +620,25 @@ class MiningSession:
         the delta, the set of delta sequence ids containing it — the raw
         material of the *touched candidate* test.
         """
-        vectorized = self.config.vectorized
         merged: dict[EventKey, EventNode] = {}
         delta_ids: dict[EventKey, set[int]] = {}
         for key, node in self.events.items():
             delta = delta_events.get(key)
             if delta is None:
-                merged_node = EventNode(
+                merged[key] = EventNode(
                     event=key,
                     bitmap=node.bitmap.resized(n_new),
                     instances_by_sequence=node.instances_by_sequence,
                 )
-                merged_node.adopt_sequence_arrays(node)
-                merged[key] = merged_node
                 continue
             instances = dict(node.instances_by_sequence)
             instances.update(delta.instances_by_sequence)
             bitmap = node.bitmap.resized(n_new)
             for sequence_id in delta.instances_by_sequence:
                 bitmap.set(sequence_id)
-            merged_node = EventNode(
+            merged[key] = EventNode(
                 event=key, bitmap=bitmap, instances_by_sequence=instances
             )
-            # Appends only add new sequence ids, so the old columnar views
-            # stay valid; extend the cache in place with the delta sequences
-            # instead of rebuilding every sequence's arrays from scratch.
-            merged_node.adopt_sequence_arrays(node)
-            if vectorized:
-                _prebuild_columnar_views(merged_node, delta.instances_by_sequence)
-            merged[key] = merged_node
             delta_ids[key] = set(delta.instances_by_sequence)
         for key, delta in delta_events.items():
             if key in merged:
@@ -758,12 +723,12 @@ class MiningSession:
         """
         level_start = time.perf_counter()
         candidate_pairs = self._generate_pair_candidates(graph)
+        context = self._level_context(graph, 2, min_count, candidate_pairs)
         costs = (
-            _estimate_pair_costs(graph, candidate_pairs, self.config, min_count)
+            _estimate_pair_costs(context, candidate_pairs, self.config, min_count)
             if _backend_uses_costs(backend, len(candidate_pairs))
             else None
         )
-        context = self._level_context(graph, 2, min_count, candidate_pairs)
         self._run_level(
             graph, stats, backend, context, candidate_pairs, level_start, costs
         )
@@ -831,9 +796,10 @@ class MiningSession:
             if _support_can_change(candidate, delta_ids, newly_frequent)
         ]
 
+        context = self._level_context(graph, level, min_count, touched)
         if level == 2:
             costs = (
-                _estimate_pair_costs(graph, touched, self.config, min_count)
+                _estimate_pair_costs(context, touched, self.config, min_count)
                 if _backend_uses_costs(backend, len(touched))
                 else None
             )
@@ -843,7 +809,6 @@ class MiningSession:
                 if _backend_uses_costs(backend, len(touched))
                 else None
             )
-        context = self._level_context(graph, level, min_count, touched)
         backend_start = time.perf_counter()
         outcome = backend.run(context, touched, costs)
         backend_elapsed = time.perf_counter() - backend_start
@@ -942,6 +907,9 @@ class MiningSession:
         memory degradation chain can flip summarisation on early *only*
         where this session would have permitted it anyway — never for a
         retaining session.
+
+        The context builds the level's flat instance table once, for every
+        shard — serial, forked or spawned — and the cost estimators.
 
         Memory governance needs nothing extra here: the process backend
         stamps the per-worker budget share onto the context itself, and the

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.io import read_time_series_csv
+
+#: The package sources, for CLI runs in a child interpreter.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestParser:
@@ -113,6 +120,38 @@ class TestMineCommand:
         serial = json.loads(serial_out.read_text())
         parallel = json.loads(parallel_out.read_text())
         assert serial["patterns"] == parallel["patterns"]
+
+    @pytest.mark.parametrize("with_session", [False, True])
+    def test_closed_stdout_pipe_exits_cleanly(self, csv_path, tmp_path, with_session):
+        """``repro mine ... | head -1``: a reader that leaves early is not an
+        error — exit 0, no ``error:`` line, the pattern (and session) file
+        written, even though the session's status line is printed first."""
+        output = tmp_path / "patterns.json"
+        session = tmp_path / "s.bin"
+        extra = ["--session", str(session)] if with_session else []
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "mine", "--input", str(csv_path),
+                 "--output", str(output), "--window", "1440", "--support", "0.4",
+                 "--confidence", "0.4", "--epsilon", "1", "--min-overlap", "5",
+                 "--tmax", "360", "--max-size", "2", "--top", "100000", *extra],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                # Unbuffered, so the first print — not the exit-time flush —
+                # meets the closed pipe, as a large --top does when buffered.
+                env=dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1"),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 0, completed.stderr
+        assert "error:" not in completed.stderr
+        assert "Broken pipe" not in completed.stderr
+        assert json.loads(output.read_text())["patterns"]
+        assert session.exists() == with_session
 
     def test_mi_threshold_without_approximate_rejected(self, tmp_path, capsys):
         """--mi-threshold used to be silently ignored without --approximate."""

@@ -1,13 +1,14 @@
 """The columnar occurrence store: index matrices, gather parity, chunking,
-kernel-threshold routing.
+level-2 kernel routing and level-k batch bounds.
 
 The store's contract (see :class:`repro.core.hpg.PatternEntry`) is that the
 int32 index matrices are a lossless re-encoding of the historical
-instance-tuple lists: gather-built endpoint blocks equal the old per-call list
+instance-tuple lists: endpoint blocks gathered through the flat
+:class:`~repro.core.hpg.InstanceTable` equal the old per-call list
 comprehensions bit for bit, per-hit and batched inserts build the identical
 matrix, and the lazy ``occurrences`` view materialises the exact tuples the
-old store held.  Chunking and scalar/kernel routing are pure scheduling
-choices and must never change a mined result.
+old store held.  Chunking, scalar/kernel routing and the level-k batch bound
+are pure scheduling choices and must never change a mined result.
 """
 
 from __future__ import annotations
@@ -32,11 +33,17 @@ from repro import (
     TemporalPattern,
 )
 from repro.core.engine import _anchor_chunks
-from repro.core.hpg import EventNode, PatternEntry
+from repro.core.hpg import EventNode, InstanceTable, PatternEntry
 from repro.core.bitmap import Bitmap
+from repro.datasets import make_dataset
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
-from test_engine_parity import assert_parity, mined_tuples, random_database
+from test_engine_parity import (
+    assert_parity,
+    mined_tuples,
+    random_database,
+    store_snapshot,
+)
 
 
 def _pattern(size: int) -> TemporalPattern:
@@ -146,9 +153,9 @@ class TestIndexStore:
         assert restored.occurrences == entry.occurrences
 
     def test_gather_built_endpoint_blocks_match_list_comprehension_fuzz(self):
-        """The tentpole equivalence: ``starts[idx]`` gathers == the legacy
-        per-call list comprehension over instance objects, fuzzed over random
-        stores."""
+        """The core equivalence: gathers through the instance table == the
+        legacy per-call list comprehension over instance objects, fuzzed over
+        random stores."""
         rng = random.Random(29)
         for _ in range(25):
             k = rng.randint(2, 4)
@@ -173,11 +180,12 @@ class TestIndexStore:
                     ),
                 )
             matrix = entry.index_matrix(0)
+            table = InstanceTable({node.event: node for node in nodes}, 1)
             gathered_starts = np.column_stack(
-                [nodes[j].sequence_arrays(0)[0][matrix[:, j]] for j in range(k)]
+                [table.arrays(node.event, 0)[0][matrix[:, j]] for j, node in enumerate(nodes)]
             )
             gathered_ends = np.column_stack(
-                [nodes[j].sequence_arrays(0)[1][matrix[:, j]] for j in range(k)]
+                [table.arrays(node.event, 0)[1][matrix[:, j]] for j, node in enumerate(nodes)]
             )
             occurrences = entry.materialise(0)
             legacy_starts = np.array(
@@ -198,14 +206,14 @@ class TestIndexStore:
         )
         session.mine(random_database(5, n_sequences=10, max_instances=12))
         graph = session.graph
+        table = InstanceTable(graph.level1, graph.n_sequences)
         checked = 0
         for _level, _node, entry in graph.iter_pattern_entries():
-            nodes = [graph.level1[event] for event in entry.pattern.events]
             for sequence_id, matrix in entry.iter_index_matrices():
                 gathered = np.column_stack(
                     [
-                        nodes[j].sequence_arrays(sequence_id)[0][matrix[:, j]]
-                        for j in range(len(nodes))
+                        table.arrays(event, sequence_id)[0][matrix[:, j]]
+                        for j, event in enumerate(entry.pattern.events)
                     ]
                 )
                 legacy = np.array(
@@ -307,10 +315,11 @@ class TestKernelChunking:
 
     @pytest.mark.parametrize("tmax", [None, 60.0])
     def test_tiny_chunk_budget_changes_nothing(self, tmax, monkeypatch):
-        """A pathologically small mask budget forces many chunks at both
-        kernel entry points; results and counters must be untouched —
-        including on the ``tmax=None`` dense workload the budget exists for."""
-        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", 1)  # kernel everywhere
+        """A pathologically small mask budget forces many chunks in the
+        level-2 kernel and the level-k pass; results and counters must be
+        untouched — including on the ``tmax=None`` dense workload the budget
+        exists for."""
+        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", 1)  # level-2 kernel everywhere
         database = random_database(31, n_sequences=6, n_series=2, max_instances=40)
         base = MiningConfig(
             min_support=0.3,
@@ -339,19 +348,33 @@ class TestKernelChunking:
         assert MiningConfig().kernel_chunk_bytes == 64 * 1024 * 1024
 
 
+def _levelk_calls(calls):
+    """The ``classify_pairs`` calls of the level-k pass (2-D endpoint blocks;
+    the level-2 kernel passes 1-D arrays)."""
+    return [args for args in calls if args[0].ndim == 2]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every ``classify_pairs`` call the engine makes, in order."""
+    calls = []
+    classify_pairs = engine_module.classify_pairs
+
+    def counting_classify_pairs(*args):
+        calls.append(args)
+        return classify_pairs(*args)
+
+    monkeypatch.setattr(engine_module, "classify_pairs", counting_classify_pairs)
+    return calls
+
+
 class TestKernelRouting:
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        """Every ``classify_pairs`` call the engine makes, in order."""
-        calls = []
-        classify_pairs = engine_module.classify_pairs
+    """Level 2 routes each sequence batch by ``_KERNEL_MIN_PAIRS``; the
+    configs stop at level 2 so the routing is observable in isolation."""
 
-        def counting_classify_pairs(*args):
-            calls.append(args)
-            return classify_pairs(*args)
-
-        monkeypatch.setattr(engine_module, "classify_pairs", counting_classify_pairs)
-        return calls
+    CONFIG = MiningConfig(
+        min_support=0.25, min_confidence=0.25, min_overlap=1.0, max_pattern_size=2
+    )
 
     @pytest.mark.parametrize("threshold", [1, 10**9])
     def test_extreme_thresholds_mine_the_identical_output(
@@ -361,15 +384,10 @@ class TestKernelRouting:
         scalar loop everywhere; routing is a pure scheduling choice."""
         monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", threshold)
         database = random_database(19, n_sequences=8)
-        config = MiningConfig(
-            min_support=0.25,
-            min_confidence=0.25,
-            min_overlap=1.0,
-        )
-        forced = HTPGM(config).mine(database)
+        forced = HTPGM(self.CONFIG).mine(database)
         # The patched constant is read at call time: it really routed.
         assert bool(kernel_calls) == (threshold == 1)
-        reference = HTPGM(config.with_vectorized(False)).mine(database)
+        reference = HTPGM(self.CONFIG.with_vectorized(False)).mine(database)
         assert mined_tuples(forced) == mined_tuples(reference)
         assert (
             forced.statistics.relation_checks
@@ -381,16 +399,11 @@ class TestKernelRouting:
     def test_forced_kernel_matches_forced_scalar_in_every_pruning_mode(
         self, pruning, allow_self, monkeypatch, kernel_calls
     ):
-        """The kernel applies the Lemma-4/6/7 membership table and rebuilds
-        the early-exit check counts itself; forced onto every batch it must
-        agree with the scalar loop in every pruning mode, counters included."""
+        """Forced onto every level-2 batch, the kernel must agree with the
+        scalar loop in every pruning mode, counters included."""
         database = random_database(19, n_sequences=8)
-        config = MiningConfig(
-            min_support=0.25,
-            min_confidence=0.25,
-            min_overlap=1.0,
-            pruning=pruning,
-            allow_self_relations=allow_self,
+        config = replace(
+            self.CONFIG, pruning=pruning, allow_self_relations=allow_self
         )
         monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", 10**9)
         scalar = HTPGM(config).mine(database)
@@ -417,11 +430,197 @@ class TestKernelRouting:
         monkeypatch.setattr(engine_module, "classify_pairs", logging_classify_pairs)
         monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", threshold)
         database = random_database(19, n_sequences=8)
-        config = MiningConfig(min_support=0.25, min_confidence=0.25, min_overlap=1.0)
         with ProcessPoolBackend(
             n_workers=2, min_candidates_per_worker=1, start_method="fork"
         ) as backend:
-            pooled = HTPGM(config, backend=backend).mine(database)
+            pooled = HTPGM(self.CONFIG, backend=backend).mine(database)
         pids = set(log.read_text().split()) if log.exists() else set()
         assert bool(pids - {str(os.getpid())}) == (threshold == 1)
-        assert_parity(HTPGM(config.with_vectorized(False)).mine(database), pooled)
+        assert_parity(
+            HTPGM(self.CONFIG.with_vectorized(False)).mine(database), pooled
+        )
+
+
+class TestExtensionBatchBound:
+    """Level k queues whole candidates and evaluates them in passes of
+    ``_EXTENSION_BATCH_ROWS`` rows.  A bound of 1 evaluates every candidate
+    alone, 10**9 the whole shard in one pass; both must build what the
+    scalar reference builds — result, store and both check counters."""
+
+    @staticmethod
+    def _assert_bound_parity(config, database, bound, monkeypatch, kernel_calls):
+        monkeypatch.setattr(engine_module, "_EXTENSION_BATCH_ROWS", bound)
+        batched = MiningSession(config)
+        batched_result = batched.mine(database)
+        scalar = MiningSession(config.with_vectorized(False))
+        scalar_result = scalar.mine(database)
+        # Mined tuples and every work counter, both check counters included.
+        assert_parity(scalar_result, batched_result)
+        assert store_snapshot(batched.graph) == store_snapshot(scalar.graph)
+        # The bound really scheduled the passes: one pass per level-k level
+        # when unbounded (the default chunk budget keeps each pass one
+        # chunk), one per candidate with extensions when the bound is 1.
+        levels = [
+            level
+            for level in batched_result.statistics.relation_checks
+            if level >= 3
+        ]
+        assert levels, "the database must reach level 3"
+        passes = len(_levelk_calls(kernel_calls))
+        if config.kernel_chunk_bytes is None or config.kernel_chunk_bytes > 1 << 20:
+            if bound == 1:
+                assert passes > len(levels)
+            else:
+                assert passes == len(levels)
+
+    @pytest.mark.parametrize("bound", [1, 10**9])
+    @pytest.mark.parametrize("pruning", list(PruningMode))
+    @pytest.mark.parametrize("allow_self", [True, False])
+    def test_every_pruning_mode(
+        self, bound, pruning, allow_self, monkeypatch, kernel_calls
+    ):
+        config = MiningConfig(
+            min_support=0.25,
+            min_confidence=0.25,
+            min_overlap=1.0,
+            pruning=pruning,
+            allow_self_relations=allow_self,
+        )
+        self._assert_bound_parity(
+            config, random_database(19, n_sequences=8), bound, monkeypatch, kernel_calls
+        )
+
+    @pytest.mark.parametrize("bound", [1, 10**9])
+    def test_epsilon_min_overlap_and_tmax(self, bound, monkeypatch, kernel_calls):
+        config = MiningConfig(
+            min_support=0.25,
+            min_confidence=0.25,
+            epsilon=1.0,
+            min_overlap=2.0,
+            tmax=45.0,
+            max_pattern_size=4,
+        )
+        self._assert_bound_parity(
+            config,
+            random_database(1, n_sequences=12, max_instances=20),
+            bound,
+            monkeypatch,
+            kernel_calls,
+        )
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("tmax", [None, 4.0, 7.0])
+    def test_tied_endpoints_and_tmax_boundaries(
+        self, tmax, shifted, monkeypatch, kernel_calls
+    ):
+        """Integer endpoints in a narrow range tie starts, ends and whole
+        intervals across events (point events included) and put many pairs
+        exactly on tmax: the edges of the pass's successor and tmax windows.
+        Shifted, the earliest instances start at ``-tmax``, so a window's
+        ``first start + tmax`` is exactly 0.0."""
+        rng = random.Random(5)
+        shift = -(tmax or 4.0) if shifted else 0.0
+        sequences = []
+        for sequence_id in range(10):
+            instances = set()
+            for _ in range(14):
+                start = float(rng.randrange(8)) + shift
+                instances.add(
+                    EventInstance(
+                        start, start + rng.choice((0, 1, 2, 3)), f"S{rng.randrange(3)}", "On"
+                    )
+                )
+            sequences.append(TemporalSequence(sequence_id, sorted(instances)))
+        config = MiningConfig(
+            min_support=0.3,
+            min_confidence=0.3,
+            epsilon=1.0,
+            min_overlap=1.0,
+            tmax=tmax,
+            max_pattern_size=4,
+        )
+        self._assert_bound_parity(
+            config, SequenceDatabase(sequences), 10**9, monkeypatch, kernel_calls
+        )
+
+    @pytest.mark.parametrize("bound", [1, 10**9])
+    def test_tiny_kernel_chunks(self, bound, monkeypatch, kernel_calls):
+        """A 64-byte chunk budget cuts every pass into one-row chunks."""
+        config = MiningConfig(
+            min_support=0.25,
+            min_confidence=0.25,
+            min_overlap=1.0,
+            kernel_chunk_bytes=64,
+        )
+        self._assert_bound_parity(
+            config, random_database(19, n_sequences=8), bound, monkeypatch, kernel_calls
+        )
+
+
+class TestInstanceTable:
+    def test_built_once_per_level(self, monkeypatch):
+        """One table per level context, never one per shard or candidate:
+        fork workers inherit the coordinator's."""
+        built = []
+        table = engine_module.InstanceTable
+        monkeypatch.setattr(
+            engine_module,
+            "InstanceTable",
+            lambda *args: (built.append(args[0].keys()), table(*args))[1],
+        )
+        config = MiningConfig(min_support=0.25, min_confidence=0.25, min_overlap=1.0)
+        database = random_database(19, n_sequences=8)
+        with ProcessPoolBackend(
+            n_workers=2, min_candidates_per_worker=1, start_method="fork"
+        ) as backend:
+            result = HTPGM(config, backend=backend).mine(database)
+        levels = [level for level in result.statistics.level_seconds if level >= 2]
+        assert len(levels) >= 3
+        assert len(built) == len(levels)
+
+
+class TestLevelKBatching:
+    """Guard against the level-k work drifting back to per-(entry, sequence)
+    scalar calls: on a dataport stand-in every level-k classification goes
+    through the batched pass, in at most one ``classify_pairs`` call per
+    row-bounded pass."""
+
+    def test_dataport_level_k_runs_in_row_bounded_passes(
+        self, monkeypatch, kernel_calls
+    ):
+        _, database = make_dataset(
+            "dataport", scale=0.01, attribute_fraction=0.5, seed=103
+        ).transform()
+        config = MiningConfig(
+            min_support=0.45, min_confidence=0.45, epsilon=0.0, min_overlap=1.0
+        )
+        passes = []
+        evaluate = engine_module._ExtensionBatch._evaluate
+        monkeypatch.setattr(
+            engine_module._ExtensionBatch,
+            "_evaluate",
+            lambda batch: (passes.append(batch.rows), evaluate(batch))[1],
+        )
+        scalar_calls = []
+        extend = engine_module._extend_sequence_scalar
+        monkeypatch.setattr(
+            engine_module,
+            "_extend_sequence_scalar",
+            lambda *args: (scalar_calls.append(1), extend(*args))[1],
+        )
+        batched = HTPGM(config).mine(database)
+        levelk = lambda counter: {k: v for k, v in counter.items() if k >= 3}
+        levels = levelk(batched.statistics.relation_checks)
+        assert len(levels) >= 3
+        levelk_calls = _levelk_calls(kernel_calls)
+        assert levelk_calls and not scalar_calls
+        assert len(levelk_calls) <= len(passes)
+        # Row-bounded: only a level's last pass may hold fewer rows than the
+        # bound, so the passes are not one per candidate or per entry.
+        bound = engine_module._EXTENSION_BATCH_ROWS
+        evaluated_levels = levelk(batched.statistics.candidates_generated)
+        assert sum(rows < bound for rows in passes) <= len(evaluated_levels)
+        reference = HTPGM(config.with_vectorized(False)).mine(database)
+        assert scalar_calls
+        assert levels == levelk(reference.statistics.relation_checks)
+        assert mined_tuples(batched) == mined_tuples(reference)

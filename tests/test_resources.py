@@ -32,7 +32,7 @@ from repro import (
     SerialBackend,
 )
 from repro.cli import main as cli_main
-from repro.core import faults, resources
+from repro.core import engine, faults, resources
 from repro.core.engine import LevelContext, _ShardPiece
 from repro.core.faults import FaultPlan
 from repro.io import read_session
@@ -246,13 +246,42 @@ class TestGovernorPlanning:
             backend.close()
 
 
+class TestLevelKBytesPerPair:
+    """One formula prices a level-k extension pair, for the batched pass's
+    chunking and for the governor's shard planning alike."""
+
+    @pytest.mark.parametrize("level", [3, 4, 6])
+    def test_governor_prices_level_k_with_the_pass_formula(self, level):
+        backend = ProcessPoolBackend(n_workers=2, memory_budget=BUDGET)
+        assert backend._bytes_per_cost(level) == engine._levelk_bytes_per_pair(level)
+
+    def test_formula_grows_with_the_parent_arity(self):
+        step = engine._levelk_bytes_per_pair(4) - engine._levelk_bytes_per_pair(3)
+        assert step > 0
+        assert (
+            engine._levelk_bytes_per_pair(6) - engine._levelk_bytes_per_pair(3)
+            == 3 * step
+        )
+
+    def test_pass_chunks_with_the_formula(self, monkeypatch):
+        levels = []
+        formula = engine._levelk_bytes_per_pair
+
+        def recording(level):
+            levels.append(level)
+            return formula(level)
+
+        monkeypatch.setattr(engine, "_levelk_bytes_per_pair", recording)
+        database = random_database(seed=17, n_sequences=10, max_instances=9)
+        MiningSession(CONFIG).mine(database, backend=SerialBackend())
+        assert levels and min(levels) == 3
+
+
 class TestContextEstimation:
-    def test_columnar_walk_prices_arrays_and_index_matrices(self):
+    def test_columnar_walk_prices_instance_table_and_index_matrices(self):
         session = MiningSession(CONFIG)
         session.mine(random_database(seed=23, n_sequences=10, max_instances=14))
         graph = session.graph
-        for node in graph.level1.values():
-            node.build_sequence_arrays()
         context = LevelContext(
             level=3,
             config=CONFIG,
@@ -260,10 +289,15 @@ class TestContextEstimation:
             level1=graph.level1,
             parents=graph.levels[2],
         )
+        table = context.instances  # built with the context
         arrays = sum(
-            starts.nbytes + ends.nbytes
+            getattr(table, name).nbytes
+            for name in ("starts", "ends", "offset", "count", "allowed", "has_pair")
+        )
+        assert table.starts.nbytes == 8 * sum(
+            len(instances)
             for node in graph.level1.values()
-            for starts, ends in node._sequence_arrays.values()
+            for instances in node.instances_by_sequence.values()
         )
         matrices = sum(
             matrix.nbytes
@@ -272,6 +306,10 @@ class TestContextEstimation:
             for _sequence_id, matrix in entry.iter_index_matrices()
         )
         assert matrices > 0
+        # The vectorized level-k pass stacks a second copy of the parents'
+        # matrices; the scalar reference reads them in place.
+        assert resources.estimate_context_bytes(context) == arrays + 2 * matrices
+        context.config = CONFIG.with_vectorized(False)
         assert resources.estimate_context_bytes(context) == arrays + matrices
 
     def test_estimate_never_raises_on_opaque_payloads(self):
