@@ -177,9 +177,8 @@ class MiningConfig:
         paths produce byte-identical results — same patterns, same
         occurrence order, same work counters — so the flag is purely a
         performance switch (and the scalar path the executable specification
-        the kernel is fuzzed against).  Level-2 batches below
-        ``engine._KERNEL_MIN_PAIRS`` (64) instance pairs run the scalar loop
-        either way; level ``k`` runs batched passes over many candidates.
+        the kernel is fuzzed against).  Vectorized, every level runs in
+        batched passes over many candidates (``engine._ExtensionBatch``).
     kernel_chunk_bytes:
         Approximate byte budget for the transient working set of one
         vectorized kernel batch — the ``rows × k`` feasibility/relation
@@ -199,8 +198,7 @@ class MiningConfig:
         clean :class:`~repro.exceptions.MemoryBudgetExceeded` before the
         kernel OOM killer would have fired; the engine then recovers by
         splitting the shard in half (recursively) and degrading — smaller
-        kernel chunks, forced summarisation where legal, finally in-process
-        evaluation — every step output-preserving and recorded in
+        kernel chunks, finally in-process evaluation — every step output-preserving and recorded in
         :attr:`MiningStatistics.warnings`.  ``None`` (the default) disables
         governance; the serial engine ignores the budget.
     retry:

@@ -61,13 +61,12 @@ series pairs across the same worker pool that later mines the patterns.
 Orthogonally to the backend choice, ``MiningConfig.vectorized`` (the
 default) runs relation classification through the kernel of
 :mod:`repro.core.relation_kernel` over the level's flat
-:class:`~repro.core.hpg.InstanceTable` (``LevelContext.instances``): level 2
-per sequence batch of at least :data:`_KERNEL_MIN_PAIRS` instance pairs
-(smaller ones run the scalar loop), level ``k`` in segmented passes over
-:data:`_EXTENSION_BATCH_ROWS` parent-occurrence rows of many candidates
-(:class:`_ExtensionBatch`).  ``vectorized=False`` keeps the scalar
-reference loops.  Kernel batches are chunked by
-``MiningConfig.kernel_chunk_bytes``.  Both paths — under every backend —
+:class:`~repro.core.hpg.InstanceTable` (``LevelContext.instances``), every
+level alike: segmented passes over :data:`_EXTENSION_BATCH_ROWS` parent rows
+of many candidates (:class:`_ExtensionBatch`) — at level 2 a parent row is
+one event instance, at level ``k`` a stored occurrence.
+``vectorized=False`` keeps the scalar reference loops.  Passes are chunked
+by ``MiningConfig.kernel_chunk_bytes``.  Both paths — under every backend —
 produce byte-identical nodes and counters, down to the columnar index
 matrices of :class:`~repro.core.hpg.PatternEntry`.  Entries' instance-source
 bindings are not pickled — workers rebind them from ``LevelContext.level1``
@@ -105,7 +104,7 @@ from .config import MiningConfig, RetryPolicy
 from .events import EventKey
 from .hpg import CombinationNode, EventNode, InstanceTable, Occurrence, PatternEntry
 from .patterns import TemporalPattern
-from .relation_kernel import candidate_windows, classify_pairs, expand_windows
+from .relation_kernel import classify_pairs, expand_windows
 from .relations import RELATIONS_BY_CODE, Relation, classify
 from .stats import MiningStatistics
 
@@ -179,11 +178,6 @@ class LevelContext:
     between candidates and aborts the shard with
     :class:`~repro.exceptions.MemoryBudgetExceeded` once the share is spent,
     letting the coordinator split the shard instead of eating a SIGKILL.
-    ``allow_summarise`` records whether forcing ``summarise_dead_ends`` on
-    retry is *legal* for this level (set by the miner under the exact same
-    conditions it would set ``summarise_dead_ends`` itself); the memory
-    degradation chain consults it so a budget recovery can never summarise
-    occurrences a retaining session needs.
     """
 
     level: int
@@ -197,7 +191,6 @@ class LevelContext:
     final_level: bool = False
     summarise_dead_ends: bool = False
     memory_share_bytes: int | None = None
-    allow_summarise: bool = False
     instances: InstanceTable | None = None
 
     def event_support(self, event: EventKey) -> int:
@@ -226,26 +219,26 @@ class LevelOutcome:
 
 
 # --------------------------------------------------------------------------- evaluation
-def apriori_pair_prune(
+def apriori_prune(
     joint_support: int,
-    support_a: int,
-    support_b: int,
+    max_event_support: int,
     min_count: int,
     config: MiningConfig,
 ) -> str | None:
-    """Which Apriori check discards an event pair: ``"support"`` (Lemma 2),
-    ``"confidence"`` (Lemma 3) or ``None`` when the pair survives.
+    """Which Apriori check discards a candidate of any level: ``"support"``
+    (Lemma 2), ``"confidence"`` (Lemma 3) or ``None`` when it survives.
 
-    Shared by pair evaluation and the miner's cost estimator so the prune
-    predicate cannot drift between the two — a drift would not change the
-    mined set (costs never do) but would silently skew the cost-balanced
-    shards.
+    ``max_event_support`` is the largest support among the candidate's
+    events.  Shared by candidate evaluation and the miner's level-2 cost
+    estimator so the prune predicate cannot drift between the two — a drift
+    would not change the mined set (costs never do) but would silently skew
+    the cost-balanced shards.
     """
     if not config.pruning.uses_apriori:
         return None
     if joint_support < min_count:
         return "support"
-    if joint_support / max(support_a, support_b) < config.min_confidence:
+    if joint_support / max_event_support < config.min_confidence:
         return "confidence"
     return None
 
@@ -259,14 +252,14 @@ def evaluate_candidates(
     it directly, the process-pool backend calls it once per shard in each
     worker process.  Given the same context and candidates it always produces
     the same nodes and counters, which is what makes backend parity testable.
-    Vectorized level-``k`` candidates go through an :class:`_ExtensionBatch`.
+    Vectorized candidates of every level go through an :class:`_ExtensionBatch`.
     """
     started = time.perf_counter()
     stats = MiningStatistics()
     nodes: list[CombinationNode] = []
     evaluate = _evaluate_pair if context.level == 2 else _evaluate_combination
     batch = None
-    if context.level >= 3 and context.config.vectorized:
+    if context.config.vectorized:
         batch = _ExtensionBatch(context, stats, nodes)
         evaluate = batch.add
     # Armed only inside process-pool workers shipping a budgeted context;
@@ -287,61 +280,24 @@ def evaluate_candidates(
 def _evaluate_pair(
     context: LevelContext, candidate: Candidate, stats: MiningStatistics
 ) -> CombinationNode | None:
-    """Alg. 1 lines 6–14 for one candidate event pair."""
-    config = context.config
-    event_a, event_b = candidate
-    stats.bump(stats.candidates_generated, 2)
-    node_a = context.level1[event_a]
-    node_b = context.level1[event_b]
-    joint = node_a.bitmap & node_b.bitmap
-    joint_support = joint.count()
-    prune = apriori_pair_prune(
-        joint_support, node_a.support, node_b.support, context.min_count, config
-    )
-    if prune == "support":
-        stats.bump(stats.pruned_support, 2)
+    """Alg. 1 lines 6–14 for one candidate event pair (scalar path)."""
+    node = _open_combination(context, candidate, stats)
+    if node is None:
         return None
-    if prune == "confidence":
-        stats.bump(stats.pruned_confidence, 2)
-        return None
-    if joint_support == 0:
-        return None
-
-    node = CombinationNode(events=tuple(sorted((event_a, event_b))), bitmap=joint)
-    _grow_pair_patterns(config, node, node_a, node_b, stats, context.instances)
+    _grow_pair_patterns(context, node, candidate, stats)
     return _finalise_node(context, node, stats, level=2)
 
 
-#: Minimum instance-pair count for which a level-2 sequence batch is routed
-#: through the NumPy relation kernel.  Vectorization pays a fixed per-batch
-#: cost (array slicing, mask allocation, a handful of kernel launches) that
-#: only amortizes over enough pairs; below the threshold the scalar loop is
-#: faster.  Both paths produce byte-identical nodes and counters, so the
-#: routing is purely a scheduling choice and can never change the mined
-#: output.  Read at call time, so tests monkeypatch it.
-_KERNEL_MIN_PAIRS = 64
-
-
 def _grow_pair_patterns(
-    config: MiningConfig,
+    context: LevelContext,
     node: CombinationNode,
-    node_a: EventNode,
-    node_b: EventNode,
+    candidate: Candidate,
     stats: MiningStatistics,
-    table: InstanceTable,
 ) -> None:
-    """Classify every chronologically ordered instance pair in shared sequences.
-
-    With ``config.vectorized`` each sequence's pair batch is routed through
-    the NumPy kernel once it is large enough to amortize the kernel overhead
-    (:data:`_KERNEL_MIN_PAIRS`); smaller batches — and every batch when the
-    flag is off — run the scalar reference loop.  The two paths produce
-    byte-identical nodes and counters.
-    """
+    """Scalar reference of level 2: classify every chronologically ordered
+    instance pair in each shared sequence (:func:`_grow_sequence_pairs_scalar`)."""
+    node_a, node_b = (context.level1[event] for event in candidate)
     same_event = node_a.event == node_b.event
-    vectorized = config.vectorized
-    min_pairs = _KERNEL_MIN_PAIRS
-    pattern_cache: dict[tuple[bool, int], tuple[TemporalPattern, tuple]] = {}
     for sequence_id in node.bitmap.indices():
         instances_a = node_a.instances_by_sequence.get(sequence_id, [])
         instances_b = (
@@ -349,32 +305,17 @@ def _grow_pair_patterns(
             if same_event
             else node_b.instances_by_sequence.get(sequence_id, [])
         )
-        n_a, n_b = len(instances_a), len(instances_b)
-        n_pairs = n_a * (n_a - 1) // 2 if same_event else n_a * n_b
-        if vectorized and n_pairs >= min_pairs:
-            _grow_sequence_pairs_kernel(
-                config,
-                table,
-                node,
-                node_a,
-                node_b,
-                sequence_id,
-                same_event,
-                pattern_cache,
-                stats,
-            )
-        else:
-            _grow_sequence_pairs_scalar(
-                config,
-                node,
-                node_a,
-                node_b,
-                sequence_id,
-                instances_a,
-                instances_b,
-                same_event,
-                stats,
-            )
+        _grow_sequence_pairs_scalar(
+            context.config,
+            node,
+            node_a,
+            node_b,
+            sequence_id,
+            instances_a,
+            instances_b,
+            same_event,
+            stats,
+        )
 
 
 def _grow_sequence_pairs_scalar(
@@ -392,7 +333,7 @@ def _grow_sequence_pairs_scalar(
 
     Pairs are enumerated with their list positions so every hit is recorded
     as an index row into the columnar occurrence store — the same store the
-    kernel path fills in blocks."""
+    vectorized pass fills in blocks."""
     tmax = config.tmax
     epsilon = config.epsilon
     min_overlap = config.min_overlap
@@ -438,250 +379,30 @@ def _grow_sequence_pairs_scalar(
             node.add_pattern_occurrence(pattern, sequence_id, row, sources)
 
 
-def _cached_pair_pattern(
-    cache: dict[tuple[bool, int], tuple[TemporalPattern, tuple]],
-    event_first: EventKey,
-    event_second: EventKey,
-    node_first: EventNode,
-    node_second: EventNode,
-    swapped: bool,
-    code: int,
-) -> tuple[TemporalPattern, tuple]:
-    """The (at most six per pair node) 2-event patterns + sources, built once each."""
-    key = (swapped, code)
-    cached = cache.get(key)
-    if cached is None:
-        cached = (
-            TemporalPattern(
-                events=(event_first, event_second),
-                relations=(RELATIONS_BY_CODE[code],),
-            ),
-            (node_first.instances_by_sequence, node_second.instances_by_sequence),
-        )
-        cache[key] = cached
-    return cached
-
-
-#: Approximate transient bytes one level-2 kernel pair costs — two ``intp``
-#: pair indices, four gathered ``float64`` endpoints, the relation masks and
-#: the ``int8`` code — the divisor that turns ``kernel_chunk_bytes`` into a
-#: per-chunk pair cap covering the whole working set, not just the masks.
-_LEVEL2_BYTES_PER_PAIR = 80
-
-
-def _anchor_chunks(lo: np.ndarray, hi: np.ndarray, max_pairs: int | None):
-    """Contiguous anchor ranges whose expanded pair counts fit the mask budget.
-
-    Yields ``(start, stop)`` anchor index ranges covering ``[0, len(lo))`` in
-    order; each range expands to at most ``max_pairs`` pairs (a single anchor
-    whose window alone exceeds the budget forms its own over-budget range, so
-    progress is always made).  ``None`` disables chunking.  Chunking at
-    anchor granularity preserves the anchor-major enumeration order of the
-    scalar loops exactly, so the per-chunk results concatenate to the
-    unchunked ones.
-    """
-    n_anchors = len(lo)
-    if n_anchors == 0:
-        return
-    if max_pairs is None:
-        yield 0, n_anchors
-        return
-    cumulative = np.cumsum(np.maximum(hi - lo, 0))
-    if int(cumulative[-1]) <= max_pairs:
-        yield 0, n_anchors
-        return
-    start = 0
-    consumed = 0
-    while start < n_anchors:
-        stop = int(np.searchsorted(cumulative, consumed + max_pairs, side="right"))
-        if stop <= start:
-            stop = start + 1
-        yield start, stop
-        consumed = int(cumulative[stop - 1])
-        start = stop
-
-
-def _grow_sequence_pairs_kernel(
-    config: MiningConfig,
-    table: InstanceTable,
-    node: CombinationNode,
-    node_a: EventNode,
-    node_b: EventNode,
-    sequence_id: int,
-    same_event: bool,
-    pattern_cache: dict[tuple[bool, int], tuple[TemporalPattern, tuple]],
-    stats: MiningStatistics,
-) -> None:
-    """Kernel path: classify one sequence's instance pairs in batched chunks.
-
-    The enumeration order of the scalar loops is preserved exactly — left
-    instances outermost, partner indices ascending (for self pairs: the upper
-    triangle in ``combinations`` order) — because the occurrence insertion
-    order is part of the byte-identical-result contract.  With ``tmax`` set,
-    the ``searchsorted`` prefilter bounds each left instance's partner window
-    before anything is materialised; the pairs it drops are exactly pairs the
-    scalar loop would skip at the ``tmax`` check (their start gap already
-    exceeds ``tmax``), so the ``relation_checks`` counter — which only counts
-    pairs *passing* that check — is unaffected.  Very large batches are
-    processed in anchor-major chunks bounded by
-    ``config.kernel_chunk_bytes`` (:func:`_anchor_chunks`), which caps the
-    peak mask memory on dense ``tmax=None`` workloads without changing any
-    result.
-
-    Surviving pairs are recorded as index rows into the columnar occurrence
-    store: hits are grouped by their (orientation, relation) — at most six
-    distinct 2-event patterns per node, visited in first-hit order — and each
-    group is inserted as one ``(n, 2)`` block, so no per-hit Python runs.
-    """
-    tmax = config.tmax
-    key_a, key_b = node_a.event, node_b.event
-    if same_event:
-        starts, ends = table.arrays(key_a, sequence_id)
-        n = len(starts)
-        # Upper triangle: partners j > i, windowed by tmax on the right.
-        lo = np.arange(1, n + 1, dtype=np.intp)
-        if tmax is None:
-            hi = np.full(n, n, dtype=np.intp)
-        else:
-            hi = np.searchsorted(starts, starts + tmax, side="right")
-    else:
-        starts_a, ends_a = table.arrays(key_a, sequence_id)
-        starts_b, ends_b = table.arrays(key_b, sequence_id)
-        lo, hi = candidate_windows(starts_b, starts_a, tmax)
-    budget = config.kernel_chunk_bytes
-    max_pairs = (
-        None if budget is None else max(1, budget // _LEVEL2_BYTES_PER_PAIR)
-    )
-    for anchor_start, anchor_stop in _anchor_chunks(lo, hi, max_pairs):
-        left, right = expand_windows(lo[anchor_start:anchor_stop], hi[anchor_start:anchor_stop])
-        if left.size == 0:
-            continue
-        if anchor_start:
-            left = left + anchor_start
-        if same_event:
-            first_starts, first_ends = starts[left], ends[left]
-            second_starts, second_ends = starts[right], ends[right]
-            swapped = None
-        else:
-            a_starts, a_ends = starts_a[left], ends_a[left]
-            b_starts, b_ends = starts_b[right], ends_b[right]
-            # Chronological ordering per pair (min/max in the instance total
-            # order); keys break full interval ties, and the keys differ.
-            swapped = (b_starts < a_starts) | (
-                (b_starts == a_starts)
-                & ((b_ends < a_ends) | ((b_ends == a_ends) & (key_b < key_a)))
-            )
-            first_starts = np.where(swapped, b_starts, a_starts)
-            first_ends = np.where(swapped, b_ends, a_ends)
-            second_starts = np.where(swapped, a_starts, b_starts)
-            second_ends = np.where(swapped, a_ends, b_ends)
-        if tmax is not None:
-            keep = second_ends - first_starts <= tmax
-            if not keep.all():
-                left, right = left[keep], right[keep]
-                first_starts, first_ends = first_starts[keep], first_ends[keep]
-                second_starts, second_ends = second_starts[keep], second_ends[keep]
-                if swapped is not None:
-                    swapped = swapped[keep]
-                if left.size == 0:
-                    continue
-        codes = classify_pairs(
-            first_starts,
-            first_ends,
-            second_starts,
-            second_ends,
-            config.epsilon,
-            config.min_overlap,
-        )
-        stats.bump(stats.relation_checks, 2, int(codes.size))
-        _insert_pair_hits(
-            node,
-            node_a,
-            node_b,
-            sequence_id,
-            codes,
-            left,
-            right,
-            swapped,
-            pattern_cache,
-        )
-
-
-def _insert_pair_hits(
-    node: CombinationNode,
-    node_a: EventNode,
-    node_b: EventNode,
-    sequence_id: int,
-    codes: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    swapped: np.ndarray | None,
-    pattern_cache: dict[tuple[bool, int], tuple[TemporalPattern, tuple]],
-) -> None:
-    """Batched survivor insertion for one level-2 kernel chunk.
-
-    Hits are grouped by ``orientation * 3 + code`` (at most six groups),
-    visited in order of each group's first hit so the pattern-dict insertion
-    order matches the scalar loop, and every group lands in the store as one
-    ``(n, 2)`` index block."""
-    hits = np.nonzero(codes >= 0)[0]
-    if hits.size == 0:
-        return
-    key_a, key_b = node_a.event, node_b.event
-    hit_codes = codes[hits].astype(np.intp)
-    hit_left = left[hits]
-    hit_right = right[hits]
-    if swapped is None:
-        group_keys = hit_codes
-    else:
-        group_keys = hit_codes + 3 * swapped[hits]
-    unique_keys, first_positions = np.unique(group_keys, return_index=True)
-    for group_key in unique_keys[np.argsort(first_positions)].tolist():
-        mask = group_keys == group_key
-        code = group_key % 3
-        lefts = hit_left[mask]
-        rights = hit_right[mask]
-        if swapped is None:
-            pattern, sources = _cached_pair_pattern(
-                pattern_cache, key_a, key_a, node_a, node_a, False, code
-            )
-            block = np.column_stack((lefts, rights))
-        elif group_key >= 3:
-            pattern, sources = _cached_pair_pattern(
-                pattern_cache, key_b, key_a, node_b, node_a, True, code
-            )
-            block = np.column_stack((rights, lefts))
-        else:
-            pattern, sources = _cached_pair_pattern(
-                pattern_cache, key_a, key_b, node_a, node_b, False, code
-            )
-            block = np.column_stack((lefts, rights))
-        node.add_pattern_occurrences(pattern, sequence_id, block, sources)
-
-
 def _open_combination(
     context: LevelContext, candidate: Candidate, stats: MiningStatistics
 ) -> CombinationNode | None:
-    """Alg. 1 lines 16–17: the Apriori checks of one candidate k-event
-    combination; the (still empty) node of a surviving candidate."""
-    config = context.config
+    """The Apriori checks (Lemmas 2–3) of one candidate of any level; the
+    (still empty) node of a survivor, its events sorted."""
     level = context.level
     stats.bump(stats.candidates_generated, level)
     bitmap = Bitmap.intersect_all(
         context.level1[event].bitmap for event in candidate
     )
     support = bitmap.count()
-    if config.pruning.uses_apriori:
-        if support < context.min_count:
-            stats.bump(stats.pruned_support, level)
-            return None
-        max_event_support = max(context.event_support(event) for event in candidate)
-        if support / max_event_support < config.min_confidence:
-            stats.bump(stats.pruned_confidence, level)
-            return None
+    prune = apriori_prune(
+        support,
+        max(context.event_support(event) for event in candidate),
+        context.min_count,
+        context.config,
+    )
+    if prune is not None:
+        pruned = stats.pruned_support if prune == "support" else stats.pruned_confidence
+        stats.bump(pruned, level)
+        return None
     if support == 0:
         return None
-    return CombinationNode(events=candidate, bitmap=bitmap)
+    return CombinationNode(events=tuple(sorted(candidate)), bitmap=bitmap)
 
 
 def _evaluate_combination(
@@ -847,21 +568,53 @@ def _relations_for_extension(
     return tuple(relations)
 
 
-#: Occurrence rows the vectorized level-``k`` evaluation queues, whole
-#: candidates at a time, before it evaluates them in one NumPy pass
-#: (:class:`_ExtensionBatch`).  A few thousand rows amortize a pass's fixed
-#: cost; larger batches only grow its scratch arrays.  Results never depend
-#: on it.  Read at call time, so tests monkeypatch it.
+#: Parent rows (level-2 instances, level-``k`` occurrences) the vectorized
+#: evaluation queues, whole candidates at a time, before it evaluates them in
+#: one NumPy pass (:class:`_ExtensionBatch`).  A few thousand rows amortize a
+#: pass's fixed cost; larger batches only grow its temporary arrays.  Results
+#: never depend on it.  Read at call time, so tests monkeypatch it.
 _EXTENSION_BATCH_ROWS = 4096
 
 
-def _levelk_bytes_per_pair(level: int) -> int:
-    """Transient bytes of one level-``level`` extension pair (a parent row
-    and a new instance, classified at ``level - 1`` positions), fitted to
-    ``tracemalloc`` peaks of whole passes (about 200, 245 and 300 bytes at
-    levels 3, 4 and 5).  Sizes both the pass's ``kernel_chunk_bytes`` chunks
-    and the governor's level-``k`` cost unit."""
+def _bytes_per_pair(level: int) -> int:
+    """Transient bytes of one level-``level`` pair of the vectorized pass (a
+    parent row and a new instance, classified at ``level - 1`` positions),
+    fitted to ``tracemalloc`` peaks of whole passes over dense sequences
+    (about 175, 200, 245 and 300 bytes at levels 2 to 5).  Sizes both the
+    pass's ``kernel_chunk_bytes`` chunks and the governor's bytes per unit of
+    candidate cost."""
     return 104 + 52 * (level - 1)
+
+
+def _anchor_chunks(lo: np.ndarray, hi: np.ndarray, max_pairs: int | None):
+    """Contiguous anchor ranges whose expanded pair counts fit the mask budget.
+
+    Yields ``(start, stop)`` anchor index ranges covering ``[0, len(lo))`` in
+    order; each range expands to at most ``max_pairs`` pairs (a single anchor
+    whose window alone exceeds the budget forms its own over-budget range, so
+    progress is always made).  ``None`` disables chunking.  Chunking at
+    anchor granularity preserves the anchor-major enumeration order, so the
+    per-chunk results concatenate to the unchunked ones.
+    """
+    n_anchors = len(lo)
+    if n_anchors == 0:
+        return
+    if max_pairs is None:
+        yield 0, n_anchors
+        return
+    cumulative = np.cumsum(np.maximum(hi - lo, 0))
+    if int(cumulative[-1]) <= max_pairs:
+        yield 0, n_anchors
+        return
+    start = 0
+    consumed = 0
+    while start < n_anchors:
+        stop = int(np.searchsorted(cumulative, consumed + max_pairs, side="right"))
+        if stop <= start:
+            stop = start + 1
+        yield start, stop
+        consumed = int(cumulative[stop - 1])
+        start = stop
 
 
 def _group_keys(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -879,7 +632,8 @@ class _ParentRows(NamedTuple):
     ``index_rows`` holds the entries' index matrices, entry by entry and
     sequence by sequence, and ``runs`` one ``(entry position, sequence, row
     count)`` row per matrix, so per-row sequence and entry columns exist only
-    inside a pass.
+    inside a pass.  At level 2 the parent is one event: a single entry whose
+    one-column rows are the event's instance list positions.
     """
 
     #: The parent's entries with stored rows.
@@ -891,26 +645,33 @@ class _ParentRows(NamedTuple):
 
 
 class _Extension(NamedTuple):
-    """One queued (candidate node, new event, parent node) decomposition."""
+    """One queued (candidate node, new event, parent node) decomposition.
+
+    ``flipped`` marks the level-2 orientation whose parent is the
+    candidate's second event."""
 
     node: CombinationNode
     new_event: EventKey
     parent: _ParentRows
+    flipped: bool = False
 
 
 class _ExtensionBatch:
-    """Vectorized level-``k`` extension (Alg. 1 lines 16–20) across candidates.
+    """Vectorized growth (Alg. 1 lines 6–20) across candidates of one level.
 
     :meth:`add` runs a candidate's Apriori checks and queues an
-    :class:`_Extension` per (new event, parent node) decomposition.  Once
-    :data:`_EXTENSION_BATCH_ROWS` rows are queued — checked between
-    candidates, so no candidate spans two passes — :meth:`flush` evaluates
-    them in one pass and finalises the queued nodes in candidate order.  The
-    pass is :func:`_grow_combination_patterns` batched: the same pair order
-    and gates, Lemmas 4–7 as table lookups, the scalar loop's early-exit
-    counters rebuilt from each pair's first failing position, and one stored
-    block per (pattern, sequence) in first-hit order — skipping patterns
-    whose (complete) support :func:`_finalise_node` would reject.
+    :class:`_Extension` per (new event, parent node) decomposition — at
+    level 2, one per orientation of the pair, whose parent is one event's
+    instances.  Once :data:`_EXTENSION_BATCH_ROWS` rows are queued — checked
+    between candidates, so no candidate spans two passes — :meth:`flush`
+    evaluates them in one pass and finalises the queued nodes in candidate
+    order.  The pass is :func:`_grow_pair_patterns` and
+    :func:`_grow_combination_patterns` batched: the same pairs and gates,
+    Lemmas 4–7 as table lookups (level ``k`` only), the scalar loop's
+    early-exit counters rebuilt from each pair's first failing position,
+    and one stored block per (pattern, sequence) in first-hit order —
+    skipping patterns whose (complete) support :func:`_finalise_node` would
+    reject.
     """
 
     def __init__(
@@ -918,7 +679,9 @@ class _ExtensionBatch:
     ) -> None:
         self.context, self.stats, self.nodes = context, stats, nodes
         self.table = table = context.instances
-        self.transitivity = context.config.pruning.uses_transitivity
+        self.transitivity = (
+            context.level >= 3 and context.config.pruning.uses_transitivity
+        )
         self.supports = {e: node.support for e, node in context.level1.items()}
         # Lemma 5 is tested per (candidate, new event): Python lookups win.
         self.partners = table.has_pair.tolist()
@@ -926,6 +689,7 @@ class _ExtensionBatch:
             np.repeat(np.arange(table.count.size), table.count.ravel()), table.starts
         )
         self.parents: dict[tuple[EventKey, ...], tuple | None] = {}
+        self.event_rows: dict[EventKey, _ParentRows] = {}
         self.queue: list[_Extension] = []
         self.pending: list[CombinationNode] = []
         self.rows = 0
@@ -956,6 +720,32 @@ class _ExtensionBatch:
             self.parents[key] = (parent, [index[e] for e in key], rows)
         return self.parents[key]
 
+    def _event_rows(self, event: EventKey) -> _ParentRows:
+        """A level-2 parent, built once: ``event``'s instances as one-column
+        rows of list positions, one run per sequence, under a one-event
+        pattern."""
+        if event not in self.event_rows:
+            table = self.table
+            row = table.index[event]
+            sequences = np.flatnonzero(table.count[row])
+            counts = table.count[row, sequences]
+            positions = np.arange(counts.sum()) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            entry = PatternEntry(
+                TemporalPattern(events=(event,), relations=()),
+                (self.context.level1[event].instances_by_sequence,),
+            )
+            runs = np.column_stack((np.zeros_like(sequences), sequences, counts))
+            self.event_rows[event] = _ParentRows(
+                [entry], np.array([[row]]), positions.astype(np.int32)[:, None], runs
+            )
+        return self.event_rows[event]
+
+    def _queue(self, extension: _Extension) -> None:
+        self.queue.append(extension)
+        self.rows += len(extension.parent.index_rows)
+
     def add(
         self, context: LevelContext, candidate: Candidate, stats: MiningStatistics
     ) -> None:
@@ -963,19 +753,28 @@ class _ExtensionBatch:
         node = _open_combination(context, candidate, stats)
         if node is None:
             return
-        for new_event in node.events:
-            stack = self._parent(tuple(e for e in node.events if e != new_event))
-            if stack is None:
-                continue
-            parent, parent_rows, rows = stack
-            partners = self.partners[self.table.index[new_event]]
-            if self.transitivity and not all(partners[row] for row in parent_rows):
-                # Lemma 5 fails for every entry alike; the scalar loop counts each.
-                level, n_entries = context.level, len(parent.patterns)
-                stats.bump(stats.pruned_relation_checks, level, n_entries)
-            elif rows is not None:
-                self.queue.append(_Extension(node, new_event, rows))
-                self.rows += len(rows.index_rows)
+        if context.level == 2:
+            # Each orientation finds the pairs whose chronologically first
+            # instance is its parent event's; a self pair has one.
+            first, second = candidate
+            self._queue(_Extension(node, second, self._event_rows(first)))
+            if second != first:
+                rows = self._event_rows(second)
+                self._queue(_Extension(node, first, rows, flipped=True))
+        else:
+            for new_event in node.events:
+                stack = self._parent(tuple(e for e in node.events if e != new_event))
+                if stack is None:
+                    continue
+                parent, parent_rows, rows = stack
+                partners = self.partners[self.table.index[new_event]]
+                if self.transitivity and not all(partners[row] for row in parent_rows):
+                    # Lemma 5 fails for every entry alike; the scalar loop
+                    # counts each.
+                    level, n_entries = context.level, len(parent.patterns)
+                    stats.bump(stats.pruned_relation_checks, level, n_entries)
+                elif rows is not None:
+                    self._queue(_Extension(node, new_event, rows))
         self.pending.append(node)
         if self.rows >= _EXTENSION_BATCH_ROWS:
             self.flush()
@@ -1026,7 +825,7 @@ class _ExtensionBatch:
             keys = _group_keys(groups, bound)
             hi = np.minimum(np.searchsorted(self.group_starts, keys, "right"), stop)
         budget = config.kernel_chunk_bytes
-        max_pairs = budget and max(1, budget // _levelk_bytes_per_pair(level))
+        max_pairs = budget and max(1, budget // _bytes_per_pair(level))
         hits = []
         for row_start, row_stop in _anchor_chunks(lo, hi, max_pairs):
             window = slice(row_start, row_stop)
@@ -1072,14 +871,29 @@ class _ExtensionBatch:
         if hits:
             rows, candidates, codes = map(np.concatenate, zip(*hits))
             block = np.column_stack((index_rows[rows], candidates - first[rows]))
+            if level == 2 and len(block):
+                # The scalar loop's hit order: sequence, then the candidate's
+                # first event's instance, then its second's.
+                flipped = np.array([item.flipped for item, _ in owners])[jobs[rows]]
+                order = np.lexsort(
+                    (
+                        np.where(flipped, block[:, 0], block[:, 1]),
+                        np.where(flipped, block[:, 1], block[:, 0]),
+                        sequences[rows],
+                    )
+                )
+                rows, block, codes = rows[order], block[order], codes[order]
             if len(block):
                 self._store(jobs[rows], owners, block, sequences[rows], codes)
 
     def _store(self, jobs, owners, block, sequences, codes) -> None:
         """Store surviving pairs (in enumeration order) by extended pattern;
         ``owners[job]`` is a job's (queued decomposition, parent entry)."""
-        _, code_rows = np.unique(codes, axis=0, return_inverse=True)
-        keys = jobs * (int(code_rows.max()) + 1) + code_rows.reshape(-1)
+        # One key per (job, relation codes): fold the code columns in one at
+        # a time, as ranks, so the key never overflows.
+        keys = jobs
+        for column in codes.T:
+            _, keys = np.unique(keys * len(RELATIONS_BY_CODE) + column, return_inverse=True)
         _, first_hit, group = np.unique(keys, return_index=True, return_inverse=True)
         # Groups in first-hit order, each group's pairs in enumeration order.
         order = np.argsort(first_hit[group.reshape(-1)], kind="stable")
@@ -1553,14 +1367,11 @@ class ProcessPoolBackend:
     def _bytes_per_cost(self, level: int) -> float:
         """Transient kernel bytes one unit of candidate cost expands into.
 
-        Level-2 costs are instance-pair counts (the kernel's per-pair
-        working set is :data:`_LEVEL2_BYTES_PER_PAIR`); level-``k`` costs
-        are occurrence×instance pair counts, priced by the same
-        :func:`_levelk_bytes_per_pair` the batched pass chunks with.
+        Costs are instance-pair counts (level 2) or occurrence×instance
+        pair counts (level ``k``), priced by the same :func:`_bytes_per_pair`
+        the vectorized pass chunks with.
         """
-        if level == 2:
-            return float(_LEVEL2_BYTES_PER_PAIR)
-        return float(_levelk_bytes_per_pair(level))
+        return float(_bytes_per_pair(level))
 
     def _stamp_stats(
         self,
@@ -1739,10 +1550,7 @@ class ProcessPoolBackend:
         2. **Shrink ``kernel_chunk_bytes``** (halving, floored at
            :data:`_CHUNK_SHRINK_FLOOR`) — the vectorized kernel's transient
            pair buffers are proportional to the chunk cap.
-        3. **Force occurrence summarisation** where the miner declared it
-           legal (``LevelContext.allow_summarise``) — slims what the worker
-           holds while packing its response.
-        4. **Evaluate in-process** — the coordinator usually has more
+        3. **Evaluate in-process** — the coordinator usually has more
            headroom than a budget-watched worker, and the watchdog never
            arms outside worker scope, so this step cannot loop.  If even
            that exceeds memory (or an injected memory fault is still armed,
@@ -1762,8 +1570,6 @@ class ProcessPoolBackend:
                 _ShardPiece(piece.shard, piece.offset + half, piece.items[half:]),
             ]
         if self._shrink_kernel_chunks(payload, level):
-            return [piece]
-        if self._force_summaries(payload, level):
             return [piece]
         self._warn(
             f"shard {piece.shard} of level {level} is over budget at a single "
@@ -1807,23 +1613,6 @@ class ProcessPoolBackend:
         self._warn(
             f"level {level} over budget at a single candidate; kernel chunk "
             f"cap shrunk to {shrunk} bytes"
-        )
-        return True
-
-    def _force_summaries(self, payload: Any, level: int) -> bool:
-        """Turn dead-end summarisation on early, where the miner allows it."""
-        if not isinstance(payload, LevelContext):
-            return False
-        if (
-            not payload.allow_summarise
-            or payload.summarise_dead_ends
-            or payload.final_level
-        ):
-            return False
-        payload.summarise_dead_ends = True
-        self._warn(
-            f"level {level} still over budget; forcing dead-end occurrence "
-            "summarisation to slim worker payloads"
         )
         return True
 

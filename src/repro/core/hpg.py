@@ -11,7 +11,7 @@ Occurrence evidence is stored *columnar*: a :class:`PatternEntry` keeps, per
 supporting sequence, an ``int32`` index matrix of shape
 ``(n_occurrences, k)`` whose column ``j`` indexes into the instance list of
 ``pattern.events[j]`` in that sequence.  The index representation is what
-makes the level-``k`` hot loop vectorizable (endpoint blocks are gathered
+makes the level-``k`` extension vectorizable (endpoint blocks are gathered
 through the per-level flat :class:`InstanceTable` instead of rebuilt from
 instance objects per call), pickles far smaller and faster than
 object-tuple lists (the matrices are the entire per-entry worker payload),
@@ -120,10 +120,9 @@ class PatternEntry:
     ``k+1`` extends every stored assignment with instances of the new event.
 
     Rows arrive either one at a time (:meth:`add_index_row`, the scalar
-    reference path) or as whole ``(n, k)`` blocks (:meth:`add_index_block`,
-    one batched row-stack per kernel batch); both build the identical
-    consolidated matrix, which :meth:`index_matrix` materialises (and caches)
-    on demand.
+    reference path, consolidated by :meth:`index_matrix` on demand) or as
+    whole per-sequence matrices (:meth:`from_index_blocks`, the vectorized
+    pass); both build the identical matrix.
 
     The index rows are resolved against *sources* — per pattern event, the
     owning :class:`EventNode`'s ``instances_by_sequence`` dict.  Sources are
@@ -236,32 +235,6 @@ class PatternEntry:
             value.append(row)
         else:  # appending after consolidation: reopen as a build list
             self._store[sequence_id] = [value, row]
-
-    def add_index_block(self, sequence_id: int, block: np.ndarray) -> None:
-        """Record a whole ``(n, k)`` block of assignments (batched kernel path)."""
-        if self.occurrence_counts is not None:
-            raise ValueError("cannot add occurrences to a summarised PatternEntry")
-        if self._row_cache or self._view_cache:
-            self._row_cache.pop(sequence_id, None)
-            self._view_cache.pop(sequence_id, None)
-        block = np.ascontiguousarray(block)
-        if block.dtype != _INDEX_DTYPE:
-            # Kernel survivor blocks arrive as platform intp; a position past
-            # the int32 ceiling would wrap negative in the cast below.
-            if block.size and int(block.max()) > _INDEX_MAX:
-                raise RepresentationOverflowError(
-                    f"instance-list index {int(block.max())} in sequence "
-                    f"{sequence_id} does not fit the columnar store's "
-                    f"{np.dtype(_INDEX_DTYPE).name} index dtype (max {_INDEX_MAX})"
-                )
-            block = np.ascontiguousarray(block, dtype=_INDEX_DTYPE)
-        value = self._store.get(sequence_id)
-        if value is None:
-            self._store[sequence_id] = block
-        elif isinstance(value, list):
-            value.append(block)
-        else:
-            self._store[sequence_id] = [value, block]
 
     def index_matrix(self, sequence_id: int) -> np.ndarray:
         """The consolidated ``(n_occurrences, k)`` int32 matrix of one sequence."""
@@ -489,13 +462,6 @@ class InstanceTable:
                     code = pattern.relations[0].code
                     self.allowed[index[first], index[second], code] = True
 
-    def arrays(self, event: EventKey, sequence_id: int) -> tuple[np.ndarray, ...]:
-        """``(starts, ends)`` views of one event's instances in one sequence."""
-        row = self.index[event]
-        start = self.offset[row, sequence_id]
-        stop = start + self.count[row, sequence_id]
-        return self.starts[start:stop], self.ends[start:stop]
-
 
 @dataclass
 class CombinationNode:
@@ -538,24 +504,6 @@ class CombinationNode:
             entry = PatternEntry(pattern=pattern, sources=sources)
             self.patterns[pattern] = entry
         entry.add_index_row(sequence_id, row)
-
-    def add_pattern_occurrences(
-        self,
-        pattern: TemporalPattern,
-        sequence_id: int,
-        block: np.ndarray,
-        sources: InstanceSources,
-    ) -> None:
-        """Record a whole ``(n, k)`` block of assignments in one batched insert.
-
-        The batch counterpart of :meth:`add_pattern_occurrence`: one call per
-        (entry, sequence) kernel batch instead of one per hit, which is what
-        keeps the vectorized survivor loop out of per-hit Python."""
-        entry = self.patterns.get(pattern)
-        if entry is None:
-            entry = PatternEntry(pattern=pattern, sources=sources)
-            self.patterns[pattern] = entry
-        entry.add_index_block(sequence_id, block)
 
     def prune_patterns(self, keep: set[TemporalPattern]) -> None:
         """Drop every stored pattern not in ``keep`` (infrequent / low confidence)."""

@@ -30,13 +30,10 @@ Follow ≻ Contain ≻ Overlap — so for every ordered pair the kernel and the
 scalar function agree bit for bit (``tests/test_relation_kernel.py`` fuzzes
 this equivalence).
 
-Two helpers keep dense sequences from materialising the full instance cross
-product when the pattern-duration constraint ``tmax`` is active:
-:func:`candidate_windows` uses ``searchsorted`` over the (chronologically
-sorted) start arrays to bound, per left-hand instance, the index window of
-partners that could possibly pass the ``tmax`` check, and
-:func:`expand_windows` expands those ``(lo, hi)`` bounds into explicit pair
-index arrays in the same left-major enumeration order the scalar loops use.
+:func:`expand_windows` turns per-anchor ``(lo, hi)`` partner windows (the
+miner bounds them with ``searchsorted`` under ``tmax``) into explicit pair
+index arrays in the same anchor-major enumeration order the scalar loops
+use, so dense sequences never materialise the full instance cross product.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ __all__ = [
     "OVERLAP_CODE",
     "NO_RELATION_CODE",
     "classify_pairs",
-    "candidate_windows",
     "expand_windows",
 ]
 
@@ -103,38 +99,6 @@ def classify_pairs(
     codes[contain] = CONTAIN_CODE
     codes[follow] = FOLLOW_CODE
     return codes
-
-
-def candidate_windows(
-    starts: np.ndarray, anchor_starts: np.ndarray, tmax: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index windows into sorted ``starts`` that could survive the ``tmax`` check.
-
-    For each anchor instance the miner must consider partner instances whose
-    pairing satisfies ``second.end - first.start <= tmax`` (the chronological
-    ordering of the pair is decided per partner).  A partner whose *start*
-    already lies more than ``tmax`` away on either side certainly fails —
-    intervals end no earlier than they start — so for a chronologically
-    sorted ``starts`` array the survivors of anchor ``i`` live inside
-    ``[lo[i], hi[i])`` with ``lo = searchsorted(starts, anchor - tmax)`` and
-    ``hi = searchsorted(starts, anchor + tmax, side="right")``.
-
-    This is a *prefilter*: pairs inside the window still need the exact
-    end-based ``tmax`` mask, but pairs outside it are provably infeasible and
-    are never materialised, which keeps dense sequences from building the
-    full cross product.  With ``tmax=None`` every pairing is feasible and the
-    windows span the whole array.
-    """
-    n = len(starts)
-    n_anchors = len(anchor_starts)
-    if tmax is None:
-        return (
-            np.zeros(n_anchors, dtype=np.intp),
-            np.full(n_anchors, n, dtype=np.intp),
-        )
-    lo = np.searchsorted(starts, anchor_starts - tmax, side="left")
-    hi = np.searchsorted(starts, anchor_starts + tmax, side="right")
-    return lo.astype(np.intp, copy=False), hi.astype(np.intp, copy=False)
 
 
 def expand_windows(

@@ -246,14 +246,19 @@ def estimate_context_bytes(context) -> int:
     Walks the context's columnar data — the level's flat instance table and
     the parent entries' index matrices — which is what grows with the data.
     The vectorized level-``k`` pass stacks one copy of every parent's index
-    matrices it reads, so a vectorized context prices them twice.  Anything
-    that is not a level context prices at 0 (estimation must never fail a
-    run).
+    matrices it reads, so a vectorized context prices them twice; at level 2
+    it stacks every event's instance list positions (``int32``) with one
+    ``(entry, sequence, count)`` run of ``int64`` per occupied (event,
+    sequence) cell.  Anything that is not a level context prices at 0
+    (estimation must never fail a run).
     """
     table = getattr(context, "instances", None)
     arrays = ("starts", "ends", "offset", "count", "allowed", "has_pair")
     total = sum(getattr(table, name).nbytes for name in arrays) if table else 0
-    copies = 2 if getattr(getattr(context, "config", None), "vectorized", False) else 1
+    vectorized = getattr(getattr(context, "config", None), "vectorized", False)
+    if table and vectorized and getattr(context, "level", None) == 2:
+        total += 4 * table.starts.size + 24 * int((table.count > 0).sum())
+    copies = 2 if vectorized else 1
     for parent in getattr(context, "parents", {}).values():
         for entry in getattr(parent, "patterns", {}).values():
             try:

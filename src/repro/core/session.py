@@ -62,7 +62,7 @@ from .engine import (
     Candidate,
     ExecutionBackend,
     LevelContext,
-    apriori_pair_prune,
+    apriori_prune,
     backend_from_config,
 )
 from .events import EventKey, TemporalEvent, collect_events
@@ -152,8 +152,8 @@ def _estimate_pair_costs(
         joint = node_a.bitmap & node_b.bitmap
         joint_support = joint.count()
         if joint_support == 0 or (
-            apriori_pair_prune(
-                joint_support, node_a.support, node_b.support, min_count, config
+            apriori_prune(
+                joint_support, max(node_a.support, node_b.support), min_count, config
             )
             is not None
         ):
@@ -902,11 +902,7 @@ class MiningSession:
 
         A retaining session never allows the workers to summarise occurrence
         lists (neither at a known-final level nor at dead-end nodes): a
-        future append may extend any stored occurrence.  ``allow_summarise``
-        mirrors the exact ``summarise_dead_ends`` predicate so the engine's
-        memory degradation chain can flip summarisation on early *only*
-        where this session would have permitted it anyway — never for a
-        retaining session.
+        future append may extend any stored occurrence.
 
         The context builds the level's flat instance table once, for every
         shard — serial, forked or spawned — and the cost estimators.
@@ -936,12 +932,6 @@ class MiningSession:
             pair_patterns=pair_patterns,
             final_level=final_level,
             summarise_dead_ends=(
-                not self.retain_occurrences
-                and not final_level
-                and level >= 3
-                and config.pruning.uses_transitivity
-            ),
-            allow_summarise=(
                 not self.retain_occurrences
                 and not final_level
                 and level >= 3

@@ -60,9 +60,9 @@ class MiningStatistics:
     shard_retries: dict[int, int] = field(default_factory=dict)
     #: Memory-pressure recoveries per level (level -> count): each split of
     #: an over-budget shard piece and each degradation step (chunk shrink,
-    #: forced summarisation, in-process fallback) counts one.  Non-empty
-    #: only under ``memory_budget_bytes``; the mined pattern set is
-    #: unaffected (every recovery is output-preserving).
+    #: in-process fallback) counts one.  Non-empty only under
+    #: ``memory_budget_bytes``; the mined pattern set is unaffected (every
+    #: recovery is output-preserving).
     shard_splits: dict[int, int] = field(default_factory=dict)
     #: Degradation warnings recorded during the run (process pool degraded
     #: to serial, memory-budget splits, ...).  Deduplicated.

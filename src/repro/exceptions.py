@@ -73,8 +73,8 @@ class MemoryBudgetExceeded(MiningError):
     cleanly, from Python — before the kernel's OOM killer would have fired.
     The coordinator treats it as a *recoverable* signal: the shard is split
     in half and resubmitted (recursively, down to a one-candidate floor),
-    then degraded further (smaller kernel chunks, forced summarisation where
-    legal, in-process evaluation) before the run is allowed to fail.  Kept
+    then degraded further (smaller kernel chunks, in-process evaluation)
+    before the run is allowed to fail.  Kept
     picklable (message-only) so it survives the process-pool boundary.
     """
 

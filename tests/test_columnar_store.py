@@ -1,5 +1,5 @@
-"""The columnar occurrence store: index matrices, gather parity, chunking,
-level-2 kernel routing and level-k batch bounds.
+"""The columnar occurrence store: index matrices, gather parity, chunking
+and the row bound of the vectorized pass.
 
 The store's contract (see :class:`repro.core.hpg.PatternEntry`) is that the
 int32 index matrices are a lossless re-encoding of the historical
@@ -7,8 +7,8 @@ instance-tuple lists: endpoint blocks gathered through the flat
 :class:`~repro.core.hpg.InstanceTable` equal the old per-call list
 comprehensions bit for bit, per-hit and batched inserts build the identical
 matrix, and the lazy ``occurrences`` view materialises the exact tuples the
-old store held.  Chunking, scalar/kernel routing and the level-k batch bound
-are pure scheduling choices and must never change a mined result.
+old store held.  Chunking and the pass's row bound are pure scheduling
+choices and must never change a mined result.
 """
 
 from __future__ import annotations
@@ -16,12 +16,15 @@ from __future__ import annotations
 import os
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import repro.core.engine as engine_module
+import repro.core.hpg as hpg_module
 from repro import (
     ConfigurationError,
     HTPGM,
@@ -73,8 +76,17 @@ def _random_instances(rng: random.Random, series: str, count: int):
     return sorted(instances)
 
 
+def _positions(table: InstanceTable, events, sequence_id: int, matrix) -> np.ndarray:
+    """Flat table positions of an index matrix's instances, the way the
+    vectorized pass gathers them: ``offset[event, sequence] + list index``."""
+    rows = [table.index[event] for event in events]
+    return table.offset[rows, sequence_id] + matrix
+
+
 class TestIndexStore:
     def test_per_hit_and_batched_inserts_build_the_identical_matrix(self):
+        """The scalar path's per-hit rows and the vectorized pass's whole
+        checked block (``from_index_blocks``) build the same entry."""
         rng = random.Random(3)
         pattern = _pattern(3)
         rows = [
@@ -83,22 +95,17 @@ class TestIndexStore:
         per_hit = PatternEntry(pattern=pattern)
         for row in rows:
             per_hit.add_index_row(7, row)
-        batched = PatternEntry(pattern=pattern)
-        position = 0
-        while position < len(rows):
-            width = rng.randint(1, 40)
-            block = np.asarray(rows[position : position + width], dtype=np.int32)
-            batched.add_index_block(7, block)
-            position += width
+        block = hpg_module._checked_rows(np.asarray(rows, dtype=np.int64))
+        batched = PatternEntry.from_index_blocks(pattern, None, [7], [block])
         assert np.array_equal(per_hit.index_matrix(7), batched.index_matrix(7))
         assert per_hit == batched
         assert per_hit.n_occurrences == batched.n_occurrences == len(rows)
 
     def test_mixed_rows_and_blocks_consolidate_in_arrival_order(self):
         pattern = _pattern(2)
-        entry = PatternEntry(pattern=pattern)
-        entry.add_index_row(0, (0, 1))
-        entry.add_index_block(0, np.asarray([(2, 3), (4, 5)], dtype=np.int32))
+        block = np.asarray([(0, 1), (2, 3)], dtype=np.int32)
+        entry = PatternEntry.from_index_blocks(pattern, None, [0], [block])
+        entry.add_index_row(0, (4, 5))
         entry.add_index_row(0, (6, 7))
         assert entry.index_matrix(0).tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
         # Appending after consolidation reopens the build list.
@@ -119,8 +126,6 @@ class TestIndexStore:
         assert entry.occurrences == {}
         with pytest.raises(ValueError):
             entry.add_index_row(0, (0, 0))
-        with pytest.raises(ValueError):
-            entry.add_index_block(0, np.zeros((1, 2), dtype=np.int32))
 
     def test_unbound_entry_raises_on_materialisation(self):
         entry = PatternEntry(pattern=_pattern(2))
@@ -181,12 +186,9 @@ class TestIndexStore:
                 )
             matrix = entry.index_matrix(0)
             table = InstanceTable({node.event: node for node in nodes}, 1)
-            gathered_starts = np.column_stack(
-                [table.arrays(node.event, 0)[0][matrix[:, j]] for j, node in enumerate(nodes)]
-            )
-            gathered_ends = np.column_stack(
-                [table.arrays(node.event, 0)[1][matrix[:, j]] for j, node in enumerate(nodes)]
-            )
+            positions = _positions(table, pattern.events, 0, matrix)
+            gathered_starts = table.starts[positions]
+            gathered_ends = table.ends[positions]
             occurrences = entry.materialise(0)
             legacy_starts = np.array(
                 [[instance.start for instance in occ] for occ in occurrences],
@@ -210,12 +212,9 @@ class TestIndexStore:
         checked = 0
         for _level, _node, entry in graph.iter_pattern_entries():
             for sequence_id, matrix in entry.iter_index_matrices():
-                gathered = np.column_stack(
-                    [
-                        table.arrays(event, sequence_id)[0][matrix[:, j]]
-                        for j, event in enumerate(entry.pattern.events)
-                    ]
-                )
+                gathered = table.starts[
+                    _positions(table, entry.pattern.events, sequence_id, matrix)
+                ]
                 legacy = np.array(
                     [
                         [instance.start for instance in occurrence]
@@ -243,17 +242,27 @@ class TestOverflowGuard:
         assert issubclass(RepresentationOverflowError, MiningError)
 
     def test_block_insert_past_the_ceiling_raises(self, monkeypatch):
-        import repro.core.hpg as hpg_module
+        """The vectorized pass checks each survivor block before storing it."""
         from repro import RepresentationOverflowError
 
         monkeypatch.setattr(hpg_module, "_INDEX_MAX", 100)
-        entry = PatternEntry(pattern=_pattern(2))
-        entry.add_index_block(0, np.array([[0, 1], [2, 3]], dtype=np.int64))
+        assert hpg_module._checked_rows(np.array([[0, 1], [2, 3]])).dtype == np.int32
         with pytest.raises(RepresentationOverflowError, match="does not fit"):
-            entry.add_index_block(1, np.array([[0, 101]], dtype=np.int64))
+            hpg_module._checked_rows(np.array([[0, 101]], dtype=np.int64))
+
+    def test_mining_past_the_ceiling_raises_on_both_paths(self, monkeypatch):
+        """End to end: a store position past the ceiling fails the mine,
+        scalar and vectorized alike, instead of wrapping."""
+        from repro import RepresentationOverflowError
+
+        monkeypatch.setattr(hpg_module, "_INDEX_MAX", 2)
+        database = random_database(31, n_sequences=6, n_series=2, max_instances=40)
+        config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
+        for vectorized in (True, False):
+            with pytest.raises(RepresentationOverflowError, match="does not fit"):
+                HTPGM(config.with_vectorized(vectorized)).mine(database)
 
     def test_scalar_rows_past_the_ceiling_raise_on_consolidation(self, monkeypatch):
-        import repro.core.hpg as hpg_module
         from repro import RepresentationOverflowError
 
         monkeypatch.setattr(hpg_module, "_INDEX_MAX", 100)
@@ -266,20 +275,17 @@ class TestOverflowGuard:
         from repro import RepresentationOverflowError
 
         limit = 2**31 - 1
-        entry = PatternEntry(pattern=_pattern(2))
-        entry.add_index_block(0, np.array([[0, limit]], dtype=np.int64))
-        assert entry.index_matrix(0).dtype == np.int32
-        assert int(entry.index_matrix(0)[0, 1]) == limit
+        block = hpg_module._checked_rows(np.array([[0, limit]], dtype=np.int64))
+        assert block.dtype == np.int32
+        assert int(block[0, 1]) == limit
         with pytest.raises(RepresentationOverflowError):
-            entry.add_index_block(1, np.array([[0, limit + 1]], dtype=np.int64))
+            hpg_module._checked_rows(np.array([[0, limit + 1]], dtype=np.int64))
 
     def test_in_range_blocks_are_unaffected(self, monkeypatch):
-        import repro.core.hpg as hpg_module
-
         monkeypatch.setattr(hpg_module, "_INDEX_MAX", 100)
         entry = PatternEntry(pattern=_pattern(2))
         entry.add_index_row(0, (99, 100))
-        entry.add_index_block(1, np.array([[7, 8]], dtype=np.int64))
+        entry.add_index_row(1, (7, 8))
         assert entry.index_matrix(0).tolist() == [[99, 100]]
         assert entry.index_matrix(1).tolist() == [[7, 8]]
         assert entry.index_matrix(0).dtype == np.int32
@@ -314,12 +320,11 @@ class TestKernelChunking:
         assert list(_anchor_chunks(empty, empty, 10)) == []
 
     @pytest.mark.parametrize("tmax", [None, 60.0])
-    def test_tiny_chunk_budget_changes_nothing(self, tmax, monkeypatch):
+    def test_tiny_chunk_budget_changes_nothing(self, tmax):
         """A pathologically small mask budget forces many chunks in the
-        level-2 kernel and the level-k pass; results and counters must be
+        vectorized pass at every level; results and counters must be
         untouched — including on the ``tmax=None`` dense workload the budget
         exists for."""
-        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", 1)  # level-2 kernel everywhere
         database = random_database(31, n_sequences=6, n_series=2, max_instances=40)
         base = MiningConfig(
             min_support=0.3,
@@ -348,136 +353,77 @@ class TestKernelChunking:
         assert MiningConfig().kernel_chunk_bytes == 64 * 1024 * 1024
 
 
-def _levelk_calls(calls):
-    """The ``classify_pairs`` calls of the level-k pass (2-D endpoint blocks;
-    the level-2 kernel passes 1-D arrays)."""
-    return [args for args in calls if args[0].ndim == 2]
+class Pass(NamedTuple):
+    """One vectorized pass: its level, its queued parent rows and how many
+    ``classify_pairs`` calls it made."""
+
+    level: int
+    rows: int
+    kernel_calls: int
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """Every ``classify_pairs`` call the engine makes, in order."""
-    calls = []
+def passes(monkeypatch):
+    """Every pass of ``_ExtensionBatch._evaluate`` the engine runs, in order."""
+    log: list[Pass] = []
+    calls = [0]
     classify_pairs = engine_module.classify_pairs
+    evaluate = engine_module._ExtensionBatch._evaluate
 
     def counting_classify_pairs(*args):
-        calls.append(args)
+        calls[0] += 1
         return classify_pairs(*args)
 
+    def logging_evaluate(batch):
+        before = calls[0]
+        evaluate(batch)
+        log.append(Pass(batch.context.level, batch.rows, calls[0] - before))
+
     monkeypatch.setattr(engine_module, "classify_pairs", counting_classify_pairs)
-    return calls
-
-
-class TestKernelRouting:
-    """Level 2 routes each sequence batch by ``_KERNEL_MIN_PAIRS``; the
-    configs stop at level 2 so the routing is observable in isolation."""
-
-    CONFIG = MiningConfig(
-        min_support=0.25, min_confidence=0.25, min_overlap=1.0, max_pattern_size=2
-    )
-
-    @pytest.mark.parametrize("threshold", [1, 10**9])
-    def test_extreme_thresholds_mine_the_identical_output(
-        self, threshold, monkeypatch, kernel_calls
-    ):
-        """A threshold of 1 forces the kernel everywhere, 10**9 forces the
-        scalar loop everywhere; routing is a pure scheduling choice."""
-        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", threshold)
-        database = random_database(19, n_sequences=8)
-        forced = HTPGM(self.CONFIG).mine(database)
-        # The patched constant is read at call time: it really routed.
-        assert bool(kernel_calls) == (threshold == 1)
-        reference = HTPGM(self.CONFIG.with_vectorized(False)).mine(database)
-        assert mined_tuples(forced) == mined_tuples(reference)
-        assert (
-            forced.statistics.relation_checks
-            == reference.statistics.relation_checks
-        )
-
-    @pytest.mark.parametrize("pruning", list(PruningMode))
-    @pytest.mark.parametrize("allow_self", [True, False])
-    def test_forced_kernel_matches_forced_scalar_in_every_pruning_mode(
-        self, pruning, allow_self, monkeypatch, kernel_calls
-    ):
-        """Forced onto every level-2 batch, the kernel must agree with the
-        scalar loop in every pruning mode, counters included."""
-        database = random_database(19, n_sequences=8)
-        config = replace(
-            self.CONFIG, pruning=pruning, allow_self_relations=allow_self
-        )
-        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", 10**9)
-        scalar = HTPGM(config).mine(database)
-        assert not kernel_calls
-        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", 1)
-        kernel = HTPGM(config).mine(database)
-        assert kernel_calls
-        assert_parity(scalar, kernel)
-
-    @pytest.mark.parametrize("threshold", [1, 10**9])
-    def test_forced_routing_reaches_fork_workers(
-        self, threshold, monkeypatch, tmp_path
-    ):
-        """Fork pools start per batch, after the patch, so their workers
-        route the same way — and the pooled result equals the scalar one."""
-        log = tmp_path / "kernel-pids"
-        classify_pairs = engine_module.classify_pairs
-
-        def logging_classify_pairs(*args):
-            with log.open("a") as handle:
-                handle.write(f"{os.getpid()}\n")
-            return classify_pairs(*args)
-
-        monkeypatch.setattr(engine_module, "classify_pairs", logging_classify_pairs)
-        monkeypatch.setattr(engine_module, "_KERNEL_MIN_PAIRS", threshold)
-        database = random_database(19, n_sequences=8)
-        with ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, start_method="fork"
-        ) as backend:
-            pooled = HTPGM(self.CONFIG, backend=backend).mine(database)
-        pids = set(log.read_text().split()) if log.exists() else set()
-        assert bool(pids - {str(os.getpid())}) == (threshold == 1)
-        assert_parity(
-            HTPGM(self.CONFIG.with_vectorized(False)).mine(database), pooled
-        )
+    monkeypatch.setattr(engine_module._ExtensionBatch, "_evaluate", logging_evaluate)
+    return log
 
 
 class TestExtensionBatchBound:
-    """Level k queues whole candidates and evaluates them in passes of
+    """Every level queues whole candidates and evaluates them in passes of
     ``_EXTENSION_BATCH_ROWS`` rows.  A bound of 1 evaluates every candidate
-    alone, 10**9 the whole shard in one pass; both must build what the
-    scalar reference builds — result, store and both check counters."""
+    alone, 10**9 the whole shard in one pass per level; both must build what
+    the scalar reference builds — result, store and both check counters.
+    ``max_pattern_size=2`` cases watch level 2 on its own."""
 
     @staticmethod
-    def _assert_bound_parity(config, database, bound, monkeypatch, kernel_calls):
+    def _assert_bound_parity(config, database, bound, monkeypatch, passes):
         monkeypatch.setattr(engine_module, "_EXTENSION_BATCH_ROWS", bound)
         batched = MiningSession(config)
         batched_result = batched.mine(database)
+        per_level = Counter(step.level for step in passes)
         scalar = MiningSession(config.with_vectorized(False))
         scalar_result = scalar.mine(database)
+        assert sum(per_level.values()) == len(passes), "the scalar run made a pass"
         # Mined tuples and every work counter, both check counters included.
         assert_parity(scalar_result, batched_result)
         assert store_snapshot(batched.graph) == store_snapshot(scalar.graph)
-        # The bound really scheduled the passes: one pass per level-k level
-        # when unbounded (the default chunk budget keeps each pass one
-        # chunk), one per candidate with extensions when the bound is 1.
-        levels = [
-            level
-            for level in batched_result.statistics.relation_checks
-            if level >= 3
-        ]
-        assert levels, "the database must reach level 3"
-        passes = len(_levelk_calls(kernel_calls))
+        # The bound really scheduled the passes: one pass per level when
+        # unbounded (the default chunk budget keeps each pass one chunk),
+        # one per candidate with rows when the bound is 1.
+        assert 2 in per_level, "level 2 must run in passes"
+        if config.max_pattern_size == 2:
+            assert set(per_level) == {2}
+        else:
+            assert max(per_level) >= 3, "the database must reach level 3"
         if config.kernel_chunk_bytes is None or config.kernel_chunk_bytes > 1 << 20:
+            assert all(step.kernel_calls <= 1 for step in passes)
             if bound == 1:
-                assert passes > len(levels)
+                assert len(passes) > len(per_level)
             else:
-                assert passes == len(levels)
+                assert set(per_level.values()) == {1}
 
+    @pytest.mark.parametrize("max_size", [2, None])
     @pytest.mark.parametrize("bound", [1, 10**9])
     @pytest.mark.parametrize("pruning", list(PruningMode))
     @pytest.mark.parametrize("allow_self", [True, False])
     def test_every_pruning_mode(
-        self, bound, pruning, allow_self, monkeypatch, kernel_calls
+        self, bound, pruning, allow_self, max_size, monkeypatch, passes
     ):
         config = MiningConfig(
             min_support=0.25,
@@ -485,13 +431,14 @@ class TestExtensionBatchBound:
             min_overlap=1.0,
             pruning=pruning,
             allow_self_relations=allow_self,
+            max_pattern_size=max_size,
         )
         self._assert_bound_parity(
-            config, random_database(19, n_sequences=8), bound, monkeypatch, kernel_calls
+            config, random_database(19, n_sequences=8), bound, monkeypatch, passes
         )
 
     @pytest.mark.parametrize("bound", [1, 10**9])
-    def test_epsilon_min_overlap_and_tmax(self, bound, monkeypatch, kernel_calls):
+    def test_epsilon_min_overlap_and_tmax(self, bound, monkeypatch, passes):
         config = MiningConfig(
             min_support=0.25,
             min_confidence=0.25,
@@ -505,13 +452,14 @@ class TestExtensionBatchBound:
             random_database(1, n_sequences=12, max_instances=20),
             bound,
             monkeypatch,
-            kernel_calls,
+            passes,
         )
 
+    @pytest.mark.parametrize("max_size", [2, 4])
     @pytest.mark.parametrize("shifted", [False, True])
     @pytest.mark.parametrize("tmax", [None, 4.0, 7.0])
     def test_tied_endpoints_and_tmax_boundaries(
-        self, tmax, shifted, monkeypatch, kernel_calls
+        self, tmax, shifted, max_size, monkeypatch, passes
     ):
         """Integer endpoints in a narrow range tie starts, ends and whole
         intervals across events (point events included) and put many pairs
@@ -537,24 +485,52 @@ class TestExtensionBatchBound:
             epsilon=1.0,
             min_overlap=1.0,
             tmax=tmax,
-            max_pattern_size=4,
+            max_pattern_size=max_size,
         )
         self._assert_bound_parity(
-            config, SequenceDatabase(sequences), 10**9, monkeypatch, kernel_calls
+            config, SequenceDatabase(sequences), 10**9, monkeypatch, passes
         )
 
+    @pytest.mark.parametrize("max_size", [2, None])
     @pytest.mark.parametrize("bound", [1, 10**9])
-    def test_tiny_kernel_chunks(self, bound, monkeypatch, kernel_calls):
+    def test_tiny_kernel_chunks(self, bound, max_size, monkeypatch, passes):
         """A 64-byte chunk budget cuts every pass into one-row chunks."""
         config = MiningConfig(
             min_support=0.25,
             min_confidence=0.25,
             min_overlap=1.0,
             kernel_chunk_bytes=64,
+            max_pattern_size=max_size,
         )
         self._assert_bound_parity(
-            config, random_database(19, n_sequences=8), bound, monkeypatch, kernel_calls
+            config, random_database(19, n_sequences=8), bound, monkeypatch, passes
         )
+
+    def test_level_2_passes_run_inside_fork_workers(self, monkeypatch, tmp_path):
+        """Fork pools start per batch, after the patch, so level-2 passes
+        run (and are logged) in the workers — and the pooled result equals
+        the scalar one."""
+        log = tmp_path / "passes"
+        evaluate = engine_module._ExtensionBatch._evaluate
+
+        def logging_evaluate(batch):
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()} {batch.context.level}\n")
+            evaluate(batch)
+
+        monkeypatch.setattr(engine_module._ExtensionBatch, "_evaluate", logging_evaluate)
+        config = MiningConfig(
+            min_support=0.25, min_confidence=0.25, min_overlap=1.0, max_pattern_size=2
+        )
+        database = random_database(19, n_sequences=8)
+        with ProcessPoolBackend(
+            n_workers=2, min_candidates_per_worker=1, start_method="fork"
+        ) as backend:
+            pooled = HTPGM(config, backend=backend).mine(database)
+        logged = [line.split() for line in log.read_text().splitlines()]
+        assert {level for _, level in logged} == {"2"}
+        assert {pid for pid, _ in logged} - {str(os.getpid())}
+        assert_parity(HTPGM(config.with_vectorized(False)).mine(database), pooled)
 
 
 class TestInstanceTable:
@@ -579,27 +555,25 @@ class TestInstanceTable:
         assert len(built) == len(levels)
 
 
+def _short_passes_per_level(passes) -> Counter:
+    """Passes that hold fewer rows than the bound, per level: only a level's
+    (or a shard's) last pass may, so the passes are not one per candidate."""
+    bound = engine_module._EXTENSION_BATCH_ROWS
+    return Counter(step.level for step in passes if step.rows < bound)
+
+
 class TestLevelKBatching:
     """Guard against the level-k work drifting back to per-(entry, sequence)
     scalar calls: on a dataport stand-in every level-k classification goes
     through the batched pass, in at most one ``classify_pairs`` call per
     row-bounded pass."""
 
-    def test_dataport_level_k_runs_in_row_bounded_passes(
-        self, monkeypatch, kernel_calls
-    ):
+    def test_dataport_level_k_runs_in_row_bounded_passes(self, monkeypatch, passes):
         _, database = make_dataset(
             "dataport", scale=0.01, attribute_fraction=0.5, seed=103
         ).transform()
         config = MiningConfig(
             min_support=0.45, min_confidence=0.45, epsilon=0.0, min_overlap=1.0
-        )
-        passes = []
-        evaluate = engine_module._ExtensionBatch._evaluate
-        monkeypatch.setattr(
-            engine_module._ExtensionBatch,
-            "_evaluate",
-            lambda batch: (passes.append(batch.rows), evaluate(batch))[1],
         )
         scalar_calls = []
         extend = engine_module._extend_sequence_scalar
@@ -612,15 +586,50 @@ class TestLevelKBatching:
         levelk = lambda counter: {k: v for k, v in counter.items() if k >= 3}
         levels = levelk(batched.statistics.relation_checks)
         assert len(levels) >= 3
-        levelk_calls = _levelk_calls(kernel_calls)
-        assert levelk_calls and not scalar_calls
-        assert len(levelk_calls) <= len(passes)
-        # Row-bounded: only a level's last pass may hold fewer rows than the
-        # bound, so the passes are not one per candidate or per entry.
-        bound = engine_module._EXTENSION_BATCH_ROWS
-        evaluated_levels = levelk(batched.statistics.candidates_generated)
-        assert sum(rows < bound for rows in passes) <= len(evaluated_levels)
+        levelk_passes = [step for step in passes if step.level >= 3]
+        assert levelk_passes and not scalar_calls
+        assert sum(step.kernel_calls for step in levelk_passes) <= len(levelk_passes)
+        assert set(_short_passes_per_level(levelk_passes).values()) <= {1}
         reference = HTPGM(config.with_vectorized(False)).mine(database)
         assert scalar_calls
         assert levels == levelk(reference.statistics.relation_checks)
         assert mined_tuples(batched) == mined_tuples(reference)
+
+
+class TestLevel2Batching:
+    """The level-2 twin of :class:`TestLevelKBatching`: on a smart-city
+    stand-in with ``tmax``, ε and d_o set, vectorized level 2 never calls the
+    scalar pair evaluation and runs in row-bounded passes that rebuild the
+    scalar run's counters and store."""
+
+    def test_smartcity_level_2_runs_in_row_bounded_passes(self, monkeypatch, passes):
+        _, database = make_dataset(
+            "smartcity", scale=0.03, attribute_fraction=0.5, seed=104
+        ).transform()
+        config = MiningConfig(
+            min_support=0.4,
+            min_confidence=0.4,
+            epsilon=1.0,
+            min_overlap=30.0,
+            tmax=720.0,
+            max_pattern_size=2,
+        )
+        pair_calls = []
+        evaluate_pair = engine_module._evaluate_pair
+        monkeypatch.setattr(
+            engine_module,
+            "_evaluate_pair",
+            lambda *args: (pair_calls.append(1), evaluate_pair(*args))[1],
+        )
+        batched = MiningSession(config)
+        batched_result = batched.mine(database)
+        assert not pair_calls
+        assert {step.level for step in passes} == {2} and len(passes) > 1
+        assert set(_short_passes_per_level(passes).values()) <= {1}
+        scalar = MiningSession(config.with_vectorized(False))
+        scalar_result = scalar.mine(database)
+        assert pair_calls
+        checks = batched_result.statistics.relation_checks
+        assert checks[2] == scalar_result.statistics.relation_checks[2] > 0
+        assert store_snapshot(batched.graph) == store_snapshot(scalar.graph)
+        assert mined_tuples(batched_result) == mined_tuples(scalar_result)

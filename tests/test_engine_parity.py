@@ -217,28 +217,32 @@ class TestVectorizedScalarParity:
         scalar = HTPGM(config.with_vectorized(False)).mine(database)
         assert_parity(scalar, vectorized)
 
-    def test_dense_batches_cross_the_kernel_threshold(self):
-        """A dense database whose sequence batches actually hit the kernel
-        (the small parity databases may stay under the hybrid-dispatch
-        threshold and run scalar either way)."""
+    def test_dense_level_2_runs_in_row_bounded_passes(self, monkeypatch):
+        """A dense database's level 2 goes through the vectorized pass in
+        passes of at least the row bound (a level's last pass excepted),
+        many candidates per pass, and still matches the scalar loop."""
+        import repro.core.engine as engine_module
+
         database = random_database(seed=31, n_sequences=6, n_series=2, max_instances=80)
         config = MiningConfig(
             min_support=0.3, min_confidence=0.3, min_overlap=1.0, tmax=50.0
         )
+        bound = 512
+        monkeypatch.setattr(engine_module, "_EXTENSION_BATCH_ROWS", bound)
+        passes = []
+        evaluate = engine_module._ExtensionBatch._evaluate
+
+        def logging_evaluate(batch):
+            passes.append((batch.context.level, batch.rows))
+            evaluate(batch)
+
+        monkeypatch.setattr(engine_module._ExtensionBatch, "_evaluate", logging_evaluate)
         vectorized = HTPGM(config).mine(database)
+        level2 = [rows for level, rows in passes if level == 2]
+        assert 1 < len(level2) < vectorized.statistics.candidates_generated[2]
+        assert all(rows >= bound for rows in level2[:-1])
         scalar = HTPGM(config.with_vectorized(False)).mine(database)
         assert_parity(scalar, vectorized)
-        # Sanity: the workload is dense enough that the kernel routing fired.
-        from repro.core.engine import _KERNEL_MIN_PAIRS
-
-        pair_sizes = [
-            len(sequence.instances_of(event_a)) * len(sequence.instances_of(event_b))
-            for sequence in database
-            for event_a in sequence.event_keys()
-            for event_b in sequence.event_keys()
-            if event_a < event_b
-        ]
-        assert max(pair_sizes) >= _KERNEL_MIN_PAIRS
 
     def test_vectorized_process_engine_matches_scalar_serial(self, process_backend):
         database = random_database(seed=37, n_sequences=10)

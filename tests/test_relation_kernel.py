@@ -6,7 +6,7 @@ priority); :func:`repro.core.relation_kernel.classify_pairs` must agree with
 it bit for bit on every ordered interval pair.  These tests fuzz that
 equivalence over ~10k random pairs — drawn from a coarse grid so boundary-equal
 endpoints occur constantly — across epsilon/min_overlap settings, plus
-directed edge cases, empty batches and the ``searchsorted`` window helpers.
+directed edge cases, empty batches and the window expansion helper.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.core.relation_kernel import (
     FOLLOW_CODE,
     NO_RELATION_CODE,
     OVERLAP_CODE,
-    candidate_windows,
     classify_pairs,
     expand_windows,
 )
@@ -180,34 +179,6 @@ class TestBoundaryCases:
 
 
 class TestWindows:
-    def test_windows_cover_exactly_the_feasible_start_gap(self):
-        starts = np.array([0.0, 1.0, 4.0, 4.0, 9.0, 15.0])
-        lo, hi = candidate_windows(starts, np.array([4.0]), tmax=5.0)
-        # Feasible partners have starts within [-1, 9]: indices 0..4.
-        assert (lo[0], hi[0]) == (0, 5)
-
-    def test_windows_without_tmax_span_everything(self):
-        starts = np.array([0.0, 2.0, 8.0])
-        lo, hi = candidate_windows(starts, np.array([2.0, 8.0]), tmax=None)
-        assert lo.tolist() == [0, 0]
-        assert hi.tolist() == [3, 3]
-
-    def test_window_prefilter_never_drops_a_tmax_survivor(self):
-        """Fuzz: every pair passing the exact tmax check lies inside the window."""
-        rng = random.Random(5)
-        starts = np.sort(np.array([rng.uniform(0, 100) for _ in range(80)]))
-        ends = starts + np.array([rng.uniform(0, 30) for _ in range(80)])
-        anchors_start = np.sort(np.array([rng.uniform(0, 100) for _ in range(40)]))
-        anchors_end = anchors_start + np.array([rng.uniform(0, 30) for _ in range(40)])
-        tmax = 20.0
-        lo, hi = candidate_windows(starts, anchors_start, tmax)
-        for a in range(len(anchors_start)):
-            for b in range(len(starts)):
-                first_start = min(anchors_start[a], starts[b])
-                second_end = max(anchors_end[a], ends[b])
-                if second_end - first_start <= tmax:
-                    assert lo[a] <= b < hi[a], (a, b)
-
     def test_expand_windows_enumeration_order(self):
         left, right = expand_windows(np.array([1, 0, 3]), np.array([3, 0, 5]))
         assert left.tolist() == [0, 0, 2, 2]

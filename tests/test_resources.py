@@ -4,13 +4,12 @@ The memory governor (:mod:`repro.core.resources`) promises that a run under
 ``MiningConfig(memory_budget_bytes=...)`` mines the byte-identical pattern
 set and occurrence-store snapshot of an unbudgeted run, whatever memory
 pressure does along the way: budget-aware shard planning, worker watchdog
-aborts, recursive shard splitting, kernel-chunk shrinking, forced
-summarisation and the in-process floor are all output-preserving.  These
-tests drive every one of those paths deterministically — the ``oom`` and
-``membudget`` fault kinds stand in for real memory exhaustion — across
-fork × spawn start methods, plus the unit arithmetic (byte-size parsing,
-shares, watchdog throttling, governor planning), the CLI flag guards, and
-the checkpoint interplay.
+aborts, recursive shard splitting, kernel-chunk shrinking and the in-process
+floor are all output-preserving.  These tests drive every one of those paths
+deterministically — the ``oom`` and ``membudget`` fault kinds stand in for
+real memory exhaustion — across fork × spawn start methods, plus the unit
+arithmetic (byte-size parsing, shares, watchdog throttling, governor
+planning), the CLI flag guards, and the checkpoint interplay.
 """
 
 from __future__ import annotations
@@ -246,35 +245,32 @@ class TestGovernorPlanning:
             backend.close()
 
 
-class TestLevelKBytesPerPair:
-    """One formula prices a level-k extension pair, for the batched pass's
-    chunking and for the governor's shard planning alike."""
+class TestBytesPerPair:
+    """One formula prices a pair of the vectorized pass at every level, for
+    the pass's chunking and for the governor's shard planning alike."""
 
-    @pytest.mark.parametrize("level", [3, 4, 6])
-    def test_governor_prices_level_k_with_the_pass_formula(self, level):
+    @pytest.mark.parametrize("level", [2, 3, 4, 6])
+    def test_governor_prices_every_level_with_the_pass_formula(self, level):
         backend = ProcessPoolBackend(n_workers=2, memory_budget=BUDGET)
-        assert backend._bytes_per_cost(level) == engine._levelk_bytes_per_pair(level)
+        assert backend._bytes_per_cost(level) == engine._bytes_per_pair(level)
 
     def test_formula_grows_with_the_parent_arity(self):
-        step = engine._levelk_bytes_per_pair(4) - engine._levelk_bytes_per_pair(3)
+        step = engine._bytes_per_pair(3) - engine._bytes_per_pair(2)
         assert step > 0
-        assert (
-            engine._levelk_bytes_per_pair(6) - engine._levelk_bytes_per_pair(3)
-            == 3 * step
-        )
+        assert engine._bytes_per_pair(6) - engine._bytes_per_pair(2) == 4 * step
 
     def test_pass_chunks_with_the_formula(self, monkeypatch):
         levels = []
-        formula = engine._levelk_bytes_per_pair
+        formula = engine._bytes_per_pair
 
         def recording(level):
             levels.append(level)
             return formula(level)
 
-        monkeypatch.setattr(engine, "_levelk_bytes_per_pair", recording)
+        monkeypatch.setattr(engine, "_bytes_per_pair", recording)
         database = random_database(seed=17, n_sequences=10, max_instances=9)
         MiningSession(CONFIG).mine(database, backend=SerialBackend())
-        assert levels and min(levels) == 3
+        assert {2, 3} <= set(levels)
 
 
 class TestContextEstimation:
@@ -311,6 +307,31 @@ class TestContextEstimation:
         assert resources.estimate_context_bytes(context) == arrays + 2 * matrices
         context.config = CONFIG.with_vectorized(False)
         assert resources.estimate_context_bytes(context) == arrays + matrices
+
+    def test_vectorized_level_2_prices_the_event_row_stacks(self):
+        """At level 2 the vectorized pass stacks every event's instance list
+        positions; the estimate prices exactly the stacks it builds."""
+        session = MiningSession(CONFIG)
+        session.mine(random_database(seed=23, n_sequences=10, max_instances=14))
+        graph = session.graph
+        context = LevelContext(
+            level=2, config=CONFIG, min_count=1, level1=graph.level1
+        )
+        table = context.instances
+        arrays = sum(
+            getattr(table, name).nbytes
+            for name in ("starts", "ends", "offset", "count", "allowed", "has_pair")
+        )
+        batch = engine._ExtensionBatch(context, None, [])
+        stacks = sum(
+            batch._event_rows(event).index_rows.nbytes
+            + batch._event_rows(event).runs.nbytes
+            for event in graph.level1
+        )
+        assert stacks > 0
+        assert resources.estimate_context_bytes(context) == arrays + stacks
+        context.config = CONFIG.with_vectorized(False)
+        assert resources.estimate_context_bytes(context) == arrays
 
     def test_estimate_never_raises_on_opaque_payloads(self):
         class Opaque:
@@ -489,8 +510,7 @@ class TestGovernorFaultMatrix:
     def test_recursive_splitting_terminates_at_floor(self, baseline):
         database, _serial_session, _serial_result = baseline
         # An inexhaustible fault drives every piece to the one-candidate
-        # floor, through the chunk-shrink and (disallowed here) summarise
-        # steps, into the in-process fallback — where the still-armed plan
+        # floor, through the chunk-shrink steps, into the in-process fallback — where the still-armed plan
         # proves even that is over budget and the run must fail *cleanly*.
         plan = FaultPlan.parse("membudget:level=2,times=999")
         backend = ProcessPoolBackend(
@@ -537,12 +557,12 @@ class TestGovernorFaultMatrix:
         )
         assert result.statistics.shard_splits.get(2, 0) >= 1
 
-    def test_degradation_can_force_summaries_when_legal(self, baseline):
+    def test_throwaway_session_level_3_degradation(self, baseline):
         database, _serial_session, serial_result = baseline
-        # A throwaway session at level >= 3 with transitivity pruning marks
-        # summarisation legal; at the one-candidate floor the chain flips it
-        # on (after the chunk cap bottoms out) without changing the output.
-        plan = FaultPlan.parse("membudget:level=3,times=8")
+        # A throwaway session's level 3 (dead ends summarised by the workers)
+        # recovers by splitting shard 0 down to single candidates, then
+        # halving the kernel chunk cap, without changing the output.
+        plan = FaultPlan.parse("membudget:level=3,shard=0,times=8")
         backend = ProcessPoolBackend(
             n_workers=2,
             min_candidates_per_worker=1,
@@ -556,6 +576,10 @@ class TestGovernorFaultMatrix:
         finally:
             backend.close()
         assert mined_tuples(result) == mined_tuples(serial_result)
+        assert any("split into pieces of 1 and 1" in w for w in backend.warnings)
+        assert any("kernel chunk cap shrunk" in w for w in backend.warnings)
+        assert not any("in-process" in w for w in backend.warnings)
+        assert result.statistics.shard_splits == {3: 8}
 
     def test_shared_context_mutations_stay_output_preserving(self, baseline):
         database, serial_session, serial_result = baseline
