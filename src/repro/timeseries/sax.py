@@ -138,38 +138,39 @@ class SAXSymbolizer(Symbolizer):
         self._breakpoints = gaussian_breakpoints(self.alphabet_size)
         return self
 
-    def symbol_for(self, value: float) -> str:
-        """Map one (already aggregated) value to a symbol."""
+    def codes_for(self, values: np.ndarray) -> np.ndarray:
+        """Map (already aggregated) values to symbol indices."""
         if not self._breakpoints:
-            raise SymbolizationError("SAXSymbolizer.symbol_for called before fit()")
-        z = (value - self._mean) / self._std
-        index = int(np.searchsorted(self._breakpoints, z, side="right"))
-        return self.symbols[index]
+            raise SymbolizationError(
+                "SAXSymbolizer used before fit(); call fit() or fit_transform() first"
+            )
+        z = (np.asarray(values, dtype=float) - self._mean) / self._std
+        return np.searchsorted(self._breakpoints, z, side="right")
 
     def transform(self, series: TimeSeries) -> SymbolicSeries:
-        """PAA-aggregate the series and symbolise each frame."""
-        if not self._breakpoints:
-            raise SymbolizationError("SAXSymbolizer.transform called before fit()")
-        start, end = series.start_time, series.end_time
-        frame_starts = np.arange(start, end + 1e-9, self.frame_duration)
-        symbols = []
-        kept_starts = []
-        for frame_start in frame_starts:
-            frame_end = frame_start + self.frame_duration
-            mask = (series.timestamps >= frame_start) & (series.timestamps < frame_end)
-            if not np.any(mask):
-                continue
-            frame_mean = float(np.mean(series.values[mask]))
-            symbols.append(self.symbol_for(frame_mean))
-            kept_starts.append(float(frame_start))
-        if not symbols:
+        """PAA-aggregate the series and symbolise each frame.
+
+        Timestamps are strictly increasing, so every frame ``[start, start +
+        frame_duration)`` is one contiguous slice found by binary search; empty
+        frames are skipped.
+        """
+        timestamps = series.timestamps
+        frame_starts = np.arange(series.start_time, series.end_time + 1e-9, self.frame_duration)
+        lo = np.searchsorted(timestamps, frame_starts, side="left")
+        hi = np.searchsorted(timestamps, frame_starts + self.frame_duration, side="left")
+        kept = np.flatnonzero(hi > lo)
+        if len(kept) == 0:
             raise SymbolizationError(
                 f"series {series.name!r} produced no PAA frames; "
                 "frame_duration is probably larger than the series span"
             )
+        means = np.array(
+            [np.mean(series.values[lo[k]:hi[k]]) for k in kept.tolist()], dtype=float
+        )
+        alphabet = self.alphabet
         return SymbolicSeries(
             name=series.name,
-            timestamps=np.asarray(kept_starts),
-            symbols=symbols,
-            alphabet=self.alphabet,
+            timestamps=frame_starts[kept],
+            symbols=[alphabet[code] for code in self.codes_for(means).tolist()],
+            alphabet=alphabet,
         )

@@ -10,6 +10,7 @@ pattern with duration at most ``tmax`` survives in at least one window.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from ..exceptions import ConfigurationError, DataError
@@ -67,6 +68,10 @@ def split_into_sequences(
     of every interval that intersects it, clipped to the window boundaries.  An
     event instance is added to a window only when its clipped duration is
     positive, so zero-length slivers at window boundaries are not created.
+
+    A series' intervals are consecutive runs, so their starts and their ends
+    are both sorted, and each window binary-searches the slice of intervals
+    that can meet it instead of scanning them all.
     """
     if len(symbolic_db) == 0:
         raise DataError("cannot split an empty SymbolicDatabase")
@@ -80,21 +85,43 @@ def split_into_sequences(
         cursor = start
         while cursor < end:
             window_starts.append(cursor)
-            cursor += config.stride
+            following = cursor + config.stride
+            if following <= cursor:
+                raise ConfigurationError(
+                    f"window_length={config.window_length} with overlap={config.overlap} "
+                    f"gives a stride of {config.stride}, which no longer advances the "
+                    f"window start at timestamp {cursor}: it is below the floating-point "
+                    "spacing there; use a smaller overlap"
+                )
+            cursor = following
 
-    # Pre-compute intervals once per series (they are reused by every window).
-    intervals_by_series = {
-        series.name: series.to_intervals() for series in symbolic_db
-    }
+    # Intervals once per series, without the dropped symbols (reused by every window).
+    kept_intervals = []
+    for series in symbolic_db:
+        intervals = [
+            interval
+            for interval in series.to_intervals()
+            if interval.symbol not in config.drop_symbols
+        ]
+        kept_intervals.append(
+            (
+                series.name,
+                intervals,
+                [interval.start for interval in intervals],
+                [interval.end for interval in intervals],
+            )
+        )
 
     sequences = []
     for seq_id, window_start in enumerate(window_starts):
         window_end = window_start + config.window_length
         instances = []
-        for name, intervals in intervals_by_series.items():
-            for interval in intervals:
-                if interval.symbol in config.drop_symbols:
-                    continue
+        for name, intervals, starts, ends in kept_intervals:
+            # Only intervals ending after the window start and starting before
+            # the window end can have a positive clipped duration.
+            first = bisect_right(ends, window_start)
+            stop = bisect_left(starts, window_end, first)
+            for interval in intervals[first:stop]:
                 clipped_start = max(interval.start, window_start)
                 clipped_end = min(interval.end, window_end)
                 if clipped_end > clipped_start:

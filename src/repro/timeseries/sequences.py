@@ -17,6 +17,7 @@ import math
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..exceptions import DataError
 
@@ -76,6 +77,11 @@ class EventInstance:
         return f"({self.series}:{self.symbol}, [{self.start:g}, {self.end:g}])"
 
 
+#: Sort key giving :class:`EventInstance`'s dataclass order as a plain tuple,
+#: so sorting compares tuples in C instead of calling the generated ``__lt__``.
+_CHRONOLOGICAL = attrgetter("start", "end", "series", "symbol")
+
+
 @dataclass
 class TemporalSequence:
     """A chronologically ordered list of event instances (Def. 3.9).
@@ -89,7 +95,7 @@ class TemporalSequence:
     instances: list[EventInstance] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.instances = sorted(set(self.instances))
+        self.instances = sorted(set(self.instances), key=_CHRONOLOGICAL)
 
     # ------------------------------------------------------------------ basics
     def __len__(self) -> int:
@@ -129,7 +135,7 @@ class TemporalSequence:
         if instance in self.instances:
             return
         self.instances.append(instance)
-        self.instances.sort()
+        self.instances.sort(key=_CHRONOLOGICAL)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"TemporalSequence(id={self.sequence_id}, n_instances={len(self.instances)})"

@@ -117,7 +117,7 @@ class SymbolicSeries:
         if cached is None or len(cached) != len(self.symbols):
             index = {symbol: position for position, symbol in enumerate(self.alphabet)}
             cached = np.fromiter(
-                (index[symbol] for symbol in self.symbols), dtype=np.int64, count=len(self.symbols)
+                map(index.__getitem__, self.symbols), dtype=np.int64, count=len(self.symbols)
             )
             self._codes = cached
         return cached
@@ -144,18 +144,17 @@ class SymbolicSeries:
         it has a non-zero duration even when it covers a single time step.
         """
         step = self.sampling_interval or 1.0
-        intervals: list[SymbolInterval] = []
-        run_symbol = self.symbols[0]
-        run_start = float(self.timestamps[0])
-        for ts, symbol in zip(self.timestamps[1:].tolist(), self.symbols[1:]):
-            if symbol != run_symbol:
-                intervals.append(SymbolInterval(run_symbol, run_start, ts))
-                run_symbol = symbol
-                run_start = ts
-        intervals.append(
-            SymbolInterval(run_symbol, run_start, float(self.timestamps[-1]) + step)
-        )
-        return intervals
+        codes = self.codes()
+        # Index of the first sample of every run after the first one.
+        boundaries = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+        starts = [0, *boundaries.tolist()]
+        start_times = self.timestamps[starts].tolist()
+        end_times = self.timestamps[boundaries].tolist()
+        end_times.append(float(self.timestamps[-1]) + step)
+        return [
+            SymbolInterval(self.symbols[first], start, end)
+            for first, start, end in zip(starts, start_times, end_times)
+        ]
 
     def slice_time(self, start: float, end: float) -> "SymbolicSeries":
         """Sub-series with timestamps in ``[start, end)``."""

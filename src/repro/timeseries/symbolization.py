@@ -36,7 +36,15 @@ __all__ = [
 
 
 class Symbolizer(ABC):
-    """Mapping function from raw values to a finite symbol alphabet."""
+    """Mapping function from raw values to a finite symbol alphabet.
+
+    A symboliser is defined by two members: :attr:`alphabet` and
+    :meth:`codes_for`, which maps a whole array of raw values to indices into
+    that alphabet.  A custom symboliser implements exactly these two (plus
+    :meth:`fit` when it has data-dependent parameters); :meth:`symbol_for` and
+    :meth:`transform` are derived from :meth:`codes_for`, so the scalar and the
+    whole-series mapping cannot drift apart.
+    """
 
     @property
     @abstractmethod
@@ -44,8 +52,12 @@ class Symbolizer(ABC):
         """The permitted symbols, in a stable order."""
 
     @abstractmethod
+    def codes_for(self, values: np.ndarray) -> np.ndarray:
+        """Map an array of raw values to integer indices into :attr:`alphabet`."""
+
     def symbol_for(self, value: float) -> str:
         """Map one raw value to a symbol."""
+        return self.alphabet[int(self.codes_for(np.array([value], dtype=float))[0])]
 
     def fit(self, series: TimeSeries) -> "Symbolizer":
         """Adapt data-dependent parameters to ``series``.
@@ -57,12 +69,13 @@ class Symbolizer(ABC):
 
     def transform(self, series: TimeSeries) -> SymbolicSeries:
         """Symbolise a whole series, preserving timestamps."""
-        symbols = [self.symbol_for(v) for v in series.values.tolist()]
+        alphabet = self.alphabet
+        codes = self.codes_for(series.values)
         return SymbolicSeries(
             name=series.name,
             timestamps=series.timestamps.copy(),
-            symbols=symbols,
-            alphabet=self.alphabet,
+            symbols=[alphabet[code] for code in codes.tolist()],
+            alphabet=alphabet,
         )
 
     def fit_transform(self, series: TimeSeries) -> SymbolicSeries:
@@ -91,8 +104,8 @@ class ThresholdSymbolizer(Symbolizer):
     def alphabet(self) -> tuple[str, ...]:
         return (self.off_symbol, self.on_symbol)
 
-    def symbol_for(self, value: float) -> str:
-        return self.on_symbol if value >= self.threshold else self.off_symbol
+    def codes_for(self, values: np.ndarray) -> np.ndarray:
+        return (np.asarray(values, dtype=float) >= self.threshold).astype(np.intp)
 
 
 @dataclass
@@ -138,14 +151,13 @@ class QuantileSymbolizer(Symbolizer):
         self._cuts = [series.percentile(p) for p in percentiles]
         return self
 
-    def symbol_for(self, value: float) -> str:
+    def codes_for(self, values: np.ndarray) -> np.ndarray:
         if not self._cuts:
             raise SymbolizationError(
-                "QuantileSymbolizer.symbol_for called before fit(); "
+                "QuantileSymbolizer used before fit(); "
                 "call fit() or fit_transform() first"
             )
-        idx = int(np.searchsorted(self._cuts, value, side="right"))
-        return self.labels[idx]
+        return np.searchsorted(self._cuts, np.asarray(values, dtype=float), side="right")
 
 
 @dataclass
@@ -176,11 +188,16 @@ class MappingSymbolizer(Symbolizer):
     def alphabet(self) -> tuple[str, ...]:
         return tuple(self.intervals.keys())
 
-    def symbol_for(self, value: float) -> str:
-        for symbol, (lo, hi) in self.intervals.items():
-            if lo <= value < hi:
-                return symbol
-        raise SymbolizationError(f"value {value} falls outside every mapped interval")
+    def codes_for(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        codes = np.full(len(values), -1, dtype=np.intp)
+        for position, (lo, hi) in enumerate(self.intervals.values()):
+            codes[(codes < 0) & (lo <= values) & (values < hi)] = position
+        unmapped = np.flatnonzero(codes < 0)
+        if len(unmapped):
+            value = float(values[unmapped[0]])
+            raise SymbolizationError(f"value {value} falls outside every mapped interval")
+        return codes
 
 
 @dataclass
@@ -213,11 +230,11 @@ class UniformBinSymbolizer(Symbolizer):
         self._edges = [lo + (hi - lo) * i / n for i in range(1, n)]
         return self
 
-    def symbol_for(self, value: float) -> str:
+    def codes_for(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
         if not self._edges:
-            return self.labels[0]
-        idx = int(np.searchsorted(self._edges, value, side="right"))
-        return self.labels[idx]
+            return np.zeros(len(values), dtype=np.intp)
+        return np.searchsorted(self._edges, values, side="right")
 
 
 def symbolize_set(

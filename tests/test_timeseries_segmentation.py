@@ -102,3 +102,19 @@ class TestSplitIntoSequences:
         ids = [seq.sequence_id for seq in seq_db]
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
+
+    def test_stride_below_float_spacing_is_rejected(self):
+        # Epoch-millisecond timestamps are spaced 2.4e-4 apart near 1.7e12,
+        # so a 1e-4 stride leaves the window start where it is; the split
+        # must refuse instead of appending that start until memory runs out.
+        timestamps = 1.7e12 + 60000.0 * np.arange(3)
+        db = SymbolicDatabase(
+            [SymbolicSeries("K", timestamps, ["On", "Off", "On"], ("Off", "On"))]
+        )
+        config = SplitConfig(window_length=60000.0, overlap=60000.0 - 1e-4)
+        with pytest.raises(ConfigurationError) as error:
+            split_into_sequences(db, config)
+        message = str(error.value)
+        assert "window_length=60000.0" in message
+        assert f"overlap={60000.0 - 1e-4}" in message
+        assert f"timestamp {1.7e12}" in message
