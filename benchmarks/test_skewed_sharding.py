@@ -11,8 +11,8 @@ same contiguous shard.  The level then waits on that one overloaded worker.
 This benchmark builds a synthetic database whose per-event instance counts
 follow a Zipf profile, mines it with the process engine twice — once with the
 default cost-balanced (greedy LPT over the miner's per-candidate estimates)
-sharding and once with ``cost_balanced=False`` (contiguous equal-count
-shards) — and asserts the cost-balanced run is at least 1.2x faster on hosts
+sharding and once with :class:`ContiguousShardBackend` (contiguous
+equal-count shards, no estimates) — and asserts the cost-balanced run is at least 1.2x faster on hosts
 with enough CPUs.  Pattern-set parity between the two shardings (and serial)
 is asserted unconditionally; like the speedup benchmark, a heavily loaded
 runner gets one retry and then skips instead of failing.
@@ -25,7 +25,7 @@ import random
 import pytest
 
 from repro import HTPGM, MiningConfig, ProcessPoolBackend, SerialBackend
-from repro.core.engine import available_workers
+from repro.core.engine import _split_contiguous_indices, available_workers
 from repro.evaluation import format_table
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
@@ -46,6 +46,16 @@ CONFIG = MiningConfig(
     max_pattern_size=2,
     allow_self_relations=False,
 )
+
+
+class ContiguousShardBackend(ProcessPoolBackend):
+    """The count-balanced baseline: the miner estimates no costs and every
+    batch splits into contiguous equal-count shards."""
+
+    wants_costs = False
+
+    def _shard_indices(self, n_shards, costs, n_items):
+        return _split_contiguous_indices(n_items, n_shards)
 
 
 def zipf_skewed_database(
@@ -101,9 +111,7 @@ def test_cost_balanced_sharding_beats_count_balanced_on_skew(benchmark):
             cost_seconds, cost_result = best_of(
                 2, lambda: mine_with(cost_backend)
             )
-        with ProcessPoolBackend(
-            n_workers=N_WORKERS, cost_balanced=False
-        ) as count_backend:
+        with ContiguousShardBackend(n_workers=N_WORKERS) as count_backend:
             count_seconds, count_result = best_of(
                 2, lambda: mine_with(count_backend)
             )

@@ -208,12 +208,14 @@ class MiningConfig:
         retried shards are idempotent, so the mined pattern set is identical
         whether or not anything was retried.  Ignored by the serial engine.
     checkpoint_path:
-        When set, an appendable :class:`~repro.core.session.MiningSession`
-        atomically snapshots its state to this file after every completed
-        mining level, so an interrupted run can be resumed at the last
-        finished level (:meth:`~repro.core.session.MiningSession.resume`)
-        with identical final results.  ``None`` (the default) disables
-        checkpointing.  Requires a session with retained occurrences.
+        When set, a :class:`~repro.core.session.MiningSession` (also the one
+        :class:`~repro.core.htpgm.HTPGM` runs) atomically snapshots its state
+        to this file after every completed mining level, so an interrupted
+        run can be resumed at the last finished level
+        (:meth:`~repro.core.session.MiningSession.resume`) with identical
+        final results.  An interrupted checkpoint must be resumed before it
+        can be appended to.  ``None`` (the default) disables checkpointing.
+        Sessions carrying A-HTPGM's event/pair filters cannot checkpoint.
     """
 
     min_support: float = 0.5

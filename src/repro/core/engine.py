@@ -24,7 +24,7 @@ functions over a picklable :class:`LevelContext`, and puts an
     ``start_method``) a persistent pool receives the context pickled with
     each shard.
 
-Three throughput features live in the process backend:
+Two throughput features live in the process backend:
 
 *Cost-balanced sharding.*  The miner estimates every candidate's evaluation
 cost during candidate generation (level 2: instance-pair counts over shared
@@ -35,23 +35,7 @@ by candidate index), each shard is re-sorted into ascending candidate order,
 and the merge applies the inverse permutation — so the merged node order, and
 therefore the mined pattern set and the golden fixtures, is byte-identical to
 a serial run while skewed levels no longer wait on one overloaded shard.
-Without cost estimates (or with ``cost_balanced=False``) the backend falls
-back to contiguous equal-count shards.  ``shards_per_worker`` optionally
-over-decomposes the split (N shards per worker instead of one) so residual
-cost-model error on very skewed levels is absorbed by the executor's
-first-free-worker scheduling instead of stalling a whole worker.
-
-*Summary-only final-level payloads.*  When the coordinator knows a level is
-the last one (``LevelContext.final_level``, set by the miner when
-``max_pattern_size`` is reached), workers strip the occurrence lists of the
-surviving patterns down to per-sequence occurrence *counts* before pickling
-the result back (:meth:`~repro.core.hpg.PatternEntry.summarise`).  Occurrence
-lists of a final level are never extended again, so only the pickle traffic
-shrinks — supports, confidences and the mined pattern set are untouched.
-The same slimming applies to *dead-end* nodes of any level ``k >= 3`` when
-transitivity pruning is active (``LevelContext.summarise_dead_ends``): a
-node none of whose events shares a frequent pair node with a further event
-can never be extended (Lemma 5), so its occurrences ship as counts too.
+Batches without cost estimates fall back to contiguous equal-count shards.
 
 *Generic sharded map.*  :meth:`ExecutionBackend.map_shards` runs any pure
 ``func(payload, items)`` over item shards with the same two executors;
@@ -68,9 +52,11 @@ one event instance, at level ``k`` a stored occurrence.
 ``vectorized=False`` keeps the scalar reference loops.  Passes are chunked
 by ``MiningConfig.kernel_chunk_bytes``.  Both paths — under every backend —
 produce byte-identical nodes and counters, down to the columnar index
-matrices of :class:`~repro.core.hpg.PatternEntry`.  Entries' instance-source
-bindings are not pickled — workers rebind them from ``LevelContext.level1``
-— so only the compact index matrices cross the process boundary.
+matrices of :class:`~repro.core.hpg.PatternEntry`.  Workers return every
+entry's full index matrices, so a process-engine graph holds the same
+occurrence store as a serial one.  Entries' instance-source bindings are not
+pickled — workers rebind them from ``LevelContext.level1`` — so only the
+compact index matrices cross the process boundary.
 
 Every backend mines the *identical* pattern set; the parity tests in
 ``tests/test_engine_parity.py`` and the golden fixtures in ``tests/golden/``
@@ -157,20 +143,6 @@ class LevelContext:
     * ``instances`` — the flat :class:`~repro.core.hpg.InstanceTable` of the
       ``level1`` events with the Lemma 4–7 tables (built at construction).
 
-    ``final_level`` marks a level whose nodes will never be extended again
-    (the miner sets it when ``max_pattern_size`` is reached).  Parallel
-    workers then return pattern + support/occurrence-count summaries instead
-    of full occurrence lists, cutting the pickled return payload; the serial
-    backend ignores the flag, so a serial graph keeps full occurrences.
-
-    ``summarise_dead_ends`` extends the same optimisation to levels that
-    merely *happen* to be final for some nodes: with transitivity pruning
-    active, a node none of whose events shares a frequent pair with any
-    further event can never be extended (Lemma 5 rejects every extension),
-    so parallel workers summarise such *dead-end* nodes before pickling.
-    The miner only sets the flag when transitivity pruning is on (without it
-    the worker cannot prove a node dead) and occurrence retention is off.
-
     ``memory_share_bytes`` arms the worker-side memory watchdog
     (:func:`repro.core.resources.shard_watchdog`): when set — the process
     backend stamps one worker's share of ``MiningConfig.memory_budget_bytes``
@@ -188,8 +160,6 @@ class LevelContext:
     pair_patterns: dict[tuple[EventKey, EventKey], frozenset[TemporalPattern]] = field(
         default_factory=dict
     )
-    final_level: bool = False
-    summarise_dead_ends: bool = False
     memory_share_bytes: int | None = None
     instances: InstanceTable | None = None
 
@@ -975,8 +945,7 @@ class ExecutionBackend(Protocol):
     Backends that balance shards by candidate cost expose ``wants_costs =
     True``; the miner checks it via ``getattr(backend, "wants_costs",
     False)`` and skips cost estimation entirely for backends that would
-    discard the estimates (the serial backend, or a process backend with
-    ``cost_balanced=False``).
+    discard the estimates (the serial backend).
     """
 
     name: str
@@ -1052,51 +1021,6 @@ class SerialBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "SerialBackend()"
-
-
-def _summarise_final_level(outcome: LevelOutcome) -> LevelOutcome:
-    """Strip occurrence lists down to counts before the outcome is pickled."""
-    for node in outcome.nodes:
-        for entry in node.patterns.values():
-            entry.summarise()
-    return outcome
-
-
-def _summarise_dead_end_nodes(
-    context: LevelContext, outcome: LevelOutcome
-) -> LevelOutcome:
-    """Summarise nodes that provably cannot be extended at the next level.
-
-    With transitivity pruning active, extending a node requires an event that
-    forms a frequent pair node with *every* event of the node (Lemma 5; the
-    workers enforce exactly this via :func:`_may_extend`, so a node failing
-    it for every candidate event will never have its occurrences read again).
-    The instance table's ``has_pair`` holds that adjacency for every event of
-    the level — a superset of the next level's extension events, which all
-    occur in this level's nodes — so dead ends ship as summaries, like a
-    known-final level would.
-    """
-    table = context.instances
-    for node in outcome.nodes:
-        rows = [table.index[event] for event in node.events]
-        extensions = table.has_pair[rows].all(axis=0)
-        extensions[rows] = False
-        if not extensions.any():
-            for entry in node.patterns.values():
-                entry.summarise()
-    return outcome
-
-
-def _evaluate_level_shard(
-    context: LevelContext, candidates: list[Candidate]
-) -> LevelOutcome:
-    """Worker body of the process backend: evaluate, then slim the payload."""
-    outcome = evaluate_candidates(context, candidates)
-    if context.final_level:
-        _summarise_final_level(outcome)
-    elif context.summarise_dead_ends:
-        _summarise_dead_end_nodes(context, outcome)
-    return outcome
 
 
 #: ``(func, payload)`` inherited by forked workers through copy-on-write
@@ -1176,10 +1100,10 @@ class ProcessPoolBackend:
 
     With per-candidate cost estimates (supplied by the miner) the candidates
     are partitioned by greedy LPT into near-equal-*cost* shards; without them
-    (or with ``cost_balanced=False``) into contiguous near-equal-*count*
-    shards.  Either way each shard keeps ascending candidate order and the
-    merge restores the global candidate order via the inverse permutation, so
-    the node order is byte-identical to a serial run; statistics merge via
+    into contiguous near-equal-*count* shards.  Either way each shard keeps
+    ascending candidate order and the merge restores the global candidate
+    order via the inverse permutation, so the node order is byte-identical
+    to a serial run; statistics merge via
     :meth:`MiningStatistics.merge_shard` (counters add, wall-clock maxes).
 
     Two transports are used for the worker payload (the level context or, for
@@ -1188,9 +1112,7 @@ class ProcessPoolBackend:
 
     * On fork-capable platforms a fresh pool is forked per batch and the
       workers inherit the payload through copy-on-write memory — only the
-      item shards are pickled in, and only the results are pickled out
-      (final-level results additionally slimmed to summaries, see
-      :func:`_evaluate_level_shard`).
+      item shards are pickled in, and only the results are pickled out.
     * Otherwise (Windows, or an explicit non-fork ``start_method``) a
       persistent pool is kept and the payload is pickled once per shard.
 
@@ -1198,13 +1120,6 @@ class ProcessPoolBackend:
     ``"spawn"`` to exercise the spawn transport on a fork-capable platform);
     ``None`` keeps the historical choice — fork when available, the
     platform default otherwise.
-
-    ``shards_per_worker`` over-decomposes the split: targeting ``N`` shards
-    per worker (instead of exactly one) bounds the damage of a cost-model
-    miss on very skewed levels — a shard that turns out heavier than
-    estimated delays only ``1/N`` of a worker's assignment, because the
-    executor hands the remaining shards to whichever workers free up first.
-    The default of 1 keeps the historical one-shard-per-worker behaviour.
 
     Batches smaller than ``min_candidates_per_worker * 2`` are evaluated
     in-process: for tiny levels the scheduling overhead dwarfs the work being
@@ -1222,13 +1137,13 @@ class ProcessPoolBackend:
     """
 
     name = "process"
+    #: The miner's cost estimates drive the LPT split.
+    wants_costs = True
 
     def __init__(
         self,
         n_workers: int | None = None,
         min_candidates_per_worker: int = 4,
-        cost_balanced: bool = True,
-        shards_per_worker: int = 1,
         start_method: str | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: "faults.FaultPlan | None" = None,
@@ -1243,10 +1158,6 @@ class ProcessPoolBackend:
                 "min_candidates_per_worker must be >= 1, "
                 f"got {min_candidates_per_worker}"
             )
-        if shards_per_worker < 1:
-            raise ConfigurationError(
-                f"shards_per_worker must be >= 1, got {shards_per_worker}"
-            )
         if (
             start_method is not None
             and start_method not in multiprocessing.get_all_start_methods()
@@ -1258,11 +1169,7 @@ class ProcessPoolBackend:
             )
         self.n_workers = n_workers if n_workers is not None else available_workers()
         self.min_candidates_per_worker = min_candidates_per_worker
-        self.cost_balanced = cost_balanced
-        self.shards_per_worker = shards_per_worker
         self.start_method = start_method
-        #: Only a cost-balancing backend can use the miner's estimates.
-        self.wants_costs = cost_balanced
         #: How crashed/hung/failed shards are resubmitted (see
         #: :class:`~repro.core.config.RetryPolicy`).
         self.retry = retry if retry is not None else RetryPolicy()
@@ -1355,7 +1262,7 @@ class ProcessPoolBackend:
         shard_indices = self._shard_indices(n_shards, costs, len(candidates))
         shards = [[candidates[i] for i in indices] for indices in shard_indices]
         outcomes = self._run_shards(
-            _evaluate_level_shard,
+            evaluate_candidates,
             context,
             shards,
             level=level,
@@ -1415,10 +1322,7 @@ class ProcessPoolBackend:
         return self._run_shards(func, payload, shards, level=0)
 
     def _shard_count(self, n_items: int) -> int:
-        return min(
-            self.n_workers * self.shards_per_worker,
-            max(1, n_items // self.min_candidates_per_worker),
-        )
+        return min(self.n_workers, max(1, n_items // self.min_candidates_per_worker))
 
     def would_shard(self, n_items: int) -> bool:
         """Whether a batch of ``n_items`` would actually be split across workers.
@@ -1432,8 +1336,8 @@ class ProcessPoolBackend:
     def _shard_indices(
         self, n_shards: int, costs: Sequence[float] | None, n_items: int
     ) -> list[list[int]]:
-        if costs is not None and self.cost_balanced:
-            return _split_cost_balanced(costs, n_shards)
+        if costs is not None:
+            return _split_lpt_indices(costs, n_shards)
         return _split_contiguous_indices(n_items, n_shards)
 
     def _run_shards(
@@ -1790,11 +1694,7 @@ class ProcessPoolBackend:
         return done, failed, teardown
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ProcessPoolBackend(n_workers={self.n_workers}, "
-            f"cost_balanced={self.cost_balanced}, "
-            f"shards_per_worker={self.shards_per_worker})"
-        )
+        return f"ProcessPoolBackend(n_workers={self.n_workers})"
 
 
 def _combine_level_outcomes(chunks: list[LevelOutcome]) -> LevelOutcome:
@@ -1857,7 +1757,7 @@ def _split_contiguous_indices(n_items: int, n_shards: int) -> list[list[int]]:
     return shards
 
 
-def _split_cost_balanced(costs: Sequence[float], n_shards: int) -> list[list[int]]:
+def _split_lpt_indices(costs: Sequence[float], n_shards: int) -> list[list[int]]:
     """Greedy LPT assignment of item indices to near-equal-cost shards.
 
     Items are placed heaviest-first onto the least-loaded shard; every tie

@@ -133,16 +133,12 @@ class PatternEntry:
     :attr:`occurrences` / :meth:`materialise`, so the public surface consumed
     by ``analysis/``, ``io/`` and the examples is unchanged.
 
-    An entry can be *summarised* (:meth:`summarise`): the index matrices are
-    replaced by per-sequence occurrence counts.  Parallel workers do this at
-    the final mining level — whose occurrences are never extended again — so
-    only pattern identities, supports and counts cross the process boundary.
-    Support and sequence ids stay available either way.
+    Every backend stores the same matrices: an entry always keeps its full
+    evidence, so any entry can be extended by a later level or an append.
     """
 
     __slots__ = (
         "pattern",
-        "occurrence_counts",
         "_store",
         "_sources",
         "_row_cache",
@@ -153,12 +149,8 @@ class PatternEntry:
         self,
         pattern: TemporalPattern,
         sources: InstanceSources | None = None,
-        occurrence_counts: dict[int, int] | None = None,
     ) -> None:
         self.pattern = pattern
-        #: Per-sequence occurrence counts of a summarised entry (``None``
-        #: while the full index matrices are retained).
-        self.occurrence_counts = occurrence_counts
         # Per-sequence build state: a list of pending rows/blocks while the
         # entry is being grown, consolidated to one int32 matrix on access.
         self._store: dict[int, object] = {}
@@ -189,26 +181,15 @@ class PatternEntry:
     @property
     def support(self) -> int:
         """Number of sequences supporting the pattern."""
-        if self.occurrence_counts is not None:
-            return len(self.occurrence_counts)
         return len(self._store)
-
-    @property
-    def is_summary(self) -> bool:
-        """True when the index matrices were reduced to counts."""
-        return self.occurrence_counts is not None
 
     @property
     def n_occurrences(self) -> int:
         """Total number of supporting assignments across all sequences."""
-        if self.occurrence_counts is not None:
-            return sum(self.occurrence_counts.values())
         return sum(_block_rows(value) for value in self._store.values())
 
     def occurrence_counts_by_sequence(self) -> dict[int, int]:
-        """Per-sequence occurrence counts, summarised or not (no materialising)."""
-        if self.occurrence_counts is not None:
-            return dict(self.occurrence_counts)
+        """Per-sequence occurrence counts (row counts, no materialising)."""
         return {
             sequence_id: _block_rows(value)
             for sequence_id, value in self._store.items()
@@ -216,15 +197,11 @@ class PatternEntry:
 
     def sequence_ids(self) -> set[int]:
         """Ids of the supporting sequences."""
-        if self.occurrence_counts is not None:
-            return set(self.occurrence_counts)
         return set(self._store)
 
     # ------------------------------------------------------------------ building
     def add_index_row(self, sequence_id: int, row: IndexRow) -> None:
         """Record one supporting assignment (per-hit scalar path)."""
-        if self.occurrence_counts is not None:
-            raise ValueError("cannot add occurrences to a summarised PatternEntry")
         if self._row_cache or self._view_cache:
             self._row_cache.pop(sequence_id, None)
             self._view_cache.pop(sequence_id, None)
@@ -256,18 +233,6 @@ class PatternEntry:
             rows = [tuple(row) for row in self.index_matrix(sequence_id).tolist()]
             self._row_cache[sequence_id] = rows
         return rows
-
-    def summarise(self) -> None:
-        """Replace the index matrices with per-sequence counts; idempotent."""
-        if self.occurrence_counts is None:
-            self.occurrence_counts = {
-                sequence_id: _block_rows(value)
-                for sequence_id, value in self._store.items()
-            }
-            self._store = {}
-            self._sources = None
-            self._row_cache = {}
-            self._view_cache = {}
 
     # ------------------------------------------------------------------ sources
     @property
@@ -315,7 +280,7 @@ class PatternEntry:
 
     @property
     def occurrences(self) -> dict[int, list[Occurrence]]:
-        """Lazy instance-tuple view of the store (empty once summarised).
+        """Lazy instance-tuple view of the store.
 
         Materialised fresh on access from the index matrices and the bound
         sources; mutating the returned structure does not affect the entry.
@@ -361,15 +326,16 @@ class PatternEntry:
                 sequence_id: self.index_matrix(sequence_id)
                 for sequence_id in self._store
             },
-            "counts": self.occurrence_counts,
         }
 
     def __setstate__(self, state: dict) -> None:
         self.pattern = state["pattern"]
         # ``get``: an older session file's entries (another wire shape) must
         # still unpickle far enough for session_io to report its version.
+        # Entries pickled while the store had a per-sequence count form also
+        # carry a ``"counts"`` key (``None`` in every session file); it is
+        # ignored.
         self._store = dict(state.get("index", {}))
-        self.occurrence_counts = state.get("counts")
         self._sources = None
         self._row_cache = {}
         self._view_cache = {}
@@ -378,12 +344,7 @@ class PatternEntry:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternEntry):
             return NotImplemented
-        if (
-            self.pattern != other.pattern
-            or self.occurrence_counts != other.occurrence_counts
-        ):
-            return False
-        if self._store.keys() != other._store.keys():
+        if self.pattern != other.pattern or self._store.keys() != other._store.keys():
             return False
         return all(
             np.array_equal(self.index_matrix(sid), other.index_matrix(sid))
@@ -393,7 +354,7 @@ class PatternEntry:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"PatternEntry(pattern={self.pattern!r}, support={self.support}, "
-            f"n_occurrences={self.n_occurrences}, is_summary={self.is_summary})"
+            f"n_occurrences={self.n_occurrences})"
         )
 
 

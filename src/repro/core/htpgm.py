@@ -21,11 +21,11 @@ order-sensitive) happens in the session, candidate *evaluation* (expensive,
 embarrassingly parallel) is delegated to an
 :class:`~repro.core.engine.ExecutionBackend`, and all per-run state — level-1
 bitmaps, node trees, statistics — is explicit session state.  :class:`HTPGM`
-is the stable one-shot façade: :meth:`HTPGM.mine` creates a throwaway session,
-runs the levels and builds the result, which keeps the historical behaviour
-(including the parallel payload optimisations) byte-identical.  Callers that
-want to *keep* the state — to append new sequences later, or to persist it via
-:mod:`repro.io.session_io` — use a :class:`MiningSession` directly.
+is the stable one-shot façade: :meth:`HTPGM.mine` creates a session, runs the
+levels and builds the result.  Every backend builds the same occurrence store,
+so the session left in :attr:`HTPGM.session_` can be appended to or persisted
+via :mod:`repro.io.session_io` like one created directly; with
+``MiningConfig.checkpoint_path`` set it also checkpoints every level.
 
 Both pruning families can be switched off through
 :class:`~repro.core.config.PruningMode`, which only changes the amount of work,
@@ -69,7 +69,7 @@ class HTPGM:
 
     After :meth:`mine` the constructed Hierarchical Pattern Graph is available
     as :attr:`graph_`, the work counters as :attr:`statistics_` and the
-    underlying (non-appendable) session as :attr:`session_`.
+    underlying session as :attr:`session_`.
     """
 
     def __init__(
@@ -91,17 +91,15 @@ class HTPGM:
     def mine(self, database: SequenceDatabase) -> MiningResult:
         """Mine all frequent temporal patterns from a sequence database.
 
-        Thin wrapper over :class:`MiningSession`: create a throwaway session
-        (``retain_occurrences=False`` keeps the parallel payload slimming
-        active), run the levels, build the result.  For incremental
-        workloads create a retaining session instead and call
-        :meth:`MiningSession.append` as new sequences arrive.
+        Thin wrapper over :class:`MiningSession`: create a session, run the
+        levels, build the result.  The session stays available as
+        :attr:`session_`; call :meth:`MiningSession.append` on it as new
+        sequences arrive.
         """
         session = MiningSession(
             config=self.config,
             event_filter=self.event_filter,
             pair_filter=self.pair_filter,
-            retain_occurrences=False,
         )
         backend = self.backend
         owns_backend = backend is None

@@ -38,11 +38,11 @@ re-evaluation), while anything previously pruned that could now become
 frequent necessarily involves the delta and is re-evaluated in full.
 
 :class:`HTPGM` remains the stable public miner; its :meth:`~HTPGM.mine` is a
-thin wrapper that creates a throwaway session (``retain_occurrences=False``,
-which keeps the worker payload optimisations active), runs the levels and
-builds the result.  Appendable sessions set ``retain_occurrences=True`` so no
-occurrence list is ever summarised away — future appends may need any of
-them.
+thin wrapper that creates a session, runs the levels and builds the result.
+Every session keeps the full occurrence store under every backend, so every
+completed session — :class:`HTPGM`'s included — can be appended to and
+saved.  A session restored from an interrupted checkpoint must be finished
+with :meth:`MiningSession.resume` first.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ def _backend_uses_costs(backend: ExecutionBackend, n_candidates: int) -> bool:
 
     Estimates matter only to a cost-balancing backend (``wants_costs``) that
     will actually shard the batch (``would_shard``); for every other
-    combination — the serial backend, ``cost_balanced=False``, or a level too
-    small to split — the estimates would be discarded, so the miner skips the
-    estimation pass entirely.
+    combination — the serial backend, or a level too small to split — the
+    estimates would be discarded, so the miner skips the estimation pass
+    entirely.
     """
     if not getattr(backend, "wants_costs", False):
         return False
@@ -178,16 +178,13 @@ def _estimate_combination_costs(
     ``(k-1)``-node with the instances of the remaining event, so the estimate
     sums, over each (parent, new event) decomposition, the per-sequence
     product of parent occurrence counts and new-event instance counts.
-    Summarised entries (final-level or dead-end nodes of a previous parallel
-    run) contribute their per-sequence occurrence *counts* instead.
     """
     parents = graph.levels.get(level - 1, {})
     occurrence_counts: dict[tuple[EventKey, ...], dict[int, int]] = {}
     for parent_key, parent in parents.items():
         counts: dict[int, int] = {}
         for entry in parent.patterns.values():
-            # Summarised entries contribute their stored counts, columnar
-            # ones their per-sequence matrix row counts — no materialising.
+            # Per-sequence matrix row counts — no materialising.
             for sequence_id, n_occurrences in (
                 entry.occurrence_counts_by_sequence().items()
             ):
@@ -222,12 +219,6 @@ class MiningSession:
         ``None`` (the default) keeps everything, which is the exact
         algorithm.  A session carrying filters cannot be serialised
         (arbitrary callables do not round-trip through a file).
-    retain_occurrences:
-        When True (the default) every pattern's occurrence evidence is kept
-        in full — the worker-side summary optimisations are disabled —
-        because :meth:`append` may need to extend any of it later.  The
-        throwaway sessions created by :meth:`HTPGM.mine` pass False and keep
-        the summary optimisations; such sessions cannot be appended to.
 
     Attributes
     ----------
@@ -236,7 +227,7 @@ class MiningSession:
         not: bitmap over sequence ids plus per-sequence instance lists.
         Infrequent events must be retained because an append can push them
         over the (also growing) support threshold.  Empty until
-        :meth:`mine`; only populated when ``retain_occurrences`` is True.
+        :meth:`mine`.
     graph:
         The Hierarchical Pattern Graph of the current state (level-1 nodes
         of the frequent events plus all surviving combination nodes).
@@ -251,22 +242,20 @@ class MiningSession:
         config: MiningConfig | None = None,
         event_filter: EventFilter | None = None,
         pair_filter: PairFilter | None = None,
-        retain_occurrences: bool = True,
     ) -> None:
         self.config = config or MiningConfig()
         self.event_filter = event_filter
         self.pair_filter = pair_filter
-        self.retain_occurrences = retain_occurrences
         self.n_sequences: int = 0
         self.events: dict[EventKey, EventNode] = {}
         self.graph: HierarchicalPatternGraph | None = None
         self.statistics: MiningStatistics | None = None
         self.appends: int = 0
-        #: Progress marker of an interrupted checkpointed mine():
-        #: ``{"next_level": k}`` when level ``k`` still has to run, ``None``
-        #: when the state is complete.  Persisted by
-        #: :func:`repro.io.session_io.write_session` so :meth:`resume` knows
-        #: where to pick up.
+        #: Progress marker of an unfinished mine(): ``{"next_level": k}``
+        #: when level ``k`` still has to run, ``None`` when the state is
+        #: complete.  Persisted by :func:`repro.io.session_io.write_session`
+        #: so :meth:`resume` knows where to pick up; while it is set,
+        #: :meth:`result` and :meth:`append` refuse the state.
         self._mining_state: dict | None = None
         # Level 2 is immutable once a run finished, so its pattern-identity
         # snapshot (used by the transitivity checks at every level >= 3) is
@@ -284,8 +273,7 @@ class MiningSession:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"MiningSession(n_sequences={self.n_sequences}, "
-            f"mined={self.mined}, appends={self.appends}, "
-            f"retain_occurrences={self.retain_occurrences})"
+            f"mined={self.mined}, appends={self.appends})"
         )
 
     # ------------------------------------------------------------------ public API
@@ -311,18 +299,14 @@ class MiningSession:
         if len(database) == 0:
             raise MiningError("cannot mine an empty sequence database")
         checkpointing = self.config.checkpoint_path is not None
-        if checkpointing:
+        if checkpointing and (
+            self.event_filter is not None or self.pair_filter is not None
+        ):
             # Checkpoints reuse write_session, so they inherit its contract.
-            if not self.retain_occurrences:
-                raise MiningError(
-                    "checkpointing requires a session with retained "
-                    "occurrences (retain_occurrences=True)"
-                )
-            if self.event_filter is not None or self.pair_filter is not None:
-                raise MiningError(
-                    "sessions carrying event/pair filters cannot be "
-                    "checkpointed; filters are arbitrary callables"
-                )
+            raise MiningError(
+                "sessions carrying event/pair filters cannot be "
+                "checkpointed; filters are arbitrary callables"
+            )
 
         plan = faults.active_plan()
         started = time.perf_counter()
@@ -366,7 +350,7 @@ class MiningSession:
                 self.events = {}
                 self.graph = None
                 self.statistics = None
-                self._mining_state = None
+            self._mining_state = None
             raise
         finally:
             if owns_backend:
@@ -393,7 +377,9 @@ class MiningSession:
         must be the same sequence database the interrupted run was mining
         (level 1 is *not* re-scanned; the checkpoint already holds it, and
         the size check below is the cheap guard against handing in a
-        different database).
+        different database).  With ``config.checkpoint_path`` unset the
+        remaining levels write no checkpoints, but the finished session is
+        complete all the same: it builds results, appends and saves.
 
         On a checkpoint whose run actually completed this is a no-op that
         rebuilds and returns the final result.
@@ -456,28 +442,34 @@ class MiningSession:
         """
         if self.graph is None or self.statistics is None:
             raise MiningError("no mined state to build a result from")
+        self._require_complete()
+        return self._build_result(
+            self.graph, self.statistics, 0.0, self.config.engine
+        )
+
+    def _require_complete(self) -> None:
+        """Refuse state whose checkpointed run has levels still to mine."""
         if self._mining_state is not None:
             raise MiningError(
                 "the run behind this checkpoint did not complete; "
                 "call resume() to finish it"
             )
-        return self._build_result(
-            self.graph, self.statistics, 0.0, self.config.engine
-        )
 
     def _write_checkpoint(self, next_level: int | None) -> None:
-        """Snapshot the session after a level boundary (no-op when disabled).
+        """Record a level boundary; snapshot the session when checkpointing.
 
-        ``next_level`` is the first level the snapshot has *not* completed;
-        ``None`` marks the state complete.  The write is atomic
-        (:func:`~repro.io.session_io.write_session`), so a crash mid-write
-        leaves the previous checkpoint intact.
+        ``next_level`` is the first level the state has *not* completed;
+        ``None`` marks the state complete.  The progress marker is updated
+        with or without ``config.checkpoint_path``, so a :meth:`resume` run
+        without one still leaves a complete session behind.  The write is
+        atomic (:func:`~repro.io.session_io.write_session`), so a crash
+        mid-write leaves the previous checkpoint intact.
         """
-        if self.config.checkpoint_path is None:
-            return
         self._mining_state = (
             None if next_level is None else {"next_level": next_level}
         )
+        if self.config.checkpoint_path is None:
+            return
         from ..io.session_io import write_session
 
         write_session(self, self.config.checkpoint_path)
@@ -499,16 +491,12 @@ class MiningSession:
 
         Invariant: the returned result is identical — patterns, supports,
         confidences, order — to mining the concatenated database from
-        scratch.
+        scratch.  State restored from an interrupted checkpoint is refused
+        until :meth:`resume` has finished it.
         """
         if self.graph is None:
             raise MiningError("append() needs mined state; call mine() first")
-        if not self.retain_occurrences:
-            raise MiningError(
-                "this session was mined without retained occurrences "
-                "(retain_occurrences=False) and cannot be appended to; "
-                "mine a MiningSession(retain_occurrences=True) instead"
-            )
+        self._require_complete()
 
         started = time.perf_counter()
         config = self.config
@@ -580,9 +568,8 @@ class MiningSession:
     ) -> dict[EventKey, EventNode]:
         """Alg. 1 lines 1–4: frequent single events via one database scan.
 
-        Returns the level-1 nodes of *every* event passing the filter when
-        occurrences are retained (appends need the infrequent ones too);
-        otherwise an empty dict, so a throwaway session holds no extra state.
+        Returns the level-1 nodes of *every* event passing the filter:
+        appends need the infrequent ones too.
         """
         level_start = time.perf_counter()
         events = collect_events(database)
@@ -599,8 +586,7 @@ class MiningSession:
                 bitmap=bitmap,
                 instances_by_sequence=event.instances_by_sequence,
             )
-            if self.retain_occurrences:
-                all_nodes[key] = node
+            all_nodes[key] = node
             if bitmap.count() >= min_count:
                 graph.add_event_node(node)
         stats.frequent_events = len(graph.level1)
@@ -900,10 +886,6 @@ class MiningSession:
     ) -> LevelContext:
         """Build the worker context for one level's candidate batch.
 
-        A retaining session never allows the workers to summarise occurrence
-        lists (neither at a known-final level nor at dead-end nodes): a
-        future append may extend any stored occurrence.
-
         The context builds the level's flat instance table once, for every
         shard — serial, forked or spawned — and the cost estimators.
 
@@ -917,9 +899,6 @@ class MiningSession:
         durable on disk.
         """
         config = self.config
-        final_level = (
-            not self.retain_occurrences and config.max_pattern_size == level
-        )
         pair_patterns: dict[tuple[EventKey, EventKey], frozenset[TemporalPattern]] = {}
         if level >= 3 and config.pruning.uses_transitivity:
             pair_patterns = self._pair_patterns_for(graph)
@@ -930,13 +909,6 @@ class MiningSession:
             level1=_restrict_level1(graph, candidates),
             parents=dict(graph.levels.get(level - 1, {})) if level >= 3 else {},
             pair_patterns=pair_patterns,
-            final_level=final_level,
-            summarise_dead_ends=(
-                not self.retain_occurrences
-                and not final_level
-                and level >= 3
-                and config.pruning.uses_transitivity
-            ),
         )
 
     def _pair_patterns_for(

@@ -17,9 +17,9 @@ can evaluate, a session file can persist.  Like any pickle, a session file is
 a trusted artefact: only load files you wrote.
 
 Sessions carrying A-HTPGM's event/pair filters cannot be serialised
-(arbitrary callables do not round-trip through a file), and only sessions
-mined with ``retain_occurrences=True`` are accepted — a summarised graph
-could not honour a later append.
+(arbitrary callables do not round-trip through a file).  Every other mined
+session can be: every backend keeps the full occurrence store, so any saved
+graph can honour a later append.
 """
 
 from __future__ import annotations
@@ -55,7 +55,9 @@ __all__ = ["read_session", "write_session"]
 #:    transport flag and the kernel-crossover override), and every file
 #:    carries ``mining_state`` — the progress marker of an interrupted
 #:    checkpointed run (see ``MiningConfig.checkpoint_path``), ``None`` for
-#:    a complete session.
+#:    a complete session.  Files written before ``PatternEntry`` lost its
+#:    per-sequence count form carry a ``"counts": None`` key in every
+#:    entry's state; it is ignored, so those files read unchanged.
 #:
 #: Only the current version is read; files of any older version raise
 #: :class:`~repro.exceptions.SessionFormatError` and must be re-mined.
@@ -76,11 +78,6 @@ def write_session(session: MiningSession, path: str | Path) -> Path:
     """
     if session.graph is None:
         raise MiningError("cannot save a session before mine() has populated it")
-    if not session.retain_occurrences:
-        raise MiningError(
-            "cannot save a session mined without retained occurrences; "
-            "appends against it would be impossible"
-        )
     if session.event_filter is not None or session.pair_filter is not None:
         raise MiningError(
             "sessions carrying event/pair filters cannot be serialised; "
@@ -154,7 +151,7 @@ def read_session(path: str | Path) -> MiningSession:
         )
 
     try:
-        session = MiningSession(config=payload["config"], retain_occurrences=True)
+        session = MiningSession(config=payload["config"])
         session.n_sequences = payload["n_sequences"]
         session.events = payload["events"]
         # Level-1 nodes are the same objects as their ``events`` entries

@@ -113,19 +113,17 @@ class TestIndexStore:
         assert entry.index_matrix(0).tolist()[-1] == [8, 9]
         assert entry.index_matrix(0).dtype == np.int32
 
-    def test_summarised_entry_rejects_inserts_and_keeps_counts(self):
+    def test_counts_read_the_pending_rows(self):
+        """Support and per-sequence counts come from the build lists without
+        consolidating them."""
         entry = PatternEntry(pattern=_pattern(2))
         entry.add_index_row(0, (0, 0))
         entry.add_index_row(0, (1, 0))
         entry.add_index_row(3, (0, 1))
-        entry.summarise()
-        assert entry.is_summary
-        assert entry.occurrence_counts == {0: 2, 3: 1}
         assert entry.occurrence_counts_by_sequence() == {0: 2, 3: 1}
         assert entry.support == 2 and entry.n_occurrences == 3
-        assert entry.occurrences == {}
-        with pytest.raises(ValueError):
-            entry.add_index_row(0, (0, 0))
+        assert entry.sequence_ids() == {0, 3}
+        assert all(isinstance(value, list) for value in entry._store.values())
 
     def test_unbound_entry_raises_on_materialisation(self):
         entry = PatternEntry(pattern=_pattern(2))

@@ -27,7 +27,7 @@ from repro import (
 )
 from repro.core.correlation import pairwise_nmi
 from repro.core.engine import (
-    _split_cost_balanced,
+    _split_lpt_indices,
     _split_contiguous_indices,
     available_workers,
     backend_from_config,
@@ -274,23 +274,21 @@ class TestVectorizedScalarParity:
 def store_snapshot(graph):
     """The full columnar occurrence store, in iteration (= insertion) order.
 
-    Summarised entries contribute their counts, columnar ones the per-sequence
-    index matrices — comparing snapshots therefore asserts byte-identical
-    evidence, not just byte-identical results."""
-    snapshot = []
-    for level, node, entry in graph.iter_pattern_entries():
-        if entry.is_summary:
-            evidence = ("summary", tuple(entry.occurrence_counts.items()))
-        else:
-            evidence = (
-                "index",
-                tuple(
-                    (sequence_id, matrix.tolist())
-                    for sequence_id, matrix in entry.iter_index_matrices()
-                ),
-            )
-        snapshot.append((level, node.events, entry.pattern, evidence))
-    return snapshot
+    Every entry contributes its per-sequence index matrices — comparing
+    snapshots therefore asserts byte-identical evidence, not just
+    byte-identical results."""
+    return [
+        (
+            level,
+            node.events,
+            entry.pattern,
+            tuple(
+                (sequence_id, matrix.tolist())
+                for sequence_id, matrix in entry.iter_index_matrices()
+            ),
+        )
+        for level, node, entry in graph.iter_pattern_entries()
+    ]
 
 
 class TestColumnarStoreParity:
@@ -325,9 +323,9 @@ class TestColumnarStoreParity:
             assert serial_entry.occurrences == parallel_entry.occurrences
 
     def test_process_engine_builds_the_identical_store(self, process_backend):
-        """Retaining sessions disable worker-side summaries, so the process
-        engine must ship back the exact index matrices serial builds — and
-        the coordinator must rebind them so the tuple views materialise."""
+        """The process engine ships back the exact index matrices serial
+        builds — and the coordinator must rebind them so the tuple views
+        materialise."""
         self._assert_pool_builds_the_serial_store(process_backend)
 
     def test_spawn_pool_builds_the_identical_store(self, spawn_backend):
@@ -396,7 +394,7 @@ class TestCostBalancedSharding:
 
     def test_lpt_partition_covers_every_index_once_in_ascending_order(self):
         costs = [100.0, 1.0, 1.0, 50.0, 1.0, 80.0, 1.0, 1.0, 60.0, 1.0]
-        shards = _split_cost_balanced(costs, 3)
+        shards = _split_lpt_indices(costs, 3)
         flattened = sorted(index for shard in shards for index in shard)
         assert flattened == list(range(len(costs)))
         for shard in shards:
@@ -406,7 +404,7 @@ class TestCostBalancedSharding:
         # Heavy candidates clustered at the front, as level 2 produces when
         # a high-instance-count event sorts first.
         costs = [90.0, 80.0, 70.0, 60.0] + [1.0] * 12
-        lpt = _split_cost_balanced(costs, 4)
+        lpt = _split_lpt_indices(costs, 4)
         contiguous = _split_contiguous_indices(len(costs), 4)
         load = lambda shard: sum(costs[i] for i in shard)
         assert max(map(load, lpt)) < max(map(load, contiguous))
@@ -415,7 +413,7 @@ class TestCostBalancedSharding:
 
     def test_lpt_partition_is_deterministic(self):
         costs = [5.0, 5.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0]
-        assert _split_cost_balanced(costs, 3) == _split_cost_balanced(costs, 3)
+        assert _split_lpt_indices(costs, 3) == _split_lpt_indices(costs, 3)
 
     def test_cost_estimate_length_mismatch_rejected(self, paper_sequence_db):
         from repro.core.engine import LevelContext
@@ -429,21 +427,9 @@ class TestCostBalancedSharding:
                 lambda payload, shard: shard, None, list(range(10)), costs=[1.0] * 8
             )
 
-    def test_count_balanced_fallback_parity(self):
-        """cost_balanced=False (contiguous equal-count shards) mines the same set."""
-        database = random_database(seed=13)
-        config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
-        serial = HTPGM(config, backend=SerialBackend()).mine(database)
-        with ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, cost_balanced=False
-        ) as backend:
-            parallel = HTPGM(config, backend=backend).mine(database)
-        assert_parity(serial, parallel)
-
     def test_wants_costs_capability_flag(self):
         assert SerialBackend().wants_costs is False
         assert ProcessPoolBackend(n_workers=2).wants_costs is True
-        assert ProcessPoolBackend(n_workers=2, cost_balanced=False).wants_costs is False
 
     def test_miner_skips_estimation_for_backends_that_ignore_costs(self, monkeypatch):
         """Backends without wants_costs never pay for cost estimation."""
@@ -477,224 +463,87 @@ class TestCostBalancedSharding:
 
 
 class TestShardOverDecomposition:
-    """ProcessPoolBackend(shards_per_worker=N): finer shards, same answer."""
-
-    def test_shard_count_honours_shards_per_worker(self):
-        backend = ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, shards_per_worker=4
-        )
-        assert backend._shard_count(100) == 8
-        assert backend._shard_count(3) == 3  # still capped by the batch size
-        assert backend.would_shard(2)
-        single = ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1)
-        assert single.shards_per_worker == 1
-        assert single._shard_count(100) == 2
-
-    def test_split_cost_balanced_shard_counts(self):
-        """The LPT splitter produces the over-decomposed shard count, each
-        shard ascending, covering every index exactly once."""
-        costs = [float(c) for c in [90, 80, 70, 60] + [1] * 28]
-        backend = ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, shards_per_worker=4
-        )
-        shards = backend._shard_indices(backend._shard_count(len(costs)), costs, len(costs))
-        assert len(shards) == 8
-        flattened = sorted(index for shard in shards for index in shard)
-        assert flattened == list(range(len(costs)))
-        assert all(shard == sorted(shard) for shard in shards)
-        # No shard carries two of the four heavy candidates.
-        heavy_per_shard = [sum(1 for i in shard if i < 4) for shard in shards]
-        assert max(heavy_per_shard) == 1
+    """Asked for more shards than items, the LPT splitter returns no empty
+    shard."""
 
     def test_empty_shards_are_dropped(self):
         # More shards than items with all-equal costs: LPT leaves some empty.
-        shards = _split_cost_balanced([1.0, 1.0, 1.0], 8)
+        shards = _split_lpt_indices([1.0, 1.0, 1.0], 8)
         assert len(shards) == 3
         assert all(shard for shard in shards)
 
-    def test_over_decomposed_mining_parity(self):
-        database = random_database(seed=17)
-        config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
-        serial = HTPGM(config, backend=SerialBackend()).mine(database)
-        with ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, shards_per_worker=4
-        ) as backend:
-            parallel = HTPGM(config, backend=backend).mine(database)
-        assert_parity(serial, parallel)
 
-    def test_invalid_shards_per_worker_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(n_workers=2, shards_per_worker=0)
+def two_triangle_database(n_sequences=12):
+    """Two disjoint series triangles (A,B,C) and (D,E,F).
 
-
-class TestDeadEndSummaries:
-    """Nodes that provably cannot be extended ship as summaries (Lemma 5)."""
-
-    @staticmethod
-    def _two_triangle_database(n_sequences=12):
-        """Two disjoint series triangles (A,B,C) and (D,E,F).
-
-        Cross-triangle events never co-occur in a sequence, so no frequent
-        pair bridges the triangles: every 3-event node is confined to one
-        triangle and has no fourth event sharing a pair with all three — a
-        guaranteed dead end, with enough level-3 candidates to shard.
-        """
-        sequences = []
-        for sequence_id in range(n_sequences):
-            triangle = ("A", "B", "C") if sequence_id % 2 == 0 else ("D", "E", "F")
-            instances = [
-                EventInstance(
-                    start=float(offset * 20),
-                    end=float(offset * 20 + 10),
-                    series=series,
-                    symbol="On",
-                )
-                for offset, series in enumerate(triangle)
-            ]
-            sequences.append(TemporalSequence(sequence_id, instances))
-        return SequenceDatabase(sequences)
-
-    def test_dead_end_level3_nodes_ship_as_summaries(self):
-        """No max_pattern_size is set, yet the level-3 entries arrive
-        summarised because no fourth event shares a pair with all three."""
-        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
-            self._assert_dead_ends_ship_as_summaries(backend)
-
-    def test_spawn_workers_summarise_dead_ends_too(self, spawn_backend):
-        """The Lemma-5 check reads only the shard context, which spawn
-        workers receive pickled: the same entries arrive summarised."""
-        self._assert_dead_ends_ship_as_summaries(spawn_backend)
-
-    def _assert_dead_ends_ship_as_summaries(self, backend):
-        database = self._two_triangle_database()
-        config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
-        serial_miner = HTPGM(config, backend=SerialBackend())
-        serial = serial_miner.mine(database)
-        parallel_miner = HTPGM(config, backend=backend)
-        parallel = parallel_miner.mine(database)
-        assert_parity(serial, parallel)
-        final_entries = [
-            entry
-            for node in parallel_miner.graph_.nodes_at(3)
-            for entry in node.patterns.values()
+    Cross-triangle events never co-occur in a sequence, so no frequent pair
+    bridges the triangles: every 3-event node is confined to one triangle and
+    has no fourth event sharing a pair with all three — a Lemma 5 dead end,
+    with enough level-3 candidates to shard.
+    """
+    sequences = []
+    for sequence_id in range(n_sequences):
+        triangle = ("A", "B", "C") if sequence_id % 2 == 0 else ("D", "E", "F")
+        instances = [
+            EventInstance(
+                start=float(offset * 20),
+                end=float(offset * 20 + 10),
+                series=series,
+                symbol="On",
+            )
+            for offset, series in enumerate(triangle)
         ]
-        assert final_entries, "the database must produce 3-event patterns"
-        assert all(entry.is_summary for entry in final_entries)
-        assert all(entry.occurrences == {} for entry in final_entries)
-        # Supports survive, matching the serial graph entry for entry.
-        serial_supports = {
-            (node.events, entry.pattern): entry.support
-            for node in serial_miner.graph_.nodes_at(3)
-            for entry in node.patterns.values()
-        }
-        parallel_supports = {
-            (node.events, entry.pattern): entry.support
-            for node in parallel_miner.graph_.nodes_at(3)
-            for entry in node.patterns.values()
-        }
-        assert serial_supports == parallel_supports
-        # The serial graph is untouched by the optimisation.
-        assert all(
-            not entry.is_summary
-            for node in serial_miner.graph_.nodes_at(3)
-            for entry in node.patterns.values()
-        )
-
-    def test_no_summaries_without_transitivity_pruning(self):
-        """Without Lemma 5 a worker cannot prove a node dead: no summaries."""
-        database = self._two_triangle_database()
-        config = MiningConfig(
-            min_support=0.3,
-            min_confidence=0.3,
-            min_overlap=1.0,
-            pruning=PruningMode.APRIORI,
-        )
-        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
-            miner = HTPGM(config, backend=backend)
-            serial = HTPGM(config, backend=SerialBackend()).mine(database)
-            parallel = miner.mine(database)
-        assert_parity(serial, parallel)
-        assert all(
-            not entry.is_summary
-            for node in miner.graph_.nodes_at(3)
-            for entry in node.patterns.values()
-        )
-
-    def test_extendable_nodes_keep_their_occurrences(self):
-        """With a fourth series around, level-3 nodes may extend: full lists."""
-        database = random_database(seed=29, n_sequences=10, n_series=4)
-        config = MiningConfig(min_support=0.25, min_confidence=0.25, min_overlap=1.0)
-        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
-            miner = HTPGM(config, backend=backend)
-            parallel = miner.mine(database)
-        serial = HTPGM(config, backend=SerialBackend()).mine(database)
-        assert_parity(serial, parallel)
-        levels = miner.graph_.levels
-        if 4 in levels and levels[4]:
-            # Any level-3 node that fed a level-4 node must have kept its
-            # occurrences when it was mined (the extension read them).
-            extended_parents = {
-                tuple(sorted(set(events) - {event}))
-                for events in levels[4]
-                for event in events
-            }
-            assert any(key in levels.get(3, {}) for key in extended_parents)
+        sequences.append(TemporalSequence(sequence_id, instances))
+    return SequenceDatabase(sequences)
 
 
-class TestFinalLevelSummaries:
-    def test_process_workers_return_summaries_at_max_pattern_size(self):
-        """Final-level entries ship as counts, not occurrence lists, yet the
-        mined output (support, confidence, order) matches serial exactly."""
-        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
-            self._assert_final_level_ships_summaries(backend)
+class TestPoolStoreParity:
+    """Through the plain ``HTPGM`` façade, a fork or spawn pool builds the
+    serial occurrence store — for level-3 nodes a level-4 node extends, and
+    for nodes no later level reads: Lemma 5 dead ends and the
+    ``max_pattern_size`` level."""
 
-    def test_spawn_workers_return_summaries_at_max_pattern_size(self, spawn_backend):
-        self._assert_final_level_ships_summaries(spawn_backend)
+    CONFIG = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
+    CASES = {
+        # name: (database, config, deepest level the serial graph reaches)
+        "dead-ends": (two_triangle_database, CONFIG, 3),
+        "dead-ends-apriori": (
+            two_triangle_database,
+            CONFIG.with_pruning(PruningMode.APRIORI),
+            3,
+        ),
+        "extendable": (
+            lambda: random_database(seed=29, n_sequences=10, n_series=4),
+            MiningConfig(min_support=0.2, min_confidence=0.2, min_overlap=1.0),
+            4,
+        ),
+        "final-level": (
+            lambda: random_database(seed=0),
+            MiningConfig(
+                min_support=0.3,
+                min_confidence=0.3,
+                min_overlap=1.0,
+                max_pattern_size=3,
+            ),
+            3,
+        ),
+    }
 
-    def _assert_final_level_ships_summaries(self, backend):
-        database = random_database(seed=0)
-        config = MiningConfig(
-            min_support=0.3, min_confidence=0.3, min_overlap=1.0, max_pattern_size=3
-        )
-        serial_miner = HTPGM(config, backend=SerialBackend())
-        serial = serial_miner.mine(database)
-        parallel_miner = HTPGM(config, backend=backend)
-        parallel = parallel_miner.mine(database)
-        assert_parity(serial, parallel)
-
-        final_entries = [
-            entry
-            for node in parallel_miner.graph_.nodes_at(3)
-            for entry in node.patterns.values()
-        ]
-        assert final_entries, "the seed must reach the final level"
-        assert all(entry.is_summary for entry in final_entries)
-        assert all(entry.occurrences == {} for entry in final_entries)
-        assert all(entry.n_occurrences > 0 for entry in final_entries)
-        # Supports survive summarisation (compared against the serial graph).
-        serial_supports = {
-            (node.events, entry.pattern): entry.support
-            for node in serial_miner.graph_.nodes_at(3)
-            for entry in node.patterns.values()
-        }
-        parallel_supports = {
-            (node.events, entry.pattern): entry.support
-            for node in parallel_miner.graph_.nodes_at(3)
-            for entry in node.patterns.values()
-        }
-        assert serial_supports == parallel_supports
-        # Intermediate levels keep full occurrences — they fed the next level.
-        assert all(
-            not entry.is_summary
-            for node in parallel_miner.graph_.nodes_at(2)
-            for entry in node.patterns.values()
-        )
-        # The serial graph is untouched by the optimisation.
-        assert all(
-            not entry.is_summary
-            for node in serial_miner.graph_.nodes_at(3)
-            for entry in node.patterns.values()
-        )
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("engine", ["process", "spawn"])
+    def test_pool_builds_the_serial_store(self, engine, case, request):
+        make_database, config, depth = self.CASES[case]
+        database = make_database()
+        serial = HTPGM(config, backend=SerialBackend())
+        parallel = HTPGM(config, backend=request.getfixturevalue(f"{engine}_backend"))
+        assert_parity(serial.mine(database), parallel.mine(database))
+        assert max(serial.graph_.levels) == depth
+        assert store_snapshot(parallel.graph_) == store_snapshot(serial.graph_)
+        for (_, _, serial_entry), (_, _, parallel_entry) in zip(
+            serial.graph_.iter_pattern_entries(),
+            parallel.graph_.iter_pattern_entries(),
+        ):
+            assert parallel_entry.occurrences == serial_entry.occurrences
 
 
 class TestApproximateMinerParity:

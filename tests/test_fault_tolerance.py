@@ -29,6 +29,7 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro import (
+    HTPGM,
     ConfigurationError,
     DataError,
     MiningConfig,
@@ -44,6 +45,7 @@ from repro.core.faults import FaultPlan, FaultSpec
 from repro.cli import main as cli_main
 from repro.io import read_session, write_session
 from repro.io.session_io import FORMAT_NAME
+from repro.timeseries import SequenceDatabase
 
 from test_engine_parity import mined_tuples, random_database, store_snapshot
 
@@ -347,13 +349,10 @@ class TestCheckpointResume:
     def _checkpoint_config(self, path):
         return replace(CONFIG, checkpoint_path=str(path))
 
-    def test_interrupted_mine_resumes_to_the_identical_result(
-        self, baseline, tmp_path
-    ):
-        database, serial_session, serial_result = baseline
-        ckpt = tmp_path / "ck.bin"
-        # A crash that outlives every retry aborts the run mid-mine — after
-        # the level-1 checkpoint, before the pair level completes.
+    def _interrupt(self, database, ckpt):
+        """Abort a checkpointed mine of ``database``: a crash that outlives
+        every retry stops it after the level-1 checkpoint, before the pair
+        level completes.  Returns the (rolled back) session."""
         plan = FaultPlan.parse("crash:level=2,times=10")
         backend = ProcessPoolBackend(
             n_workers=2,
@@ -367,6 +366,14 @@ class TestCheckpointResume:
                 session.mine(database, backend=backend)
         finally:
             backend.close()
+        return session
+
+    def test_interrupted_mine_resumes_to_the_identical_result(
+        self, baseline, tmp_path
+    ):
+        database, serial_session, serial_result = baseline
+        ckpt = tmp_path / "ck.bin"
+        session = self._interrupt(database, ckpt)
         # In memory the session rolled back to unmined; on disk the last
         # completed level survived with its progress marker.
         assert session.graph is None
@@ -455,14 +462,51 @@ class TestCheckpointResume:
         with pytest.raises(MiningError, match="did not complete"):
             restored.result()
 
-    def test_checkpointing_requires_retained_occurrences(
+    def test_append_refuses_an_interrupted_checkpoint(self, baseline, tmp_path):
+        """Appending to levels that never ran would silently drop patterns:
+        the interrupted state must be resumed first."""
+        database, serial_session, serial_result = baseline
+        base = SequenceDatabase(database.sequences[:7])
+        delta = database.sequences[7:]
+        ckpt = tmp_path / "ck.bin"
+        self._interrupt(base, ckpt)
+        restored = read_session(ckpt)
+        with pytest.raises(MiningError, match="did not complete; call resume"):
+            restored.append(delta)
+        restored.resume(base)
+        appended = restored.append(delta)
+        assert mined_tuples(appended) == mined_tuples(serial_result)
+        assert store_snapshot(restored.graph) == store_snapshot(
+            serial_session.graph
+        )
+
+    def test_resume_without_a_checkpoint_path_completes_the_session(
         self, baseline, tmp_path
     ):
-        database, _, _ = baseline
-        config = self._checkpoint_config(tmp_path / "ck.bin")
-        session = MiningSession(config, retain_occurrences=False)
-        with pytest.raises(MiningError, match="retain"):
-            session.mine(database)
+        database, _, serial_result = baseline
+        ckpt = tmp_path / "ck.bin"
+        self._interrupt(database, ckpt)
+        restored = read_session(ckpt)
+        restored.config = replace(restored.config, checkpoint_path=None)
+        resumed = restored.resume(database)
+        assert mined_tuples(resumed) == mined_tuples(serial_result)
+        assert restored._mining_state is None
+        assert mined_tuples(restored.result()) == mined_tuples(serial_result)
+        saved = read_session(write_session(restored, tmp_path / "done.bin"))
+        assert saved._mining_state is None
+        # Nothing was written to the checkpoint without a checkpoint path.
+        assert read_session(ckpt)._mining_state == {"next_level": 2}
+
+    def test_htpgm_writes_checkpoints(self, baseline, tmp_path):
+        """HTPGM's session checkpoints like any other: the completed file
+        rebuilds the result."""
+        database, _, serial_result = baseline
+        ckpt = tmp_path / "ck.bin"
+        result = HTPGM(self._checkpoint_config(ckpt)).mine(database)
+        assert mined_tuples(result) == mined_tuples(serial_result)
+        restored = read_session(ckpt)
+        assert restored._mining_state is None
+        assert mined_tuples(restored.result()) == mined_tuples(serial_result)
 
     def test_checkpointing_rejects_filters(self, baseline, tmp_path):
         database, _, _ = baseline
@@ -689,6 +733,50 @@ class TestCLIFaultTolerance:
         assert run.returncode == 0, run.stderr
         assert "resumed checkpointed run" in run.stdout
         assert _patterns_payload(resumed) == _patterns_payload(straight)
+
+    def test_append_to_an_interrupted_checkpoint_exits_1(self, tmp_path, capsys):
+        """``--append`` against the checkpoint of a killed run fails cleanly
+        and leaves the file as it was; once ``--resume`` finished the run,
+        the same append succeeds."""
+        from repro.datasets import make_dataset
+        from repro.io import write_time_series_csv
+
+        csv = write_time_series_csv(
+            make_dataset(
+                "dataport", scale=0.01, attribute_fraction=0.4, seed=0
+            ).series_set,
+            tmp_path / "series.csv",
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        ckpt = tmp_path / "ck.bin"
+        mine = [
+            "mine", "--input", str(csv), "--window", "60",
+            "--support", "0.4", "--confidence", "0.4", "--max-size", "3",
+            "--checkpoint", str(ckpt),
+        ]
+        killed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *mine,
+             "--output", str(tmp_path / "killed.json")],
+            capture_output=True, text=True, timeout=600,
+            env=dict(env, REPRO_FAULT="exit:level=3"),
+        )
+        assert killed.returncode == faults.EXIT_STATUS
+        interrupted = ckpt.read_bytes()
+        appended = tmp_path / "appended.json"
+        append = [
+            "mine", "--append", str(csv), "--session", str(ckpt),
+            "--window", "60", "--output", str(appended),
+        ]
+        assert cli_main(append) == 1
+        assert "did not complete; call resume() to finish it" in (
+            capsys.readouterr().err
+        )
+        assert ckpt.read_bytes() == interrupted
+        assert not appended.exists()
+        resumed = [*mine, "--resume", "--output", str(tmp_path / "resumed.json")]
+        assert cli_main(resumed) == 0
+        assert cli_main(append) == 0
+        assert appended.exists()
 
     def test_resume_rejects_changed_thresholds(self, small_csv, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(SRC_DIR))

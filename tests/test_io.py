@@ -153,9 +153,12 @@ class TestPatternsIO:
         empty_path = write_patterns_csv(empty, tmp_path / "empty.csv")
         assert empty_path.read_text().splitlines() == [header]
 
-    def test_export_of_summarised_final_level(self, paper_sequence_db, tmp_path):
-        """Patterns whose occurrence lists were summarised away by parallel
-        final-level workers export exactly like their serial counterparts."""
+    def test_process_engine_final_level_exports_like_serial(
+        self, paper_sequence_db, tmp_path
+    ):
+        """Patterns of the max_pattern_size level mined by parallel workers
+        keep their occurrences and export exactly like their serial
+        counterparts."""
         from repro import ProcessPoolBackend
 
         config = MiningConfig(
@@ -166,14 +169,20 @@ class TestPatternsIO:
         with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
             miner = HTPGM(config, backend=backend)
             result = miner.mine(paper_sequence_db)
-        summarised = [
-            entry
-            for node in miner.graph_.nodes_at(3)
-            for entry in node.patterns.values()
-            if entry.is_summary
+        final = [
+            (entry, serial_entry)
+            for node, serial_node in zip(
+                miner.graph_.nodes_at(3), serial_miner.graph_.nodes_at(3)
+            )
+            for entry, serial_entry in zip(
+                node.patterns.values(), serial_node.patterns.values()
+            )
         ]
-        assert summarised, "the paper database must reach the summarised level"
-        assert all(entry.occurrences == {} for entry in summarised)
+        assert final, "the paper database must reach the final level"
+        assert all(
+            entry.occurrences and entry.occurrences == serial_entry.occurrences
+            for entry, serial_entry in final
+        )
         json_path = write_patterns_json(result, tmp_path / "patterns.json")
         payload = read_patterns_json(json_path)
         assert payload["patterns"] == serial.to_records()

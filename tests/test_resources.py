@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro import (
+    HTPGM,
     ConfigurationError,
     MemoryBudgetExceeded,
     MiningConfig,
@@ -558,9 +559,9 @@ class TestGovernorFaultMatrix:
         assert result.statistics.shard_splits.get(2, 0) >= 1
 
     def test_throwaway_session_level_3_degradation(self, baseline):
-        database, _serial_session, serial_result = baseline
-        # A throwaway session's level 3 (dead ends summarised by the workers)
-        # recovers by splitting shard 0 down to single candidates, then
+        database, serial_session, serial_result = baseline
+        # The session HTPGM creates recovers level 3 (Lemma 5 dead ends
+        # included) by splitting shard 0 down to single candidates, then
         # halving the kernel chunk cap, without changing the output.
         plan = FaultPlan.parse("membudget:level=3,shard=0,times=8")
         backend = ProcessPoolBackend(
@@ -570,12 +571,13 @@ class TestGovernorFaultMatrix:
             fault_plan=plan,
             memory_budget=BUDGET,
         )
-        session = MiningSession(CONFIG, retain_occurrences=False)
+        miner = HTPGM(CONFIG, backend=backend)
         try:
-            result = session.mine(database, backend=backend)
+            result = miner.mine(database)
         finally:
             backend.close()
         assert mined_tuples(result) == mined_tuples(serial_result)
+        assert store_snapshot(miner.graph_) == store_snapshot(serial_session.graph)
         assert any("split into pieces of 1 and 1" in w for w in backend.warnings)
         assert any("kernel chunk cap shrunk" in w for w in backend.warnings)
         assert not any("in-process" in w for w in backend.warnings)

@@ -326,13 +326,24 @@ class TestSessionLifecycle:
         with pytest.raises(MiningError):
             MiningSession().append([])
 
-    def test_append_on_throwaway_session_rejected(self):
-        """HTPGM's internal session does not retain occurrences: no appends."""
-        miner = HTPGM(MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0))
-        miner.mine(random_database(0))
-        assert miner.session_ is not None and not miner.session_.retain_occurrences
-        with pytest.raises(MiningError):
-            miner.session_.append(random_database(1).sequences)
+    @pytest.mark.parametrize("engine", ["serial", "process"])
+    def test_htpgm_session_appends_like_a_scratch_mine(self, engine, request):
+        """HTPGM's own session keeps the full store on every backend, so it
+        takes appends like any other session."""
+        config = MiningConfig(
+            min_support=0.3, min_confidence=0.3, min_overlap=1.0, max_pattern_size=3
+        )
+        backend = (
+            SerialBackend()
+            if engine == "serial"
+            else request.getfixturevalue("process_backend")
+        )
+        database = random_database(0, n_sequences=16, n_series=3, max_instances=16)
+        base, delta = split_database(database, 0.75)
+        miner = HTPGM(config, backend=backend)
+        miner.mine(base)
+        appended = miner.session_.append(delta, backend=backend)
+        assert mined_tuples(appended) == mined_tuples(HTPGM(config).mine(database))
 
     def test_empty_delta_is_identity(self):
         config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
@@ -379,21 +390,6 @@ class TestSessionLifecycle:
             node.bitmap.length == len(database) for node in session.events.values()
         )
 
-    def test_retaining_session_keeps_full_occurrences(self, process_backend):
-        """Retained sessions never summarise, even at max_pattern_size with
-        the process engine — a later append may extend any occurrence."""
-        config = MiningConfig(
-            min_support=0.3, min_confidence=0.3, min_overlap=1.0, max_pattern_size=3
-        )
-        session = MiningSession(config)
-        session.mine(random_database(0), backend=process_backend)
-        entries = [
-            entry
-            for _level, _node, entry in session.graph.iter_pattern_entries()
-        ]
-        assert entries
-        assert all(not entry.is_summary for entry in entries)
-
     def test_statistics_count_only_incremental_work(self):
         """Appending a small delta generates far fewer candidates than the
         full re-mine — the point of incremental sessions."""
@@ -428,7 +424,12 @@ class TestHTPGMFacade:
         )
         assert miner.session_.graph is miner.graph_
 
-    def test_throwaway_session_stores_no_event_state(self):
-        miner = HTPGM(MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0))
+    def test_htpgm_session_keeps_every_event(self):
+        """Infrequent events stay in the session: an append may promote them."""
+        config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
+        miner = HTPGM(config)
         miner.mine(random_database(0))
-        assert miner.session_.events == {}
+        session = MiningSession(config)
+        session.mine(random_database(0))
+        assert set(miner.session_.events) == set(session.events)
+        assert len(miner.session_.events) > len(miner.graph_.level1)

@@ -39,7 +39,6 @@ class TestRoundTrip:
         loaded = read_session(path)
         assert loaded.config == mined_session.config
         assert loaded.n_sequences == mined_session.n_sequences
-        assert loaded.retain_occurrences
         assert loaded.appends == mined_session.appends
         assert set(loaded.events) == set(mined_session.events)
         assert list(loaded.graph.level1) == list(mined_session.graph.level1)
@@ -77,6 +76,21 @@ class TestRoundTrip:
         assert mined_tuples(result) == mined_tuples(HTPGM(CONFIG).mine(database))
         assert session.appends == len(delta)
 
+    def test_htpgm_session_round_trips(self, tmp_path):
+        """HTPGM's own session saves like any other, and the reloaded state
+        takes appends."""
+        from repro import HTPGM
+
+        database = random_database(1, n_sequences=16)
+        base, delta = split_database(database, 0.75)
+        miner = HTPGM(CONFIG)
+        miner.mine(base)
+        loaded = read_session(write_session(miner.session_, tmp_path / "state.bin"))
+        assert store_snapshot(loaded.graph) == store_snapshot(miner.graph_)
+        assert mined_tuples(loaded.append(delta)) == mined_tuples(
+            HTPGM(CONFIG).mine(database)
+        )
+
     def test_level1_nodes_share_identity_with_events(self, mined_session, tmp_path):
         path = write_session(mined_session, tmp_path / "state.bin")
         loaded = read_session(path)
@@ -107,7 +121,7 @@ class _Version2Entry:
         state = {
             "pattern": self.entry.pattern,
             "occurrences": self.entry.occurrences,
-            "occurrence_counts": self.entry.occurrence_counts,
+            "occurrence_counts": None,
         }
         return copyreg._reconstructor, (PatternEntry, object, None), state
 
@@ -168,6 +182,19 @@ class TestOlderVersionsRejected:
         assert "re-mine to upgrade" in capsys.readouterr().err
 
 
+class _CountsKeyEntry:
+    """Pickles a ``PatternEntry`` in the version-4 wire shape of builds whose
+    entries could hold per-sequence counts: the state also carries
+    ``"counts": None``."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __reduce__(self):
+        state = {**self.entry.__getstate__(), "counts": None}
+        return copyreg._reconstructor, (PatternEntry, object, None), state
+
+
 class TestVersion4RoundTrip:
     """A current-format file restores the whole occurrence store, and an
     append to the restored session equals the from-scratch mine, in every
@@ -218,17 +245,36 @@ class TestVersion4RoundTrip:
         assert mined_tuples(appended) == mined_tuples(scratch.mine(database))
         assert store_snapshot(loaded.graph) == store_snapshot(scratch.graph)
 
+    def test_entries_carrying_a_counts_key_still_read(self, tmp_path):
+        """Files whose entries carry ``"counts": None`` are still version 4:
+        they read, restore the same store, and take appends."""
+        config = self._config(PruningMode.ALL)
+        database = self._database()
+        base, delta = split_database(database, 0.75)
+        session = MiningSession(config)
+        session.mine(base)
+        path = write_session(session, tmp_path / "state.bin")
+        payload = pickle.loads(path.read_bytes())
+        for nodes in payload["levels"].values():
+            for node in nodes.values():
+                node.patterns = {
+                    pattern: _CountsKeyEntry(entry)
+                    for pattern, entry in node.patterns.items()
+                }
+        path.write_bytes(pickle.dumps(payload))
+        assert b"counts" in path.read_bytes()
+        loaded = read_session(path)
+        assert store_snapshot(loaded.graph) == store_snapshot(session.graph)
+        appended = loaded.append(delta)
+        scratch = MiningSession(config)
+        assert mined_tuples(appended) == mined_tuples(scratch.mine(database))
+        assert store_snapshot(loaded.graph) == store_snapshot(scratch.graph)
+
 
 class TestGuards:
     def test_unmined_session_rejected(self, tmp_path):
         with pytest.raises(MiningError):
             write_session(MiningSession(CONFIG), tmp_path / "state.bin")
-
-    def test_throwaway_session_rejected(self, tmp_path):
-        session = MiningSession(CONFIG, retain_occurrences=False)
-        session.mine(random_database(0))
-        with pytest.raises(MiningError):
-            write_session(session, tmp_path / "state.bin")
 
     def test_filtered_session_rejected(self, tmp_path):
         session = MiningSession(CONFIG, event_filter=lambda key: True)
