@@ -8,7 +8,8 @@ With the columnar store the blocks are gathered from the level's flat
 instance table through the entry's int32 index matrix, and survivors are
 inserted as batched row-stacks instead of per-hit Python calls.
 
-Three measurements accumulate in ``BENCH_columnar_store.json``:
+Three measurements, printed as one table (``BENCH_columnar_store.json`` in
+the repository root keeps the records of earlier runs as frozen history):
 
 * **end-to-end** — mining the dense database with the vectorized columnar
   path vs the scalar reference configuration (byte-identical output asserted
@@ -24,12 +25,9 @@ Three measurements accumulate in ``BENCH_columnar_store.json``:
 
 from __future__ import annotations
 
-import json
 import pickle
-import platform
 import random
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -51,8 +49,6 @@ from _bench_utils import (
 #: scalar reference path on the dense level-k workload (acceptance
 #: criterion; an idle host measures well above it).
 MIN_SPEEDUP = 2.0
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_columnar_store.json"
 
 #: max_pattern_size=3 keeps the workload dominated by the level-3 extension
 #: loop — the store's hottest consumer — while tmax bounds the pair windows
@@ -168,20 +164,6 @@ def _payload_bytes(graph) -> tuple[int, int]:
     return columnar, legacy
 
 
-def _append_result(record: dict) -> None:
-    """Append one measurement to the accumulating perf-trajectory file."""
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    RESULTS_PATH.write_text(json.dumps(history, indent=1) + "\n")
-
-
 def test_columnar_store_speedup_on_dense_level_k_workload(benchmark):
     database = dense_database()
 
@@ -240,23 +222,6 @@ def test_columnar_store_speedup_on_dense_level_k_workload(benchmark):
                     f"tmax={CONFIG.tmax:g}, max_pattern_size={CONFIG.max_pattern_size}"
                 ),
             )
-        )
-        _append_result(
-            {
-                "benchmark": "columnar_store",
-                "scalar_seconds": round(sca_seconds, 4),
-                "columnar_seconds": round(col_seconds, 4),
-                "speedup": round(speedup, 2),
-                "block_build_speedup": round(block_ratio, 2),
-                "payload_bytes_columnar": payload_columnar,
-                "payload_bytes_legacy": payload_legacy,
-                "min_speedup": MIN_SPEEDUP,
-                "n_sequences": len(database),
-                "n_instances": sum(len(s) for s in database),
-                "n_patterns": len(col_result),
-                "smoke": smoke_mode(),
-                "python": platform.python_version(),
-            }
         )
         return speedup, None
 

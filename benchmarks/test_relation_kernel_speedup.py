@@ -13,17 +13,15 @@ A second, micro-level measurement times :func:`classify_pairs` against the
 equivalent loop of scalar ``classify`` calls on one large batch of ordered
 interval pairs — the kernel in isolation, without mining around it.
 
-The measured ratios are appended to ``BENCH_relation_kernel.json`` in the
-repository root so the perf trajectory of the kernel accumulates over time.
+Both ratios are printed with the benchmark's table;
+``BENCH_relation_kernel.json`` in the repository root keeps the records of
+earlier runs as frozen history.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import random
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -46,8 +44,6 @@ from _bench_utils import (
 #: reference path on the dense workload (acceptance criterion; an idle host
 #: measures well above it).
 MIN_SPEEDUP = 3.0
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_relation_kernel.json"
 
 #: tmax keeps the per-instance candidate windows narrow, which is exactly the
 #: regime the ``searchsorted`` prefilter exists for; max_pattern_size=3 makes
@@ -115,20 +111,6 @@ def _kernel_microbench(n_pairs: int = 50_000, seed: int = 3) -> float:
     return scalar_seconds / kernel_seconds if kernel_seconds else float("inf")
 
 
-def _append_result(record: dict) -> None:
-    """Append one measurement to the accumulating perf-trajectory file."""
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    RESULTS_PATH.write_text(json.dumps(history, indent=1) + "\n")
-
-
 def test_vectorized_kernel_speedup_on_dense_workload(benchmark):
     database = dense_database()
 
@@ -171,21 +153,6 @@ def test_vectorized_kernel_speedup_on_dense_workload(benchmark):
                     f"tmax={CONFIG.tmax:g}"
                 ),
             )
-        )
-        _append_result(
-            {
-                "benchmark": "relation_kernel",
-                "scalar_seconds": round(sca_seconds, 4),
-                "vectorized_seconds": round(vec_seconds, 4),
-                "speedup": round(speedup, 2),
-                "kernel_micro_speedup": round(micro_ratio, 2),
-                "min_speedup": MIN_SPEEDUP,
-                "n_sequences": len(database),
-                "n_instances": sum(len(s) for s in database),
-                "n_patterns": len(vec_result),
-                "smoke": smoke_mode(),
-                "python": platform.python_version(),
-            }
         )
         return speedup, None
 

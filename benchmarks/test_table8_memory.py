@@ -14,7 +14,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -108,7 +107,6 @@ print(json.dumps({
 
 _GOVERNOR_BUDGET = "96M"
 _GOVERNOR_BUDGET_BYTES = 96 * 1024 * 1024
-_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_memory_governor.json"
 
 
 def _governed_run(budget: str, scale: float) -> dict:
@@ -134,8 +132,8 @@ def test_memory_governor_peak_rss(benchmark):
     mines the identical pattern set while the fleet's peak resident set stays
     bounded.  Absolute bytes depend on the interpreter baseline (tens of MiB
     of CPython + NumPy per worker before the miner allocates anything), so
-    the recorded artefact keeps both raw peaks alongside the budget, and the
-    assertion is relative: budgeting must never *inflate* the footprint.
+    the printed table shows both raw peaks, and the assertion is relative:
+    budgeting must never *inflate* the footprint.
     """
     scale = 0.02 if smoke_mode() else 0.05
 
@@ -166,24 +164,6 @@ def test_memory_governor_peak_rss(benchmark):
             title="Memory governor: peak worker RSS vs budget",
         )
     )
-
-    record = {
-        "timestamp": time.time(),
-        "dataset": "dataport",
-        "scale": scale,
-        "budget_bytes": _GOVERNOR_BUDGET_BYTES,
-        "budgeted_peak_rss_bytes": budgeted["peak_children_rss_bytes"],
-        "unbudgeted_peak_rss_bytes": unbudgeted["peak_children_rss_bytes"],
-        "n_patterns": budgeted["n_patterns"],
-        "shard_splits": budgeted["splits"],
-        "parity": budgeted["digest"] == unbudgeted["digest"],
-        "smoke": smoke_mode(),
-    }
-    history = (
-        json.loads(_RESULTS_PATH.read_text()) if _RESULTS_PATH.exists() else []
-    )
-    history.append(record)
-    _RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
     # Parity is unconditional — governance must never change the output.
     assert budgeted["digest"] == unbudgeted["digest"]

@@ -51,12 +51,13 @@ of many candidates (:class:`_ExtensionBatch`) — at level 2 a parent row is
 one event instance, at level ``k`` a stored occurrence.
 ``vectorized=False`` keeps the scalar reference loops.  Passes are chunked
 by ``MiningConfig.kernel_chunk_bytes``.  Both paths — under every backend —
-produce byte-identical nodes and counters, down to the columnar index
-matrices of :class:`~repro.core.hpg.PatternEntry`.  Workers return every
-entry's full index matrices, so a process-engine graph holds the same
-occurrence store as a serial one.  Entries' instance-source bindings are not
-pickled — workers rebind them from ``LevelContext.level1`` — so only the
-compact index matrices cross the process boundary.
+produce byte-identical nodes and counters, down to the CSR arrays of
+:class:`~repro.core.hpg.PatternEntry`.  Workers return every entry's full
+arrays, so a process-engine graph holds the same occurrence store as a
+serial one.  Entries' instance-source bindings are not pickled — workers
+bind the parents they read from ``LevelContext.level1`` and the coordinator
+rebinds returned entries — so only three compact arrays per entry cross the
+process boundary.
 
 Every backend mines the *identical* pattern set; the parity tests in
 ``tests/test_engine_parity.py`` and the golden fixtures in ``tests/golden/``
@@ -599,10 +600,11 @@ def _group_keys(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
 class _ParentRows(NamedTuple):
     """A parent node's stored rows, stacked once per shard.
 
-    ``index_rows`` holds the entries' index matrices, entry by entry and
-    sequence by sequence, and ``runs`` one ``(entry position, sequence, row
-    count)`` row per matrix, so per-row sequence and entry columns exist only
-    inside a pass.  At level 2 the parent is one event: a single entry whose
+    ``index_rows`` holds the entries' row blocks, entry by entry, and
+    ``runs`` one ``(entry position, sequence, row count)`` row per
+    (entry, sequence) run, read off each entry's ``sequences`` and
+    ``offsets``, so per-row sequence and entry columns exist only inside a
+    pass.  At level 2 the parent is one event: a single entry whose
     one-column rows are the event's instance list positions.
     """
 
@@ -639,9 +641,9 @@ class _ExtensionBatch:
     :func:`_grow_combination_patterns` batched: the same pairs and gates,
     Lemmas 4–7 as table lookups (level ``k`` only), the scalar loop's
     early-exit counters rebuilt from each pair's first failing position,
-    and one stored block per (pattern, sequence) in first-hit order —
-    skipping patterns whose (complete) support :func:`_finalise_node` would
-    reject.
+    and one stored row block per pattern, patterns in first-hit order and
+    each block's sequences ascending — skipping patterns whose (complete)
+    support :func:`_finalise_node` would reject.
     """
 
     def __init__(
@@ -674,19 +676,24 @@ class _ExtensionBatch:
                 self.parents[key] = None
                 return None
             index = self.table.index
-            entries, events, runs, matrices = [], [], [], []
-            for entry in parent.patterns.values():
-                store = list(entry.iter_index_matrices())
-                if store:
-                    entry.bind_sources(self.context.level1)
-                    runs += [(len(entries), seq, len(matrix)) for seq, matrix in store]
-                    matrices += [matrix for _, matrix in store]
-                    events.append([index[event] for event in entry.pattern.events])
-                    entries.append(entry)
+            entries = [
+                entry for entry in parent.patterns.values() if len(entry.sequences)
+            ]
             rows = None
             if entries:
-                arrays = np.array(events), np.concatenate(matrices), np.array(runs)
-                rows = _ParentRows(entries, *arrays)
+                for entry in entries:
+                    entry.bind_sources(self.context.level1)
+                sequences = [entry.sequences for entry in entries]
+                runs = np.column_stack(
+                    (
+                        np.repeat(np.arange(len(entries)), list(map(len, sequences))),
+                        np.concatenate(sequences),
+                        np.concatenate([np.diff(entry.offsets) for entry in entries]),
+                    )
+                )
+                events = [[index[e] for e in entry.pattern.events] for entry in entries]
+                index_rows = np.concatenate([entry.rows for entry in entries])
+                rows = _ParentRows(entries, np.array(events), index_rows, runs)
             self.parents[key] = (parent, [index[e] for e in key], rows)
         return self.parents[key]
 
@@ -870,7 +877,8 @@ class _ExtensionBatch:
         group, sequences = group.reshape(-1)[order], sequences[order]
         block = hpg._checked_rows(block[order])
         # A group's pairs of one sequence are contiguous (its job's rows are
-        # stacked sequence by sequence): each run is one stored block.
+        # stacked sequence by sequence, ascending): each run is one sequence's
+        # run of the group's stored block.
         runs = np.flatnonzero(
             np.r_[True, (group[1:] != group[:-1]) | (sequences[1:] != sequences[:-1])]
         )
@@ -880,8 +888,8 @@ class _ExtensionBatch:
         frequent = (support >= self.context.min_count) & ~(
             support / np.array(supports) < self.context.config.min_confidence
         )
-        bounds = np.r_[runs, len(block)].tolist()
-        run_sequences = sequences[runs].tolist()
+        bounds = np.r_[runs, len(block)]
+        run_sequences = sequences[runs].astype(hpg._INDEX_DTYPE)
         # A group's runs are adjacent: split the runs where the group changes.
         run_groups = group[runs]
         splits = np.flatnonzero(np.r_[True, run_groups[1:] != run_groups[:-1]]).tolist()
@@ -894,11 +902,14 @@ class _ExtensionBatch:
             relations = tuple(RELATIONS_BY_CODE[code] for code in codes_row)
             pattern = entry.pattern.extend(item.new_event, relations)
             new_sources = self.context.level1[item.new_event].instances_by_sequence
-            item.node.patterns[pattern] = PatternEntry.from_index_blocks(
+            # One copy of each array, so no entry pins the pass's arrays.
+            offsets = bounds[a : b + 1] - bounds[a]
+            item.node.patterns[pattern] = PatternEntry.from_arrays(
                 pattern,
                 entry.sources + (new_sources,),
-                run_sequences[a:b],
-                [block[bounds[i] : bounds[i + 1]].copy() for i in range(a, b)],
+                run_sequences[a:b].copy(),
+                offsets,
+                block[bounds[a] : bounds[b]].copy(),
             )
 
 

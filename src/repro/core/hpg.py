@@ -7,16 +7,18 @@ the frequent ``k``-event patterns found for that combination together with the
 sequences and instance assignments supporting them.  Mining level ``k+1`` only
 reads levels ``k`` and ``1``, which is what makes the level-wise pruning work.
 
-Occurrence evidence is stored *columnar*: a :class:`PatternEntry` keeps, per
-supporting sequence, an ``int32`` index matrix of shape
-``(n_occurrences, k)`` whose column ``j`` indexes into the instance list of
-``pattern.events[j]`` in that sequence.  The index representation is what
-makes the level-``k`` extension vectorizable (endpoint blocks are gathered
-through the per-level flat :class:`InstanceTable` instead of rebuilt from
-instance objects per call), pickles far smaller and faster than
-object-tuple lists (the matrices are the entire per-entry worker payload),
-and still materialises the historical instance-tuple view lazily through
-:attr:`PatternEntry.occurrences`, so downstream consumers are unchanged.
+Occurrence evidence is stored *columnar*, in CSR layout: a
+:class:`PatternEntry` keeps its supporting sequence ids (strictly ascending),
+row offsets, and one ``int32`` block of shape ``(n_occurrences, k)`` whose
+column ``j`` indexes into the instance list of ``pattern.events[j]`` in the
+row's sequence; a sequence's index matrix is a view of that block.  The index
+representation is what makes the level-``k`` extension vectorizable
+(endpoint blocks are gathered through the per-level flat
+:class:`InstanceTable` instead of rebuilt from instance objects per call),
+pickles as three array copies per entry (the entire per-entry payload of a
+worker result or a session file), and still materialises the historical
+instance-tuple view lazily through :attr:`PatternEntry.occurrences`, so
+downstream consumers are unchanged.
 """
 
 from __future__ import annotations
@@ -57,10 +59,11 @@ IndexRow = tuple[int, ...]
 InstanceSources = tuple[Mapping[int, list[EventInstance]], ...]
 
 
-#: Storage dtype of the index matrices and its largest representable list
-#: position.  ``_INDEX_MAX`` is a module attribute (not an inlined literal)
-#: so the overflow-guard tests can lower the boundary without building a
-#: multi-gigabyte instance list.
+#: Storage dtype of the index rows (and of the sequence ids, which index
+#: bitmaps and the instance table's dense columns) and the largest
+#: representable list position.  ``_INDEX_MAX`` is a module attribute (not
+#: an inlined literal) so the overflow-guard tests can lower the boundary
+#: without building a multi-gigabyte instance list.
 _INDEX_DTYPE = np.int32
 _INDEX_MAX = int(np.iinfo(np.int32).max)
 
@@ -76,70 +79,51 @@ def _checked_rows(pending: list[IndexRow]) -> np.ndarray:
     return rows.astype(_INDEX_DTYPE)
 
 
-def _consolidate_blocks(value: object, width: int) -> np.ndarray:
-    """One ``(n, width)`` int32 matrix out of a mixed row/block build list."""
-    if isinstance(value, np.ndarray):
-        return value
-    blocks: list[np.ndarray] = []
-    pending: list[IndexRow] = []
-    for item in value:
-        if isinstance(item, np.ndarray):
-            if pending:
-                blocks.append(_checked_rows(pending))
-                pending = []
-            blocks.append(item)
-        else:
-            pending.append(item)
-    if pending:
-        blocks.append(_checked_rows(pending))
-    if not blocks:
-        return np.empty((0, width), dtype=_INDEX_DTYPE)
-    if len(blocks) == 1:
-        return blocks[0]
-    return np.concatenate(blocks, axis=0)
-
-
-def _block_rows(value: object) -> int:
-    """Row count of a (possibly unconsolidated) per-sequence store value."""
-    if isinstance(value, np.ndarray):
-        return value.shape[0]
-    return sum(
-        item.shape[0] if isinstance(item, np.ndarray) else 1 for item in value
-    )
-
-
 class PatternEntry:
     """A pattern together with the evidence supporting it.
 
-    The evidence is a *columnar occurrence store*: per supporting sequence, an
-    ``int32`` index matrix of shape ``(n_occurrences, k)`` whose column ``j``
-    holds, for every supporting assignment, the position of the instance of
-    ``pattern.events[j]`` inside that event's chronologically sorted instance
-    list of the sequence.  The set of stored sequence ids is the support set
-    of the pattern (Def. 3.14); the matrices are retained because level
-    ``k+1`` extends every stored assignment with instances of the new event.
+    The evidence is a *columnar occurrence store* in CSR layout: three
+    arrays hold every supporting assignment of the pattern.
 
-    Rows arrive either one at a time (:meth:`add_index_row`, the scalar
-    reference path, consolidated by :meth:`index_matrix` on demand) or as
-    whole per-sequence matrices (:meth:`from_index_blocks`, the vectorized
-    pass); both build the identical matrix.
+    * ``sequences`` — the supporting sequence ids, strictly ascending
+      (``int32``; their count is the support of the pattern, Def. 3.14);
+    * ``offsets`` — ``len(sequences) + 1`` strictly increasing row bounds
+      from 0 to the row count (``int64``): sequence ``sequences[i]`` owns
+      rows ``offsets[i]:offsets[i + 1]``;
+    * ``rows`` — one ``(n_occurrences, k)`` ``int32`` block whose column
+      ``j`` holds the position of the instance of ``pattern.events[j]``
+      inside that event's chronologically sorted instance list of the row's
+      sequence.
+
+    The rows are retained because level ``k+1`` extends every stored
+    assignment with instances of the new event.  A sequence's index matrix
+    (:meth:`index_matrix`, :meth:`iter_index_matrices`) is a view of the one
+    block, so a whole entry crosses a pipe or a file as three array copies.
+
+    Rows arrive either as a whole entry (:meth:`from_arrays`, the vectorized
+    pass) or one at a time (:meth:`add_index_row`, the scalar reference
+    path), buffered and folded into the block on the first read; both build
+    the identical arrays.
 
     The index rows are resolved against *sources* — per pattern event, the
     owning :class:`EventNode`'s ``instances_by_sequence`` dict.  Sources are
     derived, process-local state: they are dropped when the entry is pickled
-    (the matrices alone cross process and file boundaries) and re-attached
-    via :meth:`bind_sources` by whoever owns the level-1 nodes on the other
-    side.  The historical instance-tuple view is materialised lazily through
-    :attr:`occurrences` / :meth:`materialise`, so the public surface consumed
-    by ``analysis/``, ``io/`` and the examples is unchanged.
+    (the three arrays alone cross process and file boundaries) and
+    re-attached via :meth:`bind_sources` by whoever owns the level-1 nodes
+    on the other side.  The historical instance-tuple view is materialised
+    lazily through :attr:`occurrences` / :meth:`materialise`, so the public
+    surface consumed by ``analysis/``, ``io/`` and the examples is unchanged.
 
-    Every backend stores the same matrices: an entry always keeps its full
+    Every backend stores the same arrays: an entry always keeps its full
     evidence, so any entry can be extended by a later level or an append.
     """
 
     __slots__ = (
         "pattern",
-        "_store",
+        "_sequences",
+        "_offsets",
+        "_rows",
+        "_pending",
         "_sources",
         "_row_cache",
         "_view_cache",
@@ -150,10 +134,35 @@ class PatternEntry:
         pattern: TemporalPattern,
         sources: InstanceSources | None = None,
     ) -> None:
+        self._adopt(
+            pattern,
+            sources,
+            np.empty(0, dtype=_INDEX_DTYPE),
+            np.zeros(1, dtype=np.int64),
+            np.empty((0, len(pattern.events)), dtype=_INDEX_DTYPE),
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        pattern: TemporalPattern,
+        sources: InstanceSources | None,
+        sequences: np.ndarray,
+        offsets: np.ndarray,
+        rows: np.ndarray,
+    ) -> "PatternEntry":
+        """A whole entry at once, from its three CSR arrays (adopted, not
+        copied: the caller hands over arrays owning their memory)."""
+        entry = cls.__new__(cls)
+        entry._adopt(pattern, sources, sequences, offsets, rows)
+        return entry
+
+    def _adopt(self, pattern, sources, sequences, offsets, rows) -> None:
+        """Set every slot: the pattern, the sources and the three arrays."""
         self.pattern = pattern
-        # Per-sequence build state: a list of pending rows/blocks while the
-        # entry is being grown, consolidated to one int32 matrix on access.
-        self._store: dict[int, object] = {}
+        self._sequences, self._offsets, self._rows = sequences, offsets, rows
+        # Scalar-path rows not yet folded into the block: (sequence, row).
+        self._pending: list[tuple[int, IndexRow]] = []
         self._sources = sources
         # Derived, process-local read caches (row tuples / instance tuples),
         # invalidated per sequence on insert and dropped from pickles: the
@@ -163,41 +172,63 @@ class PatternEntry:
         self._row_cache: dict[int, list[IndexRow]] = {}
         self._view_cache: dict[int, list[Occurrence]] = {}
 
-    @classmethod
-    def from_index_blocks(
-        cls,
-        pattern: TemporalPattern,
-        sources: InstanceSources,
-        sequence_ids: list[int],
-        blocks: list[np.ndarray],
-    ) -> "PatternEntry":
-        """A whole entry at once: ``blocks[i]`` (a contiguous ``(n, k)`` int32
-        array owning its memory) is the matrix of ``sequence_ids[i]``."""
-        entry = cls(pattern=pattern, sources=sources)
-        entry._store = dict(zip(sequence_ids, blocks))
-        return entry
+    # ------------------------------------------------------------------ arrays
+    @property
+    def sequences(self) -> np.ndarray:
+        """Supporting sequence ids, strictly ascending (``int32``)."""
+        if self._pending:
+            self._consolidate()
+        return self._sequences
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Row bounds of each supporting sequence's run (``int64``)."""
+        if self._pending:
+            self._consolidate()
+        return self._offsets
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The ``(n_occurrences, k)`` ``int32`` row block."""
+        if self._pending:
+            self._consolidate()
+        return self._rows
+
+    def _consolidate(self) -> None:
+        """Fold the pending scalar-path rows into the block.
+
+        A stable sort by sequence keeps each sequence's rows in arrival
+        order, whatever order the sequences arrived in (the scalar loops
+        deliver them sequence-major and ascending, so the sort moves
+        nothing)."""
+        pending, self._pending = self._pending, []
+        ids = np.concatenate(
+            (
+                np.repeat(self._sequences, np.diff(self._offsets)),
+                np.fromiter((sid for sid, _ in pending), np.int64, len(pending)),
+            )
+        )
+        rows = np.concatenate((self._rows, _checked_rows([row for _, row in pending])))
+        order = np.argsort(ids, kind="stable")
+        sequences, counts = np.unique(ids, return_counts=True)
+        self._sequences = sequences.astype(_INDEX_DTYPE)
+        self._offsets = np.concatenate(([0], np.cumsum(counts)))
+        self._rows = rows[order]
 
     # ------------------------------------------------------------------ measures
     @property
     def support(self) -> int:
         """Number of sequences supporting the pattern."""
-        return len(self._store)
+        return len(self.sequences)
 
     @property
     def n_occurrences(self) -> int:
         """Total number of supporting assignments across all sequences."""
-        return sum(_block_rows(value) for value in self._store.values())
-
-    def occurrence_counts_by_sequence(self) -> dict[int, int]:
-        """Per-sequence occurrence counts (row counts, no materialising)."""
-        return {
-            sequence_id: _block_rows(value)
-            for sequence_id, value in self._store.items()
-        }
+        return len(self.rows)
 
     def sequence_ids(self) -> set[int]:
         """Ids of the supporting sequences."""
-        return set(self._store)
+        return set(self.sequences.tolist())
 
     # ------------------------------------------------------------------ building
     def add_index_row(self, sequence_id: int, row: IndexRow) -> None:
@@ -205,26 +236,25 @@ class PatternEntry:
         if self._row_cache or self._view_cache:
             self._row_cache.pop(sequence_id, None)
             self._view_cache.pop(sequence_id, None)
-        value = self._store.get(sequence_id)
-        if value is None:
-            self._store[sequence_id] = [row]
-        elif isinstance(value, list):
-            value.append(row)
-        else:  # appending after consolidation: reopen as a build list
-            self._store[sequence_id] = [value, row]
+        self._pending.append((sequence_id, row))
 
     def index_matrix(self, sequence_id: int) -> np.ndarray:
-        """The consolidated ``(n_occurrences, k)`` int32 matrix of one sequence."""
-        value = self._store[sequence_id]
-        if not isinstance(value, np.ndarray):
-            value = _consolidate_blocks(value, len(self.pattern.events))
-            self._store[sequence_id] = value
-        return value
+        """One sequence's ``(n_occurrences, k)`` rows, a view of the block;
+        ``KeyError`` when the sequence does not support the pattern."""
+        sequences = self.sequences
+        position = int(np.searchsorted(sequences, sequence_id))
+        if position == len(sequences) or sequences[position] != sequence_id:
+            raise KeyError(sequence_id)
+        offsets = self._offsets
+        return self._rows[offsets[position] : offsets[position + 1]]
 
     def iter_index_matrices(self):
-        """Yield ``(sequence_id, index_matrix)`` in insertion order."""
-        for sequence_id in self._store:
-            yield sequence_id, self.index_matrix(sequence_id)
+        """Yield ``(sequence_id, index_matrix)`` in ascending sequence order,
+        each matrix a view of the block."""
+        sequences, rows = self.sequences.tolist(), self._rows
+        bounds = self._offsets.tolist()
+        for position, sequence_id in enumerate(sequences):
+            yield sequence_id, rows[bounds[position] : bounds[position + 1]]
 
     def index_rows(self, sequence_id: int) -> list[IndexRow]:
         """One sequence's index rows as int tuples (cached derived view)."""
@@ -285,70 +315,103 @@ class PatternEntry:
         Materialised fresh on access from the index matrices and the bound
         sources; mutating the returned structure does not affect the entry.
         """
-        if not self._store:
-            return {}
         return {
             sequence_id: list(self.materialise(sequence_id))
-            for sequence_id in self._store
+            for sequence_id in self.sequences.tolist()
         }
 
     # ------------------------------------------------------------------ validation
-    def validate_indices(self) -> None:
-        """Check every index row resolves inside its bound instance list.
+    def validate_indices(self, table: "InstanceTable") -> None:
+        """Check the entry is well-formed evidence over ``table``'s instances.
 
-        Untrusted stores (session files) can carry negative or out-of-range
-        indices that would otherwise materialise the *wrong* instance (Python
-        negative indexing) or blow up far from the load site; one vectorized
-        range check per (entry, sequence) turns that into a clean error.
-        Raises :class:`ValueError`; requires bound sources.
+        Untrusted stores (session files) can carry malformed arrays, a
+        sequence listed with no rows (which would inflate the support), or
+        negative or out-of-range indices that would otherwise materialise the
+        *wrong* instance (Python negative indexing) or blow up far from the
+        load site.  The whole entry is checked with a few array operations;
+        the index ranges with one gather from ``table.count``.  Raises
+        :class:`ValueError`.
         """
-        if not self._store:
-            return
-        sources = self.sources
-        for sequence_id, matrix in self.iter_index_matrices():
-            lengths = np.fromiter(
-                (len(source[sequence_id]) for source in sources),
-                dtype=np.intp,
-                count=len(sources),
-            )
-            if matrix.size and ((matrix < 0).any() or (matrix >= lengths).any()):
+        sequences, offsets, rows = self.sequences, self.offsets, self.rows
+        layout = (
+            ("sequences", sequences, 1, _INDEX_DTYPE),
+            ("offsets", offsets, 1, np.int64),
+            ("rows", rows, 2, _INDEX_DTYPE),
+        )
+        for name, array, ndim, dtype in layout:
+            shaped = isinstance(array, np.ndarray) and array.ndim == ndim
+            if not shaped or array.dtype != dtype:
                 raise ValueError(
-                    f"index matrix of {self.pattern!r} in sequence "
-                    f"{sequence_id} points outside the instance lists"
+                    f"{name} of {self.pattern!r} is not a {ndim}-D "
+                    f"{np.dtype(dtype).name} array"
                 )
+        if rows.shape[1] != len(self.pattern.events):
+            raise ValueError(
+                f"rows of {self.pattern!r} have {rows.shape[1]} columns, "
+                f"not {len(self.pattern.events)}"
+            )
+        runs = np.diff(offsets)
+        if (
+            len(offsets) != len(sequences) + 1
+            or offsets[0] != 0
+            or offsets[-1] != len(rows)
+            or (runs <= 0).any()
+        ):
+            raise ValueError(
+                f"offsets of {self.pattern!r} do not split its {len(rows)} "
+                "rows into one non-empty run per sequence"
+            )
+        n_sequences = table.count.shape[1]
+        if len(sequences) and (
+            sequences[0] < 0
+            or sequences[-1] >= n_sequences
+            or (np.diff(sequences) <= 0).any()
+        ):
+            raise ValueError(
+                f"sequence ids of {self.pattern!r} are not strictly ascending "
+                f"inside [0, {n_sequences})"
+            )
+        events = [table.index[event] for event in self.pattern.events]
+        lengths = table.count[events, np.repeat(sequences, runs)[:, None]]
+        if ((rows < 0) | (rows >= lengths)).any():
+            raise ValueError(
+                f"index rows of {self.pattern!r} point outside the instance lists"
+            )
 
     # ------------------------------------------------------------------ pickling
     def __getstate__(self) -> dict:
-        """Pickle the consolidated matrices only — sources are process-local."""
+        """Pickle the pattern and the three arrays — sources are process-local."""
         return {
             "pattern": self.pattern,
-            "index": {
-                sequence_id: self.index_matrix(sequence_id)
-                for sequence_id in self._store
-            },
+            "sequences": self.sequences,
+            "offsets": self._offsets,
+            "rows": self._rows,
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.pattern = state["pattern"]
-        # ``get``: an older session file's entries (another wire shape) must
-        # still unpickle far enough for session_io to report its version.
-        # Entries pickled while the store had a per-sequence count form also
-        # carry a ``"counts"`` key (``None`` in every session file); it is
-        # ignored.
-        self._store = dict(state.get("index", {}))
-        self._sources = None
-        self._row_cache = {}
-        self._view_cache = {}
+        # ``get``: an older session file's entries (another wire shape, such
+        # as version 4's per-sequence ``index`` dict) must still unpickle far
+        # enough for session_io to report its version.  A missing array fails
+        # validate_indices.
+        self._adopt(
+            state["pattern"],
+            None,
+            state.get("sequences"),
+            state.get("offsets"),
+            state.get("rows"),
+        )
 
     # ------------------------------------------------------------------ dunder
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternEntry):
             return NotImplemented
-        if self.pattern != other.pattern or self._store.keys() != other._store.keys():
-            return False
-        return all(
-            np.array_equal(self.index_matrix(sid), other.index_matrix(sid))
-            for sid in self._store
+        return self.pattern == other.pattern and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in (
+                (self.sequences, other.sequences),
+                (self.offsets, other.offsets),
+                (self.rows, other.rows),
+            )
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -244,13 +244,13 @@ def estimate_context_bytes(context) -> int:
     """Estimated resident bytes of one shipped level context.
 
     Walks the context's columnar data — the level's flat instance table and
-    the parent entries' index matrices — which is what grows with the data.
-    The vectorized level-``k`` pass stacks one copy of every parent's index
-    matrices it reads, so a vectorized context prices them twice; at level 2
-    it stacks every event's instance list positions (``int32``) with one
-    ``(entry, sequence, count)`` run of ``int64`` per occupied (event,
-    sequence) cell.  Anything that is not a level context prices at 0
-    (estimation must never fail a run).
+    the parent entries' CSR arrays — which is what grows with the data.  The
+    vectorized level-``k`` pass stacks every parent it reads once: a copy of
+    its entries' ``int32`` row blocks plus one ``(entry, sequence, count)``
+    run of ``int64`` per (entry, sequence); at level 2 it stacks every
+    event's instance list positions (``int32``) with one such run per
+    occupied (event, sequence) cell.  Anything that is not a level context
+    prices at 0 (estimation must never fail a run).
     """
     table = getattr(context, "instances", None)
     arrays = ("starts", "ends", "offset", "count", "allowed", "has_pair")
@@ -258,12 +258,13 @@ def estimate_context_bytes(context) -> int:
     vectorized = getattr(getattr(context, "config", None), "vectorized", False)
     if table and vectorized and getattr(context, "level", None) == 2:
         total += 4 * table.starts.size + 24 * int((table.count > 0).sum())
-    copies = 2 if vectorized else 1
     for parent in getattr(context, "parents", {}).values():
         for entry in getattr(parent, "patterns", {}).values():
             try:
-                for _sequence_id, matrix in entry.iter_index_matrices():
-                    total += copies * matrix.nbytes
+                rows, sequences = entry.rows, entry.sequences
+                total += rows.nbytes + sequences.nbytes + entry.offsets.nbytes
+                if vectorized:
+                    total += rows.nbytes + 24 * len(sequences)
             except Exception:
                 continue
     return total

@@ -170,41 +170,43 @@ def _estimate_pair_costs(
 
 
 def _estimate_combination_costs(
-    graph: HierarchicalPatternGraph, candidates: list[Candidate], level: int
+    context: LevelContext, candidates: list[Candidate]
 ) -> list[float]:
     """Per-candidate evaluation cost estimates for level ``k >= 3``.
 
     Evaluating a combination extends every stored occurrence of every parent
     ``(k-1)``-node with the instances of the remaining event, so the estimate
     sums, over each (parent, new event) decomposition, the per-sequence
-    product of parent occurrence counts and new-event instance counts.
+    product of parent occurrence counts and new-event instance counts.  A
+    parent's per-sequence occurrence counts are one ``np.add.at`` of its
+    entries' run lengths (``np.diff(offsets)``) over their ``sequences``;
+    each decomposition is one dot product of those counts with the new
+    event's row of the level's instance-table ``count`` matrix (one matrix
+    product per parent).  Every sum is an exact integer.
     """
-    parents = graph.levels.get(level - 1, {})
-    occurrence_counts: dict[tuple[EventKey, ...], dict[int, int]] = {}
-    for parent_key, parent in parents.items():
-        counts: dict[int, int] = {}
-        for entry in parent.patterns.values():
-            # Per-sequence matrix row counts — no materialising.
-            for sequence_id, n_occurrences in (
-                entry.occurrence_counts_by_sequence().items()
-            ):
-                counts[sequence_id] = counts.get(sequence_id, 0) + n_occurrences
-        occurrence_counts[parent_key] = counts
-    costs: list[float] = []
-    for candidate in candidates:
-        cost = 0
+    table = context.instances
+    # Every (parent, new event) decomposition, grouped by parent.
+    decompositions: dict[tuple[EventKey, ...], tuple[list[int], list[int]]] = {}
+    for position, candidate in enumerate(candidates):
         for new_event in candidate:
             parent_key = tuple(e for e in candidate if e != new_event)
-            parent_counts = occurrence_counts.get(parent_key)
-            if not parent_counts:
-                continue
-            instances = graph.level1[new_event].instances_by_sequence
-            for sequence_id, n_occurrences in parent_counts.items():
-                n_instances = len(instances.get(sequence_id, ()))
-                if n_instances:
-                    cost += n_occurrences * n_instances
-        costs.append(float(max(cost, 1)))
-    return costs
+            positions, rows = decompositions.setdefault(parent_key, ([], []))
+            positions.append(position)
+            rows.append(table.index[new_event])
+    costs = np.zeros(len(candidates), dtype=np.int64)
+    for parent_key, (positions, rows) in decompositions.items():
+        parent = context.parents.get(parent_key)
+        if parent is None or not parent.patterns:
+            continue
+        entries = parent.patterns.values()
+        sequences = np.concatenate([entry.sequences for entry in entries])
+        runs = np.concatenate([np.diff(entry.offsets) for entry in entries])
+        ids, position = np.unique(sequences, return_inverse=True)
+        counts = np.zeros(len(ids), dtype=np.int64)
+        np.add.at(counts, position, runs)
+        # The parent's decompositions' dot products, as one matrix product.
+        costs[positions] += table.count[np.ix_(rows, ids)] @ counts
+    return np.maximum(costs, 1).astype(float).tolist()
 
 
 class MiningSession:
@@ -732,12 +734,12 @@ class MiningSession:
         ordered_candidates = self._generate_combination_candidates(
             graph, stats, level
         )
+        context = self._level_context(graph, level, min_count, ordered_candidates)
         costs = (
-            _estimate_combination_costs(graph, ordered_candidates, level)
+            _estimate_combination_costs(context, ordered_candidates)
             if _backend_uses_costs(backend, len(ordered_candidates))
             else None
         )
-        context = self._level_context(graph, level, min_count, ordered_candidates)
         return self._run_level(
             graph, stats, backend, context, ordered_candidates, level_start, costs
         )
@@ -791,7 +793,7 @@ class MiningSession:
             )
         else:
             costs = (
-                _estimate_combination_costs(graph, touched, level)
+                _estimate_combination_costs(context, touched)
                 if _backend_uses_costs(backend, len(touched))
                 else None
             )

@@ -13,8 +13,13 @@ The payload is a versioned pickle envelope over exactly the object shapes
 that already cross process boundaries inside
 :class:`~repro.core.engine.LevelContext` (``EventNode``, ``CombinationNode``,
 ``PatternEntry``, ``MiningConfig``, ``MiningStatistics``) — anything a worker
-can evaluate, a session file can persist.  Like any pickle, a session file is
-a trusted artefact: only load files you wrote.
+can evaluate, a session file can persist.  Each ``PatternEntry`` pickles as
+its pattern plus the three arrays of its CSR occurrence store (format version
+5), and :func:`read_session` checks every entry whole on load: the array
+layout, the sequence ids, one non-empty run per sequence, and every index
+against a per-(event, sequence) instance-count matrix built once per load.
+Like any pickle, a session file is a trusted artefact: only load files you
+wrote.
 
 Sessions carrying A-HTPGM's event/pair filters cannot be serialised
 (arbitrary callables do not round-trip through a file).  Every other mined
@@ -29,7 +34,7 @@ import pickle
 import tempfile
 from pathlib import Path
 
-from ..core.hpg import HierarchicalPatternGraph
+from ..core.hpg import HierarchicalPatternGraph, InstanceTable
 from ..core.session import MiningSession
 from ..exceptions import MiningError, SessionFormatError
 
@@ -55,14 +60,17 @@ __all__ = ["read_session", "write_session"]
 #:    transport flag and the kernel-crossover override), and every file
 #:    carries ``mining_state`` — the progress marker of an interrupted
 #:    checkpointed run (see ``MiningConfig.checkpoint_path``), ``None`` for
-#:    a complete session.  Files written before ``PatternEntry`` lost its
-#:    per-sequence count form carry a ``"counts": None`` key in every
-#:    entry's state; it is ignored, so those files read unchanged.
+#:    a complete session.
+#: 5. ``PatternEntry`` stores its evidence in CSR layout: the pickled state
+#:    is the pattern plus three arrays — ``sequences`` (strictly ascending
+#:    ``int32`` ids), ``offsets`` (``int64`` row bounds, one non-empty run
+#:    per sequence) and ``rows`` (one ``(n, k)`` ``int32`` block) — instead
+#:    of an ``index`` dict of per-sequence matrices.
 #:
 #: Only the current version is read; files of any older version raise
 #: :class:`~repro.exceptions.SessionFormatError` and must be re-mined.
 FORMAT_NAME = "repro-mining-session"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 #: Versions :func:`read_session` accepts.
 READABLE_VERSIONS = (FORMAT_VERSION,)
 
@@ -172,13 +180,16 @@ def read_session(path: str | Path) -> MiningSession:
             version=version,
         ) from error
     try:
+        # One per-(event, sequence) instance-count matrix for the whole load.
+        table = InstanceTable(session.graph.level1, session.n_sequences)
         for _level, _node, entry in session.graph.iter_pattern_entries():
-            # Index matrices travel bare; re-attach the loaded instance lists
-            # so the lazy tuple views (and future appends) resolve, and range-
-            # check every index — a corrupted matrix would otherwise
-            # materialise the wrong instance silently (negative indexing).
+            # The arrays travel bare; re-attach the loaded instance lists so
+            # the lazy tuple views (and future appends) resolve, and check
+            # the whole entry — corrupted evidence would otherwise inflate a
+            # support or materialise the wrong instance silently (negative
+            # indexing).
             entry.bind_sources(session.graph.level1)
-            entry.validate_indices()
+            entry.validate_indices(table)
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as error:
         raise SessionFormatError(
             f"{path} holds occurrence evidence inconsistent with its "

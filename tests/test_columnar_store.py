@@ -2,11 +2,12 @@
 and the row bound of the vectorized pass.
 
 The store's contract (see :class:`repro.core.hpg.PatternEntry`) is that the
-int32 index matrices are a lossless re-encoding of the historical
-instance-tuple lists: endpoint blocks gathered through the flat
-:class:`~repro.core.hpg.InstanceTable` equal the old per-call list
+CSR arrays — ascending sequence ids, row offsets and one int32 row block,
+whose per-sequence index matrices are views — are a lossless re-encoding of
+the historical instance-tuple lists: endpoint blocks gathered through the
+flat :class:`~repro.core.hpg.InstanceTable` equal the old per-call list
 comprehensions bit for bit, per-hit and batched inserts build the identical
-matrix, and the lazy ``occurrences`` view materialises the exact tuples the
+arrays, and the lazy ``occurrences`` view materialises the exact tuples the
 old store held.  Chunking and the pass's row bound are pure scheduling
 choices and must never change a mined result.
 """
@@ -86,17 +87,30 @@ def _positions(table: InstanceTable, events, sequence_id: int, matrix) -> np.nda
 class TestIndexStore:
     def test_per_hit_and_batched_inserts_build_the_identical_matrix(self):
         """The scalar path's per-hit rows and the vectorized pass's whole
-        checked block (``from_index_blocks``) build the same entry."""
+        checked block (``from_arrays``) build the same three arrays."""
         rng = random.Random(3)
         pattern = _pattern(3)
         rows = [
-            tuple(rng.randrange(50) for _ in range(3)) for _ in range(200)
+            (sequence_id, tuple(rng.randrange(50) for _ in range(3)))
+            for sequence_id in (2, 7, 9)
+            for _ in range(rng.randint(1, 80))
         ]
         per_hit = PatternEntry(pattern=pattern)
-        for row in rows:
-            per_hit.add_index_row(7, row)
-        block = hpg_module._checked_rows(np.asarray(rows, dtype=np.int64))
-        batched = PatternEntry.from_index_blocks(pattern, None, [7], [block])
+        for sequence_id, row in rows:
+            per_hit.add_index_row(sequence_id, row)
+        block = hpg_module._checked_rows(np.asarray([row for _, row in rows]))
+        counts = Counter(sequence_id for sequence_id, _ in rows)
+        batched = PatternEntry.from_arrays(
+            pattern,
+            None,
+            np.array([2, 7, 9], dtype=np.int32),
+            np.cumsum([0, counts[2], counts[7], counts[9]]),
+            block,
+        )
+        for name in ("sequences", "offsets", "rows"):
+            built, expected = getattr(per_hit, name), getattr(batched, name)
+            assert built.dtype == expected.dtype
+            assert np.array_equal(built, expected)
         assert np.array_equal(per_hit.index_matrix(7), batched.index_matrix(7))
         assert per_hit == batched
         assert per_hit.n_occurrences == batched.n_occurrences == len(rows)
@@ -104,26 +118,68 @@ class TestIndexStore:
     def test_mixed_rows_and_blocks_consolidate_in_arrival_order(self):
         pattern = _pattern(2)
         block = np.asarray([(0, 1), (2, 3)], dtype=np.int32)
-        entry = PatternEntry.from_index_blocks(pattern, None, [0], [block])
+        entry = PatternEntry.from_arrays(
+            pattern, None, np.array([0], dtype=np.int32), np.array([0, 2]), block
+        )
         entry.add_index_row(0, (4, 5))
         entry.add_index_row(0, (6, 7))
         assert entry.index_matrix(0).tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
-        # Appending after consolidation reopens the build list.
+        # Appending after consolidation reopens the build buffer.
         entry.add_index_row(0, (8, 9))
         assert entry.index_matrix(0).tolist()[-1] == [8, 9]
         assert entry.index_matrix(0).dtype == np.int32
 
+    def test_rows_arriving_out_of_sequence_order_fold_in_stably(self):
+        """The block is sorted by sequence; each sequence keeps its rows in
+        arrival order."""
+        entry = PatternEntry(pattern=_pattern(2))
+        for sequence_id, row in ((5, (0, 0)), (1, (1, 1)), (5, (2, 2)), (1, (3, 3))):
+            entry.add_index_row(sequence_id, row)
+        assert entry.sequences.tolist() == [1, 5]
+        assert entry.offsets.tolist() == [0, 2, 4]
+        assert entry.rows.tolist() == [[1, 1], [3, 3], [0, 0], [2, 2]]
+
     def test_counts_read_the_pending_rows(self):
-        """Support and per-sequence counts come from the build lists without
-        consolidating them."""
+        """Support, row counts and sequence ids fold the pending rows into
+        the block on the first read."""
         entry = PatternEntry(pattern=_pattern(2))
         entry.add_index_row(0, (0, 0))
         entry.add_index_row(0, (1, 0))
         entry.add_index_row(3, (0, 1))
-        assert entry.occurrence_counts_by_sequence() == {0: 2, 3: 1}
         assert entry.support == 2 and entry.n_occurrences == 3
         assert entry.sequence_ids() == {0, 3}
-        assert all(isinstance(value, list) for value in entry._store.values())
+        assert entry.sequences.tolist() == [0, 3]
+        assert entry.offsets.tolist() == [0, 2, 3]
+        assert entry.rows.tolist() == [[0, 0], [1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_matrices_are_ascending_views_of_the_one_block(self, vectorized):
+        config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
+        session = MiningSession(config.with_vectorized(vectorized))
+        session.mine(random_database(5, n_sequences=10, max_instances=12))
+        checked = 0
+        for _level, _node, entry in session.graph.iter_pattern_entries():
+            sequence_ids = [sid for sid, _ in entry.iter_index_matrices()]
+            assert sequence_ids == sorted(set(sequence_ids))
+            assert sequence_ids == entry.sequences.tolist()
+            for sequence_id, matrix in entry.iter_index_matrices():
+                assert np.shares_memory(matrix, entry.rows)
+                assert np.shares_memory(entry.index_matrix(sequence_id), entry.rows)
+                assert len(matrix) > 0
+                checked += 1
+        assert checked > 0
+        with pytest.raises(KeyError):
+            entry.index_matrix(max(sequence_ids) + 1)
+
+    def test_pickled_state_is_the_pattern_and_three_arrays(self):
+        entry = PatternEntry(pattern=_pattern(2))
+        entry.add_index_row(0, (0, 1))
+        entry.add_index_row(4, (2, 3))
+        state = entry.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        assert set(state) == {"pattern", "sequences", "offsets", "rows"}
+        assert state["sequences"].tolist() == [0, 4]
+        assert state["offsets"].tolist() == [0, 1, 2]
+        assert state["rows"].tolist() == [[0, 1], [2, 3]]
 
     def test_unbound_entry_raises_on_materialisation(self):
         entry = PatternEntry(pattern=_pattern(2))

@@ -462,6 +462,60 @@ class TestCostBalancedSharding:
         assert "_estimate_pair_costs" in calls
 
 
+def _walked_combination_costs(graph, candidates, level):
+    """The level-k cost estimate as a Python walk over every parent entry's
+    per-sequence matrices, the reference for the CSR estimator."""
+    occurrence_counts = {}
+    for parent_key, parent in graph.levels.get(level - 1, {}).items():
+        counts = {}
+        for entry in parent.patterns.values():
+            for sequence_id, matrix in entry.iter_index_matrices():
+                counts[sequence_id] = counts.get(sequence_id, 0) + len(matrix)
+        occurrence_counts[parent_key] = counts
+    costs = []
+    for candidate in candidates:
+        cost = 0
+        for new_event in candidate:
+            parent_key = tuple(e for e in candidate if e != new_event)
+            instances = graph.level1[new_event].instances_by_sequence
+            for sequence_id, n_occurrences in occurrence_counts.get(
+                parent_key, {}
+            ).items():
+                cost += n_occurrences * len(instances.get(sequence_id, ()))
+        costs.append(float(max(cost, 1)))
+    return costs
+
+
+class TestCombinationCostEstimate:
+    def test_csr_estimate_equals_the_per_sequence_walk(self):
+        """The level-k estimator reads the entries' CSR arrays and the
+        instance table; its costs are the exact integer sums of the walk at
+        every level of a dataport stand-in."""
+        from repro import MiningSession
+        from repro.core.session import _estimate_combination_costs
+        from repro.core.stats import MiningStatistics
+        from repro.datasets import make_dataset
+
+        _, database = make_dataset(
+            "dataport", scale=0.01, attribute_fraction=0.5, seed=103
+        ).transform()
+        session = MiningSession(
+            MiningConfig(min_support=0.45, min_confidence=0.45, min_overlap=1.0)
+        )
+        session.mine(database)
+        graph = session.graph
+        levels = range(3, graph.max_level() + 2)
+        assert len(levels) >= 3
+        for level in levels:
+            candidates = session._generate_combination_candidates(
+                graph, MiningStatistics(), level
+            )
+            context = session._level_context(graph, level, 1, candidates)
+            estimated = _estimate_combination_costs(context, candidates)
+            assert estimated == _walked_combination_costs(graph, candidates, level)
+            assert candidates and max(estimated) > 1.0
+
+
 class TestShardOverDecomposition:
     """Asked for more shards than items, the LPT splitter returns no empty
     shard."""

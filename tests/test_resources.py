@@ -296,18 +296,24 @@ class TestContextEstimation:
             for node in graph.level1.values()
             for instances in node.instances_by_sequence.values()
         )
-        matrices = sum(
-            matrix.nbytes
+        stored = sum(
+            entry.sequences.nbytes + entry.offsets.nbytes + entry.rows.nbytes
             for node in graph.levels[2].values()
             for entry in node.patterns.values()
-            for _sequence_id, matrix in entry.iter_index_matrices()
         )
-        assert matrices > 0
-        # The vectorized level-k pass stacks a second copy of the parents'
-        # matrices; the scalar reference reads them in place.
-        assert resources.estimate_context_bytes(context) == arrays + 2 * matrices
+        assert stored > 0
+        # The vectorized level-k pass stacks each parent once (a copy of its
+        # entries' row blocks plus their runs); the estimate prices exactly
+        # those stacks.  The scalar reference reads the entries in place.
+        batch = engine._ExtensionBatch(context, None, [])
+        stacks = sum(
+            rows.index_rows.nbytes + rows.runs.nbytes
+            for _parent, _events, rows in map(batch._parent, graph.levels[2])
+        )
+        assert stacks > 0
+        assert resources.estimate_context_bytes(context) == arrays + stored + stacks
         context.config = CONFIG.with_vectorized(False)
-        assert resources.estimate_context_bytes(context) == arrays + matrices
+        assert resources.estimate_context_bytes(context) == arrays + stored
 
     def test_vectorized_level_2_prices_the_event_row_stacks(self):
         """At level 2 the vectorized pass stacks every event's instance list

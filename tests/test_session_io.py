@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import copyreg
 import pickle
+import re
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -126,6 +128,21 @@ class _Version2Entry:
         return copyreg._reconstructor, (PatternEntry, object, None), state
 
 
+class _Version4Entry:
+    """Pickles as a version-4 ``PatternEntry``: an ``index`` dict of
+    per-sequence matrices."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __reduce__(self):
+        state = {
+            "pattern": self.entry.pattern,
+            "index": dict(self.entry.iter_index_matrices()),
+        }
+        return copyreg._reconstructor, (PatternEntry, object, None), state
+
+
 class TestOlderVersionsRejected:
     """Only the current format is read; older files name their version and
     ask to be re-mined instead of being migrated."""
@@ -147,18 +164,36 @@ class TestOlderVersionsRejected:
 
     @staticmethod
     def _as_v3(payload):
-        """A freshly written payload stamped version 3.  (A real version-3
-        config also carries two fields version 4 dropped; they unpickle as
-        plain attributes, so the version gate is what rejects the file.)"""
+        """A freshly written payload in the version-4 wire shape, stamped
+        version 3.  (A real version-3 config also carries two fields version
+        4 dropped; they unpickle as plain attributes, so the version gate is
+        what rejects the file.)"""
+        payload = TestOlderVersionsRejected._as_v4(payload)
         payload["version"] = 3
         return payload
 
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_older_file_names_its_version(self, deep_session, tmp_path, version):
-        path = write_session(deep_session, tmp_path / "state.bin")
-        assert pickle.loads(path.read_bytes())["version"] == FORMAT_VERSION == 4
-        rewrite = self._as_v2 if version == 2 else self._as_v3
+    @staticmethod
+    def _as_v4(payload):
+        """A freshly written payload in the version-4 wire shape."""
+        for nodes in payload["levels"].values():
+            for node in nodes.values():
+                node.patterns = {
+                    pattern: _Version4Entry(entry)
+                    for pattern, entry in node.patterns.items()
+                }
+        payload["version"] = 4
+        return payload
+
+    def _write_older(self, session, tmp_path, version):
+        path = write_session(session, tmp_path / "state.bin")
+        assert pickle.loads(path.read_bytes())["version"] == FORMAT_VERSION == 5
+        rewrite = {2: self._as_v2, 3: self._as_v3, 4: self._as_v4}[version]
         path.write_bytes(pickle.dumps(rewrite(pickle.loads(path.read_bytes()))))
+        return path
+
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    def test_older_file_names_its_version(self, deep_session, tmp_path, version):
+        path = self._write_older(deep_session, tmp_path, version)
         with pytest.raises(SessionFormatError, match="re-mine to upgrade") as excinfo:
             read_session(path)
         assert excinfo.value.path == path
@@ -166,11 +201,11 @@ class TestOlderVersionsRejected:
         assert f"version {version}" in str(excinfo.value)
         assert str(path) in str(excinfo.value)
 
-    def test_cli_append_to_a_version_3_file_exits_1(
-        self, deep_session, tmp_path, capsys
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_cli_append_to_an_older_file_exits_1(
+        self, deep_session, tmp_path, capsys, version
     ):
-        path = write_session(deep_session, tmp_path / "state.bin")
-        path.write_bytes(pickle.dumps(self._as_v3(pickle.loads(path.read_bytes()))))
+        path = self._write_older(deep_session, tmp_path, version)
         code = main(
             [
                 "mine", "--append", str(tmp_path / "new.csv"),
@@ -182,20 +217,7 @@ class TestOlderVersionsRejected:
         assert "re-mine to upgrade" in capsys.readouterr().err
 
 
-class _CountsKeyEntry:
-    """Pickles a ``PatternEntry`` in the version-4 wire shape of builds whose
-    entries could hold per-sequence counts: the state also carries
-    ``"counts": None``."""
-
-    def __init__(self, entry):
-        self.entry = entry
-
-    def __reduce__(self):
-        state = {**self.entry.__getstate__(), "counts": None}
-        return copyreg._reconstructor, (PatternEntry, object, None), state
-
-
-class TestVersion4RoundTrip:
+class TestCurrentFormatRoundTrip:
     """A current-format file restores the whole occurrence store, and an
     append to the restored session equals the from-scratch mine, in every
     pruning mode."""
@@ -240,31 +262,6 @@ class TestVersion4RoundTrip:
         session = MiningSession(config)
         session.mine(base)
         loaded = read_session(write_session(session, tmp_path / "state.bin"))
-        appended = loaded.append(delta)
-        scratch = MiningSession(config)
-        assert mined_tuples(appended) == mined_tuples(scratch.mine(database))
-        assert store_snapshot(loaded.graph) == store_snapshot(scratch.graph)
-
-    def test_entries_carrying_a_counts_key_still_read(self, tmp_path):
-        """Files whose entries carry ``"counts": None`` are still version 4:
-        they read, restore the same store, and take appends."""
-        config = self._config(PruningMode.ALL)
-        database = self._database()
-        base, delta = split_database(database, 0.75)
-        session = MiningSession(config)
-        session.mine(base)
-        path = write_session(session, tmp_path / "state.bin")
-        payload = pickle.loads(path.read_bytes())
-        for nodes in payload["levels"].values():
-            for node in nodes.values():
-                node.patterns = {
-                    pattern: _CountsKeyEntry(entry)
-                    for pattern, entry in node.patterns.items()
-                }
-        path.write_bytes(pickle.dumps(payload))
-        assert b"counts" in path.read_bytes()
-        loaded = read_session(path)
-        assert store_snapshot(loaded.graph) == store_snapshot(session.graph)
         appended = loaded.append(delta)
         scratch = MiningSession(config)
         assert mined_tuples(appended) == mined_tuples(scratch.mine(database))
@@ -342,6 +339,137 @@ class TestGuards:
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(DataError, match="occurrence evidence inconsistent"):
             read_session(path)
+
+
+def _run_free_sequence(session, entry):
+    """A sequence the entry does not list where every one of its events has
+    instances, so an empty run there would read as one more supporting
+    sequence."""
+    listed = set(entry.sequences.tolist())
+    for sequence_id in range(session.n_sequences):
+        if sequence_id not in listed and all(
+            session.graph.level1[event].instances_by_sequence.get(sequence_id)
+            for event in entry.pattern.events
+        ):
+            return sequence_id
+    raise AssertionError("fixture entry occurs wherever its events do")
+
+
+def _with_empty_run(session, entry):
+    sequence_id = _run_free_sequence(session, entry)
+    position = int(np.searchsorted(entry.sequences, sequence_id))
+    sequences = np.insert(entry.sequences, position, sequence_id)
+    offsets = np.insert(entry.offsets, position, entry.offsets[position])
+    return sequences, offsets, entry.rows
+
+
+#: Malformed CSR arrays, each built from one entry's valid
+#: ``(sequences, offsets, rows)``, and the rule that rejects them.
+_MALFORMED = {
+    "empty-run": (_with_empty_run, "one non-empty run per sequence"),
+    "duplicate-sequence": (
+        lambda session, entry: (
+            np.r_[entry.sequences[:1], entry.sequences[:-1]].astype(np.int32),
+            entry.offsets,
+            entry.rows,
+        ),
+        "not strictly ascending",
+    ),
+    "descending-sequences": (
+        lambda session, entry: (
+            entry.sequences[::-1].copy(),
+            entry.offsets,
+            entry.rows,
+        ),
+        "not strictly ascending",
+    ),
+    "sequence-past-the-end": (
+        lambda session, entry: (
+            np.r_[entry.sequences[:-1], session.n_sequences].astype(np.int32),
+            entry.offsets,
+            entry.rows,
+        ),
+        r"inside \[0, \d+\)",
+    ),
+    "negative-sequence": (
+        lambda session, entry: (
+            np.r_[-1, entry.sequences[1:]].astype(np.int32),
+            entry.offsets,
+            entry.rows,
+        ),
+        r"inside \[0, \d+\)",
+    ),
+    "wrong-column-count": (
+        lambda session, entry: (
+            entry.sequences,
+            entry.offsets,
+            entry.rows[:, :-1].copy(),
+        ),
+        "have 1 columns, not 2",
+    ),
+    "float64-rows": (
+        lambda session, entry: (
+            entry.sequences,
+            entry.offsets,
+            entry.rows.astype(np.float64),
+        ),
+        "not a 2-D int32 array",
+    ),
+    "offsets-past-the-rows": (
+        lambda session, entry: (
+            entry.sequences,
+            entry.offsets,
+            entry.rows[:-1].copy(),
+        ),
+        "one non-empty run per sequence",
+    ),
+}
+
+
+class TestMalformedEvidence:
+    """Version-5 files whose CSR arrays break the layout rules are a clean
+    DataError at load time, never a silently wrong store."""
+
+    @staticmethod
+    def _entry(session):
+        """The level-2 entry with the most supporting sequences."""
+        return max(
+            (
+                entry
+                for node in session.graph.levels[2].values()
+                for entry in node.patterns.values()
+            ),
+            key=lambda entry: entry.support,
+        )
+
+    def test_an_empty_run_would_inflate_the_support(self, deep_session):
+        """Why an empty run must be rejected: it reads as one more
+        supporting sequence."""
+        entry = self._entry(deep_session)
+        forged = PatternEntry.from_arrays(
+            entry.pattern, None, *_with_empty_run(deep_session, entry)
+        )
+        assert forged.support == entry.support + 1
+        assert forged.n_occurrences == entry.n_occurrences
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_arrays_rejected(self, deep_session, tmp_path, case):
+        entry = self._entry(deep_session)
+        assert entry.support >= 3
+        path = write_session(deep_session, tmp_path / "state.bin")
+        payload = pickle.loads(path.read_bytes())
+        node = payload["levels"][2][tuple(sorted(entry.pattern.events))]
+        build, rule = _MALFORMED[case]
+        node.patterns[entry.pattern] = PatternEntry.from_arrays(
+            entry.pattern, None, *build(deep_session, entry)
+        )
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(SessionFormatError, match="evidence inconsistent") as error:
+            read_session(path)
+        assert error.value.version == FORMAT_VERSION
+        assert re.search(rule, str(error.value))
+        # The untouched file still reads.
+        read_session(write_session(deep_session, tmp_path / "state.bin"))
 
 
 class TestAtomicWrite:
