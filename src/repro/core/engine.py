@@ -74,7 +74,7 @@ import multiprocessing
 import os
 import pickle
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -643,7 +643,8 @@ class _ExtensionBatch:
     early-exit counters rebuilt from each pair's first failing position,
     and one stored row block per pattern, patterns in first-hit order and
     each block's sequences ascending — skipping patterns whose (complete)
-    support :func:`_finalise_node` would reject.
+    support :func:`admit_patterns` would reject.  A candidate that queues
+    no decomposition can only finalise empty, so it is not kept pending.
     """
 
     def __init__(
@@ -730,6 +731,7 @@ class _ExtensionBatch:
         node = _open_combination(context, candidate, stats)
         if node is None:
             return
+        queued = len(self.queue)
         if context.level == 2:
             # Each orientation finds the pairs whose chronologically first
             # instance is its parent event's; a self pair has one.
@@ -752,7 +754,8 @@ class _ExtensionBatch:
                     stats.bump(stats.pruned_relation_checks, level, n_entries)
                 elif rows is not None:
                     self._queue(_Extension(node, new_event, rows))
-        self.pending.append(node)
+        if len(self.queue) > queued:
+            self.pending.append(node)
         if self.rows >= _EXTENSION_BATCH_ROWS:
             self.flush()
 
@@ -885,6 +888,7 @@ class _ExtensionBatch:
         support = np.bincount(group[runs], minlength=len(first_hit))
         queued = [owners[job] for job in jobs[first_hit].tolist()]
         supports = [max(map(self.supports.get, item.node.events)) for item, _ in queued]
+        # admit_patterns as one mask: groups it would drop build no entry.
         frequent = (support >= self.context.min_count) & ~(
             support / np.array(supports) < self.context.config.min_confidence
         )
@@ -913,28 +917,43 @@ class _ExtensionBatch:
             )
 
 
+def admit_patterns(
+    patterns: Mapping[TemporalPattern, PatternEntry],
+    event_support: Callable[[EventKey], int],
+    min_count: int,
+    config: MiningConfig,
+) -> dict[TemporalPattern, PatternEntry]:
+    """The patterns Alg. 1 keeps, in their order: support at least
+    ``min_count`` and confidence — support over the largest
+    ``event_support`` of the pattern's events — at least
+    ``config.min_confidence``.
+
+    The one admission rule: :func:`_finalise_node` applies it to evaluated
+    nodes, :meth:`~repro.core.session.MiningSession._readmit` to the stored
+    nodes an append leaves untouched.
+    """
+    admitted = {}
+    for pattern, entry in patterns.items():
+        support = entry.support
+        if support < min_count:
+            continue
+        max_event_support = max(event_support(event) for event in pattern.events)
+        if max_event_support and support / max_event_support >= config.min_confidence:
+            admitted[pattern] = entry
+    return admitted
+
+
 def _finalise_node(
     context: LevelContext,
     node: CombinationNode,
     stats: MiningStatistics,
     level: int,
 ) -> CombinationNode | None:
-    """Keep only frequent, confident patterns; return the node when non-empty."""
-    config = context.config
-    keep: set[TemporalPattern] = set()
-    for pattern, entry in node.patterns.items():
-        support = entry.support
-        if support < context.min_count:
-            continue
-        max_event_support = max(
-            context.event_support(event) for event in pattern.events
-        )
-        if max_event_support == 0:
-            continue
-        if support / max_event_support < config.min_confidence:
-            continue
-        keep.add(pattern)
-    node.prune_patterns(keep)
+    """Keep only the patterns :func:`admit_patterns` admits; return the node
+    when non-empty."""
+    node.patterns = admit_patterns(
+        node.patterns, context.event_support, context.min_count, context.config
+    )
     if node.has_patterns():
         stats.bump(stats.patterns_found, level, len(node.patterns))
         return node

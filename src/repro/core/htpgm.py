@@ -20,12 +20,15 @@ Since the incremental-mining refactor, the level-wise machinery lives in
 order-sensitive) happens in the session, candidate *evaluation* (expensive,
 embarrassingly parallel) is delegated to an
 :class:`~repro.core.engine.ExecutionBackend`, and all per-run state — level-1
-bitmaps, node trees, statistics — is explicit session state.  :class:`HTPGM`
-is the stable one-shot façade: :meth:`HTPGM.mine` creates a session, runs the
+bitmaps, node trees, statistics — is explicit session state.  One per-level
+method of the session serves a full mine, a resumed checkpoint and an append;
+a full mine is a merge against an empty previous state.  :class:`HTPGM` is
+the stable one-shot façade: :meth:`HTPGM.mine` creates a session, runs the
 levels and builds the result.  Every backend builds the same occurrence store,
 so the session left in :attr:`HTPGM.session_` can be appended to or persisted
 via :mod:`repro.io.session_io` like one created directly; with
-``MiningConfig.checkpoint_path`` set it also checkpoints every level.
+``MiningConfig.checkpoint_path`` set it also checkpoints after level 1 and
+after every level that produced nodes.
 
 Both pruning families can be switched off through
 :class:`~repro.core.config.PruningMode`, which only changes the amount of work,

@@ -22,6 +22,14 @@ from scratch repeats almost all of yesterday's work.
 * :mod:`repro.io.session_io` saves and loads a session, so the mining state
   can outlive the process that built it.
 
+One per-level method, :meth:`MiningSession._level`, serves both: it
+generates a level's candidates, evaluates those whose support set can change
+through one ``backend.run``, re-admits the stored nodes of the rest and
+merges both in canonical candidate order.  A full mine — and
+:meth:`MiningSession.resume` of a checkpointed one — is a merge against an
+empty previous state, in which every frequent event is newly frequent, so
+every candidate is evaluated.
+
 The correctness contract (enforced by ``tests/test_session.py``) is exact:
 
     ``mine(D)`` followed by ``append(ΔD)`` produces the identical
@@ -50,6 +58,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +71,7 @@ from .engine import (
     Candidate,
     ExecutionBackend,
     LevelContext,
+    admit_patterns,
     apriori_prune,
     backend_from_config,
 )
@@ -71,7 +81,7 @@ from .hpg import (
     EventNode,
     HierarchicalPatternGraph,
 )
-from .patterns import PatternMeasures, TemporalPattern
+from .patterns import PatternMeasures
 from .result import MinedPattern, MiningResult
 from .stats import MiningStatistics
 
@@ -259,12 +269,6 @@ class MiningSession:
         #: so :meth:`resume` knows where to pick up; while it is set,
         #: :meth:`result` and :meth:`append` refuse the state.
         self._mining_state: dict | None = None
-        # Level 2 is immutable once a run finished, so its pattern-identity
-        # snapshot (used by the transitivity checks at every level >= 3) is
-        # built once per run and reused.
-        self._pair_patterns: dict[
-            tuple[EventKey, EventKey], frozenset[TemporalPattern]
-        ] | None = None
 
     # ------------------------------------------------------------------ properties
     @property
@@ -289,9 +293,10 @@ class MiningSession:
         injected backend stays owned by the caller.
 
         With ``config.checkpoint_path`` set the session snapshots itself to
-        that file (atomically, via the ordinary session writer) after every
-        completed level; an interrupted run restarts from the last finished
-        level via :meth:`resume` and produces the identical final result.
+        that file (atomically, via the ordinary session writer) after level 1
+        and after every level that produced nodes; an interrupted run
+        restarts from the last finished level via :meth:`resume` and
+        produces the identical final result.
         """
         if self.graph is not None:
             raise MiningError(
@@ -310,13 +315,10 @@ class MiningSession:
                 "checkpointed; filters are arbitrary callables"
             )
 
-        plan = faults.active_plan()
         started = time.perf_counter()
-        config = self.config
         stats = MiningStatistics(n_sequences=len(database))
-        min_count = config.support_count(len(database))
+        min_count = self.config.support_count(len(database))
         graph = HierarchicalPatternGraph(n_sequences=len(database))
-        self._pair_patterns = None
 
         backend, owns_backend = self._resolve_backend(backend)
         try:
@@ -330,20 +332,7 @@ class MiningSession:
                 self.graph = graph
                 self.statistics = stats
                 self._write_checkpoint(2)
-            max_size = config.max_pattern_size
-            if max_size is None or max_size >= 2:
-                faults.coordinator_exit(plan, 2)
-                self._mine_pairs(graph, stats, min_count, backend)
-                self._write_checkpoint(3)
-                level = 3
-                while (max_size is None or level <= max_size) and graph.nodes_at(
-                    level - 1
-                ):
-                    faults.coordinator_exit(plan, level)
-                    if not self._mine_level(graph, stats, min_count, level, backend):
-                        break
-                    self._write_checkpoint(level + 1)
-                    level += 1
+            self._mine_levels(graph, stats, min_count, backend, 2)
         except BaseException:
             if checkpointing:
                 # The on-disk checkpoint survives for resume(); in memory the
@@ -399,35 +388,14 @@ class MiningSession:
                 f"checkpoint was mining {self.n_sequences}; resume() needs "
                 "the exact database of the interrupted run"
             )
-        next_level = int(state["next_level"])
-
-        plan = faults.active_plan()
         started = time.perf_counter()
-        config = self.config
-        stats = self.statistics
-        min_count = config.support_count(self.n_sequences)
-        graph = self.graph
-        self._pair_patterns = None
-
+        graph, stats = self.graph, self.statistics
+        min_count = self.config.support_count(self.n_sequences)
         backend, owns_backend = self._resolve_backend(backend)
         try:
-            max_size = config.max_pattern_size
-            level = next_level
-            if level == 2 and (max_size is None or max_size >= 2):
-                faults.coordinator_exit(plan, 2)
-                self._mine_pairs(graph, stats, min_count, backend)
-                self._write_checkpoint(3)
-                level = 3
-            while (
-                level >= 3
-                and (max_size is None or level <= max_size)
-                and graph.nodes_at(level - 1)
-            ):
-                faults.coordinator_exit(plan, level)
-                if not self._mine_level(graph, stats, min_count, level, backend):
-                    break
-                self._write_checkpoint(level + 1)
-                level += 1
+            self._mine_levels(
+                graph, stats, min_count, backend, int(state["next_level"])
+            )
         finally:
             if owns_backend:
                 backend.close()
@@ -511,8 +479,6 @@ class MiningSession:
         n_new = self.n_sequences + len(delta_db)
         min_count = config.support_count(n_new)
         stats = MiningStatistics(n_sequences=n_new)
-        old_graph = self.graph
-        self._pair_patterns = None
 
         # ---- level 1: extend bitmaps and instance lists with the delta scan
         level_start = time.perf_counter()
@@ -522,9 +488,11 @@ class MiningSession:
         for key, node in merged_events.items():
             if node.support >= min_count:
                 graph.add_event_node(node)
-        newly_frequent = {
-            key for key in graph.level1 if key not in old_graph.level1
-        }
+        previous = _PreviousState(
+            self.graph,
+            delta_ids,
+            {key for key in graph.level1 if key not in self.graph.level1},
+        )
         stats.events_scanned = len(merged_events)
         stats.frequent_events = len(graph.level1)
         stats.patterns_found[1] = len(graph.level1)
@@ -532,22 +500,13 @@ class MiningSession:
 
         backend, owns_backend = self._resolve_backend(backend)
         try:
-            max_size = config.max_pattern_size
-            if max_size is None or max_size >= 2:
-                self._append_level(
-                    graph, stats, min_count, 2, backend, old_graph, delta_ids,
-                    newly_frequent,
-                )
-                level = 3
-                while (max_size is None or level <= max_size) and graph.nodes_at(
-                    level - 1
-                ):
-                    if not self._append_level(
-                        graph, stats, min_count, level, backend, old_graph,
-                        delta_ids, newly_frequent,
-                    ):
-                        break
-                    level += 1
+            # No checkpoints: ``self.graph`` holds the old state until the
+            # append completes.
+            level = 2
+            while self._mines_level(graph, level):
+                if not self._level(graph, stats, min_count, level, backend, previous):
+                    break
+                level += 1
         finally:
             if owns_backend:
                 backend.close()
@@ -694,180 +653,159 @@ class MiningSession:
                 candidates.add(tuple(sorted((*node.events, event))))
         return sorted(candidates)
 
-    # ------------------------------------------------------------------ full-mine levels
-    def _mine_pairs(
+    # ------------------------------------------------------------------ levels 2..k
+    def _mines_level(self, graph: HierarchicalPatternGraph, level: int) -> bool:
+        """Whether the level-wise loop mines ``level``: within
+        ``max_pattern_size``, and past level 2 only on top of level-``(k-1)``
+        nodes."""
+        max_size = self.config.max_pattern_size
+        return (max_size is None or level <= max_size) and (
+            level == 2 or bool(graph.levels.get(level - 1))
+        )
+
+    def _mine_levels(
         self,
         graph: HierarchicalPatternGraph,
         stats: MiningStatistics,
         min_count: int,
         backend: ExecutionBackend,
+        first_level: int,
     ) -> None:
-        """Alg. 1 lines 5–14: frequent 2-event patterns.
+        """Alg. 1 lines 5–20 from ``first_level`` on, for :meth:`mine` and
+        :meth:`resume`.
 
-        Generates the candidate pairs (applying A-HTPGM's ``pair_filter``
-        here, in the coordinating process) and estimates each pair's
-        evaluation cost, then delegates the per-pair evaluation to the
-        backend.
+        Every level merges against an empty previous state, in which every
+        frequent event is newly frequent, so every candidate is evaluated.
+        The ``exit`` fault hook fires before each level, and a checkpoint
+        follows every level that produced nodes; a level that produced none
+        ends the run.
         """
-        level_start = time.perf_counter()
-        candidate_pairs = self._generate_pair_candidates(graph)
-        context = self._level_context(graph, 2, min_count, candidate_pairs)
-        costs = (
-            _estimate_pair_costs(context, candidate_pairs, self.config, min_count)
-            if _backend_uses_costs(backend, len(candidate_pairs))
-            else None
-        )
-        self._run_level(
-            graph, stats, backend, context, candidate_pairs, level_start, costs
-        )
+        plan = faults.active_plan()
+        empty = HierarchicalPatternGraph(n_sequences=graph.n_sequences)
+        previous = _PreviousState(empty, {}, set(graph.level1))
+        level = first_level
+        while self._mines_level(graph, level):
+            faults.coordinator_exit(plan, level)
+            if not self._level(graph, stats, min_count, level, backend, previous):
+                break
+            self._write_checkpoint(level + 1)
+            level += 1
 
-    def _mine_level(
+    def _level(
         self,
         graph: HierarchicalPatternGraph,
         stats: MiningStatistics,
         min_count: int,
         level: int,
         backend: ExecutionBackend,
+        previous: _PreviousState,
     ) -> bool:
-        """Alg. 1 lines 15–20: frequent k-event patterns for one level."""
-        level_start = time.perf_counter()
-        ordered_candidates = self._generate_combination_candidates(
-            graph, stats, level
-        )
-        context = self._level_context(graph, level, min_count, ordered_candidates)
-        costs = (
-            _estimate_combination_costs(context, ordered_candidates)
-            if _backend_uses_costs(backend, len(ordered_candidates))
-            else None
-        )
-        return self._run_level(
-            graph, stats, backend, context, ordered_candidates, level_start, costs
-        )
+        """Mine one level into ``graph``, merged against ``previous``.
 
-    # ------------------------------------------------------------------ incremental levels
-    def _append_level(
-        self,
-        graph: HierarchicalPatternGraph,
-        stats: MiningStatistics,
-        min_count: int,
-        level: int,
-        backend: ExecutionBackend,
-        old_graph: HierarchicalPatternGraph,
-        delta_ids: dict[EventKey, set[int]],
-        newly_frequent: set[EventKey],
-    ) -> bool:
-        """Merge one level of the new state: re-evaluate touched, reuse the rest.
+        Candidates are generated from the ``(k-1)`` state of ``graph`` —
+        exactly as a from-scratch run over the whole database would generate
+        them, since that state equals the from-scratch one by induction —
+        then partitioned:
 
-        Candidates are generated exactly as a from-scratch run over the
-        concatenated database would generate them (the merged ``(k-1)`` state
-        equals the from-scratch one by induction), then partitioned:
+        * candidates whose support set can change go through one
+          ``backend.run`` (A-HTPGM's ``pair_filter`` already applied, costs
+          estimated for cost-balancing backends);
+        * every other candidate either re-admits its stored node of
+          ``previous`` (supports and confidences of untouched patterns are
+          unchanged, so :func:`~repro.core.engine.admit_patterns` re-checks
+          each pattern in constant time against the grown thresholds), or
+          provably mined nothing before and would mine nothing now.
 
-        * *touched* candidates — support set able to change — go through the
-          backend for full re-evaluation;
-        * every other candidate either has a stored node whose patterns are
-          re-checked against the grown support threshold and event supports
-          (supports and confidences of untouched patterns are unchanged, so
-          the check is constant-time per pattern), or provably mined nothing
-          before and would mine nothing now.
+        Against an empty previous state every candidate is evaluated.  The
+        merge walks the canonical candidate order, so node order — and the
+        result — is identical to a from-scratch run.  Returns whether the
+        level produced a node.
 
-        The merge walks the canonical candidate order, so node order — and
-        the final result — is byte-identical to a from-scratch run.
+        ``level_seconds`` is *evaluation time + coordinator overhead*: the
+        backend reports the evaluation wall-clock (for parallel backends: the
+        slowest shard, per :meth:`MiningStatistics.merge_shard`), and the
+        time this process spent generating candidates, building the context
+        and merging the nodes is added on top.
         """
         level_start = time.perf_counter()
         if level == 2:
             generated = self._generate_pair_candidates(graph)
         else:
             generated = self._generate_combination_candidates(graph, stats, level)
-        touched = [
-            candidate
-            for candidate in generated
-            if _support_can_change(candidate, delta_ids, newly_frequent)
-        ]
+        stored = previous.graph.levels.get(level, {})
+        touched, readmitted = [], {}
+        for candidate in generated:
+            if _support_can_change(candidate, previous):
+                touched.append(candidate)
+                continue
+            key = tuple(sorted(candidate))
+            node = self._readmit(stored.get(key), graph, min_count)
+            if node is not None:
+                readmitted[key] = node
 
         context = self._level_context(graph, level, min_count, touched)
-        if level == 2:
+        costs = None
+        if _backend_uses_costs(backend, len(touched)):
             costs = (
                 _estimate_pair_costs(context, touched, self.config, min_count)
-                if _backend_uses_costs(backend, len(touched))
-                else None
-            )
-        else:
-            costs = (
-                _estimate_combination_costs(context, touched)
-                if _backend_uses_costs(backend, len(touched))
-                else None
+                if level == 2
+                else _estimate_combination_costs(context, touched)
             )
         backend_start = time.perf_counter()
         outcome = backend.run(context, touched, costs)
         backend_elapsed = time.perf_counter() - backend_start
         stats.absorb_counters(outcome.stats)
 
-        evaluated = {node.events: node for node in outcome.nodes}
-        touched_keys = {tuple(sorted(candidate)) for candidate in touched}
-        old_nodes = old_graph.levels.get(level, {})
-        produced = False
+        # Evaluated and re-admitted keys are disjoint.
+        nodes = {node.events: node for node in outcome.nodes}
+        nodes.update(readmitted)
         for candidate in generated:
-            key = tuple(sorted(candidate))
-            if key in touched_keys:
-                node = evaluated.get(key)
-            else:
-                node = self._refilter_node(old_nodes.get(key), graph, min_count)
-            if node is not None:
-                graph.add_combination_node(node)
-                for entry in node.patterns.values():
-                    entry.bind_sources(graph.level1)
-                produced = True
+            node = nodes.get(tuple(sorted(candidate)))
+            if node is None:
+                continue
+            graph.add_combination_node(node)
+            # Entries returned by worker processes carry only their arrays,
+            # and re-admitted ones are bound to the old level 1: bind every
+            # entry to this graph's instance lists.
+            for entry in node.patterns.values():
+                entry.bind_sources(graph.level1)
 
-        # ``patterns_found`` describes the merged state (reused + re-mined),
-        # not just the incremental work the counters above recorded.
+        # ``patterns_found`` describes the merged level (re-admitted and
+        # evaluated), not just the evaluation the counters above recorded.
         stats.patterns_found.pop(level, None)
-        stats.bump(
-            stats.patterns_found,
-            level,
-            sum(len(node.patterns) for node in graph.nodes_at(level)),
-        )
+        found = sum(len(node.patterns) for node in nodes.values())
+        stats.bump(stats.patterns_found, level, found)
         evaluation_seconds = outcome.stats.level_seconds.get(level, 0.0)
         overhead = max(0.0, (time.perf_counter() - level_start) - backend_elapsed)
         stats.level_seconds[level] = evaluation_seconds + overhead
-        return produced
+        return bool(nodes)
 
-    def _refilter_node(
+    def _readmit(
         self,
         node: CombinationNode | None,
         graph: HierarchicalPatternGraph,
         min_count: int,
     ) -> CombinationNode | None:
-        """Re-check an untouched node's patterns against the new thresholds.
+        """An untouched stored node under the new thresholds, if any pattern
+        survives.
 
         Untouched patterns keep their exact support (no delta sequence
-        contains all their events) and their occurrence evidence, but the
-        absolute support threshold has grown and event supports may have
-        grown (raising confidence denominators), so each stored pattern is
-        re-admitted or dropped; a node losing every pattern disappears, just
-        as a from-scratch run would never have created it.
+        contains all their events) and their occurrences, but the absolute
+        support threshold and the event supports (confidence denominators)
+        may have grown; a node losing every pattern disappears, just as a
+        from-scratch run would never have created it.
         """
         if node is None:
             return None
-        config = self.config
-        kept = {}
-        for pattern, entry in node.patterns.items():
-            support = entry.support
-            if support < min_count:
-                continue
-            max_event_support = max(
-                graph.event_support(event) for event in pattern.events
-            )
-            if max_event_support == 0:
-                continue
-            if support / max_event_support < config.min_confidence:
-                continue
-            kept[pattern] = entry
-        if not kept:
+        patterns = admit_patterns(
+            node.patterns, graph.event_support, min_count, self.config
+        )
+        if not patterns:
             return None
         return CombinationNode(
             events=node.events,
             bitmap=node.bitmap.resized(graph.n_sequences),
-            patterns=kept,
+            patterns=patterns,
         )
 
     # ------------------------------------------------------------------ shared helpers
@@ -894,16 +832,20 @@ class MiningSession:
         Memory governance needs nothing extra here: the process backend
         stamps the per-worker budget share onto the context itself, and the
         checkpoint interplay is free by construction — an over-budget level
-        is retried *inside* ``backend.run``, so :meth:`mine` only reaches
-        its post-level ``_write_checkpoint`` once the level has fully
-        recovered, and a level that exhausts every degradation step raises
-        out of ``backend.run`` with the previous level's checkpoint already
-        durable on disk.
+        is retried *inside* ``backend.run``, so :meth:`_mine_levels` only
+        reaches its post-level ``_write_checkpoint`` once the level has
+        fully recovered, and a level that exhausts every degradation step
+        raises out of ``backend.run`` with the previous level's checkpoint
+        already durable on disk.
         """
         config = self.config
-        pair_patterns: dict[tuple[EventKey, EventKey], frozenset[TemporalPattern]] = {}
+        pair_patterns = {}
         if level >= 3 and config.pruning.uses_transitivity:
-            pair_patterns = self._pair_patterns_for(graph)
+            # Lemmas 4–7 read only the level-2 pattern identities.
+            pair_patterns = {
+                events: frozenset(node.patterns)
+                for events, node in graph.levels.get(2, {}).items()
+            }
         return LevelContext(
             level=level,
             config=config,
@@ -912,59 +854,6 @@ class MiningSession:
             parents=dict(graph.levels.get(level - 1, {})) if level >= 3 else {},
             pair_patterns=pair_patterns,
         )
-
-    def _pair_patterns_for(
-        self, graph: HierarchicalPatternGraph
-    ) -> dict[tuple[EventKey, EventKey], frozenset[TemporalPattern]]:
-        """Pattern-identity snapshot of level 2, built once per run."""
-        if self._pair_patterns is None:
-            self._pair_patterns = {
-                events: frozenset(node.patterns)
-                for events, node in graph.levels.get(2, {}).items()
-            }
-        return self._pair_patterns
-
-    def _run_level(
-        self,
-        graph: HierarchicalPatternGraph,
-        stats: MiningStatistics,
-        backend: ExecutionBackend,
-        context: LevelContext,
-        candidates: list[Candidate],
-        level_start: float,
-        costs: list[float] | None = None,
-    ) -> bool:
-        """Delegate one level's candidates to the backend and merge the outcome.
-
-        ``costs`` carries the per-candidate cost estimates computed during
-        generation for cost-balancing backends (``wants_costs``); it is
-        ``None`` for backends that would ignore the estimates.
-
-        ``level_seconds`` is assembled as *evaluation time + coordinator
-        overhead*: the backend reports the evaluation wall-clock (for parallel
-        backends: the slowest shard, per
-        :meth:`MiningStatistics.merge_shard`), and the time this process spent
-        generating candidates, building the context and attaching the
-        resulting nodes is added on top.  Summing per-shard times instead
-        would overstate the level cost by up to the worker count.
-        """
-        backend_start = time.perf_counter()
-        outcome = backend.run(context, candidates, costs)
-        backend_elapsed = time.perf_counter() - backend_start
-
-        level1 = graph.level1
-        for node in outcome.nodes:
-            graph.add_combination_node(node)
-            # Entries returned by worker processes carry only their index
-            # matrices; re-attach the coordinator's instance lists so the
-            # lazy tuple views (and the next level's scalar path) resolve.
-            for entry in node.patterns.values():
-                entry.bind_sources(level1)
-        stats.absorb_counters(outcome.stats)
-        evaluation_seconds = outcome.stats.level_seconds.get(context.level, 0.0)
-        overhead = max(0.0, (time.perf_counter() - level_start) - backend_elapsed)
-        stats.level_seconds[context.level] = evaluation_seconds + overhead
-        return bool(outcome.nodes)
 
     def _build_result(
         self,
@@ -1007,11 +896,18 @@ class MiningSession:
         )
 
 
-def _support_can_change(
-    candidate: Candidate,
-    delta_ids: dict[EventKey, set[int]],
-    newly_frequent: set[EventKey],
-) -> bool:
+class _PreviousState(NamedTuple):
+    """What a level merges against: the graph before the delta, the delta
+    sequences holding each event, and the frequent events the old graph
+    lacks.  A full mine's previous state is an empty graph, in which every
+    frequent event is newly frequent."""
+
+    graph: HierarchicalPatternGraph
+    delta_ids: dict[EventKey, set[int]]
+    newly_frequent: set[EventKey]
+
+
+def _support_can_change(candidate: Candidate, previous: _PreviousState) -> bool:
     """Whether appending the delta can change this candidate's support set.
 
     A pattern over the candidate's events gains occurrences only inside delta
@@ -1020,11 +916,11 @@ def _support_can_change(
     may surface old-sequence patterns, so it must be evaluated in full either
     way.
     """
-    if any(event in newly_frequent for event in candidate):
+    if any(event in previous.newly_frequent for event in candidate):
         return True
     shared: set[int] | None = None
     for event in candidate:
-        ids = delta_ids.get(event)
+        ids = previous.delta_ids.get(event)
         if not ids:
             return False
         shared = ids if shared is None else shared & ids

@@ -5,10 +5,12 @@ Run from the repository root::
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Each golden file freezes the exact pattern set (events, relations, support,
-confidence) mined from one bundled synthetic dataset under one configuration.
-``tests/test_golden_patterns.py`` requires every execution engine to reproduce
-these files byte-for-byte, so regenerate them **only** when an intentional
-algorithmic change shifts the expected output — and say so in the commit.
+confidence) mined from one bundled synthetic dataset under one configuration,
+plus the run's work counters (candidates, prunes, relation checks, patterns
+per level).  ``tests/test_golden_patterns.py`` requires every execution engine
+to reproduce these files byte-for-byte, so regenerate them **only** when an
+intentional algorithmic change shifts the expected output or the work done —
+and say so in the commit.
 """
 
 from __future__ import annotations
@@ -61,6 +63,22 @@ def golden_records(result) -> list[dict]:
     ]
 
 
+#: ``MiningStatistics.as_dict()`` keys that measure time or report
+#: diagnostics rather than work, so they are not pinned.
+_UNPINNED = ("level_seconds", "correlation_seconds", "warnings")
+
+
+def golden_counters(statistics) -> dict:
+    """The work counters of a run, with per-level keys as strings, the way
+    JSON writes them."""
+    counters = {
+        name: value
+        for name, value in statistics.as_dict().items()
+        if name not in _UNPINNED
+    }
+    return json.loads(json.dumps(counters))
+
+
 def regenerate() -> None:
     for name, (dataset_kwargs, config_kwargs) in CASES.items():
         dataset = make_dataset(name, **dataset_kwargs)
@@ -73,6 +91,7 @@ def regenerate() -> None:
             "n_sequences": result.n_sequences,
             "n_patterns": len(result),
             "patterns": golden_records(result),
+            "counters": golden_counters(result.statistics),
         }
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(payload, indent=1) + "\n")

@@ -19,6 +19,7 @@ import pickle
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -36,8 +37,9 @@ from repro import (
     Relation,
     TemporalPattern,
 )
-from repro.core.engine import _anchor_chunks
+from repro.core.engine import LevelContext, _anchor_chunks
 from repro.core.hpg import EventNode, InstanceTable, PatternEntry
+from repro.core.stats import MiningStatistics
 from repro.core.bitmap import Bitmap
 from repro.datasets import make_dataset
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
@@ -585,6 +587,36 @@ class TestExtensionBatchBound:
         assert {level for _, level in logged} == {"2"}
         assert {pid for pid, _ in logged} - {str(os.getpid())}
         assert_parity(HTPGM(config.with_vectorized(False)).mine(database), pooled)
+
+    @pytest.mark.parametrize("with_parents", [False, True], ids=["no-parent", "lemma-5"])
+    def test_candidates_that_queue_nothing_are_not_pending(self, with_parents):
+        """A level-3 candidate that passes the Apriori checks but queues no
+        decomposition — its parent nodes are absent, or Lemma 5 fails for
+        each — can only finalise empty, so the batch keeps no node of it."""
+        config = MiningConfig(min_support=0.25, min_confidence=0.25, min_overlap=1.0)
+        session = MiningSession(replace(config, max_pattern_size=2))
+        session.mine(random_database(19, n_sequences=8))
+        graph = session.graph
+        # Without pair patterns the Lemma 5 table is all False.
+        context = LevelContext(
+            level=3,
+            config=config,
+            min_count=1,
+            level1=graph.level1,
+            parents=dict(graph.levels[2]) if with_parents else {},
+        )
+        stats = MiningStatistics()
+        batch = engine_module._ExtensionBatch(context, stats, [])
+        for candidate in combinations(sorted(graph.level1), 3):
+            batch.add(context, candidate, stats)
+        survivors = (
+            stats.candidates_generated[3]
+            - stats.pruned_support.get(3, 0)
+            - stats.pruned_confidence.get(3, 0)
+        )
+        assert survivors > 0
+        assert bool(stats.pruned_relation_checks) == with_parents
+        assert batch.queue == [] and batch.pending == []
 
 
 class TestInstanceTable:

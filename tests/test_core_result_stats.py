@@ -128,8 +128,9 @@ class TestMiningStatistics:
         assert stats.pruned_transitivity_events == {3: 2}
 
     def test_real_run_counters_carry_no_zero_entries(self, paper_sequence_db):
-        """The transitivity bump in HTPGM._mine_level used to record zeros at
-        every level where Lemma 5 removed nothing."""
+        """The transitivity bump in
+        MiningSession._generate_combination_candidates used to record zeros
+        at every level where Lemma 5 removed nothing."""
         miner = HTPGM(MiningConfig(min_support=0.5, min_confidence=0.5, min_overlap=1.0))
         stats = miner.mine(paper_sequence_db).statistics
         assert 0 not in stats.pruned_transitivity_events.values()

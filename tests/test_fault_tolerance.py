@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -48,6 +49,9 @@ from repro.io.session_io import FORMAT_NAME
 from repro.timeseries import SequenceDatabase
 
 from test_engine_parity import mined_tuples, random_database, store_snapshot
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+from regenerate import golden_counters  # noqa: E402
 
 CONFIG = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
 
@@ -412,6 +416,44 @@ class TestCheckpointResume:
         levels = markers[:-1]
         assert levels == sorted(levels)
 
+    @pytest.mark.parametrize("max_size", [None, 3], ids=["unbounded", "max3"])
+    @pytest.mark.parametrize("seed", [17, 3, 8])
+    def test_resume_from_every_checkpoint_boundary(
+        self, seed, max_size, tmp_path, monkeypatch
+    ):
+        """A copy of the checkpoint taken at every marker a serial mine
+        writes resumes to the straight mine's result, occurrence store and
+        work counters."""
+        database = random_database(seed=seed, n_sequences=10, max_instances=9)
+        config = replace(CONFIG, max_pattern_size=max_size)
+        straight_session = MiningSession(config)
+        straight = straight_session.mine(database)
+        ckpt = tmp_path / "ck.bin"
+        copies = {}
+        original = MiningSession._write_checkpoint
+
+        def copy_each(self, next_level):
+            original(self, next_level)
+            if next_level is not None:
+                copies[next_level] = tmp_path / f"ck-{next_level}.bin"
+                shutil.copyfile(ckpt, copies[next_level])
+
+        monkeypatch.setattr(MiningSession, "_write_checkpoint", copy_each)
+        MiningSession(replace(config, checkpoint_path=str(ckpt))).mine(database)
+        monkeypatch.undo()
+        assert list(copies)[:2] == [2, 3]
+        for marker, path in copies.items():
+            restored = read_session(path)
+            assert restored._mining_state == {"next_level": marker}
+            resumed = restored.resume(database)
+            assert mined_tuples(resumed) == mined_tuples(straight), marker
+            assert store_snapshot(restored.graph) == store_snapshot(
+                straight_session.graph
+            ), marker
+            assert golden_counters(resumed.statistics) == golden_counters(
+                straight.statistics
+            ), marker
+
     def test_complete_checkpoint_result_is_rebuilt_without_mining(
         self, baseline, tmp_path
     ):
@@ -683,12 +725,14 @@ class TestCLIFaultTolerance:
         assert "warning: process pool unavailable" in captured.err
         assert out.exists()
 
+    @pytest.mark.parametrize("level", [2, 3])
     def test_sigkilled_checkpoint_run_resumes_identically(
-        self, small_csv, tmp_path
+        self, small_csv, tmp_path, level
     ):
         """The acceptance scenario: kill a checkpointed CLI run mid-mine
         (injected coordinator ``os._exit``, the in-process stand-in for
-        SIGKILL), then ``--resume`` it to the byte-identical final result."""
+        SIGKILL) before level 2 or 3, then ``--resume`` it to the
+        byte-identical final result."""
         env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
         base = [
             sys.executable,
@@ -719,10 +763,10 @@ class TestCLIFaultTolerance:
         killed = subprocess.run(
             base + ["--output", str(resumed), "--checkpoint", str(ckpt)],
             capture_output=True, text=True, timeout=600,
-            env=dict(env, REPRO_FAULT="exit:level=3"),
+            env=dict(env, REPRO_FAULT=f"exit:level={level}"),
         )
         assert killed.returncode == faults.EXIT_STATUS
-        assert ckpt.exists()
+        assert read_session(ckpt)._mining_state == {"next_level": level}
         assert not resumed.exists()  # died before any output was written
 
         run = subprocess.run(

@@ -1,11 +1,12 @@
 """Golden regression fixtures: any engine must reproduce the stored patterns.
 
 ``tests/golden/*.json`` freezes the exact pattern sets mined from the bundled
-synthetic smart-city and appliance (DataPort stand-in) datasets.  These tests
-re-mine each dataset on every execution engine and demand byte-level agreement
-with the fixtures — catching both accidental algorithmic drift (a changed
-pruning rule, a reordered relation) and engine-specific divergence (a shard
-merged in the wrong order, a candidate evaluated twice).
+synthetic smart-city and appliance (DataPort stand-in) datasets, and the work
+counters of those runs.  These tests re-mine each dataset on every execution
+engine and demand byte-level agreement with the fixtures — catching both
+accidental algorithmic drift (a changed pruning rule, a reordered relation, a
+candidate evaluated that used to be pruned) and engine-specific divergence (a
+shard merged in the wrong order, a candidate evaluated twice).
 
 To refresh the fixtures after an *intentional* change::
 
@@ -25,7 +26,7 @@ from repro.datasets import make_dataset
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
-from regenerate import golden_records  # noqa: E402  (fixture helpers live next to the data)
+from regenerate import golden_counters, golden_records  # noqa: E402  (fixture helpers live next to the data)
 
 GOLDEN_NAMES = ("dataport", "smartcity")
 ENGINES = ("serial", "process")
@@ -55,6 +56,7 @@ class TestGoldenPatterns:
         assert result.n_sequences == payload["n_sequences"]
         assert len(result) == payload["n_patterns"]
         assert golden_records(result) == payload["patterns"]
+        assert golden_counters(result.statistics) == payload["counters"]
 
     def test_fixture_files_are_well_formed(self):
         for name in GOLDEN_NAMES:
