@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         action="store_true",
         help=(
-            "shard candidate evaluation (and A-HTPGM's NMI phase) across "
-            "worker processes (same pattern set)"
+            "shard candidate evaluation across worker processes "
+            "(same pattern set; A-HTPGM's NMI phase stays in-process)"
         ),
     )
     mine.add_argument(

@@ -15,12 +15,12 @@ confidence at least ``LB`` (Eq. 11), which is why dropping uncorrelated series
 loses only patterns that are unlikely to be interesting; Table IX and Fig. 8 of
 the paper (and the corresponding benchmarks here) quantify that loss.
 
-Both phases run on the execution backend selected by
-:attr:`MiningConfig.engine`: one backend is resolved per :meth:`AHTPGM.mine`
-call, shards the pairwise-NMI computation of step 1 across its workers
-(:func:`~repro.core.correlation.pairwise_nmi` with a backend), is then handed
-to the exact miner for candidate evaluation, and is closed when mining ends.
-The correlation phase's wall-clock is recorded in
+Steps 1–3 run in the calling process (one joint symbol count per series
+pair, see :func:`~repro.core.mutual_information.nmi_matrix`).  Step 4 runs
+on the execution backend selected by :attr:`MiningConfig.engine`: one
+backend is resolved per :meth:`AHTPGM.mine` call, handed to the exact miner
+for candidate evaluation and closed when mining ends.  The correlation
+phase's wall-clock is recorded in
 :attr:`MiningStatistics.correlation_seconds`.
 """
 
@@ -38,7 +38,7 @@ from .correlation import (
     mi_threshold_for_density,
     pairwise_nmi,
 )
-from .engine import ExecutionBackend, backend_from_config
+from .engine import backend_from_config
 from .event_pruning import EventCorrelationIndex, build_event_correlation_index
 from .events import EventKey
 from .htpgm import HTPGM
@@ -111,7 +111,7 @@ class AHTPGM:
         backend = backend_from_config(self.config)
         try:
             correlation_started = time.perf_counter()
-            graph = self._build_graph(symbolic_db, backend)
+            graph = self._build_graph(symbolic_db)
             self.correlation_graph_ = graph
 
             event_index = None
@@ -134,8 +134,6 @@ class AHTPGM:
                     return event_index.are_correlated(event_a, event_b)
                 return True
 
-            # The backend is shared with the exact miner: the worker pool
-            # that sharded the NMI pairs also shards candidate evaluation.
             miner = HTPGM(
                 config=self.config,
                 event_filter=event_filter,
@@ -153,12 +151,9 @@ class AHTPGM:
         return result
 
     # ------------------------------------------------------------------ internals
-    def _build_graph(
-        self, symbolic_db: SymbolicDatabase, backend: ExecutionBackend | None = None
-    ) -> CorrelationGraph:
-        """Compute pairwise NMI once (sharded over ``backend``'s workers when
-        given) and build ``GC`` for the resolved ``µ``."""
-        nmi_values = pairwise_nmi(symbolic_db, backend=backend)
+    def _build_graph(self, symbolic_db: SymbolicDatabase) -> CorrelationGraph:
+        """Compute pairwise NMI once and build ``GC`` for the resolved ``µ``."""
+        nmi_values = pairwise_nmi(symbolic_db)
         if self.mi_threshold is not None:
             threshold = self.mi_threshold
         else:

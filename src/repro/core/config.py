@@ -162,10 +162,9 @@ class MiningConfig:
         Execution backend evaluating level candidates: ``"serial"`` (the
         default, in-process) or ``"process"`` (a multiprocessing pool that
         shards candidate evaluation across workers, balancing shards by the
-        miner's per-candidate cost estimates).  A-HTPGM runs its pairwise-NMI
-        correlation phase on the same backend, sharding series pairs across
-        the same workers.  Every engine mines the identical pattern set; see
-        :mod:`repro.core.engine`.
+        miner's per-candidate cost estimates).  A-HTPGM's pairwise-NMI
+        correlation phase always runs in the calling process.  Every engine
+        mines the identical pattern set; see :mod:`repro.core.engine`.
     n_workers:
         Worker count for the ``"process"`` engine; ``None`` uses all available
         CPUs.  Ignored by the serial engine.

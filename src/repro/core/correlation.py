@@ -6,31 +6,25 @@ undirected edge between two series when their NMI meets the threshold ``µ`` in
 least one incident edge and only event pairs whose series are connected.
 
 The threshold ``µ`` can be given directly or derived from a desired *graph
-density* (Def. 5.6): the fraction of edges of the complete graph that should
-survive.  :func:`mi_threshold_for_density` picks the largest ``µ`` that keeps
-(at least) the requested fraction of edges, matching the paper's
-"µ corresponding to X% of the edges" experimental setup.
+density* (Def. 5.6), the paper's "µ corresponding to X% of the edges"
+experimental setup: :func:`mi_threshold_for_density` sets ``µ`` to the NMI
+of the ``max(1, round(density × pairs))``-th strongest pair, so the graph
+keeps those pairs plus any tied with them at ``µ``.  ``round`` rounds halves
+to even, so the kept fraction can fall below the requested one.
 
-The pairwise NMI computation — quadratic in the number of series and the
-dominant pre-mining cost of A-HTPGM — accepts an optional
-:class:`~repro.core.engine.ExecutionBackend`: the series pairs are then
-sharded across the backend's worker processes via
-:meth:`~repro.core.engine.ExecutionBackend.map_shards`, each shard computing
-its pair NMIs independently.  Every pair is computed by exactly one worker
-with the same arithmetic as the serial loop, so the values are bit-identical.
+The pairwise NMI — quadratic in the number of series and A-HTPGM's one
+pre-mining cost — is computed in the calling process by
+:func:`~repro.core.mutual_information.nmi_matrix`, one joint symbol count
+per series pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..exceptions import ConfigurationError, DataError
 from ..timeseries.symbolic import SymbolicDatabase
-from .mutual_information import normalized_mutual_information, sharded_pair_map
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from .engine import ExecutionBackend
+from .mutual_information import nmi_matrix
 
 __all__ = [
     "CorrelationGraph",
@@ -40,40 +34,24 @@ __all__ = [
 ]
 
 
-def _nmi_shard(
-    symbolic_db: SymbolicDatabase, pairs: list[tuple[str, str]]
-) -> dict[frozenset[str], float]:
-    """Worker body of the sharded pairwise-NMI computation (pure function)."""
-    values = {}
-    for name_x, name_y in pairs:
-        forward = normalized_mutual_information(symbolic_db, name_x, name_y)
-        backward = normalized_mutual_information(symbolic_db, name_y, name_x)
-        values[frozenset((name_x, name_y))] = min(forward, backward)
-    return values
-
-
-def pairwise_nmi(
-    symbolic_db: SymbolicDatabase, backend: "ExecutionBackend | None" = None
-) -> dict[frozenset[str], float]:
+def pairwise_nmi(symbolic_db: SymbolicDatabase) -> dict[frozenset[str], float]:
     """Bidirectional NMI per unordered series pair.
 
     The value stored for a pair is ``min(Ĩ(X;Y), Ĩ(Y;X))`` because an edge
-    requires the threshold to hold in both directions (Def. 5.5).
-
-    ``backend`` optionally shards the series pairs across an execution
-    backend's workers (see :mod:`repro.core.engine`); ``None`` computes
-    in-process.  The returned values are identical either way.
+    requires the threshold to hold in both directions (Def. 5.5); both
+    directions come from one :func:`~repro.core.mutual_information.nmi_matrix`.
     """
-    symbolic_db.require_aligned()
     names = symbolic_db.names
     if len(names) < 2:
         raise DataError("pairwise NMI needs at least two series")
-    pairs = [
-        (name_x, name_y)
+    matrix = nmi_matrix(symbolic_db)
+    return {
+        frozenset((name_x, name_y)): min(
+            matrix[(name_x, name_y)], matrix[(name_y, name_x)]
+        )
         for i, name_x in enumerate(names)
         for name_y in names[i + 1 :]
-    ]
-    return sharded_pair_map(_nmi_shard, symbolic_db, pairs, backend)
+    }
 
 
 @dataclass
@@ -190,11 +168,13 @@ def mi_threshold_for_density(
     density: float,
     nmi_values: dict[frozenset[str], float] | None = None,
 ) -> float:
-    """Choose ``µ`` so the correlation graph keeps ``density`` of all edges.
+    """Choose ``µ`` so the correlation graph keeps about ``density`` of all edges.
 
-    ``density = 0.4`` keeps (at least) 40% of the complete graph's edges by
-    selecting ``µ`` equal to the NMI of the weakest edge that is still kept.
-    The returned value always lies in ``(0, 1]``.
+    ``µ`` is the NMI of the ``max(1, round(density × pairs))``-th strongest
+    pair, so the graph keeps that many strongest pairs plus any tied with
+    them at ``µ``.  ``round`` rounds halves to even: of 10 pairs, density
+    0.25 keeps 2 (20%) and density 0.45 keeps 4 (40%).  The returned value
+    always lies in ``(0, 1]``.
     """
     if not 0 < density <= 1:
         raise ConfigurationError(f"density must be in (0, 1], got {density}")

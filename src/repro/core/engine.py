@@ -24,8 +24,6 @@ functions over a picklable :class:`LevelContext`, and puts an
     ``start_method``) a persistent pool receives the context pickled with
     each shard.
 
-Two throughput features live in the process backend:
-
 *Cost-balanced sharding.*  The miner estimates every candidate's evaluation
 cost during candidate generation (level 2: instance-pair counts over shared
 sequences; level k: parent occurrence counts × new-event instance counts) and
@@ -36,11 +34,6 @@ and the merge applies the inverse permutation — so the merged node order, and
 therefore the mined pattern set and the golden fixtures, is byte-identical to
 a serial run while skewed levels no longer wait on one overloaded shard.
 Batches without cost estimates fall back to contiguous equal-count shards.
-
-*Generic sharded map.*  :meth:`ExecutionBackend.map_shards` runs any pure
-``func(payload, items)`` over item shards with the same two executors;
-A-HTPGM's pairwise-NMI phase (the dominant pre-mining cost) uses it to shard
-series pairs across the same worker pool that later mines the patterns.
 
 Orthogonally to the backend choice, ``MiningConfig.vectorized`` (the
 default) runs relation classification through the kernel of
@@ -111,7 +104,6 @@ __all__ = [
 #: a self-pair) or the canonical sorted event combination (level k >= 3).
 Candidate = tuple[EventKey, ...]
 
-_T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
@@ -994,23 +986,6 @@ class ExecutionBackend(Protocol):
         """
         ...
 
-    def map_shards(
-        self,
-        func: Callable[[Any, list[_T]], _R],
-        payload: Any,
-        items: Sequence[_T],
-        costs: Sequence[float] | None = None,
-    ) -> list[_R]:
-        """Run a pure ``func(payload, shard_items)`` over shards of ``items``.
-
-        Returns one result per shard, in deterministic shard order.  Used by
-        work that is embarrassingly parallel but not candidate evaluation —
-        e.g. A-HTPGM's pairwise NMI over series pairs.  ``func`` must be a
-        module-level function (picklable by reference) and must not mutate
-        ``payload``.
-        """
-        ...
-
     def close(self) -> None:
         """Release any resources (worker processes); idempotent."""
         ...
@@ -1031,15 +1006,6 @@ class SerialBackend:
     ) -> LevelOutcome:
         return evaluate_candidates(context, candidates)
 
-    def map_shards(
-        self,
-        func: Callable[[Any, list[_T]], _R],
-        payload: Any,
-        items: Sequence[_T],
-        costs: Sequence[float] | None = None,
-    ) -> list[_R]:
-        return [func(payload, list(items))]
-
     def close(self) -> None:  # nothing to release
         pass
 
@@ -1056,7 +1022,7 @@ class SerialBackend:
 #: ``(func, payload)`` inherited by forked workers through copy-on-write
 #: memory.  Set by :meth:`ProcessPoolBackend._run_shards` immediately before
 #: the per-batch pool forks, so the (potentially large) payload — the level
-#: context or the symbolic database — never crosses a pipe.
+#: context — never crosses a pipe.
 _FORK_PAYLOAD: tuple[Callable[[Any, list], Any], Any] | None = None
 
 
@@ -1136,9 +1102,8 @@ class ProcessPoolBackend:
     to a serial run; statistics merge via
     :meth:`MiningStatistics.merge_shard` (counters add, wall-clock maxes).
 
-    Two transports are used for the worker payload (the level context or, for
-    :meth:`map_shards`, an arbitrary picklable object), which is by far the
-    largest transfer:
+    Two transports are used for the worker payload (the level context), which
+    is by far the largest transfer:
 
     * On fork-capable platforms a fresh pool is forked per batch and the
       workers inherit the payload through copy-on-write memory — only the
@@ -1332,25 +1297,6 @@ class ProcessPoolBackend:
             outcome.stats.record_warning(message)
         return outcome
 
-    def map_shards(
-        self,
-        func: Callable[[Any, list[_T]], _R],
-        payload: Any,
-        items: Sequence[_T],
-        costs: Sequence[float] | None = None,
-    ) -> list[_R]:
-        items = list(items)
-        if costs is not None and len(costs) != len(items):
-            raise ConfigurationError(
-                f"got {len(costs)} cost estimates for {len(items)} items"
-            )
-        n_shards = self._shard_count(len(items))
-        if n_shards <= 1:
-            return [func(payload, items)]
-        shard_indices = self._shard_indices(n_shards, costs, len(items))
-        shards = [[items[i] for i in indices] for indices in shard_indices]
-        return self._run_shards(func, payload, shards, level=0)
-
     def _shard_count(self, n_items: int) -> int:
         return min(self.n_workers, max(1, n_items // self.min_candidates_per_worker))
 
@@ -1375,8 +1321,8 @@ class ProcessPoolBackend:
         func: Callable[[Any, list], _R],
         payload: Any,
         shards: list[list],
-        level: int = 0,
-        combine: Callable[[list], Any] | None = None,
+        level: int,
+        combine: Callable[[list], Any],
     ) -> list[_R]:
         """Execute one shard batch with retries.
 
@@ -1395,11 +1341,9 @@ class ProcessPoolBackend:
         :class:`MemoryBudgetExceeded` is not resubmitted verbatim (a
         verbatim resubmit of an over-budget shard is guaranteed to die
         again) but *split in half* via :meth:`_recover_memory`, recursively
-        down to one item, then pushed down a degradation chain.  Splitting
-        requires a ``combine`` to reassemble a shard's piece results in
-        offset order — :meth:`run` passes the level-outcome combiner;
-        without one (``map_shards``) memory failures fall back to the plain
-        bounded retry path.
+        down to one item, then pushed down a degradation chain.  ``combine``
+        reassembles a shard's piece results in offset order (:meth:`run`
+        passes the level-outcome combiner).
         """
         if self._serial_degraded:
             return [func(payload, list(shard)) for shard in shards]
@@ -1430,9 +1374,7 @@ class ProcessPoolBackend:
             retry: list[_ShardPiece] = []
             transport_failures = 0
             for piece, error in failed:
-                if combine is not None and isinstance(
-                    error, (MemoryError, MemoryBudgetExceeded)
-                ):
+                if isinstance(error, (MemoryError, MemoryBudgetExceeded)):
                     retry.extend(
                         self._recover_memory(func, payload, piece, parts, level, error)
                     )

@@ -23,21 +23,14 @@ runtime trade-off next to the series-level filter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..exceptions import ConfigurationError
 from ..timeseries.sequences import SequenceDatabase
 from .events import EventKey
+from .mutual_information import entropy, mutual_information
 
 __all__ = ["EventCorrelationIndex", "binary_nmi", "build_event_correlation_index"]
-
-
-def _binary_entropy(p: float) -> float:
-    """Entropy (bits) of a Bernoulli(p) indicator."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
 
 
 def binary_nmi(joint_11: int, count_x: int, count_y: int, total: int) -> float:
@@ -61,7 +54,8 @@ def binary_nmi(joint_11: int, count_x: int, count_y: int, total: int) -> float:
 
     px = count_x / total
     py = count_y / total
-    hx = _binary_entropy(px)
+    marginal_x = {1: px, 0: 1 - px}
+    hx = entropy(marginal_x)
     if hx == 0.0:
         return 0.0
 
@@ -71,14 +65,8 @@ def binary_nmi(joint_11: int, count_x: int, count_y: int, total: int) -> float:
         (0, 1): (count_y - joint_11) / total,
         (0, 0): (total - count_x - count_y + joint_11) / total,
     }
-    marginal_x = {1: px, 0: 1 - px}
-    marginal_y = {1: py, 0: 1 - py}
-    mi = 0.0
-    for (x, y), pxy in cells.items():
-        if pxy <= 0:
-            continue
-        mi += pxy * math.log2(pxy / (marginal_x[x] * marginal_y[y]))
-    return min(max(mi, 0.0) / hx, 1.0)
+    mi = mutual_information(cells, marginal_x, {1: py, 0: 1 - py})
+    return min(mi / hx, 1.0)
 
 
 @dataclass

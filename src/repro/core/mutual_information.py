@@ -14,19 +14,22 @@ information* (NMI) between their symbolic representations:
 All logarithms use base 2; NMI is a ratio of entropies so the base cancels.
 Probabilities of zero contribute zero to every sum (the usual
 ``0 · log 0 = 0`` convention).
+
+A-HTPGM needs Eq. 10 for every ordered pair of series: :func:`nmi_matrix`
+computes them in the calling process, one joint symbol count per unordered
+pair, each value equal to :func:`normalized_mutual_information`'s.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from typing import TYPE_CHECKING
+from itertools import combinations, product
+
+import numpy as np
 
 from ..exceptions import ConfigurationError, DataError
 from ..timeseries.symbolic import SymbolicDatabase
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from .engine import ExecutionBackend
 
 __all__ = [
     "entropy",
@@ -115,53 +118,41 @@ def normalized_mutual_information(
     return min(mi / hx, 1.0)
 
 
-def sharded_pair_map(shard_fn, symbolic_db, pairs, backend):
-    """Run a pure per-pair-shard function serially or across backend workers.
-
-    The one sharding/merge contract behind every NMI entry point
-    (:func:`nmi_matrix` here, :func:`~repro.core.correlation.pairwise_nmi`):
-    ``backend=None`` evaluates all pairs in-process; otherwise the pairs are
-    sharded via :meth:`~repro.core.engine.ExecutionBackend.map_shards` and
-    the per-shard dicts (disjoint keys — every pair lives in exactly one
-    shard) are merged.
-    """
-    if backend is None:
-        return shard_fn(symbolic_db, pairs)
-    merged: dict = {}
-    for shard_values in backend.map_shards(shard_fn, symbolic_db, pairs):
-        merged.update(shard_values)
-    return merged
-
-
-def _nmi_matrix_shard(
-    symbolic_db: SymbolicDatabase, pairs: list[tuple[str, str]]
-) -> dict[tuple[str, str], float]:
-    """Worker body of the sharded NMI-matrix computation (pure function)."""
-    return {
-        (name_x, name_y): normalized_mutual_information(symbolic_db, name_x, name_y)
-        for name_x, name_y in pairs
-    }
-
-
-def nmi_matrix(
-    symbolic_db: SymbolicDatabase, backend: "ExecutionBackend | None" = None
-) -> dict[tuple[str, str], float]:
+def nmi_matrix(symbolic_db: SymbolicDatabase) -> dict[tuple[str, str], float]:
     """NMI for every ordered pair of distinct series in the database.
 
-    ``backend`` optionally shards the ordered pairs across an execution
-    backend's workers (see :mod:`repro.core.engine`); ``None`` computes
-    in-process.  Each pair is computed by exactly one worker with the serial
-    arithmetic, so the matrix is identical either way.
+    Every series' marginal distribution and entropy are computed once, and
+    each unordered pair's joint symbol counts come from one ``np.bincount``
+    that serves both directions (the second reads the count block
+    transposed).  Each direction then takes the arithmetic of
+    :func:`normalized_mutual_information` — :func:`mutual_information` over
+    a joint dict in that direction's alphabet order, ``min(I / H(X), 1)`` —
+    so every value equals the per-pair function's bit for bit.
     """
     symbolic_db.require_aligned()
-    names = symbolic_db.names
-    pairs = [
-        (name_x, name_y)
-        for name_x in names
-        for name_y in names
-        if name_x != name_y
-    ]
-    return sharded_pair_map(_nmi_matrix_shard, symbolic_db, pairs, backend)
+    series = symbolic_db.series
+    marginals = [item.distribution() for item in series]
+    entropies = [entropy(marginal) for marginal in marginals]
+
+    def directed(joint: np.ndarray, x: int, y: int) -> float:
+        """``Ĩ(X;Y)`` from the ``(|alphabet_x|, |alphabet_y|)`` joint block."""
+        if entropies[x] == 0:
+            return 0.0
+        cells = product(series[x].alphabet, series[y].alphabet)
+        probabilities = dict(zip(cells, joint.ravel().tolist()))
+        mi = mutual_information(probabilities, marginals[x], marginals[y])
+        return min(mi / entropies[x], 1.0)
+
+    matrix: dict[tuple[str, str], float] = {}
+    for x, y in combinations(range(len(series)), 2):
+        n_x, n_y = len(series[x].alphabet), len(series[y].alphabet)
+        counts = np.bincount(
+            series[x].codes() * n_y + series[y].codes(), minlength=n_x * n_y
+        )
+        joint = counts.reshape(n_x, n_y) / len(series[x])
+        matrix[(series[x].name, series[y].name)] = directed(joint, x, y)
+        matrix[(series[y].name, series[x].name)] = directed(joint.T, y, x)
+    return matrix
 
 
 def confidence_lower_bound(

@@ -48,9 +48,9 @@ class FTPMfTS:
     mining_config:
         Thresholds, pruning switches and engine selection of the miner
         (``MiningConfig(engine="process", n_workers=4)`` shards candidate
-        evaluation — and, for A-HTPGM, the pairwise-NMI correlation phase —
-        across worker processes; the mined pattern set is identical under
-        every engine).
+        evaluation across worker processes; A-HTPGM's pairwise-NMI
+        correlation phase runs in the calling process; the mined pattern set
+        is identical under every engine).
     approximate:
         When True run A-HTPGM; otherwise E-HTPGM.
     mi_threshold, graph_density:

@@ -7,10 +7,13 @@ Run from the repository root::
 Each golden file freezes the exact pattern set (events, relations, support,
 confidence) mined from one bundled synthetic dataset under one configuration,
 plus the run's work counters (candidates, prunes, relation checks, patterns
-per level).  ``tests/test_golden_patterns.py`` requires every execution engine
-to reproduce these files byte-for-byte, so regenerate them **only** when an
-intentional algorithmic change shifts the expected output or the work done —
-and say so in the commit.
+per level).  One more file, ``smartcity_ahtpgm.json``, freezes an A-HTPGM run
+on the smartcity case: every pairwise NMI value, the threshold ``µ`` derived
+from the graph density, the series the correlation graph keeps, the patterns
+and the counters.  ``tests/test_golden_patterns.py`` requires every execution
+engine to reproduce these files byte-for-byte, so regenerate them **only**
+when an intentional algorithmic change shifts the expected output or the
+work done — and say so in the commit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro import HTPGM, MiningConfig
+from repro import AHTPGM, HTPGM, MiningConfig
+from repro.core.correlation import pairwise_nmi
 from repro.datasets import make_dataset
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -48,6 +52,10 @@ CASES: dict[str, tuple[dict, dict]] = {
         },
     ),
 }
+
+#: The A-HTPGM case: (fixture name, dataset of ``CASES``, graph density).  At
+#: density 0.2 the correlation graph drops 2 of the 18 smartcity series.
+APPROXIMATE_CASE = ("smartcity_ahtpgm", "smartcity", 0.2)
 
 
 def golden_records(result) -> list[dict]:
@@ -79,23 +87,57 @@ def golden_counters(statistics) -> dict:
     return json.loads(json.dumps(counters))
 
 
+def golden_nmi(values) -> list[list[str]]:
+    """NMI values keyed by unordered series pair, as sorted ``[series,
+    series, repr(value)]`` rows (``repr`` pins every bit)."""
+    return sorted([*sorted(pair), repr(float(value))] for pair, value in values.items())
+
+
+def _write(name: str, payload: dict) -> None:
+    path = GOLDEN_DIR / f"{name}.json"
+    path.write_text(json.dumps(payload, indent=1) + "\n")
+    print(f"wrote {payload['n_patterns']} patterns to {path}")
+
+
 def regenerate() -> None:
     for name, (dataset_kwargs, config_kwargs) in CASES.items():
         dataset = make_dataset(name, **dataset_kwargs)
         _, sequence_db = dataset.transform()
         result = HTPGM(MiningConfig(**config_kwargs)).mine(sequence_db)
-        payload = {
-            "dataset": name,
+        _write(
+            name,
+            {
+                "dataset": name,
+                "dataset_kwargs": dataset_kwargs,
+                "config_kwargs": config_kwargs,
+                "n_sequences": result.n_sequences,
+                "n_patterns": len(result),
+                "patterns": golden_records(result),
+                "counters": golden_counters(result.statistics),
+            },
+        )
+
+    name, dataset_name, graph_density = APPROXIMATE_CASE
+    dataset_kwargs, config_kwargs = CASES[dataset_name]
+    symbolic_db, sequence_db = make_dataset(dataset_name, **dataset_kwargs).transform()
+    miner = AHTPGM(MiningConfig(**config_kwargs), graph_density=graph_density)
+    result = miner.mine(sequence_db, symbolic_db)
+    _write(
+        name,
+        {
+            "dataset": dataset_name,
             "dataset_kwargs": dataset_kwargs,
             "config_kwargs": config_kwargs,
+            "graph_density": graph_density,
+            "pairwise_nmi": golden_nmi(pairwise_nmi(symbolic_db)),
+            "mi_threshold": repr(float(miner.correlation_graph_.mi_threshold)),
+            "correlated_series": result.correlated_series,
             "n_sequences": result.n_sequences,
             "n_patterns": len(result),
             "patterns": golden_records(result),
             "counters": golden_counters(result.statistics),
-        }
-        path = GOLDEN_DIR / f"{name}.json"
-        path.write_text(json.dumps(payload, indent=1) + "\n")
-        print(f"wrote {len(result)} patterns to {path}")
+        },
+    )
 
 
 if __name__ == "__main__":

@@ -179,6 +179,23 @@ class TestDensityBasedThreshold:
         graph = build_correlation_graph(correlated_db, mu)
         assert graph.n_edges >= 1
 
+    def test_kept_pairs_round_half_to_even(self):
+        """µ is the ``max(1, round(density × pairs))``-th strongest NMI, and
+        ``round`` rounds halves to even: of 10 distinct pair values, density
+        0.25 keeps 2 edges (20%) and 0.45 keeps 4 (40%)."""
+        rng = np.random.default_rng(5)
+        db = SymbolicDatabase(
+            [
+                make_series(f"s{i}", ["On" if v else "Off" for v in rng.integers(0, 2, 40)])
+                for i in range(5)
+            ]
+        )
+        values = pairwise_nmi(db)
+        assert len(set(values.values())) == 10  # no ties at µ
+        for density, kept in ((0.25, 2), (0.45, 4)):
+            mu = mi_threshold_for_density(db, density, nmi_values=values)
+            assert build_correlation_graph(db, mu, nmi_values=values).n_edges == kept
+
     def test_threshold_monotone_in_density(self, correlated_db):
         mus = [
             mi_threshold_for_density(correlated_db, density=d) for d in (0.2, 0.5, 0.8, 1.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import AHTPGM, HTPGM, ConfigurationError, MiningConfig
@@ -29,7 +31,57 @@ def tracking_db() -> SequenceDatabase:
     return SequenceDatabase(sequences)
 
 
+def _closed_form_binary_nmi(joint_11, count_x, count_y, total):
+    """binary_nmi as a closed-form Bernoulli entropy plus its own MI loop —
+    the reference for the version built on the shared Eq. 7 / Eq. 9
+    functions."""
+
+    def binary_entropy(p):
+        if p <= 0.0 or p >= 1.0:
+            return 0.0
+        return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+
+    px = count_x / total
+    py = count_y / total
+    hx = binary_entropy(px)
+    if hx == 0.0:
+        return 0.0
+    cells = {
+        (1, 1): joint_11 / total,
+        (1, 0): (count_x - joint_11) / total,
+        (0, 1): (count_y - joint_11) / total,
+        (0, 0): (total - count_x - count_y + joint_11) / total,
+    }
+    marginal_x = {1: px, 0: 1 - px}
+    marginal_y = {1: py, 0: 1 - py}
+    mi = 0.0
+    for (x, y), pxy in cells.items():
+        if pxy <= 0:
+            continue
+        mi += pxy * math.log2(pxy / (marginal_x[x] * marginal_y[y]))
+    return min(max(mi, 0.0) / hx, 1.0)
+
+
 class TestBinaryNMI:
+    def test_equals_the_closed_form(self):
+        """Every consistent (joint, count_x, count_y) for totals up to 30 and
+        a sample of counts for larger totals; p = 0, p = 1, joint = 0 and
+        joint = min(count_x, count_y) included."""
+        grid = [(total, range(total + 1)) for total in range(1, 31)]
+        for total in (97, 365, 1000, 4096):
+            grid.append((total, sorted({0, 1, 2, total // 3, total // 2, total - 1, total})))
+        cases = 0
+        for total, counts in grid:
+            for count_x in counts:
+                for count_y in counts:
+                    lowest = max(0, count_x + count_y - total)
+                    for joint in range(lowest, min(count_x, count_y) + 1):
+                        assert binary_nmi(joint, count_x, count_y, total) == (
+                            _closed_form_binary_nmi(joint, count_x, count_y, total)
+                        ), (joint, count_x, count_y, total)
+                        cases += 1
+        assert cases > 30_000
+
     def test_perfectly_dependent_indicators(self):
         assert binary_nmi(joint_11=4, count_x=4, count_y=4, total=8) == pytest.approx(1.0)
 

@@ -118,10 +118,10 @@ class TestNormalizedMutualInformation:
         # b and c are complements of each other: perfectly informative.
         assert matrix[("b", "c")] == pytest.approx(1.0)
 
-    def test_nmi_matrix_parallel_backend_bit_identical(self):
-        """Sharding the ordered pairs across workers changes nothing."""
-        from repro import ProcessPoolBackend
-
+    def test_nmi_matrix_equals_the_per_pair_function(self):
+        """One joint count per unordered pair, read in both directions,
+        gives every ordered pair's value bit for bit — a constant series
+        (zero entropy) included."""
         rng = np.random.default_rng(3)
         db = SymbolicDatabase(
             [
@@ -131,11 +131,12 @@ class TestNormalizedMutualInformation:
                 )
                 for index in range(6)
             ]
+            + [make_series("constant", ["On"] * 32)]
         )
-        serial_matrix = nmi_matrix(db)
-        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
-            parallel_matrix = nmi_matrix(db, backend=backend)
-        assert serial_matrix == parallel_matrix
+        matrix = nmi_matrix(db)
+        assert len(matrix) == 7 * 6
+        for (name_x, name_y), value in matrix.items():
+            assert value == normalized_mutual_information(db, name_x, name_y)
 
 
 class TestConfidenceLowerBound:

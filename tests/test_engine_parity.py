@@ -25,7 +25,6 @@ from repro import (
     PruningMode,
     SerialBackend,
 )
-from repro.core.correlation import pairwise_nmi
 from repro.core.engine import (
     _split_lpt_indices,
     _split_contiguous_indices,
@@ -422,10 +421,6 @@ class TestCostBalancedSharding:
         context = LevelContext(level=2, config=MiningConfig(), min_count=1, level1={})
         with pytest.raises(ConfigurationError):
             backend.run(context, [(("A", "On"), ("B", "On"))], costs=[1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            backend.map_shards(
-                lambda payload, shard: shard, None, list(range(10)), costs=[1.0] * 8
-            )
 
     def test_wants_costs_capability_flag(self):
         assert SerialBackend().wants_costs is False
@@ -614,10 +609,10 @@ class TestApproximateMinerParity:
         assert_parity(serial, parallel)
 
     @pytest.mark.parametrize("pruning", list(PruningMode))
-    def test_parallel_nmi_parity_across_pruning_modes(
+    def test_process_engine_parity_across_pruning_modes(
         self, pruning, small_energy, fast_config
     ):
-        """The sharded NMI phase + cost-balanced mining leave A-HTPGM unchanged."""
+        """Cost-balanced mining on the process engine leaves A-HTPGM unchanged."""
         _, symbolic_db, sequence_db = small_energy
         config = fast_config.with_pruning(pruning)
         serial = AHTPGM(config, graph_density=0.6).mine(sequence_db, symbolic_db)
@@ -627,22 +622,6 @@ class TestApproximateMinerParity:
         assert serial.correlated_series == parallel.correlated_series
         assert_parity(serial, parallel)
         assert parallel.statistics.correlation_seconds > 0.0
-
-    def test_parallel_nmi_values_bit_identical(self, small_energy):
-        """Sharding series pairs across workers changes nothing about the NMI."""
-        _, symbolic_db, _ = small_energy
-        serial_values = pairwise_nmi(symbolic_db)
-        with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
-            parallel_values = pairwise_nmi(symbolic_db, backend=backend)
-        assert serial_values == parallel_values
-
-    def test_spawn_pool_nmi_values_bit_identical(self, small_energy, spawn_backend):
-        """Spawn workers receive the symbolic database pickled with every
-        shard of series pairs; the values still match bit for bit."""
-        _, symbolic_db, _ = small_energy
-        assert pairwise_nmi(symbolic_db, backend=spawn_backend) == pairwise_nmi(
-            symbolic_db
-        )
 
 
 class TestBackendBehaviour:
@@ -698,13 +677,13 @@ class TestBackendBehaviour:
     def test_worker_exception_leaves_the_backend_usable(self):
         with ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1) as backend:
             with pytest.raises(ValueError, match="worker says no"):
-                backend.map_shards(_failing_shard, None, list(range(8)))
-            results = backend.map_shards(_echo_shard, None, list(range(8)))
+                run_fake_shards(backend, _failing_shard)
+            results = run_fake_shards(backend, _echo_shard)
         assert sorted(sum(results, [])) == list(range(8))
 
     def test_double_close_is_idempotent(self):
         backend = ProcessPoolBackend(n_workers=2, start_method="spawn")
-        backend.map_shards(_echo_shard, None, list(range(8)))
+        run_fake_shards(backend, _echo_shard)
         backend.close()
         backend.close()
         assert backend._executor is None
@@ -712,6 +691,18 @@ class TestBackendBehaviour:
     def test_invalid_start_method_rejected(self):
         with pytest.raises(ConfigurationError):
             ProcessPoolBackend(n_workers=2, start_method="telepathy")
+
+
+def run_fake_shards(backend, func):
+    """Drive ``backend``'s shard transport with a fake shard body: two
+    level-2 shards over the items 0-7, pieces concatenated back in order."""
+    return backend._run_shards(
+        func,
+        None,
+        [[0, 1, 2, 3], [4, 5, 6, 7]],
+        level=2,
+        combine=lambda parts: sum(parts, []),
+    )
 
 
 # Module-level so the spawn start method can pickle references to them.

@@ -48,7 +48,12 @@ from repro.io import read_session, write_session
 from repro.io.session_io import FORMAT_NAME
 from repro.timeseries import SequenceDatabase
 
-from test_engine_parity import mined_tuples, random_database, store_snapshot
+from test_engine_parity import (
+    mined_tuples,
+    random_database,
+    run_fake_shards,
+    store_snapshot,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
 from regenerate import golden_counters  # noqa: E402
@@ -270,8 +275,8 @@ class TestGracefulDegradation:
             fault_plan=plan,
         )
         try:
-            first = backend.map_shards(_echo_shard, None, list(range(8)))
-            second = backend.map_shards(_echo_shard, None, list(range(8)))
+            first = run_fake_shards(backend, _echo_shard)
+            second = run_fake_shards(backend, _echo_shard)
         finally:
             backend.close()
         assert sorted(sum(first, [])) == list(range(8))
@@ -300,7 +305,7 @@ class TestRetryExhaustion:
         )
         try:
             with pytest.raises(BrokenProcessPool):
-                backend.map_shards(_echo_shard, None, list(range(8)))
+                run_fake_shards(backend, _echo_shard)
         finally:
             backend.close()
 
@@ -312,7 +317,7 @@ class TestRetryExhaustion:
             retry=RetryPolicy(max_retries=0),
         ) as backend:
             with pytest.raises(BrokenProcessPool):
-                backend.map_shards(_crashing_shard, None, list(range(8)))
+                run_fake_shards(backend, _crashing_shard)
             recovered = MiningSession(CONFIG)
             recovered.mine(database, backend=backend)
         assert store_snapshot(recovered.graph) == store_snapshot(
@@ -327,9 +332,9 @@ class TestRetryExhaustion:
             retry=RetryPolicy(max_retries=0),
         ) as backend:
             with pytest.raises(BrokenProcessPool):
-                backend.map_shards(_crashing_shard, None, list(range(8)))
+                run_fake_shards(backend, _crashing_shard)
             assert backend._executor is None  # the broken pool was not kept
-            results = backend.map_shards(_echo_shard, None, list(range(8)))
+            results = run_fake_shards(backend, _echo_shard)
         assert sorted(sum(results, [])) == list(range(8))
 
     def test_persistent_hang_raises_a_timeout_mining_error(self):
@@ -344,7 +349,7 @@ class TestRetryExhaustion:
         )
         try:
             with pytest.raises(MiningError, match="timeout"):
-                backend.map_shards(_echo_shard, None, list(range(8)))
+                run_fake_shards(backend, _echo_shard)
         finally:
             backend.close()
 

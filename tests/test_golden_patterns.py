@@ -6,7 +6,9 @@ counters of those runs.  These tests re-mine each dataset on every execution
 engine and demand byte-level agreement with the fixtures — catching both
 accidental algorithmic drift (a changed pruning rule, a reordered relation, a
 candidate evaluated that used to be pruned) and engine-specific divergence (a
-shard merged in the wrong order, a candidate evaluated twice).
+shard merged in the wrong order, a candidate evaluated twice).  The A-HTPGM
+fixture also pins every pairwise NMI value bit for bit, the derived threshold
+``µ`` and the series the correlation graph keeps.
 
 To refresh the fixtures after an *intentional* change::
 
@@ -21,12 +23,18 @@ from pathlib import Path
 
 import pytest
 
-from repro import HTPGM, MiningConfig
+from repro import AHTPGM, HTPGM, MiningConfig
+from repro.core.correlation import pairwise_nmi
 from repro.datasets import make_dataset
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
-from regenerate import golden_counters, golden_records  # noqa: E402  (fixture helpers live next to the data)
+from regenerate import (  # noqa: E402  (fixture helpers live next to the data)
+    APPROXIMATE_CASE,
+    golden_counters,
+    golden_nmi,
+    golden_records,
+)
 
 GOLDEN_NAMES = ("dataport", "smartcity")
 ENGINES = ("serial", "process")
@@ -67,3 +75,40 @@ class TestGoldenPatterns:
             for record in payload["patterns"]:
                 assert record["support"] >= 1
                 assert 0.0 <= float(record["confidence"]) <= 1.0
+
+
+@pytest.fixture(scope="module")
+def approximate_case():
+    """The A-HTPGM payload plus the (DSYB, DSEQ) it was mined from."""
+    payload = json.loads((GOLDEN_DIR / f"{APPROXIMATE_CASE[0]}.json").read_text())
+    dataset = make_dataset(payload["dataset"], **payload["dataset_kwargs"])
+    return payload, *dataset.transform()
+
+
+class TestApproximateGolden:
+    def test_pairwise_nmi_values_are_bit_identical(self, approximate_case):
+        payload, symbolic_db, _ = approximate_case
+        assert golden_nmi(pairwise_nmi(symbolic_db)) == payload["pairwise_nmi"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_reproduces_golden_ahtpgm(self, approximate_case, engine):
+        payload, symbolic_db, sequence_db = approximate_case
+        config = MiningConfig(
+            **payload["config_kwargs"],
+            engine=engine,
+            n_workers=2 if engine == "process" else None,
+        )
+        miner = AHTPGM(config, graph_density=payload["graph_density"])
+        result = miner.mine(sequence_db, symbolic_db)
+        graph = miner.correlation_graph_
+        mu = float(payload["mi_threshold"])
+        assert repr(float(graph.mi_threshold)) == payload["mi_threshold"]
+        assert golden_nmi(graph.edges) == [
+            row for row in payload["pairwise_nmi"] if float(row[2]) >= mu
+        ]
+        assert result.correlated_series == payload["correlated_series"]
+        assert result.engine == engine
+        assert result.n_sequences == payload["n_sequences"]
+        assert len(result) == payload["n_patterns"]
+        assert golden_records(result) == payload["patterns"]
+        assert golden_counters(result.statistics) == payload["counters"]

@@ -6,7 +6,7 @@ These cover the library's load-bearing invariants:
 * relation classification is a function (never two relations for one pair) and
   agrees with the individual predicates;
 * pattern extend/project round-trips;
-* entropy / NMI bounds;
+* entropy / NMI bounds, and the all-pairs NMI equal to the per-pair one;
 * on random small sequence databases: support anti-monotonicity (Lemma 2),
   confidence anti-monotonicity (Lemma 6), pruning-mode invariance, baseline
   equivalence and the A ⊆ E containment.
@@ -14,15 +14,27 @@ These cover the library's load-bearing invariants:
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import HTPGM, Bitmap, MiningConfig, PruningMode, Relation
 from repro.baselines import HDFSMiner, TPMiner
-from repro.core.mutual_information import entropy
+from repro.core.correlation import pairwise_nmi
+from repro.core.mutual_information import (
+    entropy,
+    nmi_matrix,
+    normalized_mutual_information,
+)
 from repro.core.patterns import TemporalPattern, relation_pairs
 from repro.core.relations import classify, contains, follows, overlaps
-from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
+from repro.timeseries import (
+    EventInstance,
+    SequenceDatabase,
+    SymbolicDatabase,
+    SymbolicSeries,
+    TemporalSequence,
+)
 
 # --------------------------------------------------------------------------- strategies
 
@@ -67,6 +79,24 @@ def small_databases(draw):
             )
         sequences.append(TemporalSequence(seq_id, instances))
     return SequenceDatabase(sequences)
+
+
+@st.composite
+def aligned_symbolic_databases(draw):
+    """2-6 aligned series of 1-40 steps over alphabets of 1-5 symbols.  Each
+    series draws from a subset of its alphabet, so some symbols never occur
+    and some series are constant."""
+    n_steps = draw(st.integers(1, 40))
+    series = []
+    for index in range(draw(st.integers(2, 6))):
+        alphabet = tuple(f"s{k}" for k in range(draw(st.integers(1, 5))))
+        used = draw(st.lists(st.sampled_from(alphabet), min_size=1, unique=True))
+        symbols = draw(
+            st.lists(st.sampled_from(used), min_size=n_steps, max_size=n_steps)
+        )
+        timestamps = np.arange(n_steps, dtype=float)
+        series.append(SymbolicSeries(f"x{index}", timestamps, symbols, alphabet))
+    return SymbolicDatabase(series)
 
 
 RELAXED = settings(
@@ -160,6 +190,20 @@ class TestInformationProperties:
         # Entropy is maximised by the uniform distribution of the same arity.
         uniform = {f"s{i}": 1 / len(weights) for i in range(len(weights))}
         assert h <= entropy(uniform) + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(aligned_symbolic_databases())
+    def test_nmi_matrix_equals_the_per_pair_function(self, db):
+        """Both directions of one joint count (the second read transposed)
+        and the zero-entropy branch give the per-pair value exactly."""
+        matrix = nmi_matrix(db)
+        names = db.names
+        assert set(matrix) == {(x, y) for x in names for y in names if x != y}
+        for (name_x, name_y), value in matrix.items():
+            assert value == normalized_mutual_information(db, name_x, name_y)
+        for pair, value in pairwise_nmi(db).items():
+            name_x, name_y = sorted(pair)
+            assert value == min(matrix[(name_x, name_y)], matrix[(name_y, name_x)])
 
 
 # --------------------------------------------------------------------------- mining invariants

@@ -424,43 +424,6 @@ class TestMemoryErrorRouting:
         assert mined_tuples(result) == mined_tuples(serial_result)
         assert result.statistics.shard_splits == {2: 1}
 
-    def test_map_shards_without_combiner_still_bounded_retries(self):
-        # map_shards results cannot be recombined after a split, so memory
-        # failures there fall back to the plain bounded-retry path.
-        plan = FaultPlan.parse("oom:times=1")
-        backend = ProcessPoolBackend(
-            n_workers=2,
-            min_candidates_per_worker=1,
-            retry=FAST_RETRY,
-            fault_plan=plan,
-            memory_budget=BUDGET,
-        )
-        try:
-            out = backend.map_shards(_echo_shard, None, list(range(8)))
-        finally:
-            backend.close()
-        assert sorted(x for chunk in out for x in chunk) == list(range(8))
-
-    def test_map_shards_memory_error_exhausts_retries(self):
-        plan = FaultPlan.parse("oom:times=10")
-        backend = ProcessPoolBackend(
-            n_workers=2,
-            min_candidates_per_worker=1,
-            retry=replace(FAST_RETRY, max_retries=1),
-            fault_plan=plan,
-            memory_budget=BUDGET,
-        )
-        try:
-            with pytest.raises(MemoryError):
-                backend.map_shards(_echo_shard, None, list(range(8)))
-        finally:
-            backend.close()
-
-
-# Module-level so the spawn transport can pickle references.
-def _echo_shard(payload, items):
-    return list(items)
-
 
 # ------------------------------------------------------------------ fault matrix
 _MEMORY_FAULTS = {
