@@ -123,7 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
             "wide CSV of newly arrived time series to fold into an existing "
             "--session incrementally (mining thresholds come from the "
             "session; window/symbolizer flags still apply to the new data); "
-            "the result is identical to re-mining everything from scratch"
+            "the result is identical to re-mining everything from scratch.  "
+            "Only --symbolizer threshold appends: the quantile symbolizers "
+            "fit their cut points to the data, and a from-scratch mine would "
+            "fit them to all of it (exit 2, session left unchanged)"
         ),
     )
     mine.add_argument(

@@ -136,6 +136,15 @@ class LevelContext:
     * ``instances`` — the flat :class:`~repro.core.hpg.InstanceTable` of the
       ``level1`` events with the Lemma 4–7 tables (built at construction).
 
+    ``delta_start`` turns the evaluation into an append's *delta pass*: the
+    Apriori checks still read the full bitmaps, but relation checks read only
+    the parent rows and new-event instances of sequences with an id of at
+    least ``delta_start``, and every pattern found is kept, admitted or not,
+    with its delta rows — raw evidence for
+    :meth:`~repro.core.session.MiningSession._level` to settle.  A node is
+    returned for every candidate that survives Apriori, even an empty one.
+    ``0`` (the default) evaluates over every sequence.
+
     ``memory_share_bytes`` arms the worker-side memory watchdog
     (:func:`repro.core.resources.shard_watchdog`): when set — the process
     backend stamps one worker's share of ``MiningConfig.memory_budget_bytes``
@@ -155,6 +164,7 @@ class LevelContext:
     )
     memory_share_bytes: int | None = None
     instances: InstanceTable | None = None
+    delta_start: int = 0
 
     def event_support(self, event: EventKey) -> int:
         """Support of a frequent event (0 when absent, mirroring the graph)."""
@@ -258,10 +268,13 @@ def _grow_pair_patterns(
     stats: MiningStatistics,
 ) -> None:
     """Scalar reference of level 2: classify every chronologically ordered
-    instance pair in each shared sequence (:func:`_grow_sequence_pairs_scalar`)."""
+    instance pair in each shared sequence from ``delta_start`` on
+    (:func:`_grow_sequence_pairs_scalar`)."""
     node_a, node_b = (context.level1[event] for event in candidate)
     same_event = node_a.event == node_b.event
     for sequence_id in node.bitmap.indices():
+        if sequence_id < context.delta_start:
+            continue
         instances_a = node_a.instances_by_sequence.get(sequence_id, [])
         instances_b = (
             instances_a
@@ -386,7 +399,8 @@ def _grow_combination_patterns(
 
     Every k-event pattern has a unique chronologically last event, so the
     decomposition (parent = pattern without its last event, new event = the
-    last event) generates each pattern exactly once.
+    last event) generates each pattern exactly once.  A delta pass skips the
+    entries without a row from ``delta_start`` on.
     """
     config = context.config
     for new_event in node.events:
@@ -396,11 +410,18 @@ def _grow_combination_patterns(
             continue
         new_event_node = context.level1[new_event]
         for entry in parent.patterns.values():
+            if _first_run(entry, context.delta_start) == len(entry.sequences):
+                continue
             if config.pruning.uses_transitivity and not _may_extend(
                 context, entry.pattern, new_event, stats
             ):
                 continue
             _extend_entry(context, node, entry, new_event_node, stats)
+
+
+def _first_run(entry: PatternEntry, delta_start: int) -> int:
+    """Position of ``entry``'s first run in a sequence from ``delta_start`` on."""
+    return int(np.searchsorted(entry.sequences, delta_start)) if delta_start else 0
 
 
 def _pair_key(event_a: EventKey, event_b: EventKey) -> tuple[EventKey, EventKey]:
@@ -432,11 +453,14 @@ def _extend_entry(
     """Extend the stored occurrences of one (k-1)-pattern with the new event.
 
     The scalar reference of level ``k`` (``vectorized=False``): one
-    :func:`_extend_sequence_scalar` call per supporting sequence.
+    :func:`_extend_sequence_scalar` call per supporting sequence from
+    ``delta_start`` on.
     """
     entry.bind_sources(context.level1)
     extended_sources = entry.sources + (new_event_node.instances_by_sequence,)
     for sequence_id, index_matrix in entry.iter_index_matrices():
+        if sequence_id < context.delta_start:
+            continue
         new_instances = new_event_node.instances_by_sequence.get(sequence_id)
         if not new_instances:
             continue
@@ -637,6 +661,8 @@ class _ExtensionBatch:
     each block's sequences ascending — skipping patterns whose (complete)
     support :func:`admit_patterns` would reject.  A candidate that queues
     no decomposition can only finalise empty, so it is not kept pending.
+    A delta pass (``LevelContext.delta_start``) stacks only delta rows,
+    stores every pattern it finds and keeps every Apriori survivor.
     """
 
     def __init__(
@@ -661,43 +687,48 @@ class _ExtensionBatch:
 
     def _parent(self, key: tuple[EventKey, ...]) -> tuple | None:
         """``(parent, its events' table rows, its stacked rows)`` of a parent
-        node, built once (rows ``None`` when no entry has any); ``None`` if
-        the parent is absent."""
+        node, built once from the rows of sequences from ``delta_start`` on
+        (rows ``None`` when no entry has any); ``None`` if the parent is
+        absent."""
         if key not in self.parents:
             parent = self.context.parents.get(key)
             if parent is None:
                 self.parents[key] = None
                 return None
-            index = self.table.index
-            entries = [
-                entry for entry in parent.patterns.values() if len(entry.sequences)
-            ]
+            index, start = self.table.index, self.context.delta_start
+            entries, firsts = [], []
+            for entry in parent.patterns.values():
+                first = _first_run(entry, start)
+                if first < len(entry.sequences):
+                    entries.append(entry)
+                    firsts.append(first)
             rows = None
             if entries:
                 for entry in entries:
                     entry.bind_sources(self.context.level1)
-                sequences = [entry.sequences for entry in entries]
+                tails = list(zip(entries, firsts))
+                sequences = [entry.sequences[first:] for entry, first in tails]
                 runs = np.column_stack(
                     (
                         np.repeat(np.arange(len(entries)), list(map(len, sequences))),
                         np.concatenate(sequences),
-                        np.concatenate([np.diff(entry.offsets) for entry in entries]),
+                        np.concatenate([np.diff(e.offsets[f:]) for e, f in tails]),
                     )
                 )
                 events = [[index[e] for e in entry.pattern.events] for entry in entries]
-                index_rows = np.concatenate([entry.rows for entry in entries])
+                index_rows = np.concatenate([e.rows[e.offsets[f] :] for e, f in tails])
                 rows = _ParentRows(entries, np.array(events), index_rows, runs)
             self.parents[key] = (parent, [index[e] for e in key], rows)
         return self.parents[key]
 
     def _event_rows(self, event: EventKey) -> _ParentRows:
         """A level-2 parent, built once: ``event``'s instances as one-column
-        rows of list positions, one run per sequence, under a one-event
-        pattern."""
+        rows of list positions, one run per sequence from ``delta_start`` on,
+        under a one-event pattern."""
         if event not in self.event_rows:
-            table = self.table
+            table, start = self.table, self.context.delta_start
             row = table.index[event]
-            sequences = np.flatnonzero(table.count[row])
+            sequences = np.flatnonzero(table.count[row, start:]) + start
             counts = table.count[row, sequences]
             positions = np.arange(counts.sum()) - np.repeat(
                 np.cumsum(counts) - counts, counts
@@ -738,15 +769,17 @@ class _ExtensionBatch:
                 if stack is None:
                     continue
                 parent, parent_rows, rows = stack
+                if rows is None:
+                    continue
                 partners = self.partners[self.table.index[new_event]]
                 if self.transitivity and not all(partners[row] for row in parent_rows):
                     # Lemma 5 fails for every entry alike; the scalar loop
                     # counts each.
-                    level, n_entries = context.level, len(parent.patterns)
+                    level, n_entries = context.level, len(rows.entries)
                     stats.bump(stats.pruned_relation_checks, level, n_entries)
-                elif rows is not None:
+                else:
                     self._queue(_Extension(node, new_event, rows))
-        if len(self.queue) > queued:
+        if len(self.queue) > queued or context.delta_start:
             self.pending.append(node)
         if self.rows >= _EXTENSION_BATCH_ROWS:
             self.flush()
@@ -877,13 +910,19 @@ class _ExtensionBatch:
         runs = np.flatnonzero(
             np.r_[True, (group[1:] != group[:-1]) | (sequences[1:] != sequences[:-1])]
         )
-        support = np.bincount(group[runs], minlength=len(first_hit))
         queued = [owners[job] for job in jobs[first_hit].tolist()]
-        supports = [max(map(self.supports.get, item.node.events)) for item, _ in queued]
-        # admit_patterns as one mask: groups it would drop build no entry.
-        frequent = (support >= self.context.min_count) & ~(
-            support / np.array(supports) < self.context.config.min_confidence
-        )
+        if self.context.delta_start:
+            # A delta pass keeps every group: the session settles them.
+            frequent = np.ones(len(first_hit), dtype=bool)
+        else:
+            support = np.bincount(group[runs], minlength=len(first_hit))
+            supports = [
+                max(map(self.supports.get, item.node.events)) for item, _ in queued
+            ]
+            # admit_patterns as one mask: groups it would drop build no entry.
+            frequent = (support >= self.context.min_count) & ~(
+                support / np.array(supports) < self.context.config.min_confidence
+            )
         bounds = np.r_[runs, len(block)]
         run_sequences = sequences[runs].astype(hpg._INDEX_DTYPE)
         # A group's runs are adjacent: split the runs where the group changes.
@@ -920,19 +959,33 @@ def admit_patterns(
     ``event_support`` of the pattern's events — at least
     ``config.min_confidence``.
 
-    The one admission rule: :func:`_finalise_node` applies it to evaluated
-    nodes, :meth:`~repro.core.session.MiningSession._readmit` to the stored
-    nodes an append leaves untouched.
+    The one admission rule (:func:`admits`): :func:`_finalise_node` applies
+    it to evaluated nodes, :class:`~repro.core.session.MiningSession` to the
+    stored nodes an append re-admits or settles.
     """
-    admitted = {}
-    for pattern, entry in patterns.items():
-        support = entry.support
-        if support < min_count:
-            continue
-        max_event_support = max(event_support(event) for event in pattern.events)
-        if max_event_support and support / max_event_support >= config.min_confidence:
-            admitted[pattern] = entry
-    return admitted
+    return {
+        pattern: entry
+        for pattern, entry in patterns.items()
+        if admits(
+            entry.support,
+            max(event_support(event) for event in pattern.events),
+            min_count,
+            config,
+        )
+    }
+
+
+def admits(
+    support: int, max_event_support: int, min_count: int, config: MiningConfig
+) -> bool:
+    """Whether a pattern of this support passes Alg. 1's admission: support
+    at least ``min_count`` and confidence, over the largest support among
+    its events, at least ``config.min_confidence``."""
+    return (
+        support >= min_count
+        and max_event_support > 0
+        and support / max_event_support >= config.min_confidence
+    )
 
 
 def _finalise_node(
@@ -942,7 +995,10 @@ def _finalise_node(
     level: int,
 ) -> CombinationNode | None:
     """Keep only the patterns :func:`admit_patterns` admits; return the node
-    when non-empty."""
+    when non-empty.  A delta pass returns every node as found: its patterns
+    hold delta rows only, so admission is the session's to decide."""
+    if context.delta_start:
+        return node
     node.patterns = admit_patterns(
         node.patterns, context.event_support, context.min_count, context.config
     )

@@ -157,6 +157,19 @@ class PatternEntry:
         entry._adopt(pattern, sources, sequences, offsets, rows)
         return entry
 
+    def followed_by(self, later: "PatternEntry") -> "PatternEntry":
+        """A new, unbound entry of this pattern holding this entry's runs
+        and then ``later``'s, whose sequence ids all follow this entry's (an
+        append's delta rows)."""
+        offsets = self.offsets
+        return PatternEntry.from_arrays(
+            self.pattern,
+            None,
+            np.concatenate((self.sequences, later.sequences)),
+            np.concatenate((offsets, later.offsets[1:] + offsets[-1])),
+            np.concatenate((self.rows, later.rows)),
+        )
+
     def _adopt(self, pattern, sources, sequences, offsets, rows) -> None:
         """Set every slot: the pattern, the sources and the three arrays."""
         self.pattern = pattern

@@ -14,21 +14,25 @@ from scratch repeats almost all of yesterday's work.
   (frequent or not), the full node trees with their occurrence evidence, the
   statistics;
 * :meth:`MiningSession.append` folds new sequences into that state
-  *incrementally*: level-1 bitmaps and instance lists are extended in place,
-  and at every level only the candidates whose support sets can actually
-  change — combinations whose events co-occur in a delta sequence, or that
-  involve a newly frequent event — are re-evaluated; every other node is
-  reused as-is (re-checked against the new thresholds, never re-computed);
+  *incrementally*: level-1 bitmaps and instance lists are extended, and at
+  every level a candidate whose events co-occur in a delta sequence is
+  evaluated on the delta sequences only (the *delta pass*), then settled: its
+  stored patterns take their delta rows and are re-admitted, and a pattern
+  the old state did not store is dropped by a support bound.  Only a
+  candidate the bound cannot settle, or one involving a newly frequent
+  event, is evaluated over every sequence; every other node is reused as-is
+  (re-checked against the new thresholds, never re-computed);
 * :mod:`repro.io.session_io` saves and loads a session, so the mining state
   can outlive the process that built it.
 
 One per-level method, :meth:`MiningSession._level`, serves both: it
-generates a level's candidates, evaluates those whose support set can change
-through one ``backend.run``, re-admits the stored nodes of the rest and
-merges both in canonical candidate order.  A full mine — and
-:meth:`MiningSession.resume` of a checkpointed one — is a merge against an
-empty previous state, in which every frequent event is newly frequent, so
-every candidate is evaluated.
+generates a level's candidates, runs the delta pass over the touched ones
+and settles them, evaluates the rest of the touched ones over every sequence
+through one more ``backend.run``, re-admits the stored nodes of the
+untouched ones and merges all of them in canonical candidate order.  A full
+mine — and :meth:`MiningSession.resume` of a checkpointed one — is a merge
+against an empty previous state, in which every frequent event is newly
+frequent, so there is no delta pass and every candidate is evaluated.
 
 The correctness contract (enforced by ``tests/test_session.py``) is exact:
 
@@ -36,14 +40,19 @@ The correctness contract (enforced by ``tests/test_session.py``) is exact:
     :class:`~repro.core.result.MiningResult` — patterns, supports,
     confidences, order — as ``mine(D ∪ ΔD)`` from scratch,
 
-for every execution backend and every pruning mode.  The key monotonicity
-facts behind the delta rule: appending sequences never lowers the absolute
-support threshold, never lowers an event's support, and never adds
-occurrences to a pattern whose events do not co-occur in a delta sequence.
-An *untouched* pattern therefore keeps its exact support and confidence and
-can only *fall out* of the frequent set (threshold re-check, no
-re-evaluation), while anything previously pruned that could now become
-frequent necessarily involves the delta and is re-evaluated in full.
+for every execution backend and every pruning mode, down to the occurrence
+store.  The key monotonicity facts behind the delta rule: appending
+sequences never lowers the absolute support threshold, never lowers an
+event's support, and never adds occurrences to a pattern whose events do not
+co-occur in a delta sequence.  An *untouched* pattern therefore keeps its
+exact support and confidence and can only *fall out* of the frequent set
+(threshold re-check, no re-evaluation).  A touched pattern the old state
+stored keeps its old rows, which are its from-scratch rows, and gains the
+delta rows after them, because delta sequence ids follow the old ones.  A
+touched pattern it did not store had an old support below ``⌈σ·|D|⌉`` or a
+confidence below δ, so its old support is bounded, and the bound plus its
+delta support decides whether it can pass now
+(:meth:`MiningSession._may_pass`).
 
 :class:`HTPGM` remains the stable public miner; its :meth:`~HTPGM.mine` is a
 thin wrapper that creates a session, runs the levels and builds the result.
@@ -55,8 +64,10 @@ with :meth:`MiningSession.resume` first.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable, Iterable
+from dataclasses import replace
 from itertools import combinations
 from typing import NamedTuple
 
@@ -71,7 +82,9 @@ from .engine import (
     Candidate,
     ExecutionBackend,
     LevelContext,
+    LevelOutcome,
     admit_patterns,
+    admits,
     apriori_prune,
     backend_from_config,
 )
@@ -81,7 +94,7 @@ from .hpg import (
     EventNode,
     HierarchicalPatternGraph,
 )
-from .patterns import PatternMeasures
+from .patterns import PatternMeasures, TemporalPattern
 from .result import MinedPattern, MiningResult
 from .stats import MiningStatistics
 
@@ -170,6 +183,7 @@ def _estimate_pair_costs(
             costs.append(1.0)
             continue
         shared = np.fromiter(joint.indices(), dtype=np.intp, count=joint_support)
+        shared = shared[shared >= context.delta_start]
         counts_a = table.count[table.index[event_a], shared]
         if event_a == event_b:
             pair_count = float(counts_a @ (counts_a - 1.0)) / 2.0
@@ -192,9 +206,10 @@ def _estimate_combination_costs(
     entries' run lengths (``np.diff(offsets)``) over their ``sequences``;
     each decomposition is one dot product of those counts with the new
     event's row of the level's instance-table ``count`` matrix (one matrix
-    product per parent).  Every sum is an exact integer.
+    product per parent).  Every sum is an exact integer.  A delta pass counts
+    only the sequences from ``delta_start`` on.
     """
-    table = context.instances
+    table, start = context.instances, context.delta_start
     # Every (parent, new event) decomposition, grouped by parent.
     decompositions: dict[tuple[EventKey, ...], tuple[list[int], list[int]]] = {}
     for position, candidate in enumerate(candidates):
@@ -211,9 +226,10 @@ def _estimate_combination_costs(
         entries = parent.patterns.values()
         sequences = np.concatenate([entry.sequences for entry in entries])
         runs = np.concatenate([np.diff(entry.offsets) for entry in entries])
-        ids, position = np.unique(sequences, return_inverse=True)
+        delta = sequences >= start
+        ids, position = np.unique(sequences[delta], return_inverse=True)
         counts = np.zeros(len(ids), dtype=np.int64)
-        np.add.at(counts, position, runs)
+        np.add.at(counts, position, runs[delta])
         # The parent's decompositions' dot products, as one matrix product.
         costs[positions] += table.count[np.ix_(rows, ids)] @ counts
     return np.maximum(costs, 1).astype(float).tolist()
@@ -245,8 +261,9 @@ class MiningSession:
         of the frequent events plus all surviving combination nodes).
     statistics:
         Work counters of the most recent operation (:meth:`mine` or
-        :meth:`append`).  Append statistics count only the incremental work;
-        ``patterns_found`` is always rewritten to describe the merged state.
+        :meth:`append`).  Append statistics count only the incremental work
+        (see :class:`~repro.core.stats.MiningStatistics`); ``patterns_found``
+        is always rewritten to describe the merged state.
     """
 
     def __init__(
@@ -453,11 +470,16 @@ class MiningSession:
 
         The new sequences are re-indexed to follow the existing ones (their
         incoming sequence ids are ignored), exactly as if they had been the
-        last rows of the original database.  Only candidates whose support
-        sets can change — all events co-occurring in a delta sequence, or a
-        newly frequent event involved — are re-evaluated (through
-        ``backend``, so appends parallelise like full mines); every other
-        node is reused after a constant-time threshold re-check.
+        last rows of the original database.  A candidate whose events all
+        co-occur in a delta sequence is evaluated on the delta sequences
+        only, then settled by :meth:`_settle`: stored patterns take their
+        delta rows, unstored ones are dropped by a support bound.  Candidates
+        the bound cannot settle, and those involving a newly frequent event,
+        are evaluated over every sequence.  Both evaluations go through
+        ``backend``, so appends parallelise like full mines; every other node
+        is reused after a constant-time threshold re-check.  So an append
+        costs about what its delta costs when the delta is small next to the
+        gap between the old and new support thresholds.
 
         Invariant: the returned result is identical — patterns, supports,
         confidences, order — to mining the concatenated database from
@@ -491,7 +513,8 @@ class MiningSession:
         previous = _PreviousState(
             self.graph,
             delta_ids,
-            {key for key in graph.level1 if key not in self.graph.level1},
+            {key: node.support for key, node in self.graph.level1.items()},
+            config.support_count(self.n_sequences),
         )
         stats.events_scanned = len(merged_events)
         stats.frequent_events = len(graph.level1)
@@ -682,7 +705,7 @@ class MiningSession:
         """
         plan = faults.active_plan()
         empty = HierarchicalPatternGraph(n_sequences=graph.n_sequences)
-        previous = _PreviousState(empty, {}, set(graph.level1))
+        previous = _PreviousState(empty, {}, {}, 0)
         level = first_level
         while self._mines_level(graph, level):
             faults.coordinator_exit(plan, level)
@@ -707,25 +730,33 @@ class MiningSession:
         them, since that state equals the from-scratch one by induction —
         then partitioned:
 
-        * candidates whose support set can change go through one
-          ``backend.run`` (A-HTPGM's ``pair_filter`` already applied, costs
-          estimated for cost-balancing backends);
+        * a candidate with a newly frequent event has no stored state, so it
+          is evaluated over every sequence — against an empty previous state
+          every candidate is;
+        * a candidate whose events co-occur in a delta sequence goes through
+          one *delta pass* (a ``backend.run`` that reads only the delta
+          sequences) and is settled by :meth:`_settle`, or, when only a
+          count over every sequence can tell, evaluated over every sequence
+          after all;
         * every other candidate either re-admits its stored node of
           ``previous`` (supports and confidences of untouched patterns are
           unchanged, so :func:`~repro.core.engine.admit_patterns` re-checks
           each pattern in constant time against the grown thresholds), or
           provably mined nothing before and would mine nothing now.
 
-        Against an empty previous state every candidate is evaluated.  The
-        merge walks the canonical candidate order, so node order — and the
-        result — is identical to a from-scratch run.  Returns whether the
-        level produced a node.
+        The candidates evaluated over every sequence go through one more
+        ``backend.run`` (A-HTPGM's ``pair_filter`` already applied, costs
+        estimated for cost-balancing backends).  The merge walks the
+        canonical candidate order, so node order — and the result — is
+        identical to a from-scratch run.  Returns whether the level produced
+        a node.  ``candidates_generated`` and the Apriori counters count each
+        candidate once; the relation-check counters count both runs' work.
 
         ``level_seconds`` is *evaluation time + coordinator overhead*: the
-        backend reports the evaluation wall-clock (for parallel backends: the
-        slowest shard, per :meth:`MiningStatistics.merge_shard`), and the
-        time this process spent generating candidates, building the context
-        and merging the nodes is added on top.
+        backend reports each run's evaluation wall-clock (for parallel
+        backends: the slowest shard, per :meth:`MiningStatistics.merge_shard`),
+        and the time this process spent generating candidates, building the
+        contexts, settling and merging the nodes is added on top.
         """
         level_start = time.perf_counter()
         if level == 2:
@@ -733,32 +764,49 @@ class MiningSession:
         else:
             generated = self._generate_combination_candidates(graph, stats, level)
         stored = previous.graph.levels.get(level, {})
-        touched, readmitted = [], {}
+        touched, delta, nodes = [], [], {}
         for candidate in generated:
-            if _support_can_change(candidate, previous):
+            if any(event not in previous.supports for event in candidate):
                 touched.append(candidate)
-                continue
-            key = tuple(sorted(candidate))
-            node = self._readmit(stored.get(key), graph, min_count)
-            if node is not None:
-                readmitted[key] = node
+            elif _co_occur_in_delta(candidate, previous):
+                touched.append(candidate)
+                delta.append(candidate)
+            else:
+                key = tuple(sorted(candidate))
+                node = self._readmit(stored.get(key), graph, min_count)
+                if node is not None:
+                    nodes[key] = node
 
+        # One context, and one instance table, serves both runs.
         context = self._level_context(graph, level, min_count, touched)
-        costs = None
-        if _backend_uses_costs(backend, len(touched)):
-            costs = (
-                _estimate_pair_costs(context, touched, self.config, min_count)
-                if level == 2
-                else _estimate_combination_costs(context, touched)
-            )
-        backend_start = time.perf_counter()
-        outcome = backend.run(context, touched, costs)
-        backend_elapsed = time.perf_counter() - backend_start
-        stats.absorb_counters(outcome.stats)
+        runs: list[tuple[LevelOutcome, float]] = []
+        settled: set[Candidate] = set()
+        if delta:
+            delta_context = replace(context, delta_start=previous.graph.n_sequences)
+            runs.append(self._run(backend, delta_context, delta, stats))
+            supports = {event: node.support for event, node in graph.level1.items()}
+            # Candidates Apriori pruned return no node: they are settled.
+            survivors = {node.events: node for node in runs[-1][0].nodes}
+            for candidate in delta:
+                key = tuple(sorted(candidate))
+                node = survivors.get(key)
+                if node is not None:
+                    node = self._settle(
+                        node, stored.get(key), supports, min_count, previous
+                    )
+                    if node is None:
+                        continue
+                    if node.patterns:
+                        nodes[key] = node
+                settled.add(candidate)
+        evaluate = [candidate for candidate in touched if candidate not in settled]
+        if evaluate:
+            runs.append(self._run(backend, context, evaluate, stats))
+            # Evaluated and settled or re-admitted keys are disjoint.
+            nodes.update((node.events, node) for node in runs[-1][0].nodes)
+        # The delta pass already counted the candidates it could not settle.
+        stats.bump(stats.candidates_generated, level, len(settled) - len(delta))
 
-        # Evaluated and re-admitted keys are disjoint.
-        nodes = {node.events: node for node in outcome.nodes}
-        nodes.update(readmitted)
         for candidate in generated:
             node = nodes.get(tuple(sorted(candidate)))
             if node is None:
@@ -770,15 +818,111 @@ class MiningSession:
             for entry in node.patterns.values():
                 entry.bind_sources(graph.level1)
 
-        # ``patterns_found`` describes the merged level (re-admitted and
-        # evaluated), not just the evaluation the counters above recorded.
+        # ``patterns_found`` describes the merged level (re-admitted, settled
+        # and evaluated), not just the evaluation the counters above recorded.
         stats.patterns_found.pop(level, None)
         found = sum(len(node.patterns) for node in nodes.values())
         stats.bump(stats.patterns_found, level, found)
-        evaluation_seconds = outcome.stats.level_seconds.get(level, 0.0)
-        overhead = max(0.0, (time.perf_counter() - level_start) - backend_elapsed)
+        evaluation_seconds = sum(
+            outcome.stats.level_seconds.get(level, 0.0) for outcome, _ in runs
+        )
+        elapsed = time.perf_counter() - level_start
+        overhead = max(0.0, elapsed - sum(seconds for _, seconds in runs))
         stats.level_seconds[level] = evaluation_seconds + overhead
         return bool(nodes)
+
+    def _run(
+        self,
+        backend: ExecutionBackend,
+        context: LevelContext,
+        candidates: list[Candidate],
+        stats: MiningStatistics,
+    ) -> tuple[LevelOutcome, float]:
+        """One ``backend.run`` over ``candidates``, its counters absorbed
+        into ``stats``; returns the outcome and the call's wall-clock."""
+        costs = None
+        if _backend_uses_costs(backend, len(candidates)):
+            costs = (
+                _estimate_pair_costs(
+                    context, candidates, self.config, context.min_count
+                )
+                if context.level == 2
+                else _estimate_combination_costs(context, candidates)
+            )
+        started = time.perf_counter()
+        outcome = backend.run(context, candidates, costs)
+        elapsed = time.perf_counter() - started
+        stats.absorb_counters(outcome.stats)
+        return outcome, elapsed
+
+    def _settle(
+        self,
+        found: CombinationNode,
+        stored: CombinationNode | None,
+        supports: dict[EventKey, int],
+        min_count: int,
+        previous: _PreviousState,
+    ) -> CombinationNode | None:
+        """A delta-passed candidate's node under the new thresholds (its
+        patterns may be empty), or ``None`` when only an evaluation over
+        every sequence can tell.
+
+        ``found`` holds the delta rows of every pattern the delta pass found
+        and ``supports`` the new event supports.  A stored pattern's rows in
+        old sequences are its from-scratch rows, because its parents' are
+        (by induction), and its delta rows come from the parents' delta
+        rows; delta sequence ids follow the old ones, so the two blocks
+        concatenate into the from-scratch entry, which
+        :func:`~repro.core.engine.admit_patterns` re-admits.  A pattern the
+        old state did not store must be proven unable to pass
+        (:meth:`_may_pass`).  So only stored patterns survive; each occurs in
+        an old sequence, so its stored order is its from-scratch first-hit
+        order.  The node's bitmap is the delta pass's intersection of the
+        full event bitmaps.
+        """
+        if stored is None and not found.patterns:
+            return found
+        patterns = dict(stored.patterns) if stored is not None else {}
+        for pattern, delta in found.patterns.items():
+            entry = patterns.get(pattern)
+            if entry is not None:
+                patterns[pattern] = entry.followed_by(delta)
+            elif self._may_pass(pattern, delta.support, supports, min_count, previous):
+                return None
+        return CombinationNode(
+            events=found.events,
+            bitmap=found.bitmap,
+            patterns=admit_patterns(patterns, supports.get, min_count, self.config),
+        )
+
+    def _may_pass(
+        self,
+        pattern: TemporalPattern,
+        delta_support: int,
+        supports: dict[EventKey, int],
+        min_count: int,
+        previous: _PreviousState,
+    ) -> bool:
+        """Whether a pattern the old state did not store, found in
+        ``delta_support`` delta sequences, might pass the new thresholds.
+
+        Let ``mc_old`` be the old support threshold and ``ES_D`` the largest
+        old support among the pattern's events (none is newly frequent).  An
+        unstored pattern failed admission, or its node failed Apriori, or a
+        sub-pattern failed: support and confidence are anti-monotone (Lemmas
+        2–3), a sub-pattern's ``ES_D`` is no larger, and Lemmas 4–7 prune
+        only patterns holding a failed level-2 pattern.  Either way its old
+        support is below ``mc_old`` or its confidence below δ, so it is at
+        most ``max(mc_old − 1, s_conf)``, where ``s_conf`` is the largest
+        support failing the confidence test over ``ES_D``
+        (:func:`_confidence_floor`).  Adding the delta support bounds its
+        support over every sequence; the pattern might pass only if that
+        bound passes :func:`~repro.core.engine.admits`.
+        """
+        old_max = max(previous.supports[event] for event in pattern.events)
+        bound = max(previous.min_count - 1, _confidence_floor(old_max, self.config))
+        new_max = max(supports[event] for event in pattern.events)
+        return admits(bound + delta_support, new_max, min_count, self.config)
 
     def _readmit(
         self,
@@ -897,27 +1041,22 @@ class MiningSession:
 
 
 class _PreviousState(NamedTuple):
-    """What a level merges against: the graph before the delta, the delta
-    sequences holding each event, and the frequent events the old graph
-    lacks.  A full mine's previous state is an empty graph, in which every
+    """What a level merges against: the graph before the delta (its
+    ``n_sequences`` is the first delta sequence id), the delta sequences
+    holding each event, and the old graph's support threshold and the
+    supports of its frequent events — a frequent event without one is newly
+    frequent.  A full mine's previous state is an empty graph, in which every
     frequent event is newly frequent."""
 
     graph: HierarchicalPatternGraph
     delta_ids: dict[EventKey, set[int]]
-    newly_frequent: set[EventKey]
+    supports: dict[EventKey, int]
+    min_count: int
 
 
-def _support_can_change(candidate: Candidate, previous: _PreviousState) -> bool:
-    """Whether appending the delta can change this candidate's support set.
-
-    A pattern over the candidate's events gains occurrences only inside delta
-    sequences containing *all* of those events; a candidate involving a newly
-    frequent event has no stored state at all (it was never generated) and
-    may surface old-sequence patterns, so it must be evaluated in full either
-    way.
-    """
-    if any(event in previous.newly_frequent for event in candidate):
-        return True
+def _co_occur_in_delta(candidate: Candidate, previous: _PreviousState) -> bool:
+    """Whether the candidate's events all occur in one delta sequence: only
+    then can a pattern over them gain occurrences from the delta."""
     shared: set[int] | None = None
     for event in candidate:
         ids = previous.delta_ids.get(event)
@@ -927,3 +1066,18 @@ def _support_can_change(candidate: Candidate, previous: _PreviousState) -> bool:
         if not shared:
             return False
     return True
+
+
+def _confidence_floor(max_event_support: int, config: MiningConfig) -> int:
+    """The largest support whose confidence over ``max_event_support`` (> 0)
+    fails the admission rule, i.e. the largest ``s`` with ``s /
+    max_event_support < δ``.  Found through :func:`admits` itself, so float
+    rounding cannot make the bound and the rule disagree."""
+    support = min(
+        max_event_support, math.ceil(config.min_confidence * max_event_support)
+    )
+    while support > 0 and admits(support - 1, max_event_support, 0, config):
+        support -= 1
+    while not admits(support, max_event_support, 0, config):
+        support += 1
+    return support - 1

@@ -26,7 +26,19 @@ _COUNTER_FIELDS = (
 
 @dataclass
 class MiningStatistics:
-    """Work counters collected while mining."""
+    """Work counters collected while mining.
+
+    After :meth:`~repro.core.session.MiningSession.append` the counters
+    describe the append's own work.  ``candidates_generated``,
+    ``pruned_support`` and ``pruned_confidence`` count each candidate whose
+    events co-occur in a delta sequence, or that involves a newly frequent
+    event, once; the untouched candidates, whose stored nodes are re-admitted
+    without evaluation, are not counted.  ``relation_checks`` and
+    ``pruned_relation_checks`` count the work of both evaluations: the delta
+    pass over the delta sequences and the evaluation over every sequence of
+    the candidates the pass could not settle.  ``patterns_found`` describes
+    the merged state, as after a full mine.
+    """
 
     #: Number of sequences in the mined database.
     n_sequences: int = 0

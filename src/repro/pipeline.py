@@ -10,7 +10,9 @@ Incremental mining threads through the same pipeline: create a
 (or pass ``session=`` to :func:`mine_time_series`), mine the initial series
 into it, then fold newly arrived series through
 :meth:`FTPMfTS.mine_incremental` — the result is guaranteed identical to
-re-mining everything from scratch, at a fraction of the work.
+re-mining everything from scratch, at a fraction of the work.  Appends refuse
+symbolisers fitted to the data, whose cut points a from-scratch mine would
+fit to all of it.
 """
 
 from __future__ import annotations
@@ -141,10 +143,40 @@ class FTPMfTS:
         configuration, appended to the session as new sequences, and the
         incrementally updated pattern set is returned — identical to what
         re-mining old and new data together from scratch would produce.
+
+        A symboliser that fits its parameters to the data
+        (:class:`~repro.timeseries.symbolization.QuantileSymbolizer`,
+        :class:`~repro.timeseries.symbolization.UniformBinSymbolizer`,
+        :class:`~repro.timeseries.sax.SAXSymbolizer`: any that overrides
+        :meth:`Symbolizer.fit`) is refused with :class:`ConfigurationError`:
+        it would be fitted to the new series alone, and even the old data's
+        fit differs from a from-scratch fit of old and new data together.
         """
         self._check_session(session)
+        self._refuse_fitted_symbolizers(series_set)
         _, sequence_db = self.transform(series_set)
         return self._run_session(session.append, sequence_db)
+
+    def _refuse_fitted_symbolizers(self, series_set: TimeSeriesSet) -> None:
+        """Raise when a symboliser an append would apply fits to the data."""
+        symbolizers = self.symbolizers
+        if isinstance(symbolizers, Symbolizer):
+            applied = [(None, symbolizers)]
+        else:
+            applied = [
+                (series.name, symbolizers.get(series.name)) for series in series_set
+            ]
+        for name, symbolizer in applied:
+            if symbolizer is None or type(symbolizer).fit is Symbolizer.fit:
+                continue
+            of_series = "" if name is None else f" of series {name!r}"
+            raise ConfigurationError(
+                f"{type(symbolizer).__name__}{of_series} fits its parameters to "
+                "the data it symbolises, so an append cannot reproduce a "
+                "from-scratch mine of all the data; append with a symbolizer "
+                "that needs no fit (such as ThresholdSymbolizer) or re-mine "
+                "everything"
+            )
 
     def _check_session(self, session: MiningSession) -> None:
         """Reject sessions that cannot represent this pipeline's mining run."""

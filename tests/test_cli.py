@@ -330,6 +330,81 @@ class TestSessionWorkflow:
         assert "error" in capsys.readouterr().err
 
 
+class TestAppendSymbolizers:
+    """--append with each symbolizer family.  The threshold symbolizer maps
+    every value the same way whatever data it sees, so an append equals a
+    scratch mine.  A quantile symbolizer fits its cut points to the data it
+    symbolises: an append used to refit them to the delta alone and exit 0
+    with a different pattern set (2,069 patterns against 2,055 from scratch
+    on this recipe), so it is refused."""
+
+    MINE_FLAGS = ["--window", "1440", "--support", "0.6", "--confidence", "0.6",
+                  "--max-size", "2"]
+
+    @pytest.fixture(scope="class")
+    def csvs(self, tmp_path_factory):
+        """dataport at scale 0.02: the first 20 of 24 days, the last 4, and
+        all 24."""
+        import csv as csv_module
+
+        directory = tmp_path_factory.mktemp("symbolizers")
+        full = directory / "full.csv"
+        main(["generate", "--dataset", "dataport", "--scale", "0.02",
+              "--attributes", "0.5", "--seed", "3", "--output", str(full)])
+        with open(full, newline="") as handle:
+            header, *rows = list(csv_module.reader(handle))
+        cut = float(rows[0][0]) + 20 * 1440
+        paths = []
+        for name, part in (
+            ("base.csv", [row for row in rows if float(row[0]) < cut]),
+            ("delta.csv", [row for row in rows if float(row[0]) >= cut]),
+        ):
+            with open(directory / name, "w", newline="") as handle:
+                writer = csv_module.writer(handle)
+                writer.writerow(header)
+                writer.writerows(part)
+            paths.append(directory / name)
+        return full, *paths
+
+    def _mine_base(self, base, session, symbolizer, tmp_path):
+        code = main(["mine", "--input", str(base), "--output",
+                     str(tmp_path / "base.json"), "--session", str(session),
+                     "--symbolizer", symbolizer, *self.MINE_FLAGS])
+        assert code == 0
+
+    def _append(self, delta, session, symbolizer, output):
+        return main(["mine", "--append", str(delta), "--session", str(session),
+                     "--output", str(output), "--window", "1440",
+                     "--symbolizer", symbolizer])
+
+    def test_threshold_append_equals_the_scratch_mine(self, csvs, tmp_path):
+        full, base, delta = csvs
+        session = tmp_path / "state.bin"
+        self._mine_base(base, session, "threshold", tmp_path)
+        assert self._append(delta, session, "threshold", tmp_path / "inc.json") == 0
+        assert main(["mine", "--input", str(full), "--output",
+                     str(tmp_path / "scratch.json"), "--symbolizer",
+                     "threshold", *self.MINE_FLAGS]) == 0
+        incremental = json.loads((tmp_path / "inc.json").read_text())
+        scratch = json.loads((tmp_path / "scratch.json").read_text())
+        assert len(scratch["patterns"]) == 130
+        assert incremental["patterns"] == scratch["patterns"]
+
+    def test_quantile_append_is_refused_and_leaves_the_session(
+        self, csvs, tmp_path, capsys
+    ):
+        _, base, delta = csvs
+        session = tmp_path / "state.bin"
+        self._mine_base(base, session, "quantile3", tmp_path)
+        before = session.read_bytes()
+        capsys.readouterr()
+        code = self._append(delta, session, "quantile3", tmp_path / "inc.json")
+        assert code == 2
+        assert "QuantileSymbolizer" in capsys.readouterr().err
+        assert session.read_bytes() == before
+        assert not (tmp_path / "inc.json").exists()
+
+
 class TestEvaluateCommand:
     def test_evaluate_prints_comparison(self, capsys):
         code = main(

@@ -236,6 +236,50 @@ class TestIncrementalPipeline:
         scratch = serial_process.mine(toy_household)
         assert self._tuples(incremental) == self._tuples(scratch)
 
+    @pytest.mark.parametrize("per_series", [False, True])
+    @pytest.mark.parametrize("family", ["quantile", "uniform", "sax"])
+    def test_data_fitted_symbolizers_refused_on_append(
+        self, toy_household, family, per_series
+    ):
+        """A symbolizer that overrides fit would be fitted to the delta alone
+        on append; the refusal names its class, and the series when the
+        symbolizers are given per series.  The session is left as it was."""
+        from repro.timeseries.sax import SAXSymbolizer
+        from repro.timeseries.symbolization import (
+            QuantileSymbolizer,
+            UniformBinSymbolizer,
+        )
+
+        fitted = {
+            "quantile": QuantileSymbolizer(labels=("Low", "Medium", "High")),
+            "uniform": UniformBinSymbolizer(),
+            "sax": SAXSymbolizer(alphabet_size=3),
+        }[family]
+        symbolizers = (
+            {"Kitchen": ThresholdSymbolizer(), "Toaster": fitted, "Lonely": fitted}
+            if per_series
+            else fitted
+        )
+        process = self._process(symbolizers=symbolizers)
+        session = process.create_session()
+        process.mine(_restrict_days(toy_household, 0, 10), session=session)
+        with pytest.raises(ConfigurationError) as error:
+            process.mine_incremental(_restrict_days(toy_household, 10, 12), session)
+        assert type(fitted).__name__ in str(error.value)
+        assert ("'Toaster'" in str(error.value)) == per_series
+        assert session.n_sequences == 10 and session.appends == 0
+
+    def test_threshold_symbolizers_append_per_series(self, toy_household):
+        """Per-series symbolizers without a fit append like a shared one."""
+        symbolizers = {name: ThresholdSymbolizer() for name in toy_household.names}
+        process = self._process(symbolizers=symbolizers)
+        session = process.create_session()
+        process.mine(_restrict_days(toy_household, 0, 10), session=session)
+        incremental = process.mine_incremental(
+            _restrict_days(toy_household, 10, 12), session
+        )
+        assert self._tuples(incremental) == self._tuples(process.mine(toy_household))
+
     def test_approximate_pipeline_rejects_sessions(self, toy_household):
         process = FTPMfTS(
             split_config=SplitConfig(window_length=1440.0),

@@ -9,7 +9,9 @@ These cover the library's load-bearing invariants:
 * entropy / NMI bounds, and the all-pairs NMI equal to the per-pair one;
 * on random small sequence databases: support anti-monotonicity (Lemma 2),
   confidence anti-monotonicity (Lemma 6), pruning-mode invariance, baseline
-  equivalence and the A ⊆ E containment.
+  equivalence and the A ⊆ E containment;
+* on random base/delta splits: an append equals the scratch mine of both,
+  store and result, and the bound it settles patterns by is exact.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import HTPGM, Bitmap, MiningConfig, PruningMode, Relation
+from repro import HTPGM, Bitmap, MiningConfig, MiningSession, PruningMode, Relation
 from repro.baselines import HDFSMiner, TPMiner
 from repro.core.correlation import pairwise_nmi
+from repro.core.engine import admits
 from repro.core.mutual_information import (
     entropy,
     nmi_matrix,
@@ -28,6 +31,7 @@ from repro.core.mutual_information import (
 )
 from repro.core.patterns import TemporalPattern, relation_pairs
 from repro.core.relations import classify, contains, follows, overlaps
+from repro.core.session import _confidence_floor
 from repro.timeseries import (
     EventInstance,
     SequenceDatabase,
@@ -35,6 +39,9 @@ from repro.timeseries import (
     SymbolicSeries,
     TemporalSequence,
 )
+
+from test_engine_parity import store_snapshot
+from test_session import work_counters
 
 # --------------------------------------------------------------------------- strategies
 
@@ -97,6 +104,22 @@ def aligned_symbolic_databases(draw):
         timestamps = np.arange(n_steps, dtype=float)
         series.append(SymbolicSeries(f"x{index}", timestamps, symbols, alphabet))
     return SymbolicDatabase(series)
+
+
+@st.composite
+def append_splits(draw):
+    """A base database of 3-6 sequences and a delta of 1-4 more, over the
+    series of :func:`small_databases`.  Half the delta sequences repeat a
+    base sequence, so deltas often promote a pattern the base just missed."""
+    base = draw(small_databases())
+    delta = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            instances = list(draw(st.sampled_from(base.sequences)).instances)
+        else:
+            instances = draw(small_databases()).sequences[0].instances
+        delta.append(TemporalSequence(len(base) + len(delta), list(instances)))
+    return base, delta
 
 
 RELAXED = settings(
@@ -262,6 +285,41 @@ class TestMiningProperties:
         reference = HTPGM(MINING_CONFIG).mine(database).pattern_set()
         assert HDFSMiner(MINING_CONFIG).mine(database).pattern_set() == reference
         assert TPMiner(MINING_CONFIG).mine(database).pattern_set() == reference
+
+    @RELAXED
+    @given(
+        append_splits(),
+        st.sampled_from(list(PruningMode)),
+        st.sampled_from([0.3, 0.5]),
+        st.sampled_from([0.3, 0.5, 0.6]),
+    )
+    def test_append_equals_the_scratch_mine(self, split, pruning, support, confidence):
+        """mine(D); append(ΔD) ≡ mine(D ∪ ΔD): the result and the store,
+        with the append's counters equal on the scalar and vectorized paths."""
+        base, delta = split
+        config = MINING_CONFIG.with_thresholds(
+            min_support=support, min_confidence=confidence
+        ).with_pruning(pruning)
+        scratch = MiningSession(config)
+        full = SequenceDatabase(base.sequences + delta)
+        expected = [(m.pattern, m.support, m.confidence) for m in scratch.mine(full)]
+        counters = []
+        for vectorized in (True, False):
+            session = MiningSession(config.with_vectorized(vectorized))
+            session.mine(base)
+            result = session.append(delta)
+            assert [(m.pattern, m.support, m.confidence) for m in result] == expected
+            assert store_snapshot(session.graph) == store_snapshot(scratch.graph)
+            counters.append(work_counters(session.statistics))
+        assert counters[0] == counters[1]
+
+    @given(st.integers(1, 500), st.floats(0.01, 1.0))
+    def test_confidence_floor_is_the_largest_failing_support(self, es, confidence):
+        """The append's bound uses the largest support whose confidence
+        over ``es`` fails the admission rule."""
+        config = MINING_CONFIG.with_thresholds(min_confidence=confidence)
+        failing = [s for s in range(es + 1) if not admits(s, es, 0, config)]
+        assert _confidence_floor(es, config) == max(failing, default=-1)
 
     @RELAXED
     @given(small_databases(), st.floats(0.1, 0.9))

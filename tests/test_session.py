@@ -7,8 +7,9 @@ execution backend and every pruning mode.  These tests sweep that invariant
 over seeded-random databases and both bundled synthetic datasets, plus the
 edge cases that make incremental mining hard: events becoming frequent only
 through the delta, events falling out of the frequent set because the support
-threshold grew, deeper levels appearing only after the append, and repeated
-appends.
+threshold grew, deeper levels appearing only after the append, repeated
+appends, and deltas promoting a pattern the base did not store just past the
+support bound that decides whether the delta pass settles it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,13 @@ from repro import (
     MiningSession,
     ProcessPoolBackend,
     PruningMode,
+    Relation,
     SerialBackend,
 )
+from repro.core.patterns import TemporalPattern
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
+
+from test_engine_parity import store_snapshot
 
 
 def random_database(
@@ -313,6 +318,121 @@ class TestThresholdCrossings:
         incremental = session.append(delta)
         assert mined_tuples(incremental) == mined_tuples(scratch)
         assert max(m.size for m in incremental) == 3
+
+
+def _instances(*events):
+    """``(series, start, end)`` triples as "On" instances."""
+    return [
+        EventInstance(start=start, end=end, series=series, symbol="On")
+        for series, start, end in events
+    ]
+
+
+_CONTAIN = (("A", 0, 10), ("B", 2, 8))
+_FOLLOW = (("A", 0, 10), ("B", 20, 25))
+_NESTED = (("A", 0, 20), ("B", 2, 18), ("C", 4, 16))
+_CHAIN = (("A", 0, 20), ("B", 30, 35), ("C", 40, 45))
+_ALONE = (("A", 0, 10),)
+
+#: Deltas that promote a pattern the base mine did not store, with the
+#: delta just large enough: the append's support bound for the promoted
+#: pattern equals its support over every sequence, so a bound one smaller
+#: would drop it.  Each case: thresholds, base and delta sequences (as
+#: event triples), and the promoted pattern's series and relations.
+PROMOTIONS = {
+    # A contains B in 2 of 6 base sequences, below ceil(0.5 * 6) = 3; the
+    # delta brings it to 4 of 8 = ceil(0.5 * 8).
+    "failed support": (
+        dict(min_support=0.5, min_confidence=0.3),
+        [_CONTAIN] * 2 + [_FOLLOW] * 2 + [_ALONE] * 2,
+        [_CONTAIN] * 2,
+        ("A", "B"),
+        (Relation.CONTAIN,),
+    ),
+    # 5 of A's 10 sequences: confidence 0.5 < 0.6; after the delta 8 / 13.
+    "failed confidence": (
+        dict(min_support=0.3, min_confidence=0.6),
+        [_CONTAIN] * 5 + [_FOLLOW] + [_ALONE] * 4,
+        [_CONTAIN] * 3,
+        ("A", "B"),
+        (Relation.CONTAIN,),
+    ),
+    # No level-2 pattern passes in the base; the delta promotes the nested
+    # triple together with its parent pattern, A contains B.
+    "new parent": (
+        dict(min_support=0.5, min_confidence=0.3),
+        [_NESTED] * 2 + [_CHAIN] * 2 + [_ALONE] * 2,
+        [_NESTED] * 2,
+        ("A", "B", "C"),
+        (Relation.CONTAIN,) * 3,
+    ),
+    # δ · ES_D = 0.5 · 6 = 3 exactly: confidence 2 / 6 fails, and the
+    # largest failing support is 2, not 3; after the delta 4 / 8 = 0.5.
+    "exact confidence product": (
+        dict(min_support=0.25, min_confidence=0.5),
+        [_CONTAIN] * 2 + [_FOLLOW] + [_ALONE] * 3,
+        [_CONTAIN] * 2,
+        ("A", "B"),
+        (Relation.CONTAIN,),
+    ),
+}
+
+
+def work_counters(statistics):
+    """Work counters of one operation, without the clocks."""
+    counters = statistics.as_dict()
+    for name in ("level_seconds", "correlation_seconds", "warnings"):
+        counters.pop(name)
+    return counters
+
+
+class TestDeltaPassPromotions:
+    """An append evaluates touched candidates on the delta sequences only and
+    settles a pattern the base did not store by a support bound: it is
+    re-evaluated over every sequence only when the bound cannot rule it out.
+    Each case promotes a pattern with a bound that is exactly tight, on
+    every axis: pruning mode, serial / fork / spawn, vectorized / scalar."""
+
+    @pytest.mark.parametrize("pruning", list(PruningMode))
+    @pytest.mark.parametrize("case", sorted(PROMOTIONS))
+    def test_promotion_matches_the_scratch_mine(
+        self, case, pruning, process_backend, spawn_backend
+    ):
+        thresholds, base, delta, series, relations = PROMOTIONS[case]
+        config = MiningConfig(min_overlap=1.0, pruning=pruning, **thresholds)
+        base_db = SequenceDatabase(
+            [TemporalSequence(i, _instances(*events)) for i, events in enumerate(base)]
+        )
+        delta_seqs = [TemporalSequence(0, _instances(*events)) for events in delta]
+        full_db = SequenceDatabase(
+            base_db.sequences
+            + [
+                TemporalSequence(len(base) + i, list(sequence.instances))
+                for i, sequence in enumerate(delta_seqs)
+            ]
+        )
+        promoted = TemporalPattern(
+            events=tuple((name, "On") for name in series), relations=relations
+        )
+        scratch = MiningSession(config)
+        scratch_result = scratch.mine(full_db)
+        assert promoted in scratch_result.pattern_set()
+
+        reference = None
+        for vectorized in (True, False):
+            axis_config = config.with_vectorized(vectorized)
+            for backend in (SerialBackend(), process_backend, spawn_backend):
+                session = MiningSession(axis_config)
+                base_result = session.mine(base_db, backend=backend)
+                assert promoted not in base_result.pattern_set()
+                appended = session.append(delta_seqs, backend=backend)
+                assert mined_tuples(appended) == mined_tuples(scratch_result)
+                assert store_snapshot(session.graph) == store_snapshot(scratch.graph)
+                counters = work_counters(session.statistics)
+                assert counters["patterns_found"] == scratch.statistics.patterns_found
+                if reference is None:
+                    reference = counters
+                assert counters == reference, (vectorized, backend.name)
 
 
 class TestSessionLifecycle:
