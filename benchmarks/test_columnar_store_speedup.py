@@ -109,7 +109,8 @@ def _block_build_micro(graph) -> float:
     for entry in entries:
         rows = np.array([table.index[event] for event in entry.pattern.events])
         for sequence_id, matrix in entry.iter_index_matrices():
-            jobs.append((rows, sequence_id, matrix, entry.materialise(sequence_id)))
+            occurrences = entry.materialise(sequence_id, graph.level1)
+            jobs.append((rows, sequence_id, matrix, occurrences))
 
     def gather():
         total = 0
@@ -156,7 +157,7 @@ def _payload_bytes(graph) -> tuple[int, int]:
             "events": node.events,
             "bitmap": node.bitmap,
             "patterns": {
-                pattern: dict(entry.occurrences)
+                pattern: entry.occurrences(graph.level1)
                 for pattern, entry in node.patterns.items()
             },
         }

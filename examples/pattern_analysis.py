@@ -59,7 +59,9 @@ def main() -> None:
     node = miner.graph_.node_for(tuple(sorted(largest.pattern.events)))
     if node is not None and largest.pattern in node.patterns:
         entry = node.patterns[largest.pattern]
-        sequence_id, occurrences = next(iter(entry.occurrences.items()))
+        # The entry stores index rows; they resolve against level 1.
+        occurrences_by_sequence = entry.occurrences(miner.graph_.level1)
+        sequence_id, occurrences = next(iter(occurrences_by_sequence.items()))
         print(f"\nOne occurrence of '{largest.pattern.describe()}' (sequence {sequence_id}):")
         print(render_occurrence(occurrences[0], width=60))
 

@@ -47,10 +47,10 @@ by ``MiningConfig.kernel_chunk_bytes``.  Both paths — under every backend —
 produce byte-identical nodes and counters, down to the CSR arrays of
 :class:`~repro.core.hpg.PatternEntry`.  Workers return every entry's full
 arrays, so a process-engine graph holds the same occurrence store as a
-serial one.  Entries' instance-source bindings are not pickled — workers
-bind the parents they read from ``LevelContext.level1`` and the coordinator
-rebinds returned entries — so only three compact arrays per entry cross the
-process boundary.
+serial one.  An entry is its pattern and its three arrays and refers to no
+instance list, so nothing is bound or rebound on either side of the process
+boundary: the vectorized pass reads only arrays, and the scalar reference
+resolves the parent rows it extends against ``LevelContext.level1``.
 
 Every backend mines the *identical* pattern set; the parity tests in
 ``tests/test_engine_parity.py`` and the golden fixtures in ``tests/golden/``
@@ -71,6 +71,7 @@ from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations
 from typing import Any, NamedTuple, Protocol, TypeVar, runtime_checkable
 
@@ -125,8 +126,10 @@ class LevelContext:
     picklable:
 
     * ``level1`` — the :class:`EventNode` of every event appearing in a
-      candidate (bitmaps for the Apriori checks, instance lists for relation
-      classification and extension);
+      candidate: bitmaps for the Apriori checks, and instance lists that
+      ``instances`` is built from and that only the scalar reference reads
+      (it resolves the parent rows it extends against them; the vectorized
+      pass reads arrays only);
     * ``parents`` — the frequent ``(k-1)``-combination nodes, keyed by their
       canonical event tuple (empty at level 2);
     * ``pair_patterns`` — the frequent 2-event pattern set per pair node, used
@@ -230,11 +233,14 @@ def evaluate_candidates(
     started = time.perf_counter()
     stats = MiningStatistics()
     nodes: list[CombinationNode] = []
-    evaluate = _evaluate_pair if context.level == 2 else _evaluate_combination
     batch = None
     if context.config.vectorized:
         batch = _ExtensionBatch(context, stats, nodes)
         evaluate = batch.add
+    elif context.level == 2:
+        evaluate = _evaluate_pair
+    else:
+        evaluate = partial(_evaluate_combination, views={})
     # Armed only inside process-pool workers shipping a budgeted context;
     # serial runs and the in-process degradation fallback get None.
     watchdog = resources.shard_watchdog(context)
@@ -250,6 +256,11 @@ def evaluate_candidates(
     return LevelOutcome(nodes=nodes, stats=stats)
 
 
+#: The scalar reference's hits of one candidate: per pattern, in first-hit
+#: order, its ``(sequence, index row)`` pairs in arrival order.
+_Hits = dict[TemporalPattern, list[tuple[int, hpg.IndexRow]]]
+
+
 def _evaluate_pair(
     context: LevelContext, candidate: Candidate, stats: MiningStatistics
 ) -> CombinationNode | None:
@@ -257,14 +268,24 @@ def _evaluate_pair(
     node = _open_combination(context, candidate, stats)
     if node is None:
         return None
-    _grow_pair_patterns(context, node, candidate, stats)
-    return _finalise_node(context, node, stats, level=2)
+    hits: _Hits = {}
+    _grow_pair_patterns(context, node, candidate, hits, stats)
+    return _finalise_node(context, _store_hits(node, hits), stats, level=2)
+
+
+def _store_hits(node: CombinationNode, hits: _Hits) -> CombinationNode:
+    """Build each hit pattern's entry once, patterns in first-hit order."""
+    node.patterns = {
+        pattern: PatternEntry.from_rows(pattern, rows) for pattern, rows in hits.items()
+    }
+    return node
 
 
 def _grow_pair_patterns(
     context: LevelContext,
     node: CombinationNode,
     candidate: Candidate,
+    hits: _Hits,
     stats: MiningStatistics,
 ) -> None:
     """Scalar reference of level 2: classify every chronologically ordered
@@ -283,9 +304,7 @@ def _grow_pair_patterns(
         )
         _grow_sequence_pairs_scalar(
             context.config,
-            node,
-            node_a,
-            node_b,
+            hits,
             sequence_id,
             instances_a,
             instances_b,
@@ -296,9 +315,7 @@ def _grow_pair_patterns(
 
 def _grow_sequence_pairs_scalar(
     config: MiningConfig,
-    node: CombinationNode,
-    node_a: EventNode,
-    node_b: EventNode,
+    hits: _Hits,
     sequence_id: int,
     instances_a: list[EventInstance],
     instances_b: list[EventInstance],
@@ -313,10 +330,7 @@ def _grow_sequence_pairs_scalar(
     tmax = config.tmax
     epsilon = config.epsilon
     min_overlap = config.min_overlap
-    sources_a = node_a.instances_by_sequence
-    sources_b = node_b.instances_by_sequence
     if same_event:
-        sources = (sources_a, sources_a)
         for (index_first, first), (index_second, second) in combinations(
             enumerate(instances_a), 2
         ):
@@ -329,20 +343,18 @@ def _grow_sequence_pairs_scalar(
             pattern = TemporalPattern(
                 events=(first.event_key, second.event_key), relations=(relation,)
             )
-            node.add_pattern_occurrence(
-                pattern, sequence_id, (index_first, index_second), sources
+            hits.setdefault(pattern, []).append(
+                (sequence_id, (index_first, index_second))
             )
         return
-    forward = (sources_a, sources_b)
-    backward = (sources_b, sources_a)
     for index_a, instance_a in enumerate(instances_a):
         for index_b, instance_b in enumerate(instances_b):
             if instance_a <= instance_b:
                 first, second = instance_a, instance_b
-                row, sources = (index_a, index_b), forward
+                row = (index_a, index_b)
             else:
                 first, second = instance_b, instance_a
-                row, sources = (index_b, index_a), backward
+                row = (index_b, index_a)
             if tmax is not None and second.end - first.start > tmax:
                 continue
             stats.bump(stats.relation_checks, 2)
@@ -352,7 +364,7 @@ def _grow_sequence_pairs_scalar(
             pattern = TemporalPattern(
                 events=(first.event_key, second.event_key), relations=(relation,)
             )
-            node.add_pattern_occurrence(pattern, sequence_id, row, sources)
+            hits.setdefault(pattern, []).append((sequence_id, row))
 
 
 def _open_combination(
@@ -381,19 +393,33 @@ def _open_combination(
     return CombinationNode(events=tuple(sorted(candidate)), bitmap=bitmap)
 
 
+#: The scalar reference's parent views of one ``evaluate_candidates`` call:
+#: per ``(id(parent entry), sequence)``, its index rows and instance tuples,
+#: built once however many candidates extend them.
+_Views = dict[tuple[int, int], tuple[list[list[int]], list[Occurrence]]]
+
+
 def _evaluate_combination(
-    context: LevelContext, candidate: Candidate, stats: MiningStatistics
+    context: LevelContext,
+    candidate: Candidate,
+    stats: MiningStatistics,
+    views: _Views,
 ) -> CombinationNode | None:
     """Alg. 1 lines 16–20 for one candidate k-event combination (scalar path)."""
     node = _open_combination(context, candidate, stats)
     if node is None:
         return None
-    _grow_combination_patterns(context, node, stats)
-    return _finalise_node(context, node, stats, context.level)
+    hits: _Hits = {}
+    _grow_combination_patterns(context, node, hits, views, stats)
+    return _finalise_node(context, _store_hits(node, hits), stats, context.level)
 
 
 def _grow_combination_patterns(
-    context: LevelContext, node: CombinationNode, stats: MiningStatistics
+    context: LevelContext,
+    node: CombinationNode,
+    hits: _Hits,
+    views: _Views,
+    stats: MiningStatistics,
 ) -> None:
     """Extend every (k-1)-pattern of every parent node with the remaining event.
 
@@ -416,7 +442,7 @@ def _grow_combination_patterns(
                 context, entry.pattern, new_event, stats
             ):
                 continue
-            _extend_entry(context, node, entry, new_event_node, stats)
+            _extend_entry(context, hits, entry, new_event_node, views, stats)
 
 
 def _first_run(entry: PatternEntry, delta_start: int) -> int:
@@ -445,57 +471,53 @@ def _may_extend(
 
 def _extend_entry(
     context: LevelContext,
-    node: CombinationNode,
+    hits: _Hits,
     entry: PatternEntry,
     new_event_node: EventNode,
+    views: _Views,
     stats: MiningStatistics,
 ) -> None:
     """Extend the stored occurrences of one (k-1)-pattern with the new event.
 
     The scalar reference of level ``k`` (``vectorized=False``): one
     :func:`_extend_sequence_scalar` call per supporting sequence from
-    ``delta_start`` on.
+    ``delta_start`` on, over the entry's rows and instance tuples of that
+    sequence (resolved against ``context.level1`` once per call).
     """
-    entry.bind_sources(context.level1)
-    extended_sources = entry.sources + (new_event_node.instances_by_sequence,)
     for sequence_id, index_matrix in entry.iter_index_matrices():
         if sequence_id < context.delta_start:
             continue
         new_instances = new_event_node.instances_by_sequence.get(sequence_id)
         if not new_instances:
             continue
+        view = views.get((id(entry), sequence_id))
+        if view is None:
+            view = views[id(entry), sequence_id] = (
+                index_matrix.tolist(),
+                entry.materialise(sequence_id, context.level1),
+            )
         _extend_sequence_scalar(
-            context,
-            node,
-            entry,
-            sequence_id,
-            index_matrix,
-            new_instances,
-            extended_sources,
-            stats,
+            context, hits, entry.pattern, sequence_id, *view, new_instances, stats
         )
 
 
 def _extend_sequence_scalar(
     context: LevelContext,
-    node: CombinationNode,
-    entry: PatternEntry,
+    hits: _Hits,
+    pattern: TemporalPattern,
     sequence_id: int,
-    index_matrix: np.ndarray,
+    rows: list[list[int]],
+    occurrences: list[Occurrence],
     new_instances: list[EventInstance],
-    extended_sources: tuple,
     stats: MiningStatistics,
 ) -> None:
     """Scalar reference path: per-occurrence, per-candidate relation checks.
 
-    Occurrence instance tuples are materialised from the entry's index rows
-    (one list-index per pattern event) and every surviving extension is
-    recorded back as the parent row plus the candidate's list position."""
+    ``occurrences[i]`` holds the instances index row ``rows[i]`` points at,
+    and every surviving extension is recorded as that parent row plus the
+    candidate's list position."""
     config = context.config
-    pattern = entry.pattern
-    for row, occurrence in zip(
-        entry.index_rows(sequence_id), entry.materialise(sequence_id)
-    ):
+    for row, occurrence in zip(rows, occurrences):
         last_instance = occurrence[-1]
         first_instance = occurrence[0]
         for candidate_index, candidate_instance in enumerate(new_instances):
@@ -512,11 +534,8 @@ def _extend_sequence_scalar(
             if extension is None:
                 continue
             new_pattern = pattern.extend(candidate_instance.event_key, extension)
-            node.add_pattern_occurrence(
-                new_pattern,
-                sequence_id,
-                (*row, candidate_index),
-                extended_sources,
+            hits.setdefault(new_pattern, []).append(
+                (sequence_id, (*row, candidate_index))
             )
 
 
@@ -620,13 +639,13 @@ class _ParentRows(NamedTuple):
     ``runs`` one ``(entry position, sequence, row count)`` row per
     (entry, sequence) run, read off each entry's ``sequences`` and
     ``offsets``, so per-row sequence and entry columns exist only inside a
-    pass.  At level 2 the parent is one event: a single entry whose
-    one-column rows are the event's instance list positions.
+    pass.  At level 2 the parent is one event: a single one-event pattern
+    whose one-column rows are the event's instance list positions.
     """
 
-    #: The parent's entries with stored rows.
-    entries: list[PatternEntry]
-    #: ``(len(entries), k - 1)`` table rows of each entry's pattern events.
+    #: The patterns of the parent's entries with stored rows.
+    patterns: list[TemporalPattern]
+    #: ``(len(patterns), k - 1)`` table rows of each pattern's events.
     events: np.ndarray
     index_rows: np.ndarray
     runs: np.ndarray
@@ -704,8 +723,6 @@ class _ExtensionBatch:
                     firsts.append(first)
             rows = None
             if entries:
-                for entry in entries:
-                    entry.bind_sources(self.context.level1)
                 tails = list(zip(entries, firsts))
                 sequences = [entry.sequences[first:] for entry, first in tails]
                 runs = np.column_stack(
@@ -715,9 +732,10 @@ class _ExtensionBatch:
                         np.concatenate([np.diff(e.offsets[f:]) for e, f in tails]),
                     )
                 )
-                events = [[index[e] for e in entry.pattern.events] for entry in entries]
+                patterns = [entry.pattern for entry in entries]
+                events = [[index[e] for e in pattern.events] for pattern in patterns]
                 index_rows = np.concatenate([e.rows[e.offsets[f] :] for e, f in tails])
-                rows = _ParentRows(entries, np.array(events), index_rows, runs)
+                rows = _ParentRows(patterns, np.array(events), index_rows, runs)
             self.parents[key] = (parent, [index[e] for e in key], rows)
         return self.parents[key]
 
@@ -733,13 +751,10 @@ class _ExtensionBatch:
             positions = np.arange(counts.sum()) - np.repeat(
                 np.cumsum(counts) - counts, counts
             )
-            entry = PatternEntry(
-                TemporalPattern(events=(event,), relations=()),
-                (self.context.level1[event].instances_by_sequence,),
-            )
+            pattern = TemporalPattern(events=(event,), relations=())
             runs = np.column_stack((np.zeros_like(sequences), sequences, counts))
             self.event_rows[event] = _ParentRows(
-                [entry], np.array([[row]]), positions.astype(np.int32)[:, None], runs
+                [pattern], np.array([[row]]), positions.astype(np.int32)[:, None], runs
             )
         return self.event_rows[event]
 
@@ -775,7 +790,7 @@ class _ExtensionBatch:
                 if self.transitivity and not all(partners[row] for row in parent_rows):
                     # Lemma 5 fails for every entry alike; the scalar loop
                     # counts each.
-                    level, n_entries = context.level, len(rows.entries)
+                    level, n_entries = context.level, len(rows.patterns)
                     stats.bump(stats.pruned_relation_checks, level, n_entries)
                 else:
                     self._queue(_Extension(node, new_event, rows))
@@ -797,10 +812,10 @@ class _ExtensionBatch:
     def _evaluate(self) -> None:
         config, table, stats = self.context.config, self.table, self.stats
         level, parents = self.context.level, [item.parent for item in self.queue]
-        # A job is one (decomposition, entry) pair, numbered across the
-        # queue; jobs never span passes.
-        owners = [(item, entry) for item in self.queue for entry in item.parent.entries]
-        first_jobs = np.cumsum([0] + [len(parent.entries) for parent in parents])[:-1]
+        # A job is one (decomposition, parent pattern) pair, numbered across
+        # the queue; jobs never span passes.
+        owners = [(item, p) for item in self.queue for p in item.parent.patterns]
+        first_jobs = np.cumsum([0] + [len(parent.patterns) for parent in parents])[:-1]
         runs = np.concatenate([parent.runs for parent in parents])
         runs[:, 0] += np.repeat(first_jobs, [len(parent.runs) for parent in parents])
         jobs, sequences = np.repeat(runs[:, :2], runs[:, 2], axis=0).T
@@ -893,7 +908,7 @@ class _ExtensionBatch:
 
     def _store(self, jobs, owners, block, sequences, codes) -> None:
         """Store surviving pairs (in enumeration order) by extended pattern;
-        ``owners[job]`` is a job's (queued decomposition, parent entry)."""
+        ``owners[job]`` is a job's (queued decomposition, parent pattern)."""
         # One key per (job, relation codes): fold the code columns in one at
         # a time, as ranks, so the key never overflows.
         keys = jobs
@@ -932,16 +947,14 @@ class _ExtensionBatch:
             g = run_groups[a]
             if not frequent[g]:
                 continue
-            item, entry = queued[g]
+            item, parent = queued[g]
             codes_row = codes[first_hit[g]].tolist()
             relations = tuple(RELATIONS_BY_CODE[code] for code in codes_row)
-            pattern = entry.pattern.extend(item.new_event, relations)
-            new_sources = self.context.level1[item.new_event].instances_by_sequence
+            pattern = parent.extend(item.new_event, relations)
             # One copy of each array, so no entry pins the pass's arrays.
             offsets = bounds[a : b + 1] - bounds[a]
-            item.node.patterns[pattern] = PatternEntry.from_arrays(
+            item.node.patterns[pattern] = PatternEntry(
                 pattern,
-                entry.sources + (new_sources,),
                 run_sequences[a:b].copy(),
                 offsets,
                 block[bounds[a] : bounds[b]].copy(),

@@ -8,17 +8,17 @@ sequences and instance assignments supporting them.  Mining level ``k+1`` only
 reads levels ``k`` and ``1``, which is what makes the level-wise pruning work.
 
 Occurrence evidence is stored *columnar*, in CSR layout: a
-:class:`PatternEntry` keeps its supporting sequence ids (strictly ascending),
-row offsets, and one ``int32`` block of shape ``(n_occurrences, k)`` whose
-column ``j`` indexes into the instance list of ``pattern.events[j]`` in the
-row's sequence; a sequence's index matrix is a view of that block.  The index
-representation is what makes the level-``k`` extension vectorizable
-(endpoint blocks are gathered through the per-level flat
-:class:`InstanceTable` instead of rebuilt from instance objects per call),
-pickles as three array copies per entry (the entire per-entry payload of a
-worker result or a session file), and still materialises the historical
-instance-tuple view lazily through :attr:`PatternEntry.occurrences`, so
-downstream consumers are unchanged.
+:class:`PatternEntry` is a value — its pattern, its supporting sequence ids
+(strictly ascending), row offsets, and one ``int32`` block of shape
+``(n_occurrences, k)`` whose column ``j`` indexes into the instance list of
+``pattern.events[j]`` in the row's sequence; a sequence's index matrix is a
+view of that block.  The index representation is what makes the level-``k``
+extension vectorizable (endpoint blocks are gathered through the per-level
+flat :class:`InstanceTable` instead of rebuilt from instance objects per
+call) and pickles as three array copies per entry (the entire per-entry
+payload of a worker result or a session file).  The historical
+instance-tuple view is resolved on request against the level-1 nodes the
+caller passes: ``entry.occurrences(graph.level1)``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .relations import RELATIONS_BY_CODE
 __all__ = [
     "Occurrence",
     "IndexRow",
-    "InstanceSources",
     "PatternEntry",
     "EventNode",
     "InstanceTable",
@@ -54,10 +53,6 @@ Occurrence = tuple[EventInstance, ...]
 #: sorted) instance list of the sequence.
 IndexRow = tuple[int, ...]
 
-#: Where an entry's index rows point: per pattern event (chronological
-#: pattern order), the event node's ``instances_by_sequence`` dict.
-InstanceSources = tuple[Mapping[int, list[EventInstance]], ...]
-
 
 #: Storage dtype of the index rows (and of the sequence ids, which index
 #: bitmaps and the instance table's dense columns) and the largest
@@ -68,9 +63,9 @@ _INDEX_DTYPE = np.int32
 _INDEX_MAX = int(np.iinfo(np.int32).max)
 
 
-def _checked_rows(pending: list[IndexRow]) -> np.ndarray:
-    """Convert pending scalar-path rows to int32, refusing silent wraparound."""
-    rows = np.asarray(pending, dtype=np.int64)
+def _checked_rows(rows: list[IndexRow] | np.ndarray) -> np.ndarray:
+    """Convert index rows to int32, refusing silent wraparound."""
+    rows = np.asarray(rows, dtype=np.int64)
     if rows.size and int(rows.max()) > _INDEX_MAX:
         raise RepresentationOverflowError(
             f"instance-list index {int(rows.max())} does not fit the columnar "
@@ -100,133 +95,61 @@ class PatternEntry:
     (:meth:`index_matrix`, :meth:`iter_index_matrices`) is a view of the one
     block, so a whole entry crosses a pipe or a file as three array copies.
 
-    Rows arrive either as a whole entry (:meth:`from_arrays`, the vectorized
-    pass) or one at a time (:meth:`add_index_row`, the scalar reference
-    path), buffered and folded into the block on the first read; both build
-    the identical arrays.
-
-    The index rows are resolved against *sources* — per pattern event, the
-    owning :class:`EventNode`'s ``instances_by_sequence`` dict.  Sources are
-    derived, process-local state: they are dropped when the entry is pickled
-    (the three arrays alone cross process and file boundaries) and
-    re-attached via :meth:`bind_sources` by whoever owns the level-1 nodes
-    on the other side.  The historical instance-tuple view is materialised
-    lazily through :attr:`occurrences` / :meth:`materialise`, so the public
-    surface consumed by ``analysis/``, ``io/`` and the examples is unchanged.
+    An entry is a value: its pattern and its three arrays, built whole —
+    by the vectorized pass from one checked block, by the scalar reference
+    from its collected hits (:meth:`from_rows`) — and referring to nothing
+    else.  The historical instance-tuple view resolves the rows against the
+    level-1 nodes the caller passes (``graph.level1``, ``session.events`` or
+    ``LevelContext.level1``): :meth:`occurrences` and :meth:`materialise`.
 
     Every backend stores the same arrays: an entry always keeps its full
     evidence, so any entry can be extended by a later level or an append.
     """
 
-    __slots__ = (
-        "pattern",
-        "_sequences",
-        "_offsets",
-        "_rows",
-        "_pending",
-        "_sources",
-        "_row_cache",
-        "_view_cache",
-    )
+    __slots__ = ("pattern", "sequences", "offsets", "rows")
 
     def __init__(
         self,
         pattern: TemporalPattern,
-        sources: InstanceSources | None = None,
-    ) -> None:
-        self._adopt(
-            pattern,
-            sources,
-            np.empty(0, dtype=_INDEX_DTYPE),
-            np.zeros(1, dtype=np.int64),
-            np.empty((0, len(pattern.events)), dtype=_INDEX_DTYPE),
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        pattern: TemporalPattern,
-        sources: InstanceSources | None,
         sequences: np.ndarray,
         offsets: np.ndarray,
         rows: np.ndarray,
-    ) -> "PatternEntry":
-        """A whole entry at once, from its three CSR arrays (adopted, not
-        copied: the caller hands over arrays owning their memory)."""
-        entry = cls.__new__(cls)
-        entry._adopt(pattern, sources, sequences, offsets, rows)
-        return entry
-
-    def followed_by(self, later: "PatternEntry") -> "PatternEntry":
-        """A new, unbound entry of this pattern holding this entry's runs
-        and then ``later``'s, whose sequence ids all follow this entry's (an
-        append's delta rows)."""
-        offsets = self.offsets
-        return PatternEntry.from_arrays(
-            self.pattern,
-            None,
-            np.concatenate((self.sequences, later.sequences)),
-            np.concatenate((offsets, later.offsets[1:] + offsets[-1])),
-            np.concatenate((self.rows, later.rows)),
-        )
-
-    def _adopt(self, pattern, sources, sequences, offsets, rows) -> None:
-        """Set every slot: the pattern, the sources and the three arrays."""
+    ) -> None:
+        """Adopt (not copy) the three CSR arrays: the caller hands over
+        arrays owning their memory."""
         self.pattern = pattern
-        self._sequences, self._offsets, self._rows = sequences, offsets, rows
-        # Scalar-path rows not yet folded into the block: (sequence, row).
-        self._pending: list[tuple[int, IndexRow]] = []
-        self._sources = sources
-        # Derived, process-local read caches (row tuples / instance tuples),
-        # invalidated per sequence on insert and dropped from pickles: the
-        # scalar reference path re-reads each parent entry once per extension
-        # candidate, and rebuilding the views every read would pay the old
-        # tuple-store construction cost over and over.
-        self._row_cache: dict[int, list[IndexRow]] = {}
-        self._view_cache: dict[int, list[Occurrence]] = {}
+        self.sequences, self.offsets, self.rows = sequences, offsets, rows
 
-    # ------------------------------------------------------------------ arrays
-    @property
-    def sequences(self) -> np.ndarray:
-        """Supporting sequence ids, strictly ascending (``int32``)."""
-        if self._pending:
-            self._consolidate()
-        return self._sequences
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """Row bounds of each supporting sequence's run (``int64``)."""
-        if self._pending:
-            self._consolidate()
-        return self._offsets
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The ``(n_occurrences, k)`` ``int32`` row block."""
-        if self._pending:
-            self._consolidate()
-        return self._rows
-
-    def _consolidate(self) -> None:
-        """Fold the pending scalar-path rows into the block.
+    @classmethod
+    def from_rows(
+        cls, pattern: TemporalPattern, hits: list[tuple[int, IndexRow]]
+    ) -> "PatternEntry":
+        """The entry of the scalar reference's ``(sequence, row)`` hits, in
+        arrival order.
 
         A stable sort by sequence keeps each sequence's rows in arrival
         order, whatever order the sequences arrived in (the scalar loops
         deliver them sequence-major and ascending, so the sort moves
         nothing)."""
-        pending, self._pending = self._pending, []
-        ids = np.concatenate(
-            (
-                np.repeat(self._sequences, np.diff(self._offsets)),
-                np.fromiter((sid for sid, _ in pending), np.int64, len(pending)),
-            )
-        )
-        rows = np.concatenate((self._rows, _checked_rows([row for _, row in pending])))
-        order = np.argsort(ids, kind="stable")
+        ids = np.fromiter((sid for sid, _ in hits), np.int64, len(hits))
         sequences, counts = np.unique(ids, return_counts=True)
-        self._sequences = sequences.astype(_INDEX_DTYPE)
-        self._offsets = np.concatenate(([0], np.cumsum(counts)))
-        self._rows = rows[order]
+        return cls(
+            pattern,
+            sequences.astype(_INDEX_DTYPE),
+            np.concatenate(([0], np.cumsum(counts))),
+            _checked_rows([row for _, row in hits])[np.argsort(ids, kind="stable")],
+        )
+
+    def followed_by(self, later: "PatternEntry") -> "PatternEntry":
+        """A new entry of this pattern holding this entry's runs and then
+        ``later``'s, whose sequence ids all follow this entry's (an append's
+        delta rows)."""
+        return PatternEntry(
+            self.pattern,
+            np.concatenate((self.sequences, later.sequences)),
+            np.concatenate((self.offsets, later.offsets[1:] + self.offsets[-1])),
+            np.concatenate((self.rows, later.rows)),
+        )
 
     # ------------------------------------------------------------------ measures
     @property
@@ -243,14 +166,7 @@ class PatternEntry:
         """Ids of the supporting sequences."""
         return set(self.sequences.tolist())
 
-    # ------------------------------------------------------------------ building
-    def add_index_row(self, sequence_id: int, row: IndexRow) -> None:
-        """Record one supporting assignment (per-hit scalar path)."""
-        if self._row_cache or self._view_cache:
-            self._row_cache.pop(sequence_id, None)
-            self._view_cache.pop(sequence_id, None)
-        self._pending.append((sequence_id, row))
-
+    # ------------------------------------------------------------------ index matrices
     def index_matrix(self, sequence_id: int) -> np.ndarray:
         """One sequence's ``(n_occurrences, k)`` rows, a view of the block;
         ``KeyError`` when the sequence does not support the pattern."""
@@ -258,78 +174,39 @@ class PatternEntry:
         position = int(np.searchsorted(sequences, sequence_id))
         if position == len(sequences) or sequences[position] != sequence_id:
             raise KeyError(sequence_id)
-        offsets = self._offsets
-        return self._rows[offsets[position] : offsets[position + 1]]
+        offsets = self.offsets
+        return self.rows[offsets[position] : offsets[position + 1]]
 
     def iter_index_matrices(self):
         """Yield ``(sequence_id, index_matrix)`` in ascending sequence order,
         each matrix a view of the block."""
-        sequences, rows = self.sequences.tolist(), self._rows
-        bounds = self._offsets.tolist()
+        sequences, rows = self.sequences.tolist(), self.rows
+        bounds = self.offsets.tolist()
         for position, sequence_id in enumerate(sequences):
             yield sequence_id, rows[bounds[position] : bounds[position + 1]]
 
-    def index_rows(self, sequence_id: int) -> list[IndexRow]:
-        """One sequence's index rows as int tuples (cached derived view)."""
-        rows = self._row_cache.get(sequence_id)
-        if rows is None:
-            rows = [tuple(row) for row in self.index_matrix(sequence_id).tolist()]
-            self._row_cache[sequence_id] = rows
-        return rows
-
-    # ------------------------------------------------------------------ sources
-    @property
-    def sources(self) -> InstanceSources:
-        """The bound instance sources (raises until :meth:`bind_sources` ran)."""
-        sources = self._sources
-        if sources is None:
-            raise ValueError(
-                f"PatternEntry for {self.pattern!r} has no bound instance "
-                "sources; call bind_sources(level1) first"
-            )
-        return sources
-
-    @property
-    def is_bound(self) -> bool:
-        """True when index rows can be resolved to instance objects."""
-        return self._sources is not None
-
-    def bind_sources(self, level1: Mapping[EventKey, "EventNode"]) -> None:
-        """Attach the level-1 instance lists the index rows point into.
-
-        No-op when already bound.  Called at entry creation (in-process), by
-        the coordinator when worker-returned nodes join the graph, and by
-        :mod:`repro.io.session_io` after loading a session file — the three
-        places where an entry (re-)enters a process.
-        """
-        if self._sources is None:
-            self._sources = tuple(
-                level1[event].instances_by_sequence for event in self.pattern.events
-            )
-
     # ------------------------------------------------------------------ materialisation
-    def materialise(self, sequence_id: int) -> list[Occurrence]:
-        """The instance-tuple view of one sequence's supporting assignments
-        (cached derived view, like :meth:`index_rows`)."""
-        view = self._view_cache.get(sequence_id)
-        if view is None:
-            lists = [source[sequence_id] for source in self.sources]
-            view = [
-                tuple(lists[position][index] for position, index in enumerate(row))
-                for row in self.index_matrix(sequence_id).tolist()
-            ]
-            self._view_cache[sequence_id] = view
-        return view
+    def materialise(
+        self, sequence_id: int, level1: Mapping[EventKey, "EventNode"]
+    ) -> list[Occurrence]:
+        """The instance-tuple view of one sequence's supporting assignments,
+        resolved against ``level1``'s instance lists."""
+        lists = [
+            level1[event].instances_by_sequence[sequence_id]
+            for event in self.pattern.events
+        ]
+        return [
+            tuple(lists[position][index] for position, index in enumerate(row))
+            for row in self.index_matrix(sequence_id).tolist()
+        ]
 
-    @property
-    def occurrences(self) -> dict[int, list[Occurrence]]:
-        """Lazy instance-tuple view of the store.
-
-        Materialised fresh on access from the index matrices and the bound
-        sources; mutating the returned structure does not affect the entry.
-        """
+    def occurrences(
+        self, level1: Mapping[EventKey, "EventNode"]
+    ) -> dict[int, list[Occurrence]]:
+        """The instance-tuple view of the whole store, per supporting
+        sequence, resolved against ``level1`` and built fresh on each call."""
         return {
-            sequence_id: list(self.materialise(sequence_id))
+            sequence_id: self.materialise(sequence_id, level1)
             for sequence_id in self.sequences.tolist()
         }
 
@@ -393,12 +270,12 @@ class PatternEntry:
 
     # ------------------------------------------------------------------ pickling
     def __getstate__(self) -> dict:
-        """Pickle the pattern and the three arrays — sources are process-local."""
+        """Pickle the pattern and the three arrays."""
         return {
             "pattern": self.pattern,
             "sequences": self.sequences,
-            "offsets": self._offsets,
-            "rows": self._rows,
+            "offsets": self.offsets,
+            "rows": self.rows,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -406,9 +283,8 @@ class PatternEntry:
         # as version 4's per-sequence ``index`` dict) must still unpickle far
         # enough for session_io to report its version.  A missing array fails
         # validate_indices.
-        self._adopt(
+        self.__init__(
             state["pattern"],
-            None,
             state.get("sequences"),
             state.get("offsets"),
             state.get("rows"),
@@ -522,25 +398,6 @@ class CombinationNode:
     def support(self) -> int:
         """Sequence-level support of the event combination."""
         return self.bitmap.count()
-
-    def add_pattern_occurrence(
-        self,
-        pattern: TemporalPattern,
-        sequence_id: int,
-        row: IndexRow,
-        sources: InstanceSources,
-    ) -> None:
-        """Record one supporting assignment for ``pattern`` (index form).
-
-        ``row[j]`` is the position of the supporting instance of
-        ``pattern.events[j]`` inside ``sources[j][sequence_id]``; ``sources``
-        seeds the entry's instance binding when the pattern is first seen.
-        """
-        entry = self.patterns.get(pattern)
-        if entry is None:
-            entry = PatternEntry(pattern=pattern, sources=sources)
-            self.patterns[pattern] = entry
-        entry.add_index_row(sequence_id, row)
 
     def prune_patterns(self, keep: set[TemporalPattern]) -> None:
         """Drop every stored pattern not in ``keep`` (infrequent / low confidence)."""

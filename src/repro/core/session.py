@@ -812,11 +812,6 @@ class MiningSession:
             if node is None:
                 continue
             graph.add_combination_node(node)
-            # Entries returned by worker processes carry only their arrays,
-            # and re-admitted ones are bound to the old level 1: bind every
-            # entry to this graph's instance lists.
-            for entry in node.patterns.values():
-                entry.bind_sources(graph.level1)
 
         # ``patterns_found`` describes the merged level (re-admitted, settled
         # and evaluated), not just the evaluation the counters above recorded.

@@ -183,12 +183,10 @@ def read_session(path: str | Path) -> MiningSession:
         # One per-(event, sequence) instance-count matrix for the whole load.
         table = InstanceTable(session.graph.level1, session.n_sequences)
         for _level, _node, entry in session.graph.iter_pattern_entries():
-            # The arrays travel bare; re-attach the loaded instance lists so
-            # the lazy tuple views (and future appends) resolve, and check
-            # the whole entry — corrupted evidence would otherwise inflate a
+            # Check the whole entry against the loaded instance lists its
+            # rows point into — corrupted evidence would otherwise inflate a
             # support or materialise the wrong instance silently (negative
             # indexing).
-            entry.bind_sources(session.graph.level1)
             entry.validate_indices(table)
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as error:
         raise SessionFormatError(

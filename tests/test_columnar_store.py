@@ -6,9 +6,10 @@ CSR arrays — ascending sequence ids, row offsets and one int32 row block,
 whose per-sequence index matrices are views — are a lossless re-encoding of
 the historical instance-tuple lists: endpoint blocks gathered through the
 flat :class:`~repro.core.hpg.InstanceTable` equal the old per-call list
-comprehensions bit for bit, per-hit and batched inserts build the identical
-arrays, and the lazy ``occurrences`` view materialises the exact tuples the
-old store held.  Chunking and the pass's row bound are pure scheduling
+comprehensions bit for bit, the scalar reference's collected hits and the
+vectorized pass's blocks build the identical arrays, and the ``occurrences``
+view, resolved against level 1, materialises the exact tuples the old store
+held.  Chunking and the pass's row bound are pure scheduling
 choices and must never change a mined result.
 """
 
@@ -88,8 +89,8 @@ def _positions(table: InstanceTable, events, sequence_id: int, matrix) -> np.nda
 
 class TestIndexStore:
     def test_per_hit_and_batched_inserts_build_the_identical_matrix(self):
-        """The scalar path's per-hit rows and the vectorized pass's whole
-        checked block (``from_arrays``) build the same three arrays."""
+        """The scalar path's per-hit rows (``from_rows``) and the vectorized
+        pass's whole checked block build the same three arrays."""
         rng = random.Random(3)
         pattern = _pattern(3)
         rows = [
@@ -97,14 +98,11 @@ class TestIndexStore:
             for sequence_id in (2, 7, 9)
             for _ in range(rng.randint(1, 80))
         ]
-        per_hit = PatternEntry(pattern=pattern)
-        for sequence_id, row in rows:
-            per_hit.add_index_row(sequence_id, row)
+        per_hit = PatternEntry.from_rows(pattern, rows)
         block = hpg_module._checked_rows(np.asarray([row for _, row in rows]))
         counts = Counter(sequence_id for sequence_id, _ in rows)
-        batched = PatternEntry.from_arrays(
+        batched = PatternEntry(
             pattern,
-            None,
             np.array([2, 7, 9], dtype=np.int32),
             np.cumsum([0, counts[2], counts[7], counts[9]]),
             block,
@@ -117,42 +115,15 @@ class TestIndexStore:
         assert per_hit == batched
         assert per_hit.n_occurrences == batched.n_occurrences == len(rows)
 
-    def test_mixed_rows_and_blocks_consolidate_in_arrival_order(self):
-        pattern = _pattern(2)
-        block = np.asarray([(0, 1), (2, 3)], dtype=np.int32)
-        entry = PatternEntry.from_arrays(
-            pattern, None, np.array([0], dtype=np.int32), np.array([0, 2]), block
-        )
-        entry.add_index_row(0, (4, 5))
-        entry.add_index_row(0, (6, 7))
-        assert entry.index_matrix(0).tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
-        # Appending after consolidation reopens the build buffer.
-        entry.add_index_row(0, (8, 9))
-        assert entry.index_matrix(0).tolist()[-1] == [8, 9]
-        assert entry.index_matrix(0).dtype == np.int32
-
     def test_rows_arriving_out_of_sequence_order_fold_in_stably(self):
         """The block is sorted by sequence; each sequence keeps its rows in
         arrival order."""
-        entry = PatternEntry(pattern=_pattern(2))
-        for sequence_id, row in ((5, (0, 0)), (1, (1, 1)), (5, (2, 2)), (1, (3, 3))):
-            entry.add_index_row(sequence_id, row)
+        entry = PatternEntry.from_rows(
+            _pattern(2), [(5, (0, 0)), (1, (1, 1)), (5, (2, 2)), (1, (3, 3))]
+        )
         assert entry.sequences.tolist() == [1, 5]
         assert entry.offsets.tolist() == [0, 2, 4]
         assert entry.rows.tolist() == [[1, 1], [3, 3], [0, 0], [2, 2]]
-
-    def test_counts_read_the_pending_rows(self):
-        """Support, row counts and sequence ids fold the pending rows into
-        the block on the first read."""
-        entry = PatternEntry(pattern=_pattern(2))
-        entry.add_index_row(0, (0, 0))
-        entry.add_index_row(0, (1, 0))
-        entry.add_index_row(3, (0, 1))
-        assert entry.support == 2 and entry.n_occurrences == 3
-        assert entry.sequence_ids() == {0, 3}
-        assert entry.sequences.tolist() == [0, 3]
-        assert entry.offsets.tolist() == [0, 2, 3]
-        assert entry.rows.tolist() == [[0, 0], [1, 0], [0, 1]]
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_matrices_are_ascending_views_of_the_one_block(self, vectorized):
@@ -174,23 +145,17 @@ class TestIndexStore:
             entry.index_matrix(max(sequence_ids) + 1)
 
     def test_pickled_state_is_the_pattern_and_three_arrays(self):
-        entry = PatternEntry(pattern=_pattern(2))
-        entry.add_index_row(0, (0, 1))
-        entry.add_index_row(4, (2, 3))
+        entry = PatternEntry.from_rows(_pattern(2), [(0, (0, 1)), (4, (2, 3))])
+        assert PatternEntry.__slots__ == ("pattern", "sequences", "offsets", "rows")
         state = entry.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
         assert set(state) == {"pattern", "sequences", "offsets", "rows"}
         assert state["sequences"].tolist() == [0, 4]
         assert state["offsets"].tolist() == [0, 1, 2]
         assert state["rows"].tolist() == [[0, 1], [2, 3]]
 
-    def test_unbound_entry_raises_on_materialisation(self):
-        entry = PatternEntry(pattern=_pattern(2))
-        entry.add_index_row(0, (0, 0))
-        assert not entry.is_bound
-        with pytest.raises(ValueError, match="no bound instance sources"):
-            entry.materialise(0)
-
-    def test_pickle_ships_matrices_only_and_rebinds(self):
+    def test_pickle_ships_the_arrays_only(self):
+        """A pickled entry is its arrays; the copy resolves against the same
+        level-1 nodes to the same instances."""
         rng = random.Random(11)
         instances_a = _random_instances(rng, "A", 20)
         instances_b = _random_instances(rng, "B", 20)
@@ -200,18 +165,18 @@ class TestIndexStore:
         pattern = TemporalPattern(
             events=(node_a.event, node_b.event), relations=(Relation.FOLLOW,)
         )
-        entry = PatternEntry(
-            pattern=pattern,
-            sources=(node_a.instances_by_sequence, node_b.instances_by_sequence),
+        entry = PatternEntry.from_rows(
+            pattern, [(0, (rng.randrange(20), rng.randrange(20))) for _ in range(30)]
         )
-        for _ in range(30):
-            entry.add_index_row(0, (rng.randrange(20), rng.randrange(20)))
         restored = pickle.loads(pickle.dumps(entry))
-        assert not restored.is_bound  # sources are process-local
         assert np.array_equal(restored.index_matrix(0), entry.index_matrix(0))
         assert restored == entry
-        restored.bind_sources(level1)
-        assert restored.occurrences == entry.occurrences
+        occurrences = restored.occurrences(level1)
+        assert occurrences == entry.occurrences(level1)
+        assert occurrences[0][0] == (
+            instances_a[entry.rows[0, 0]],
+            instances_b[entry.rows[0, 1]],
+        )
 
     def test_gather_built_endpoint_blocks_match_list_comprehension_fuzz(self):
         """The core equivalence: gathers through the instance table == the
@@ -228,24 +193,26 @@ class TestIndexStore:
                 events=tuple(node.event for node in nodes),
                 relations=(Relation.FOLLOW,) * (k * (k - 1) // 2),
             )
-            entry = PatternEntry(
-                pattern=pattern,
-                sources=tuple(node.instances_by_sequence for node in nodes),
+            entry = PatternEntry.from_rows(
+                pattern,
+                [
+                    (
+                        0,
+                        tuple(
+                            rng.randrange(len(node.instances_by_sequence[0]))
+                            for node in nodes
+                        ),
+                    )
+                    for _ in range(rng.randint(1, 60))
+                ],
             )
-            for _ in range(rng.randint(1, 60)):
-                entry.add_index_row(
-                    0,
-                    tuple(
-                        rng.randrange(len(node.instances_by_sequence[0]))
-                        for node in nodes
-                    ),
-                )
             matrix = entry.index_matrix(0)
-            table = InstanceTable({node.event: node for node in nodes}, 1)
+            level1 = {node.event: node for node in nodes}
+            table = InstanceTable(level1, 1)
             positions = _positions(table, pattern.events, 0, matrix)
             gathered_starts = table.starts[positions]
             gathered_ends = table.ends[positions]
-            occurrences = entry.materialise(0)
+            occurrences = entry.materialise(0, level1)
             legacy_starts = np.array(
                 [[instance.start for instance in occ] for occ in occurrences],
                 dtype=np.float64,
@@ -274,7 +241,7 @@ class TestIndexStore:
                 legacy = np.array(
                     [
                         [instance.start for instance in occurrence]
-                        for occurrence in entry.materialise(sequence_id)
+                        for occurrence in entry.materialise(sequence_id, graph.level1)
                     ],
                     dtype=np.float64,
                 )
@@ -322,10 +289,8 @@ class TestOverflowGuard:
         from repro import RepresentationOverflowError
 
         monkeypatch.setattr(hpg_module, "_INDEX_MAX", 100)
-        entry = PatternEntry(pattern=_pattern(2))
-        entry.add_index_row(0, (0, 101))
         with pytest.raises(RepresentationOverflowError, match="does not fit"):
-            entry.index_matrix(0)
+            PatternEntry.from_rows(_pattern(2), [(0, (0, 101))])
 
     def test_true_int32_boundary(self):
         from repro import RepresentationOverflowError
@@ -339,12 +304,94 @@ class TestOverflowGuard:
 
     def test_in_range_blocks_are_unaffected(self, monkeypatch):
         monkeypatch.setattr(hpg_module, "_INDEX_MAX", 100)
-        entry = PatternEntry(pattern=_pattern(2))
-        entry.add_index_row(0, (99, 100))
-        entry.add_index_row(1, (7, 8))
+        entry = PatternEntry.from_rows(_pattern(2), [(0, (99, 100)), (1, (7, 8))])
         assert entry.index_matrix(0).tolist() == [[99, 100]]
         assert entry.index_matrix(1).tolist() == [[7, 8]]
         assert entry.index_matrix(0).dtype == np.int32
+
+
+class _Unreadable(dict):
+    """A level-1 instance dict whose every read fails the test."""
+
+    def _read(self, *args):
+        raise AssertionError("the pass read an instance list")
+
+    __getitem__ = __iter__ = __len__ = __contains__ = _read
+    get = items = keys = values = _read
+
+
+class TestEntriesAreValues:
+    """An entry refers to no instance list.  The vectorized pass reads only
+    arrays; the scalar reference resolves the parent rows it extends against
+    ``LevelContext.level1``, each (entry, sequence) once per call."""
+
+    CONFIG = MiningConfig(min_support=0.25, min_confidence=0.25, min_overlap=1.0)
+
+    def _context(self, level: int) -> LevelContext:
+        """A level-``level`` context over a mined graph (Lemma 4–7 tables
+        included), with ``min_count`` 2 of 8 sequences."""
+        session = MiningSession(self.CONFIG)
+        session.mine(random_database(19, n_sequences=8))
+        graph = session.graph
+        assert graph.levels.get(3), "the database must reach level 3"
+        parents = dict(graph.levels[2]) if level == 3 else {}
+        return LevelContext(
+            level=level,
+            config=self.CONFIG,
+            min_count=2,
+            level1=graph.level1,
+            parents=parents,
+            pair_patterns={
+                events: frozenset(node.patterns) for events, node in parents.items()
+            },
+        )
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_the_vectorized_pass_reads_no_instance_list(self, level):
+        context = self._context(level)
+        candidates = list(combinations(sorted(context.level1), level))
+        expected = engine_module.evaluate_candidates(context, candidates)
+        # The instance table is built; from here on every list read fails.
+        unreadable = replace(
+            context,
+            level1={
+                event: replace(node, instances_by_sequence=_Unreadable())
+                for event, node in context.level1.items()
+            },
+        )
+        found = engine_module.evaluate_candidates(unreadable, candidates)
+        assert expected.nodes
+        assert [(node.events, list(node.patterns.items())) for node in found.nodes] == [
+            (node.events, list(node.patterns.items())) for node in expected.nodes
+        ]
+        assert found.stats.relation_checks == expected.stats.relation_checks
+        # The trap is live: the scalar reference does read the lists.
+        scalar = replace(unreadable, config=self.CONFIG.with_vectorized(False))
+        with pytest.raises(AssertionError, match="read an instance list"):
+            engine_module.evaluate_candidates(scalar, candidates)
+
+    def test_the_scalar_reference_resolves_each_parent_run_once_per_call(
+        self, monkeypatch
+    ):
+        resolved, extended = Counter(), Counter()
+        materialise = PatternEntry.materialise
+        extend = engine_module._extend_sequence_scalar
+
+        def counting_materialise(entry, sequence_id, level1):
+            resolved[entry.pattern, sequence_id] += 1
+            return materialise(entry, sequence_id, level1)
+
+        def counting_extend(context, hits, pattern, sequence_id, *args):
+            extended[pattern, sequence_id] += 1
+            return extend(context, hits, pattern, sequence_id, *args)
+
+        monkeypatch.setattr(PatternEntry, "materialise", counting_materialise)
+        monkeypatch.setattr(engine_module, "_extend_sequence_scalar", counting_extend)
+        context = replace(self._context(3), config=self.CONFIG.with_vectorized(False))
+        candidates = list(combinations(sorted(context.level1), 3))
+        engine_module.evaluate_candidates(context, candidates)
+        assert max(extended.values()) > 1, "no parent run serves two candidates"
+        assert resolved == Counter(dict.fromkeys(extended, 1))
 
 
 class TestKernelChunking:

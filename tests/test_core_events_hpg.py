@@ -76,9 +76,7 @@ class TestHierarchicalPatternGraph:
             events=(("K", "On"), ("T", "On")), bitmap=Bitmap.from_indices(4, [0, 1, 2])
         )
         pattern = TemporalPattern(events=(("K", "On"), ("T", "On")), relations=(Relation.CONTAIN,))
-        instances_k = {0: [EventInstance(0, 10, "K", "On")]}
-        instances_t = {0: [EventInstance(2, 5, "T", "On")]}
-        node.add_pattern_occurrence(pattern, 0, (0, 0), (instances_k, instances_t))
+        node.patterns[pattern] = PatternEntry.from_rows(pattern, [(0, (0, 0))])
         graph.add_combination_node(node)
         assert graph.max_level() == 2
         assert graph.nodes_at(2) == [node]
@@ -95,19 +93,20 @@ class TestHierarchicalPatternGraph:
         pattern = TemporalPattern(events=(("K", "On"), ("T", "On")), relations=(Relation.FOLLOW,))
         instance_k = EventInstance(0, 1, "K", "On")
         instance_t = EventInstance(2, 3, "T", "On")
-        sources = (
-            {0: [instance_k], 2: [instance_k]},
-            {0: [instance_t], 2: [instance_t]},
-        )
-        entry = PatternEntry(pattern=pattern, sources=sources)
-        entry.add_index_row(0, (0, 0))
-        entry.add_index_row(0, (0, 0))
-        entry.add_index_row(2, (0, 0))
+        level1 = {
+            (name, "On"): EventNode(
+                event=(name, "On"),
+                bitmap=Bitmap.from_indices(3, [0, 2]),
+                instances_by_sequence={0: [instance], 2: [instance]},
+            )
+            for name, instance in (("K", instance_k), ("T", instance_t))
+        }
+        entry = PatternEntry.from_rows(pattern, [(0, (0, 0)), (0, (0, 0)), (2, (0, 0))])
         assert entry.support == 2
         assert entry.sequence_ids() == {0, 2}
         assert entry.n_occurrences == 3
-        # The lazy tuple view materialises the instances the rows point at.
-        assert entry.occurrences == {
+        # The tuple view resolves the rows against the level-1 nodes passed.
+        assert entry.occurrences(level1) == {
             0: [(instance_k, instance_t), (instance_k, instance_t)],
             2: [(instance_k, instance_t)],
         }
@@ -116,12 +115,8 @@ class TestHierarchicalPatternGraph:
         node = CombinationNode(events=(("K", "On"), ("T", "On")), bitmap=Bitmap(4))
         keep = TemporalPattern(events=(("K", "On"), ("T", "On")), relations=(Relation.FOLLOW,))
         drop = TemporalPattern(events=(("K", "On"), ("T", "On")), relations=(Relation.CONTAIN,))
-        sources = (
-            {0: [EventInstance(0, 1, "K", "On")], 1: [EventInstance(0, 1, "K", "On")]},
-            {0: [EventInstance(2, 3, "T", "On")], 1: [EventInstance(2, 3, "T", "On")]},
-        )
-        node.add_pattern_occurrence(keep, 0, (0, 0), sources)
-        node.add_pattern_occurrence(drop, 1, (0, 0), sources)
+        for sequence_id, pattern in enumerate((keep, drop)):
+            node.patterns[pattern] = PatternEntry.from_rows(pattern, [(sequence_id, (0, 0))])
         node.prune_patterns({keep})
         assert node.has_patterns()
         assert list(node.patterns) == [keep]

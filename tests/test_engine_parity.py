@@ -273,9 +273,10 @@ class TestVectorizedScalarParity:
 def store_snapshot(graph):
     """The full columnar occurrence store, in iteration (= insertion) order.
 
-    Every entry contributes its per-sequence index matrices — comparing
+    Every entry contributes its per-sequence index matrices and, for each of
+    its three CSR arrays, the dtype, shape and raw bytes — comparing
     snapshots therefore asserts byte-identical evidence, not just
-    byte-identical results."""
+    byte-identical results (``tolist`` alone would not see a dtype)."""
     return [
         (
             level,
@@ -285,9 +286,26 @@ def store_snapshot(graph):
                 (sequence_id, matrix.tolist())
                 for sequence_id, matrix in entry.iter_index_matrices()
             ),
+            tuple(
+                (array.dtype.str, array.shape, array.tobytes())
+                for array in (entry.sequences, entry.offsets, entry.rows)
+            ),
         )
         for level, node, entry in graph.iter_pattern_entries()
     ]
+
+
+def assert_same_occurrences(graph, other):
+    """Every entry's instance-tuple view equals the other graph's, each side
+    resolved against its own graph's level 1 — so the check compares
+    instances, not only index rows."""
+    entries = list(graph.iter_pattern_entries())
+    others = list(other.iter_pattern_entries())
+    assert len(entries) == len(others)
+    for (_, _, entry), (_, _, other_entry) in zip(entries, others):
+        assert entry.occurrences(graph.level1) == other_entry.occurrences(
+            other.level1
+        )
 
 
 class TestColumnarStoreParity:
@@ -315,16 +333,12 @@ class TestColumnarStoreParity:
         serial = self._session_store(database, self.CONFIG)
         parallel = self._session_store(database, self.CONFIG, backend=backend)
         assert store_snapshot(serial.graph) == store_snapshot(parallel.graph)
-        for (_, _, serial_entry), (_, _, parallel_entry) in zip(
-            serial.graph.iter_pattern_entries(),
-            parallel.graph.iter_pattern_entries(),
-        ):
-            assert serial_entry.occurrences == parallel_entry.occurrences
+        assert_same_occurrences(serial.graph, parallel.graph)
 
     def test_process_engine_builds_the_identical_store(self, process_backend):
         """The process engine ships back the exact index matrices serial
-        builds — and the coordinator must rebind them so the tuple views
-        materialise."""
+        builds, and they resolve to the same instances against the
+        coordinator's level 1."""
         self._assert_pool_builds_the_serial_store(process_backend)
 
     def test_spawn_pool_builds_the_identical_store(self, spawn_backend):
@@ -588,11 +602,7 @@ class TestPoolStoreParity:
         assert_parity(serial.mine(database), parallel.mine(database))
         assert max(serial.graph_.levels) == depth
         assert store_snapshot(parallel.graph_) == store_snapshot(serial.graph_)
-        for (_, _, serial_entry), (_, _, parallel_entry) in zip(
-            serial.graph_.iter_pattern_entries(),
-            parallel.graph_.iter_pattern_entries(),
-        ):
-            assert parallel_entry.occurrences == serial_entry.occurrences
+        assert_same_occurrences(serial.graph_, parallel.graph_)
 
 
 class TestApproximateMinerParity:

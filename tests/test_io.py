@@ -179,8 +179,10 @@ class TestPatternsIO:
             )
         ]
         assert final, "the paper database must reach the final level"
+        level1, serial_level1 = miner.graph_.level1, serial_miner.graph_.level1
         assert all(
-            entry.occurrences and entry.occurrences == serial_entry.occurrences
+            entry.occurrences(level1)
+            and entry.occurrences(level1) == serial_entry.occurrences(serial_level1)
             for entry, serial_entry in final
         )
         json_path = write_patterns_json(result, tmp_path / "patterns.json")

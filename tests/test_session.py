@@ -14,7 +14,9 @@ support bound that decides whether the delta pass settles it.
 
 from __future__ import annotations
 
+import gc
 import random
+import types
 
 import pytest
 
@@ -530,6 +532,37 @@ class TestSessionLifecycle:
         assert session.statistics.total_patterns == len(result) + len(
             session.graph.level1
         )
+
+    def test_append_leaves_nothing_holding_the_replaced_instance_lists(self):
+        """An append replaces the level-1 instance dict of every event the
+        delta adds instances to.  Pattern entries are values over arrays, so
+        once the append returns nothing in the session — no entry re-admitted
+        or settled from the old graph — still refers to a replaced dict."""
+        config = MiningConfig(min_support=0.2, min_confidence=0.2, min_overlap=1.0)
+        database = random_database(0, n_sequences=30, n_series=3)
+        session = MiningSession(config)
+        session.mine(SequenceDatabase(database.sequences[:28]))
+        before = {
+            key: node.instances_by_sequence
+            for key, node in session.graph.level1.items()
+        }
+        session.append(database.sequences[28:])
+        gc.collect()
+        replaced = [
+            instances
+            for key, instances in before.items()
+            if session.events[key].instances_by_sequence is not instances
+        ]
+        assert replaced, "the delta must replace a level-1 instance dict"
+        ours = (before, replaced)
+        holders = [
+            type(holder).__name__
+            for instances in replaced
+            for holder in gc.get_referrers(instances)
+            if not isinstance(holder, types.FrameType)
+            and not any(holder is own for own in ours)
+        ]
+        assert holders == []
 
 
 class TestHTPGMFacade:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import copyreg
 import pickle
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,11 @@ from repro.core.hpg import PatternEntry
 from repro.io import read_session, write_session
 from repro.io.session_io import FORMAT_NAME, FORMAT_VERSION
 
-from test_engine_parity import store_snapshot
+from test_engine_parity import assert_same_occurrences, store_snapshot
 from test_session import mined_tuples, random_database, split_database
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+import write_session_fixture as session_fixture  # noqa: E402
 
 CONFIG = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
 
@@ -100,6 +105,31 @@ class TestRoundTrip:
             assert loaded.events[key] is node
 
 
+class TestCommittedSessionFile:
+    """A format-5 file written by an earlier build (see
+    ``tests/golden/write_session_fixture.py`` for its provenance) loads in
+    this one: same-build round trips cannot see a change to the pickled
+    state of a session object."""
+
+    def test_loads_like_a_fresh_mine_and_takes_the_append(self):
+        fixture = session_fixture.FIXTURE
+        assert pickle.loads(fixture.read_bytes())["version"] == FORMAT_VERSION
+        loaded = read_session(fixture)
+        fresh = MiningSession(session_fixture.CONFIG)
+        fresh_result = fresh.mine(session_fixture.base_database())
+        assert loaded.graph.levels.get(3), "the file must reach level 3"
+        assert mined_tuples(loaded.result()) == mined_tuples(fresh_result)
+        assert store_snapshot(loaded.graph) == store_snapshot(fresh.graph)
+        assert_same_occurrences(loaded.graph, fresh.graph)
+
+        database = session_fixture.full_database()
+        appended = loaded.append(database.sequences[-session_fixture.HELD_BACK :])
+        scratch = MiningSession(session_fixture.CONFIG)
+        assert mined_tuples(appended) == mined_tuples(scratch.mine(database))
+        assert store_snapshot(loaded.graph) == store_snapshot(scratch.graph)
+        assert_same_occurrences(loaded.graph, scratch.graph)
+
+
 @pytest.fixture()
 def deep_session():
     """A session whose graph reaches level 3 (the default ``mined_session``
@@ -114,15 +144,16 @@ def deep_session():
 
 
 class _Version2Entry:
-    """Pickles as a version-2 ``PatternEntry``: instance-tuple occurrences."""
+    """Pickles as a version-2 ``PatternEntry``: instance-tuple occurrences,
+    resolved against ``level1``."""
 
-    def __init__(self, entry):
-        self.entry = entry
+    def __init__(self, entry, level1):
+        self.entry, self.level1 = entry, level1
 
     def __reduce__(self):
         state = {
             "pattern": self.entry.pattern,
-            "occurrences": self.entry.occurrences,
+            "occurrences": self.entry.occurrences(self.level1),
             "occurrence_counts": None,
         }
         return copyreg._reconstructor, (PatternEntry, object, None), state
@@ -152,10 +183,8 @@ class TestOlderVersionsRejected:
         """A freshly written payload in the version-2 wire shape."""
         for nodes in payload["levels"].values():
             for node in nodes.values():
-                for entry in node.patterns.values():
-                    entry.bind_sources(payload["events"])
                 node.patterns = {
-                    pattern: _Version2Entry(entry)
+                    pattern: _Version2Entry(entry, payload["events"])
                     for pattern, entry in node.patterns.items()
                 }
         del payload["mining_state"]
@@ -246,11 +275,8 @@ class TestCurrentFormatRoundTrip:
         assert pickle.loads(path.read_bytes())["version"] == FORMAT_VERSION
         loaded = read_session(path)
         assert store_snapshot(loaded.graph) == store_snapshot(session.graph)
-        # The matrices resolve against the rebound level-1 instance lists.
-        for (_, _, loaded_entry), (_, _, entry) in zip(
-            loaded.graph.iter_pattern_entries(), session.graph.iter_pattern_entries()
-        ):
-            assert loaded_entry.occurrences == entry.occurrences
+        # The matrices resolve against the loaded level-1 instance lists.
+        assert_same_occurrences(loaded.graph, session.graph)
 
     @pytest.mark.parametrize("pruning", list(PruningMode))
     def test_append_to_a_loaded_file_equals_the_scratch_mine(
@@ -446,9 +472,7 @@ class TestMalformedEvidence:
         """Why an empty run must be rejected: it reads as one more
         supporting sequence."""
         entry = self._entry(deep_session)
-        forged = PatternEntry.from_arrays(
-            entry.pattern, None, *_with_empty_run(deep_session, entry)
-        )
+        forged = PatternEntry(entry.pattern, *_with_empty_run(deep_session, entry))
         assert forged.support == entry.support + 1
         assert forged.n_occurrences == entry.n_occurrences
 
@@ -460,8 +484,8 @@ class TestMalformedEvidence:
         payload = pickle.loads(path.read_bytes())
         node = payload["levels"][2][tuple(sorted(entry.pattern.events))]
         build, rule = _MALFORMED[case]
-        node.patterns[entry.pattern] = PatternEntry.from_arrays(
-            entry.pattern, None, *build(deep_session, entry)
+        node.patterns[entry.pattern] = PatternEntry(
+            entry.pattern, *build(deep_session, entry)
         )
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(SessionFormatError, match="evidence inconsistent") as error:
