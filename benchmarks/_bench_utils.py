@@ -12,7 +12,9 @@ records every table alongside the pytest-benchmark timing report.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 __all__ = [
     "best_of",
@@ -22,7 +24,21 @@ __all__ = [
     "smoke_mode",
     "assert_min_speedup",
     "benchmark_rounds",
+    "reference_evaluation",
 ]
+
+
+def reference_evaluation():
+    """The scalar reference miner's context manager
+    (``tests/reference_miner.py``): mines inside it evaluate with the
+    reference.  Puts ``tests/`` on ``sys.path`` when ``pytest benchmarks``
+    runs alone."""
+    tests = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests not in sys.path:
+        sys.path.append(tests)
+    from reference_miner import reference_evaluation
+
+    return reference_evaluation()
 
 
 def benchmark_rounds(benchmark, run, label: str = "speedup"):

@@ -12,9 +12,10 @@ Three measurements, printed as one table (``BENCH_columnar_store.json`` in
 the repository root keeps the records of earlier runs as frozen history):
 
 * **end-to-end** — mining the dense database with the vectorized columnar
-  path vs the scalar reference configuration (byte-identical output asserted
-  unconditionally; the ``>= 2x`` timing claim is retry-once-then-skip guarded
-  like every timing claim in this suite);
+  path vs the scalar reference of ``tests/reference_miner.py``
+  (byte-identical output asserted unconditionally; the ``>= 2x`` timing
+  claim is retry-once-then-skip guarded like every timing claim in this
+  suite);
 * **kernel-block build** — gathering one level-3 entry's endpoint blocks via
   ``starts[idx]`` vs the legacy per-call list comprehension over instance
   objects;
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import pickle
 import random
-from dataclasses import replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from _bench_utils import (
     benchmark_rounds,
     best_of,
     emit,
+    reference_evaluation,
     smoke_mode,
 )
 
@@ -172,9 +173,10 @@ def test_columnar_store_speedup_on_dense_level_k_workload(benchmark):
         columnar_seconds, columnar_result = best_of(
             2, lambda: HTPGM(CONFIG).mine(database)
         )
-        scalar_seconds, scalar_result = best_of(
-            2, lambda: HTPGM(replace(CONFIG, vectorized=False)).mine(database)
-        )
+        with reference_evaluation():
+            scalar_seconds, scalar_result = best_of(
+                2, lambda: HTPGM(CONFIG).mine(database)
+            )
         return columnar_seconds, columnar_result, scalar_seconds, scalar_result
 
     next_round = benchmark_rounds(benchmark, run, label="speedup")

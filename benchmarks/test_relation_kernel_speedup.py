@@ -4,8 +4,8 @@ The kernel's target regime is *dense* sequences: many instances per event per
 sequence, so each candidate pair spawns thousands of instance-pair relation
 checks and the scalar per-pair ``classify`` calls dominate the miner's
 wall-clock.  This benchmark builds such a database, mines it twice with the
-serial engine — once with ``vectorized=True`` (the default) and once with the
-scalar reference configuration — asserts byte-identical output
+serial engine — once through the vectorized pass and once through the scalar
+reference (``tests/reference_miner.py``) — asserts byte-identical output
 unconditionally, and requires the kernel run to be at least ``3x`` faster
 (retry-once-then-skip guarded, like every timing claim in this suite).
 
@@ -21,7 +21,6 @@ earlier runs as frozen history.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from _bench_utils import (
     benchmark_rounds,
     best_of,
     emit,
+    reference_evaluation,
     smoke_mode,
 )
 
@@ -118,9 +118,10 @@ def test_vectorized_kernel_speedup_on_dense_workload(benchmark):
         vectorized_seconds, vectorized_result = best_of(
             2, lambda: HTPGM(CONFIG).mine(database)
         )
-        scalar_seconds, scalar_result = best_of(
-            2, lambda: HTPGM(replace(CONFIG, vectorized=False)).mine(database)
-        )
+        with reference_evaluation():
+            scalar_seconds, scalar_result = best_of(
+                2, lambda: HTPGM(CONFIG).mine(database)
+            )
         return vectorized_seconds, vectorized_result, scalar_seconds, scalar_result
 
     next_round = benchmark_rounds(benchmark, run, label="speedup")

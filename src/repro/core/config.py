@@ -168,26 +168,6 @@ class MiningConfig:
     n_workers:
         Worker count for the ``"process"`` engine; ``None`` uses all available
         CPUs.  Ignored by the serial engine.
-    vectorized:
-        When True (the default) instance-pair relation classification runs
-        through the NumPy batch kernel (:mod:`repro.core.relation_kernel`)
-        over each level's flat :class:`~repro.core.hpg.InstanceTable`;
-        ``False`` keeps the scalar per-pair reference implementation.  Both
-        paths produce byte-identical results — same patterns, same
-        occurrence order, same work counters — so the flag is purely a
-        performance switch (and the scalar path the executable specification
-        the kernel is fuzzed against).  Vectorized, every level runs in
-        batched passes over many candidates (``engine._ExtensionBatch``).
-    kernel_chunk_bytes:
-        Approximate byte budget for the transient working set of one
-        vectorized kernel batch — the ``rows × k`` feasibility/relation
-        masks plus the pair index arrays and gathered ``float64`` endpoint
-        blocks that scale with them.  Batches that would exceed the budget
-        are processed in order-preserving chunks with identical results per
-        chunk, which bounds peak memory on dense ``tmax=None`` workloads
-        where a single (occurrence-block × instance-block) product can
-        otherwise allocate gigabytes.  ``None`` disables chunking; the
-        default is 64 MiB.
     memory_budget_bytes:
         Total memory budget in bytes for the ``"process"`` engine's worker
         fleet, divided into equal per-worker shares (see
@@ -197,9 +177,10 @@ class MiningConfig:
         clean :class:`~repro.exceptions.MemoryBudgetExceeded` before the
         kernel OOM killer would have fired; the engine then recovers by
         splitting the shard in half (recursively) and degrading — smaller
-        kernel chunks, finally in-process evaluation — every step output-preserving and recorded in
-        :attr:`MiningStatistics.warnings`.  ``None`` (the default) disables
-        governance; the serial engine ignores the budget.
+        pass chunks, finally in-process evaluation — every step
+        output-preserving and recorded in :attr:`MiningStatistics.warnings`.
+        ``None`` (the default) disables governance; the serial engine
+        ignores the budget.
     retry:
         Fault-tolerance policy of the ``"process"`` engine (see
         :class:`RetryPolicy`): how often a crashed, hung or failed shard is
@@ -227,8 +208,6 @@ class MiningConfig:
     pruning: PruningMode = PruningMode.ALL
     engine: str = "serial"
     n_workers: int | None = None
-    vectorized: bool = True
-    kernel_chunk_bytes: int | None = 64 * 1024 * 1024
     memory_budget_bytes: int | None = None
     retry: RetryPolicy = RetryPolicy()
     checkpoint_path: str | None = None
@@ -269,11 +248,6 @@ class MiningConfig:
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1 or None, got {self.n_workers}"
-            )
-        if self.kernel_chunk_bytes is not None and self.kernel_chunk_bytes < 1:
-            raise ConfigurationError(
-                "kernel_chunk_bytes must be >= 1 or None, "
-                f"got {self.kernel_chunk_bytes}"
             )
         if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:
             raise ConfigurationError(
@@ -331,19 +305,16 @@ class MiningConfig:
         """Copy of this configuration with ``other``'s execution details.
 
         Adopts every field in ``_EXECUTION_FIELDS`` — backend, worker count,
-        retry policy, checkpoint path, memory budget — while keeping the mining
-        parameters (thresholds, pruning, kernel routing) of ``self``.  This is
-        how an appended or resumed session follows the *current* run's
-        execution environment without being able to drift on anything that
-        could change the mined pattern set.
+        retry policy, checkpoint path, memory budget — while keeping every
+        other field of ``self``: the mining parameters, each of which can
+        change a mined pattern or a work counter.  This is how an appended
+        or resumed session follows the *current* run's execution environment
+        without being able to drift on anything that could change the mined
+        pattern set.
         """
         return replace(
             self, **{name: getattr(other, name) for name in _EXECUTION_FIELDS}
         )
-
-    def with_vectorized(self, vectorized: bool) -> "MiningConfig":
-        """Copy of this configuration with the relation kernel toggled."""
-        return replace(self, vectorized=vectorized)
 
     def with_thresholds(
         self, min_support: float | None = None, min_confidence: float | None = None

@@ -35,22 +35,20 @@ therefore the mined pattern set and the golden fixtures, is byte-identical to
 a serial run while skewed levels no longer wait on one overloaded shard.
 Batches without cost estimates fall back to contiguous equal-count shards.
 
-Orthogonally to the backend choice, ``MiningConfig.vectorized`` (the
-default) runs relation classification through the kernel of
-:mod:`repro.core.relation_kernel` over the level's flat
-:class:`~repro.core.hpg.InstanceTable` (``LevelContext.instances``), every
-level alike: segmented passes over :data:`_EXTENSION_BATCH_ROWS` parent rows
-of many candidates (:class:`_ExtensionBatch`) — at level 2 a parent row is
-one event instance, at level ``k`` a stored occurrence.
-``vectorized=False`` keeps the scalar reference loops.  Passes are chunked
-by ``MiningConfig.kernel_chunk_bytes``.  Both paths — under every backend —
-produce byte-identical nodes and counters, down to the CSR arrays of
-:class:`~repro.core.hpg.PatternEntry`.  Workers return every entry's full
-arrays, so a process-engine graph holds the same occurrence store as a
-serial one.  An entry is its pattern and its three arrays and refers to no
-instance list, so nothing is bound or rebound on either side of the process
-boundary: the vectorized pass reads only arrays, and the scalar reference
-resolves the parent rows it extends against ``LevelContext.level1``.
+Under every backend, :func:`evaluate_candidates` runs relation
+classification through the kernel of :mod:`repro.core.relation_kernel` over
+the level's flat :class:`~repro.core.hpg.InstanceTable`
+(``LevelContext.instances``), every level alike: segmented passes over
+:data:`_EXTENSION_BATCH_ROWS` parent rows of many candidates
+(:class:`_ExtensionBatch`) — at level 2 a parent row is one event instance,
+at level ``k`` a stored occurrence — chunked by :data:`_PASS_CHUNK_BYTES`.
+Every backend produces byte-identical nodes and counters, down to the CSR
+arrays of :class:`~repro.core.hpg.PatternEntry`, and so does the scalar
+reference the tests keep (``tests/reference_miner.py``).  Workers return
+every entry's full arrays, so a process-engine graph holds the same
+occurrence store as a serial one.  An entry is its pattern and its three
+arrays and refers to no instance list, so nothing is bound or rebound on
+either side of the process boundary: the pass reads only arrays.
 
 Every backend mines the *identical* pattern set; the parity tests in
 ``tests/test_engine_parity.py`` and the golden fixtures in ``tests/golden/``
@@ -70,23 +68,20 @@ import time
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import combinations
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Protocol, TypeVar, runtime_checkable
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, MemoryBudgetExceeded, MiningError
-from ..timeseries.sequences import EventInstance
 from . import faults, hpg, resources
 from .bitmap import Bitmap
 from .config import MiningConfig, RetryPolicy
 from .events import EventKey
-from .hpg import CombinationNode, EventNode, InstanceTable, Occurrence, PatternEntry
+from .hpg import CombinationNode, EventNode, InstanceTable, PatternEntry
 from .patterns import TemporalPattern
 from .relation_kernel import classify_pairs, expand_windows
-from .relations import RELATIONS_BY_CODE, Relation, classify
+from .relations import RELATIONS_BY_CODE
 from .stats import MiningStatistics
 
 __all__ = [
@@ -127,9 +122,8 @@ class LevelContext:
 
     * ``level1`` — the :class:`EventNode` of every event appearing in a
       candidate: bitmaps for the Apriori checks, and instance lists that
-      ``instances`` is built from and that only the scalar reference reads
-      (it resolves the parent rows it extends against them; the vectorized
-      pass reads arrays only);
+      ``instances`` is built from (the pass reads arrays only; the tests'
+      scalar reference resolves the parent rows it extends against them);
     * ``parents`` — the frequent ``(k-1)``-combination nodes, keyed by their
       canonical event tuple (empty at level 2);
     * ``pair_patterns`` — the frequent 2-event pattern set per pair node, used
@@ -155,6 +149,9 @@ class LevelContext:
     between candidates and aborts the shard with
     :class:`~repro.exceptions.MemoryBudgetExceeded` once the share is spent,
     letting the coordinator split the shard instead of eating a SIGKILL.
+    ``chunk_bytes`` caps the pass's chunks below :data:`_PASS_CHUNK_BYTES`
+    once the backend's memory recovery has halved it
+    (:meth:`ProcessPoolBackend._shrink_kernel_chunks`); ``None`` otherwise.
     """
 
     level: int
@@ -168,6 +165,7 @@ class LevelContext:
     memory_share_bytes: int | None = None
     instances: InstanceTable | None = None
     delta_start: int = 0
+    chunk_bytes: int | None = None
 
     def event_support(self, event: EventKey) -> int:
         """Support of a frequent event (0 when absent, mirroring the graph)."""
@@ -228,143 +226,22 @@ def evaluate_candidates(
     it directly, the process-pool backend calls it once per shard in each
     worker process.  Given the same context and candidates it always produces
     the same nodes and counters, which is what makes backend parity testable.
-    Vectorized candidates of every level go through an :class:`_ExtensionBatch`.
+    Candidates of every level go through one :class:`_ExtensionBatch`.
     """
     started = time.perf_counter()
     stats = MiningStatistics()
     nodes: list[CombinationNode] = []
-    batch = None
-    if context.config.vectorized:
-        batch = _ExtensionBatch(context, stats, nodes)
-        evaluate = batch.add
-    elif context.level == 2:
-        evaluate = _evaluate_pair
-    else:
-        evaluate = partial(_evaluate_combination, views={})
+    batch = _ExtensionBatch(context, stats, nodes)
     # Armed only inside process-pool workers shipping a budgeted context;
     # serial runs and the in-process degradation fallback get None.
     watchdog = resources.shard_watchdog(context)
     for candidate in candidates:
         if watchdog is not None:
             watchdog.check()
-        node = evaluate(context, candidate, stats)
-        if node is not None:
-            nodes.append(node)
-    if batch is not None:
-        batch.flush()
+        batch.add(candidate)
+    batch.flush()
     stats.level_seconds[context.level] = time.perf_counter() - started
     return LevelOutcome(nodes=nodes, stats=stats)
-
-
-#: The scalar reference's hits of one candidate: per pattern, in first-hit
-#: order, its ``(sequence, index row)`` pairs in arrival order.
-_Hits = dict[TemporalPattern, list[tuple[int, hpg.IndexRow]]]
-
-
-def _evaluate_pair(
-    context: LevelContext, candidate: Candidate, stats: MiningStatistics
-) -> CombinationNode | None:
-    """Alg. 1 lines 6–14 for one candidate event pair (scalar path)."""
-    node = _open_combination(context, candidate, stats)
-    if node is None:
-        return None
-    hits: _Hits = {}
-    _grow_pair_patterns(context, node, candidate, hits, stats)
-    return _finalise_node(context, _store_hits(node, hits), stats, level=2)
-
-
-def _store_hits(node: CombinationNode, hits: _Hits) -> CombinationNode:
-    """Build each hit pattern's entry once, patterns in first-hit order."""
-    node.patterns = {
-        pattern: PatternEntry.from_rows(pattern, rows) for pattern, rows in hits.items()
-    }
-    return node
-
-
-def _grow_pair_patterns(
-    context: LevelContext,
-    node: CombinationNode,
-    candidate: Candidate,
-    hits: _Hits,
-    stats: MiningStatistics,
-) -> None:
-    """Scalar reference of level 2: classify every chronologically ordered
-    instance pair in each shared sequence from ``delta_start`` on
-    (:func:`_grow_sequence_pairs_scalar`)."""
-    node_a, node_b = (context.level1[event] for event in candidate)
-    same_event = node_a.event == node_b.event
-    for sequence_id in node.bitmap.indices():
-        if sequence_id < context.delta_start:
-            continue
-        instances_a = node_a.instances_by_sequence.get(sequence_id, [])
-        instances_b = (
-            instances_a
-            if same_event
-            else node_b.instances_by_sequence.get(sequence_id, [])
-        )
-        _grow_sequence_pairs_scalar(
-            context.config,
-            hits,
-            sequence_id,
-            instances_a,
-            instances_b,
-            same_event,
-            stats,
-        )
-
-
-def _grow_sequence_pairs_scalar(
-    config: MiningConfig,
-    hits: _Hits,
-    sequence_id: int,
-    instances_a: list[EventInstance],
-    instances_b: list[EventInstance],
-    same_event: bool,
-    stats: MiningStatistics,
-) -> None:
-    """Scalar reference path: one ``classify`` call per instance pair.
-
-    Pairs are enumerated with their list positions so every hit is recorded
-    as an index row into the columnar occurrence store — the same store the
-    vectorized pass fills in blocks."""
-    tmax = config.tmax
-    epsilon = config.epsilon
-    min_overlap = config.min_overlap
-    if same_event:
-        for (index_first, first), (index_second, second) in combinations(
-            enumerate(instances_a), 2
-        ):
-            if tmax is not None and second.end - first.start > tmax:
-                continue
-            stats.bump(stats.relation_checks, 2)
-            relation = classify(first, second, epsilon, min_overlap)
-            if relation is None:
-                continue
-            pattern = TemporalPattern(
-                events=(first.event_key, second.event_key), relations=(relation,)
-            )
-            hits.setdefault(pattern, []).append(
-                (sequence_id, (index_first, index_second))
-            )
-        return
-    for index_a, instance_a in enumerate(instances_a):
-        for index_b, instance_b in enumerate(instances_b):
-            if instance_a <= instance_b:
-                first, second = instance_a, instance_b
-                row = (index_a, index_b)
-            else:
-                first, second = instance_b, instance_a
-                row = (index_b, index_a)
-            if tmax is not None and second.end - first.start > tmax:
-                continue
-            stats.bump(stats.relation_checks, 2)
-            relation = classify(first, second, epsilon, min_overlap)
-            if relation is None:
-                continue
-            pattern = TemporalPattern(
-                events=(first.event_key, second.event_key), relations=(relation,)
-            )
-            hits.setdefault(pattern, []).append((sequence_id, row))
 
 
 def _open_combination(
@@ -393,185 +270,9 @@ def _open_combination(
     return CombinationNode(events=tuple(sorted(candidate)), bitmap=bitmap)
 
 
-#: The scalar reference's parent views of one ``evaluate_candidates`` call:
-#: per ``(id(parent entry), sequence)``, its index rows and instance tuples,
-#: built once however many candidates extend them.
-_Views = dict[tuple[int, int], tuple[list[list[int]], list[Occurrence]]]
-
-
-def _evaluate_combination(
-    context: LevelContext,
-    candidate: Candidate,
-    stats: MiningStatistics,
-    views: _Views,
-) -> CombinationNode | None:
-    """Alg. 1 lines 16–20 for one candidate k-event combination (scalar path)."""
-    node = _open_combination(context, candidate, stats)
-    if node is None:
-        return None
-    hits: _Hits = {}
-    _grow_combination_patterns(context, node, hits, views, stats)
-    return _finalise_node(context, _store_hits(node, hits), stats, context.level)
-
-
-def _grow_combination_patterns(
-    context: LevelContext,
-    node: CombinationNode,
-    hits: _Hits,
-    views: _Views,
-    stats: MiningStatistics,
-) -> None:
-    """Extend every (k-1)-pattern of every parent node with the remaining event.
-
-    Every k-event pattern has a unique chronologically last event, so the
-    decomposition (parent = pattern without its last event, new event = the
-    last event) generates each pattern exactly once.  A delta pass skips the
-    entries without a row from ``delta_start`` on.
-    """
-    config = context.config
-    for new_event in node.events:
-        parent_key = tuple(e for e in node.events if e != new_event)
-        parent = context.parents.get(parent_key)
-        if parent is None:
-            continue
-        new_event_node = context.level1[new_event]
-        for entry in parent.patterns.values():
-            if _first_run(entry, context.delta_start) == len(entry.sequences):
-                continue
-            if config.pruning.uses_transitivity and not _may_extend(
-                context, entry.pattern, new_event, stats
-            ):
-                continue
-            _extend_entry(context, hits, entry, new_event_node, views, stats)
-
-
 def _first_run(entry: PatternEntry, delta_start: int) -> int:
     """Position of ``entry``'s first run in a sequence from ``delta_start`` on."""
     return int(np.searchsorted(entry.sequences, delta_start)) if delta_start else 0
-
-
-def _pair_key(event_a: EventKey, event_b: EventKey) -> tuple[EventKey, EventKey]:
-    """Canonical (sorted) key of an unordered event pair."""
-    return (event_a, event_b) if event_a <= event_b else (event_b, event_a)
-
-
-def _may_extend(
-    context: LevelContext,
-    pattern: TemporalPattern,
-    new_event: EventKey,
-    stats: MiningStatistics,
-) -> bool:
-    """Lemma 5: every pattern event must share a frequent pair node with the new event."""
-    for event in pattern.events:
-        if not context.pair_patterns.get(_pair_key(event, new_event)):
-            stats.bump(stats.pruned_relation_checks, context.level)
-            return False
-    return True
-
-
-def _extend_entry(
-    context: LevelContext,
-    hits: _Hits,
-    entry: PatternEntry,
-    new_event_node: EventNode,
-    views: _Views,
-    stats: MiningStatistics,
-) -> None:
-    """Extend the stored occurrences of one (k-1)-pattern with the new event.
-
-    The scalar reference of level ``k`` (``vectorized=False``): one
-    :func:`_extend_sequence_scalar` call per supporting sequence from
-    ``delta_start`` on, over the entry's rows and instance tuples of that
-    sequence (resolved against ``context.level1`` once per call).
-    """
-    for sequence_id, index_matrix in entry.iter_index_matrices():
-        if sequence_id < context.delta_start:
-            continue
-        new_instances = new_event_node.instances_by_sequence.get(sequence_id)
-        if not new_instances:
-            continue
-        view = views.get((id(entry), sequence_id))
-        if view is None:
-            view = views[id(entry), sequence_id] = (
-                index_matrix.tolist(),
-                entry.materialise(sequence_id, context.level1),
-            )
-        _extend_sequence_scalar(
-            context, hits, entry.pattern, sequence_id, *view, new_instances, stats
-        )
-
-
-def _extend_sequence_scalar(
-    context: LevelContext,
-    hits: _Hits,
-    pattern: TemporalPattern,
-    sequence_id: int,
-    rows: list[list[int]],
-    occurrences: list[Occurrence],
-    new_instances: list[EventInstance],
-    stats: MiningStatistics,
-) -> None:
-    """Scalar reference path: per-occurrence, per-candidate relation checks.
-
-    ``occurrences[i]`` holds the instances index row ``rows[i]`` points at,
-    and every surviving extension is recorded as that parent row plus the
-    candidate's list position."""
-    config = context.config
-    for row, occurrence in zip(rows, occurrences):
-        last_instance = occurrence[-1]
-        first_instance = occurrence[0]
-        for candidate_index, candidate_instance in enumerate(new_instances):
-            if candidate_instance <= last_instance:
-                continue
-            if (
-                config.tmax is not None
-                and candidate_instance.end - first_instance.start > config.tmax
-            ):
-                continue
-            extension = _relations_for_extension(
-                context, occurrence, candidate_instance, stats
-            )
-            if extension is None:
-                continue
-            new_pattern = pattern.extend(candidate_instance.event_key, extension)
-            hits.setdefault(new_pattern, []).append(
-                (sequence_id, (*row, candidate_index))
-            )
-
-
-def _relations_for_extension(
-    context: LevelContext,
-    occurrence: Occurrence,
-    new_instance: EventInstance,
-    stats: MiningStatistics,
-) -> tuple[Relation, ...] | None:
-    """Relations between every existing instance and the new one, or None.
-
-    When transitivity pruning is active each new relation is verified against
-    the level-2 pattern set (Lemmas 4, 6, 7): a triple that is not a frequent,
-    confident 2-event pattern can never appear inside a frequent, confident
-    k-event pattern, so the extension is rejected early.
-    """
-    config = context.config
-    relations = []
-    for instance in occurrence:
-        stats.bump(stats.relation_checks, context.level)
-        relation = classify(instance, new_instance, config.epsilon, config.min_overlap)
-        if relation is None:
-            return None
-        if config.pruning.uses_transitivity:
-            triple = TemporalPattern(
-                events=(instance.event_key, new_instance.event_key),
-                relations=(relation,),
-            )
-            known = context.pair_patterns.get(
-                _pair_key(instance.event_key, new_instance.event_key)
-            )
-            if not known or triple not in known:
-                stats.bump(stats.pruned_relation_checks, context.level)
-                return None
-        relations.append(relation)
-    return tuple(relations)
 
 
 #: Parent rows (level-2 instances, level-``k`` occurrences) the vectorized
@@ -581,32 +282,37 @@ def _relations_for_extension(
 #: never depend on it.  Read at call time, so tests monkeypatch it.
 _EXTENSION_BATCH_ROWS = 4096
 
+#: Byte budget of one chunk of a pass: the pair masks, pair indices and
+#: gathered ``float64`` endpoint blocks that grow with a pass's window pairs,
+#: priced by :func:`_bytes_per_pair`.  A pass whose windows hold more pairs is
+#: cut into order-preserving chunks, which bounds its working set on dense
+#: ``tmax=None`` workloads.  Results never depend on it.  Read at call time,
+#: so tests monkeypatch it; memory recovery halves it per level
+#: (``LevelContext.chunk_bytes``).
+_PASS_CHUNK_BYTES = 64 * 1024 * 1024
+
 
 def _bytes_per_pair(level: int) -> int:
     """Transient bytes of one level-``level`` pair of the vectorized pass (a
     parent row and a new instance, classified at ``level - 1`` positions),
     fitted to ``tracemalloc`` peaks of whole passes over dense sequences
     (about 175, 200, 245 and 300 bytes at levels 2 to 5).  Sizes both the
-    pass's ``kernel_chunk_bytes`` chunks and the governor's bytes per unit of
-    candidate cost."""
+    pass's chunks and the governor's bytes per unit of candidate cost."""
     return 104 + 52 * (level - 1)
 
 
-def _anchor_chunks(lo: np.ndarray, hi: np.ndarray, max_pairs: int | None):
+def _anchor_chunks(lo: np.ndarray, hi: np.ndarray, max_pairs: int):
     """Contiguous anchor ranges whose expanded pair counts fit the mask budget.
 
     Yields ``(start, stop)`` anchor index ranges covering ``[0, len(lo))`` in
     order; each range expands to at most ``max_pairs`` pairs (a single anchor
     whose window alone exceeds the budget forms its own over-budget range, so
-    progress is always made).  ``None`` disables chunking.  Chunking at
-    anchor granularity preserves the anchor-major enumeration order, so the
-    per-chunk results concatenate to the unchunked ones.
+    progress is always made).  Chunking at anchor granularity preserves the
+    anchor-major enumeration order, so the per-chunk results concatenate to
+    the unchunked ones.
     """
     n_anchors = len(lo)
     if n_anchors == 0:
-        return
-    if max_pairs is None:
-        yield 0, n_anchors
         return
     cumulative = np.cumsum(np.maximum(hi - lo, 0))
     if int(cumulative[-1]) <= max_pairs:
@@ -672,10 +378,10 @@ class _ExtensionBatch:
     instances.  Once :data:`_EXTENSION_BATCH_ROWS` rows are queued — checked
     between candidates, so no candidate spans two passes — :meth:`flush`
     evaluates them in one pass and finalises the queued nodes in candidate
-    order.  The pass is :func:`_grow_pair_patterns` and
-    :func:`_grow_combination_patterns` batched: the same pairs and gates,
-    Lemmas 4–7 as table lookups (level ``k`` only), the scalar loop's
-    early-exit counters rebuilt from each pair's first failing position,
+    order.  The pass is the scalar reference's per-candidate loops batched:
+    the same pairs and gates, Lemmas 4–7 as table lookups (level ``k``
+    only), the scalar loop's early-exit counters rebuilt from each pair's
+    first failing position,
     and one stored row block per pattern, patterns in first-hit order and
     each block's sequences ascending — skipping patterns whose (complete)
     support :func:`admit_patterns` would reject.  A candidate that queues
@@ -762,10 +468,9 @@ class _ExtensionBatch:
         self.queue.append(extension)
         self.rows += len(extension.parent.index_rows)
 
-    def add(
-        self, context: LevelContext, candidate: Candidate, stats: MiningStatistics
-    ) -> None:
+    def add(self, candidate: Candidate) -> None:
         """Queue one candidate; run a pass once enough rows are queued."""
+        context, stats = self.context, self.stats
         node = _open_combination(context, candidate, stats)
         if node is None:
             return
@@ -844,8 +549,8 @@ class _ExtensionBatch:
             bound += 4 * (np.spacing(np.abs(bound)) + np.spacing(tmax))
             keys = _group_keys(groups, bound)
             hi = np.minimum(np.searchsorted(self.group_starts, keys, "right"), stop)
-        budget = config.kernel_chunk_bytes
-        max_pairs = budget and max(1, budget // _bytes_per_pair(level))
+        budget = self.context.chunk_bytes or _PASS_CHUNK_BYTES
+        max_pairs = max(1, budget // _bytes_per_pair(level))
         hits = []
         for row_start, row_stop in _anchor_chunks(lo, hi, max_pairs):
             window = slice(row_start, row_stop)
@@ -1154,7 +859,7 @@ class _ShardPiece:
     attempts: int = 0
 
 
-#: Halving ``kernel_chunk_bytes`` below this is pointless: the per-chunk
+#: Halving a pass's chunk cap below this is pointless: the per-chunk
 #: bookkeeping starts to rival the chunk itself, and a working set this
 #: small was never the problem.
 _CHUNK_SHRINK_FLOOR = 1 << 20
@@ -1237,14 +942,18 @@ class ProcessPoolBackend:
         #: How crashed/hung/failed shards are resubmitted (see
         #: :class:`~repro.core.config.RetryPolicy`).
         self.retry = retry if retry is not None else RetryPolicy()
-        #: Degradation warnings recorded by this backend; the miner copies
-        #: them into :class:`MiningStatistics` after every batch.
+        #: Degradation warnings recorded by this backend over its life.
         self.warnings: list[str] = []
+        #: The warnings of the batch being evaluated, which
+        #: :meth:`_stamp_stats` copies into its :class:`MiningStatistics`.
+        self._batch_warnings: list[str] = []
         #: Captured once so ``times=N`` fault budgets survive across rounds.
         self._fault_plan = (
             fault_plan if fault_plan is not None else faults.active_plan()
         )
-        self._serial_degraded = False
+        #: The warning of the drop to in-process evaluation, once no pool
+        #: could be obtained; every later batch records it again.
+        self._degradation: str | None = None
         self._level_retries: dict[int, int] = {}
         #: Coordinator side of the memory budget (``None`` = ungoverned);
         #: sizes the up-front split and the per-worker watchdog share.
@@ -1302,6 +1011,7 @@ class ProcessPoolBackend:
         level = context.level
         retries_before = self._level_retries.get(level, 0)
         splits_before = self._level_splits.get(level, 0)
+        self._batch_warnings = [self._degradation] if self._degradation else []
         n_shards = self._shard_count(len(candidates))
         if self.governor is not None and candidates:
             # The budget may demand a finer split than the CPU count does:
@@ -1351,7 +1061,7 @@ class ProcessPoolBackend:
         retries_before: int,
         splits_before: int,
     ) -> LevelOutcome:
-        """Record this batch's retries, splits and any degradation warnings."""
+        """Record this batch's retries, splits and degradation warnings."""
         delta = self._level_retries.get(level, 0) - retries_before
         if delta:
             outcome.stats.shard_retries[level] = (
@@ -1362,7 +1072,7 @@ class ProcessPoolBackend:
             outcome.stats.shard_splits[level] = (
                 outcome.stats.shard_splits.get(level, 0) + splits
             )
-        for message in self.warnings:
+        for message in self._batch_warnings:
             outcome.stats.record_warning(message)
         return outcome
 
@@ -1492,9 +1202,9 @@ class ProcessPoolBackend:
 
         1. **Split in half** while the piece has more than one item — two
            pieces of roughly half the transient working set each.
-        2. **Shrink ``kernel_chunk_bytes``** (halving, floored at
-           :data:`_CHUNK_SHRINK_FLOOR`) — the vectorized kernel's transient
-           pair buffers are proportional to the chunk cap.
+        2. **Shrink the pass's chunk cap** (halving, floored at
+           :data:`_CHUNK_SHRINK_FLOOR`) — the pass's transient pair buffers
+           are proportional to the chunk cap.
         3. **Evaluate in-process** — the coordinator usually has more
            headroom than a budget-watched worker, and the watchdog never
            arms outside worker scope, so this step cannot loop.  If even
@@ -1534,27 +1244,19 @@ class ProcessPoolBackend:
             ) from final_error
         return []
 
-    def _shrink_kernel_chunks(self, payload: Any, level: int) -> bool:
-        """Halve the level's kernel chunk cap; False once at/below the floor.
+    def _shrink_kernel_chunks(self, payload: LevelContext, level: int) -> bool:
+        """Halve the level's chunk cap; False once at/below the floor.
 
         Chunking is output-preserving by construction (anchor-granular
         chunks concatenate to the unchunked result, see
-        :func:`_anchor_chunks`), so mutating the shared context's config is
-        safe — every subsequent round, forked or pooled, re-ships the
-        payload and picks the new cap up.
+        :func:`_anchor_chunks`), so writing the cap on the shared context
+        (``LevelContext.chunk_bytes``) is safe — every subsequent round,
+        forked or pooled, re-ships the payload and picks the new cap up.
         """
-        if not isinstance(payload, LevelContext):
-            return False
-        config = payload.config
-        if not config.vectorized:
-            return False
-        current = config.kernel_chunk_bytes
-        shrunk = (
-            64 * 1024 * 1024 // 2 if current is None else current // 2
-        )
+        shrunk = (payload.chunk_bytes or _PASS_CHUNK_BYTES) // 2
         if shrunk < _CHUNK_SHRINK_FLOOR:
             return False
-        payload.config = replace(config, kernel_chunk_bytes=shrunk)
+        payload.chunk_bytes = shrunk
         self._warn(
             f"level {level} over budget at a single candidate; kernel chunk "
             f"cap shrunk to {shrunk} bytes"
@@ -1562,9 +1264,16 @@ class ProcessPoolBackend:
         return True
 
     # ------------------------------------------------------------- fault handling
+    @property
+    def _serial_degraded(self) -> bool:
+        """Whether the backend has given up on worker processes."""
+        return self._degradation is not None
+
     def _warn(self, message: str) -> None:
-        if message not in self.warnings:
-            self.warnings.append(message)
+        """Record a warning on the current batch and on the backend."""
+        for warnings in (self._batch_warnings, self.warnings):
+            if message not in warnings:
+                warnings.append(message)
 
     def _worker_fault(self, level: int, shard: int) -> tuple[str, float] | None:
         """Directive for an armed worker fault at this coordinate, if any."""
@@ -1574,11 +1283,11 @@ class ProcessPoolBackend:
 
     def _degrade_to_serial(self, error: BaseException) -> None:
         """Give up on worker processes for the rest of this backend's life."""
-        self._serial_degraded = True
-        self._warn(
+        self._degradation = (
             f"process pool unavailable ({error}); continuing with "
             "in-process evaluation"
         )
+        self._warn(self._degradation)
 
     def _kill_executor(self, executor: ProcessPoolExecutor) -> None:
         """Tear an executor down without waiting on its (possibly hung) workers.

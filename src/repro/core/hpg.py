@@ -95,9 +95,8 @@ class PatternEntry:
     (:meth:`index_matrix`, :meth:`iter_index_matrices`) is a view of the one
     block, so a whole entry crosses a pipe or a file as three array copies.
 
-    An entry is a value: its pattern and its three arrays, built whole —
-    by the vectorized pass from one checked block, by the scalar reference
-    from its collected hits (:meth:`from_rows`) — and referring to nothing
+    An entry is a value: its pattern and its three arrays, built whole by
+    the vectorized pass from one checked block, and referring to nothing
     else.  The historical instance-tuple view resolves the rows against the
     level-1 nodes the caller passes (``graph.level1``, ``session.events`` or
     ``LevelContext.level1``): :meth:`occurrences` and :meth:`materialise`.
@@ -119,26 +118,6 @@ class PatternEntry:
         arrays owning their memory."""
         self.pattern = pattern
         self.sequences, self.offsets, self.rows = sequences, offsets, rows
-
-    @classmethod
-    def from_rows(
-        cls, pattern: TemporalPattern, hits: list[tuple[int, IndexRow]]
-    ) -> "PatternEntry":
-        """The entry of the scalar reference's ``(sequence, row)`` hits, in
-        arrival order.
-
-        A stable sort by sequence keeps each sequence's rows in arrival
-        order, whatever order the sequences arrived in (the scalar loops
-        deliver them sequence-major and ascending, so the sort moves
-        nothing)."""
-        ids = np.fromiter((sid for sid, _ in hits), np.int64, len(hits))
-        sequences, counts = np.unique(ids, return_counts=True)
-        return cls(
-            pattern,
-            sequences.astype(_INDEX_DTYPE),
-            np.concatenate(([0], np.cumsum(counts))),
-            _checked_rows([row for _, row in hits])[np.argsort(ids, kind="stable")],
-        )
 
     def followed_by(self, later: "PatternEntry") -> "PatternEntry":
         """A new entry of this pattern holding this entry's runs and then

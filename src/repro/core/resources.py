@@ -245,26 +245,25 @@ def estimate_context_bytes(context) -> int:
 
     Walks the context's columnar data — the level's flat instance table and
     the parent entries' CSR arrays — which is what grows with the data.  The
-    vectorized level-``k`` pass stacks every parent it reads once: a copy of
-    its entries' ``int32`` row blocks plus one ``(entry, sequence, count)``
-    run of ``int64`` per (entry, sequence); at level 2 it stacks every
-    event's instance list positions (``int32``) with one such run per
-    occupied (event, sequence) cell.  Anything that is not a level context
-    prices at 0 (estimation must never fail a run).
+    level-``k`` pass stacks every parent it reads once: a copy of its
+    entries' ``int32`` row blocks plus one ``(entry, sequence, count)`` run
+    of ``int64`` per (entry, sequence); at level 2 it stacks every event's
+    instance list positions (``int32``) with one such run per occupied
+    (event, sequence) cell.  Anything that is not a level context prices at
+    0 (estimation must never fail a run).
     """
     table = getattr(context, "instances", None)
     arrays = ("starts", "ends", "offset", "count", "allowed", "has_pair")
     total = sum(getattr(table, name).nbytes for name in arrays) if table else 0
-    vectorized = getattr(getattr(context, "config", None), "vectorized", False)
-    if table and vectorized and getattr(context, "level", None) == 2:
+    if table and getattr(context, "level", None) == 2:
         total += 4 * table.starts.size + 24 * int((table.count > 0).sum())
     for parent in getattr(context, "parents", {}).values():
         for entry in getattr(parent, "patterns", {}).values():
             try:
                 rows, sequences = entry.rows, entry.sequences
+                # The stored arrays, then the pass's stack of them.
                 total += rows.nbytes + sequences.nbytes + entry.offsets.nbytes
-                if vectorized:
-                    total += rows.nbytes + 24 * len(sequences)
+                total += rows.nbytes + 24 * len(sequences)
             except Exception:
                 continue
     return total

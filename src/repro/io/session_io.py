@@ -34,8 +34,10 @@ import pickle
 import tempfile
 from pathlib import Path
 
+from ..core.config import MiningConfig
 from ..core.hpg import HierarchicalPatternGraph, InstanceTable
 from ..core.session import MiningSession
+from ..core.stats import MiningStatistics
 from ..exceptions import MiningError, SessionFormatError
 
 __all__ = ["read_session", "write_session"]
@@ -65,7 +67,10 @@ __all__ = ["read_session", "write_session"]
 #:    is the pattern plus three arrays — ``sequences`` (strictly ascending
 #:    ``int32`` ids), ``offsets`` (``int64`` row bounds, one non-empty run
 #:    per sequence) and ``rows`` (one ``(n, k)`` ``int32`` block) — instead
-#:    of an ``index`` dict of per-sequence matrices.
+#:    of an ``index`` dict of per-sequence matrices.  A file written while
+#:    ``MiningConfig`` still had its scalar-path switch and pass chunk budget
+#:    loads too: its config keeps the two old keys in its ``__dict__``, which
+#:    no comparison, hash or ``replace()`` of the dataclass reads.
 #:
 #: Only the current version is read; files of any older version raise
 #: :class:`~repro.exceptions.SessionFormatError` and must be re-mined.
@@ -73,6 +78,31 @@ FORMAT_NAME = "repro-mining-session"
 FORMAT_VERSION = 5
 #: Versions :func:`read_session` accepts.
 READABLE_VERSIONS = (FORMAT_VERSION,)
+
+
+def _is_count(value: object) -> bool:
+    """A non-negative ``int`` (a ``bool`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_progress(value: object) -> bool:
+    """A progress marker: ``None`` for a complete run, else the next level."""
+    return value is None or (
+        isinstance(value, dict) and _is_count(value.get("next_level"))
+    )
+
+
+#: The envelope's session fields and the check each must pass on load.
+_FIELD_CHECKS = {
+    "config": lambda value: isinstance(value, MiningConfig),
+    "n_sequences": _is_count,
+    "events": lambda value: isinstance(value, dict),
+    "level1_keys": lambda value: isinstance(value, list),
+    "levels": lambda value: isinstance(value, dict),
+    "statistics": lambda value: isinstance(value, MiningStatistics),
+    "appends": _is_count,
+    "mining_state": _is_progress,
+}
 
 
 def write_session(session: MiningSession, path: str | Path) -> Path:
@@ -158,10 +188,27 @@ def read_session(path: str | Path) -> MiningSession:
             version=version if isinstance(version, int) else None,
         )
 
+    for name, valid in _FIELD_CHECKS.items():
+        if name not in payload:
+            raise SessionFormatError(
+                f"{path} is missing session payload entry {name!r}",
+                path=path,
+                version=version,
+            )
+        if not valid(payload[name]):
+            raise SessionFormatError(
+                f"{path} holds a malformed session payload entry {name!r} "
+                f"(a {type(payload[name]).__name__})",
+                path=path,
+                version=version,
+            )
+    session = MiningSession(config=payload["config"])
+    session.n_sequences = payload["n_sequences"]
+    session.events = payload["events"]
+    session.statistics = payload["statistics"]
+    session.appends = payload["appends"]
+    session._mining_state = payload["mining_state"]
     try:
-        session = MiningSession(config=payload["config"])
-        session.n_sequences = payload["n_sequences"]
-        session.events = payload["events"]
         # Level-1 nodes are the same objects as their ``events`` entries
         # (pickle preserves identity within one payload), so the graph is
         # rebuilt by key.
@@ -170,16 +217,6 @@ def read_session(path: str | Path) -> MiningSession:
             level1={key: payload["events"][key] for key in payload["level1_keys"]},
             levels=payload["levels"],
         )
-        session.statistics = payload["statistics"]
-        session.appends = payload["appends"]
-        session._mining_state = payload["mining_state"]
-    except KeyError as error:
-        raise SessionFormatError(
-            f"{path} is missing session payload entry {error}",
-            path=path,
-            version=version,
-        ) from error
-    try:
         # One per-(event, sequence) instance-count matrix for the whole load.
         table = InstanceTable(session.graph.level1, session.n_sequences)
         for _level, _node, entry in session.graph.iter_pattern_entries():

@@ -35,58 +35,19 @@ def gaussian_breakpoints(alphabet_size: int) -> list[float]:
 
     Returns ``alphabet_size - 1`` increasing cut points such that a standard
     normal variable falls into each of the ``alphabet_size`` buckets with equal
-    probability.  Values are computed with the inverse error function so no
-    SciPy dependency is needed.
+    probability: breakpoint ``i`` is the normal quantile of ``i /
+    alphabet_size``, from the standard library's
+    :meth:`statistics.NormalDist.inv_cdf`, so every environment cuts a series
+    at the same values.
     """
     if alphabet_size < 2:
         raise ConfigurationError(f"alphabet_size must be at least 2, got {alphabet_size}")
-    from math import sqrt
+    # Imported here: ``statistics`` loads ``decimal`` and ``fractions``
+    # (about 0.4 MiB of resident memory), which only SAX needs.
+    from statistics import NormalDist
 
-    try:
-        from numpy import vectorize  # noqa: F401  (numpy always present)
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
-        raise
-    # Inverse normal CDF via the erfinv expansion available in numpy >= 1.17
-    # through scipy-free approximation: use np.sqrt(2) * erfinv(2p - 1).
-    probabilities = np.arange(1, alphabet_size) / alphabet_size
-    try:
-        from scipy.special import erfinv  # type: ignore
-
-        return [float(sqrt(2) * erfinv(2 * p - 1)) for p in probabilities]
-    except Exception:
-        # Acklam's rational approximation of the inverse normal CDF: accurate to
-        # ~1e-9, more than enough for breakpoint placement.
-        return [float(_inverse_normal_cdf(p)) for p in probabilities]
-
-
-def _inverse_normal_cdf(p: float) -> float:
-    """Acklam's approximation of the standard normal quantile function."""
-    if not 0.0 < p < 1.0:
-        raise ConfigurationError(f"probability must be in (0, 1), got {p}")
-    a = [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00]
-    b = [-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01]
-    c = [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00]
-    d = [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00]
-    plow, phigh = 0.02425, 1 - 0.02425
-    if p < plow:
-        q = np.sqrt(-2 * np.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    if p > phigh:
-        q = np.sqrt(-2 * np.log(1 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1
-    )
+    normal = NormalDist()
+    return [normal.inv_cdf(i / alphabet_size) for i in range(1, alphabet_size)]
 
 
 @dataclass

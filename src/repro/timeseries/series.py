@@ -13,7 +13,6 @@ regular grid and basic statistics used by the symbolisers.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 

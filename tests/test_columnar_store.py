@@ -19,6 +19,7 @@ import os
 import pickle
 import random
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 from itertools import combinations
 from typing import NamedTuple
@@ -29,7 +30,6 @@ import pytest
 import repro.core.engine as engine_module
 import repro.core.hpg as hpg_module
 from repro import (
-    ConfigurationError,
     HTPGM,
     MiningConfig,
     MiningSession,
@@ -45,6 +45,8 @@ from repro.core.bitmap import Bitmap
 from repro.datasets import make_dataset
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
+import reference_miner
+from reference_miner import from_rows, reference_evaluation
 from test_engine_parity import (
     assert_parity,
     mined_tuples,
@@ -89,8 +91,8 @@ def _positions(table: InstanceTable, events, sequence_id: int, matrix) -> np.nda
 
 class TestIndexStore:
     def test_per_hit_and_batched_inserts_build_the_identical_matrix(self):
-        """The scalar path's per-hit rows (``from_rows``) and the vectorized
-        pass's whole checked block build the same three arrays."""
+        """The scalar reference's per-hit rows (``from_rows``) and the
+        vectorized pass's whole checked block build the same three arrays."""
         rng = random.Random(3)
         pattern = _pattern(3)
         rows = [
@@ -98,7 +100,7 @@ class TestIndexStore:
             for sequence_id in (2, 7, 9)
             for _ in range(rng.randint(1, 80))
         ]
-        per_hit = PatternEntry.from_rows(pattern, rows)
+        per_hit = from_rows(pattern, rows)
         block = hpg_module._checked_rows(np.asarray([row for _, row in rows]))
         counts = Counter(sequence_id for sequence_id, _ in rows)
         batched = PatternEntry(
@@ -118,7 +120,7 @@ class TestIndexStore:
     def test_rows_arriving_out_of_sequence_order_fold_in_stably(self):
         """The block is sorted by sequence; each sequence keeps its rows in
         arrival order."""
-        entry = PatternEntry.from_rows(
+        entry = from_rows(
             _pattern(2), [(5, (0, 0)), (1, (1, 1)), (5, (2, 2)), (1, (3, 3))]
         )
         assert entry.sequences.tolist() == [1, 5]
@@ -128,8 +130,9 @@ class TestIndexStore:
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_matrices_are_ascending_views_of_the_one_block(self, vectorized):
         config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
-        session = MiningSession(config.with_vectorized(vectorized))
-        session.mine(random_database(5, n_sequences=10, max_instances=12))
+        session = MiningSession(config)
+        with nullcontext() if vectorized else reference_evaluation():
+            session.mine(random_database(5, n_sequences=10, max_instances=12))
         checked = 0
         for _level, _node, entry in session.graph.iter_pattern_entries():
             sequence_ids = [sid for sid, _ in entry.iter_index_matrices()]
@@ -145,7 +148,7 @@ class TestIndexStore:
             entry.index_matrix(max(sequence_ids) + 1)
 
     def test_pickled_state_is_the_pattern_and_three_arrays(self):
-        entry = PatternEntry.from_rows(_pattern(2), [(0, (0, 1)), (4, (2, 3))])
+        entry = from_rows(_pattern(2), [(0, (0, 1)), (4, (2, 3))])
         assert PatternEntry.__slots__ == ("pattern", "sequences", "offsets", "rows")
         state = entry.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
         assert set(state) == {"pattern", "sequences", "offsets", "rows"}
@@ -165,7 +168,7 @@ class TestIndexStore:
         pattern = TemporalPattern(
             events=(node_a.event, node_b.event), relations=(Relation.FOLLOW,)
         )
-        entry = PatternEntry.from_rows(
+        entry = from_rows(
             pattern, [(0, (rng.randrange(20), rng.randrange(20))) for _ in range(30)]
         )
         restored = pickle.loads(pickle.dumps(entry))
@@ -193,7 +196,7 @@ class TestIndexStore:
                 events=tuple(node.event for node in nodes),
                 relations=(Relation.FOLLOW,) * (k * (k - 1) // 2),
             )
-            entry = PatternEntry.from_rows(
+            entry = from_rows(
                 pattern,
                 [
                     (
@@ -281,16 +284,18 @@ class TestOverflowGuard:
         monkeypatch.setattr(hpg_module, "_INDEX_MAX", 2)
         database = random_database(31, n_sequences=6, n_series=2, max_instances=40)
         config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
-        for vectorized in (True, False):
-            with pytest.raises(RepresentationOverflowError, match="does not fit"):
-                HTPGM(config.with_vectorized(vectorized)).mine(database)
+        for evaluation in (nullcontext(), reference_evaluation()):
+            with evaluation, pytest.raises(
+                RepresentationOverflowError, match="does not fit"
+            ):
+                HTPGM(config).mine(database)
 
     def test_scalar_rows_past_the_ceiling_raise_on_consolidation(self, monkeypatch):
         from repro import RepresentationOverflowError
 
         monkeypatch.setattr(hpg_module, "_INDEX_MAX", 100)
         with pytest.raises(RepresentationOverflowError, match="does not fit"):
-            PatternEntry.from_rows(_pattern(2), [(0, (0, 101))])
+            from_rows(_pattern(2), [(0, (0, 101))])
 
     def test_true_int32_boundary(self):
         from repro import RepresentationOverflowError
@@ -304,7 +309,7 @@ class TestOverflowGuard:
 
     def test_in_range_blocks_are_unaffected(self, monkeypatch):
         monkeypatch.setattr(hpg_module, "_INDEX_MAX", 100)
-        entry = PatternEntry.from_rows(_pattern(2), [(0, (99, 100)), (1, (7, 8))])
+        entry = from_rows(_pattern(2), [(0, (99, 100)), (1, (7, 8))])
         assert entry.index_matrix(0).tolist() == [[99, 100]]
         assert entry.index_matrix(1).tolist() == [[7, 8]]
         assert entry.index_matrix(0).dtype == np.int32
@@ -366,16 +371,15 @@ class TestEntriesAreValues:
         ]
         assert found.stats.relation_checks == expected.stats.relation_checks
         # The trap is live: the scalar reference does read the lists.
-        scalar = replace(unreadable, config=self.CONFIG.with_vectorized(False))
         with pytest.raises(AssertionError, match="read an instance list"):
-            engine_module.evaluate_candidates(scalar, candidates)
+            reference_miner.evaluate_candidates(unreadable, candidates)
 
     def test_the_scalar_reference_resolves_each_parent_run_once_per_call(
         self, monkeypatch
     ):
         resolved, extended = Counter(), Counter()
         materialise = PatternEntry.materialise
-        extend = engine_module._extend_sequence_scalar
+        extend = reference_miner._extend_sequence_scalar
 
         def counting_materialise(entry, sequence_id, level1):
             resolved[entry.pattern, sequence_id] += 1
@@ -386,10 +390,10 @@ class TestEntriesAreValues:
             return extend(context, hits, pattern, sequence_id, *args)
 
         monkeypatch.setattr(PatternEntry, "materialise", counting_materialise)
-        monkeypatch.setattr(engine_module, "_extend_sequence_scalar", counting_extend)
-        context = replace(self._context(3), config=self.CONFIG.with_vectorized(False))
+        monkeypatch.setattr(reference_miner, "_extend_sequence_scalar", counting_extend)
+        context = self._context(3)
         candidates = list(combinations(sorted(context.level1), 3))
-        engine_module.evaluate_candidates(context, candidates)
+        reference_miner.evaluate_candidates(context, candidates)
         assert max(extended.values()) > 1, "no parent run serves two candidates"
         assert resolved == Counter(dict.fromkeys(extended, 1))
 
@@ -398,12 +402,12 @@ class TestKernelChunking:
     def test_anchor_chunks_cover_everything_in_order(self):
         lo = np.array([0, 0, 2, 5, 5], dtype=np.intp)
         hi = np.array([4, 3, 9, 5, 30], dtype=np.intp)
-        for max_pairs in (1, 3, 7, 100, None):
+        for max_pairs in (1, 3, 7, 100, 10**9):
             ranges = list(_anchor_chunks(lo, hi, max_pairs))
             assert ranges[0][0] == 0 and ranges[-1][1] == len(lo)
             for (_, stop), (next_start, _) in zip(ranges, ranges[1:]):
                 assert stop == next_start
-            if max_pairs is None:
+            if max_pairs >= 100:
                 assert ranges == [(0, len(lo))]
 
     def test_anchor_chunks_respect_the_budget(self):
@@ -423,21 +427,23 @@ class TestKernelChunking:
         assert list(_anchor_chunks(empty, empty, 10)) == []
 
     @pytest.mark.parametrize("tmax", [None, 60.0])
-    def test_tiny_chunk_budget_changes_nothing(self, tmax):
+    def test_tiny_chunk_budget_changes_nothing(self, tmax, monkeypatch):
         """A pathologically small mask budget forces many chunks in the
         vectorized pass at every level; results and counters must be
         untouched — including on the ``tmax=None`` dense workload the budget
         exists for."""
         database = random_database(31, n_sequences=6, n_series=2, max_instances=40)
-        base = MiningConfig(
+        config = MiningConfig(
             min_support=0.3,
             min_confidence=0.3,
             min_overlap=1.0,
             tmax=tmax,
             max_pattern_size=3,
         )
-        chunked = HTPGM(replace(base, kernel_chunk_bytes=64)).mine(database)
-        unchunked = HTPGM(replace(base, kernel_chunk_bytes=None)).mine(database)
+        monkeypatch.setattr(engine_module, "_PASS_CHUNK_BYTES", 64)
+        chunked = HTPGM(config).mine(database)
+        monkeypatch.setattr(engine_module, "_PASS_CHUNK_BYTES", 1 << 62)
+        unchunked = HTPGM(config).mine(database)
         assert mined_tuples(chunked) == mined_tuples(unchunked)
         assert (
             chunked.statistics.relation_checks == unchunked.statistics.relation_checks
@@ -446,14 +452,6 @@ class TestKernelChunking:
             chunked.statistics.pruned_relation_checks
             == unchunked.statistics.pruned_relation_checks
         )
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            MiningConfig(kernel_chunk_bytes=0)
-        with pytest.raises(ConfigurationError):
-            MiningConfig(kernel_chunk_bytes=-1)
-        assert MiningConfig(kernel_chunk_bytes=None).kernel_chunk_bytes is None
-        assert MiningConfig().kernel_chunk_bytes == 64 * 1024 * 1024
 
 
 class Pass(NamedTuple):
@@ -500,8 +498,9 @@ class TestExtensionBatchBound:
         batched = MiningSession(config)
         batched_result = batched.mine(database)
         per_level = Counter(step.level for step in passes)
-        scalar = MiningSession(config.with_vectorized(False))
-        scalar_result = scalar.mine(database)
+        scalar = MiningSession(config)
+        with reference_evaluation():
+            scalar_result = scalar.mine(database)
         assert sum(per_level.values()) == len(passes), "the scalar run made a pass"
         # Mined tuples and every work counter, both check counters included.
         assert_parity(scalar_result, batched_result)
@@ -514,7 +513,7 @@ class TestExtensionBatchBound:
             assert set(per_level) == {2}
         else:
             assert max(per_level) >= 3, "the database must reach level 3"
-        if config.kernel_chunk_bytes is None or config.kernel_chunk_bytes > 1 << 20:
+        if engine_module._PASS_CHUNK_BYTES > 1 << 20:
             assert all(step.kernel_calls <= 1 for step in passes)
             if bound == 1:
                 assert len(passes) > len(per_level)
@@ -598,11 +597,11 @@ class TestExtensionBatchBound:
     @pytest.mark.parametrize("bound", [1, 10**9])
     def test_tiny_kernel_chunks(self, bound, max_size, monkeypatch, passes):
         """A 64-byte chunk budget cuts every pass into one-row chunks."""
+        monkeypatch.setattr(engine_module, "_PASS_CHUNK_BYTES", 64)
         config = MiningConfig(
             min_support=0.25,
             min_confidence=0.25,
             min_overlap=1.0,
-            kernel_chunk_bytes=64,
             max_pattern_size=max_size,
         )
         self._assert_bound_parity(
@@ -633,7 +632,9 @@ class TestExtensionBatchBound:
         logged = [line.split() for line in log.read_text().splitlines()]
         assert {level for _, level in logged} == {"2"}
         assert {pid for pid, _ in logged} - {str(os.getpid())}
-        assert_parity(HTPGM(config.with_vectorized(False)).mine(database), pooled)
+        with reference_evaluation():
+            scalar = HTPGM(config).mine(database)
+        assert_parity(scalar, pooled)
 
     @pytest.mark.parametrize("with_parents", [False, True], ids=["no-parent", "lemma-5"])
     def test_candidates_that_queue_nothing_are_not_pending(self, with_parents):
@@ -655,7 +656,7 @@ class TestExtensionBatchBound:
         stats = MiningStatistics()
         batch = engine_module._ExtensionBatch(context, stats, [])
         for candidate in combinations(sorted(graph.level1), 3):
-            batch.add(context, candidate, stats)
+            batch.add(candidate)
         survivors = (
             stats.candidates_generated[3]
             - stats.pruned_support.get(3, 0)
@@ -709,9 +710,9 @@ class TestLevelKBatching:
             min_support=0.45, min_confidence=0.45, epsilon=0.0, min_overlap=1.0
         )
         scalar_calls = []
-        extend = engine_module._extend_sequence_scalar
+        extend = reference_miner._extend_sequence_scalar
         monkeypatch.setattr(
-            engine_module,
+            reference_miner,
             "_extend_sequence_scalar",
             lambda *args: (scalar_calls.append(1), extend(*args))[1],
         )
@@ -723,7 +724,8 @@ class TestLevelKBatching:
         assert levelk_passes and not scalar_calls
         assert sum(step.kernel_calls for step in levelk_passes) <= len(levelk_passes)
         assert set(_short_passes_per_level(levelk_passes).values()) <= {1}
-        reference = HTPGM(config.with_vectorized(False)).mine(database)
+        with reference_evaluation():
+            reference = HTPGM(config).mine(database)
         assert scalar_calls
         assert levels == levelk(reference.statistics.relation_checks)
         assert mined_tuples(batched) == mined_tuples(reference)
@@ -748,9 +750,9 @@ class TestLevel2Batching:
             max_pattern_size=2,
         )
         pair_calls = []
-        evaluate_pair = engine_module._evaluate_pair
+        evaluate_pair = reference_miner._evaluate_pair
         monkeypatch.setattr(
-            engine_module,
+            reference_miner,
             "_evaluate_pair",
             lambda *args: (pair_calls.append(1), evaluate_pair(*args))[1],
         )
@@ -759,8 +761,9 @@ class TestLevel2Batching:
         assert not pair_calls
         assert {step.level for step in passes} == {2} and len(passes) > 1
         assert set(_short_passes_per_level(passes).values()) <= {1}
-        scalar = MiningSession(config.with_vectorized(False))
-        scalar_result = scalar.mine(database)
+        scalar = MiningSession(config)
+        with reference_evaluation():
+            scalar_result = scalar.mine(database)
         assert pair_calls
         checks = batched_result.statistics.relation_checks
         assert checks[2] == scalar_result.statistics.relation_checks[2] > 0

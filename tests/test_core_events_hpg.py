@@ -6,8 +6,10 @@ import pytest
 
 from repro import Bitmap, Relation, TemporalPattern
 from repro.core.events import collect_events, format_event, parse_event
-from repro.core.hpg import CombinationNode, EventNode, HierarchicalPatternGraph, PatternEntry
+from repro.core.hpg import CombinationNode, EventNode, HierarchicalPatternGraph
 from repro.timeseries import EventInstance
+
+from reference_miner import from_rows
 
 
 class TestEventHelpers:
@@ -76,7 +78,7 @@ class TestHierarchicalPatternGraph:
             events=(("K", "On"), ("T", "On")), bitmap=Bitmap.from_indices(4, [0, 1, 2])
         )
         pattern = TemporalPattern(events=(("K", "On"), ("T", "On")), relations=(Relation.CONTAIN,))
-        node.patterns[pattern] = PatternEntry.from_rows(pattern, [(0, (0, 0))])
+        node.patterns[pattern] = from_rows(pattern, [(0, (0, 0))])
         graph.add_combination_node(node)
         assert graph.max_level() == 2
         assert graph.nodes_at(2) == [node]
@@ -101,7 +103,7 @@ class TestHierarchicalPatternGraph:
             )
             for name, instance in (("K", instance_k), ("T", instance_t))
         }
-        entry = PatternEntry.from_rows(pattern, [(0, (0, 0)), (0, (0, 0)), (2, (0, 0))])
+        entry = from_rows(pattern, [(0, (0, 0)), (0, (0, 0)), (2, (0, 0))])
         assert entry.support == 2
         assert entry.sequence_ids() == {0, 2}
         assert entry.n_occurrences == 3
@@ -116,7 +118,7 @@ class TestHierarchicalPatternGraph:
         keep = TemporalPattern(events=(("K", "On"), ("T", "On")), relations=(Relation.FOLLOW,))
         drop = TemporalPattern(events=(("K", "On"), ("T", "On")), relations=(Relation.CONTAIN,))
         for sequence_id, pattern in enumerate((keep, drop)):
-            node.patterns[pattern] = PatternEntry.from_rows(pattern, [(sequence_id, (0, 0))])
+            node.patterns[pattern] = from_rows(pattern, [(sequence_id, (0, 0))])
         node.prune_patterns({keep})
         assert node.has_patterns()
         assert list(node.patterns) == [keep]

@@ -12,6 +12,7 @@ work-counter totals between :class:`SerialBackend` and
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -32,6 +33,8 @@ from repro.core.engine import (
     backend_from_config,
 )
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
+
+from reference_miner import reference_evaluation
 
 #: Counter dicts that must agree exactly between engines (same work performed).
 _COUNTER_NAMES = (
@@ -176,14 +179,10 @@ class TestSpawnPoolParity(TestRandomDatabaseParity, TestPaperExampleParity):
 
 
 class TestVectorizedScalarParity:
-    """The relation kernel is a pure performance switch: scalar and vectorized
-    runs must agree on the full mined output *and* on every work counter —
+    """The pass against the scalar reference (``tests/reference_miner.py``):
+    both must agree on the full mined output *and* on every work counter —
     including ``relation_checks``, whose scalar early-exit semantics the
     kernel reconstructs from the first failing position of each batch row."""
-
-    def test_vectorized_is_the_default(self):
-        assert MiningConfig().vectorized is True
-        assert MiningConfig().with_vectorized(False).vectorized is False
 
     @pytest.mark.parametrize("pruning", list(PruningMode))
     @pytest.mark.parametrize("allow_self", [True, False])
@@ -197,7 +196,8 @@ class TestVectorizedScalarParity:
             allow_self_relations=allow_self,
         )
         vectorized = HTPGM(config).mine(database)
-        scalar = HTPGM(config.with_vectorized(False)).mine(database)
+        with reference_evaluation():
+            scalar = HTPGM(config).mine(database)
         assert_parity(scalar, vectorized)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -213,7 +213,8 @@ class TestVectorizedScalarParity:
             max_pattern_size=4,
         )
         vectorized = HTPGM(config).mine(database)
-        scalar = HTPGM(config.with_vectorized(False)).mine(database)
+        with reference_evaluation():
+            scalar = HTPGM(config).mine(database)
         assert_parity(scalar, vectorized)
 
     def test_dense_level_2_runs_in_row_bounded_passes(self, monkeypatch):
@@ -240,15 +241,15 @@ class TestVectorizedScalarParity:
         level2 = [rows for level, rows in passes if level == 2]
         assert 1 < len(level2) < vectorized.statistics.candidates_generated[2]
         assert all(rows >= bound for rows in level2[:-1])
-        scalar = HTPGM(config.with_vectorized(False)).mine(database)
+        with reference_evaluation():
+            scalar = HTPGM(config).mine(database)
         assert_parity(scalar, vectorized)
 
     def test_vectorized_process_engine_matches_scalar_serial(self, process_backend):
         database = random_database(seed=37, n_sequences=10)
         config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
-        scalar_serial = HTPGM(
-            config.with_vectorized(False), backend=SerialBackend()
-        ).mine(database)
+        with reference_evaluation():
+            scalar_serial = HTPGM(config, backend=SerialBackend()).mine(database)
         vectorized_parallel = HTPGM(config, backend=process_backend).mine(database)
         assert_parity(scalar_serial, vectorized_parallel)
 
@@ -266,7 +267,8 @@ class TestVectorizedScalarParity:
         session = MiningSession(config)
         session.mine(base)
         appended = session.append(delta)
-        scratch = HTPGM(config.with_vectorized(False)).mine(database)
+        with reference_evaluation():
+            scratch = HTPGM(config).mine(database)
         assert mined_tuples(appended) == mined_tuples(scratch)
 
 
@@ -325,7 +327,8 @@ class TestColumnarStoreParity:
     def test_scalar_and_vectorized_build_the_identical_store(self):
         database = random_database(seed=23, n_sequences=10, max_instances=14)
         vectorized = self._session_store(database, self.CONFIG)
-        scalar = self._session_store(database, self.CONFIG.with_vectorized(False))
+        with reference_evaluation():
+            scalar = self._session_store(database, self.CONFIG)
         assert store_snapshot(vectorized.graph) == store_snapshot(scalar.graph)
 
     def _assert_pool_builds_the_serial_store(self, backend):
@@ -370,25 +373,52 @@ class TestColumnarStoreParity:
 
 
 class TestWorkerPoolParity:
-    """Two more pool axes: a scalar config evaluated by workers, and the
-    spawn start method's persistent pool (context pickled with every shard
-    instead of inherited through fork copy-on-write)."""
+    """Two more pool axes: the scalar reference evaluated by workers, and
+    the spawn start method's persistent pool (context pickled with every
+    shard instead of inherited through fork copy-on-write)."""
 
     CONFIG = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
 
     def test_scalar_config_through_the_pool(self, process_backend):
         database = random_database(seed=19, n_sequences=8)
-        config = self.CONFIG.with_vectorized(False)
-        serial = HTPGM(config, backend=SerialBackend()).mine(database)
-        parallel = HTPGM(config, backend=process_backend).mine(database)
+        with reference_evaluation():
+            serial = HTPGM(self.CONFIG, backend=SerialBackend()).mine(database)
+            parallel = HTPGM(self.CONFIG, backend=process_backend).mine(database)
         assert_parity(serial, parallel)
 
     def test_scalar_config_through_the_spawn_pool(self, spawn_backend):
         database = random_database(seed=19, n_sequences=8)
-        config = self.CONFIG.with_vectorized(False)
-        serial = HTPGM(config, backend=SerialBackend()).mine(database)
-        parallel = HTPGM(config, backend=spawn_backend).mine(database)
+        with reference_evaluation():
+            serial = HTPGM(self.CONFIG, backend=SerialBackend()).mine(database)
+            parallel = HTPGM(self.CONFIG, backend=spawn_backend).mine(database)
         assert_parity(serial, parallel)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_workers_run_the_reference(self, start_method, tmp_path, monkeypatch):
+        """Inside ``reference_evaluation`` a fresh pool's workers evaluate
+        with the reference, and no pass runs in the coordinator or a forked
+        worker; otherwise the pool cells above would compare the pass with
+        itself."""
+        import repro.core.engine as engine_module
+
+        config = MiningConfig(min_support=0.25, min_confidence=0.25, min_overlap=1.0)
+        database = random_database(seed=19, n_sequences=8)
+        expected = HTPGM(config).mine(database)
+
+        def no_pass(*args):
+            raise AssertionError("the vectorized pass ran")
+
+        monkeypatch.setattr(engine_module._ExtensionBatch, "__init__", no_pass)
+        log = tmp_path / "evaluations"
+        log.touch()
+        with ProcessPoolBackend(
+            n_workers=2, min_candidates_per_worker=1, start_method=start_method
+        ) as backend, reference_evaluation(log):
+            pooled = HTPGM(config, backend=backend).mine(database)
+        logged = [line.split() for line in log.read_text().splitlines()]
+        in_workers = {level for pid, level in logged if pid != str(os.getpid())}
+        assert {"2", "3"} <= in_workers
+        assert_parity(expected, pooled)
 
     def test_plain_spawn_parity(self):
         """start_method="spawn": the per-shard pickle transport on a

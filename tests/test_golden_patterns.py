@@ -3,7 +3,8 @@
 ``tests/golden/*.json`` freezes the exact pattern sets mined from the bundled
 synthetic smart-city and appliance (DataPort stand-in) datasets, and the work
 counters of those runs.  These tests re-mine each dataset on every execution
-engine and demand byte-level agreement with the fixtures — catching both
+engine, and through the scalar reference (``tests/reference_miner.py``), and
+demand byte-level agreement with the fixtures — catching both
 accidental algorithmic drift (a changed pruning rule, a reordered relation, a
 candidate evaluated that used to be pruned) and engine-specific divergence (a
 shard merged in the wrong order, a candidate evaluated twice).  The A-HTPGM
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,8 @@ import pytest
 from repro import AHTPGM, HTPGM, MiningConfig
 from repro.core.correlation import pairwise_nmi
 from repro.datasets import make_dataset
+
+from reference_miner import reference_evaluation
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
@@ -37,7 +41,22 @@ from regenerate import (  # noqa: E402  (fixture helpers live next to the data)
 )
 
 GOLDEN_NAMES = ("dataport", "smartcity")
-ENGINES = ("serial", "process")
+#: The execution engines, and the scalar reference run serially.
+ENGINES = ("serial", "process", "reference")
+
+
+def engine_config(payload, engine: str) -> MiningConfig:
+    """The golden run's configuration on ``engine``."""
+    return MiningConfig(
+        **payload["config_kwargs"],
+        engine="process" if engine == "process" else "serial",
+        n_workers=2 if engine == "process" else None,
+    )
+
+
+def evaluation(engine: str):
+    """The context a mine on ``engine`` runs in."""
+    return reference_evaluation() if engine == "reference" else nullcontext()
 
 
 @pytest.fixture(scope="module", params=GOLDEN_NAMES)
@@ -54,13 +73,10 @@ class TestGoldenPatterns:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_engine_reproduces_golden_patterns(self, golden_case, engine):
         payload, sequence_db = golden_case
-        config = MiningConfig(
-            **payload["config_kwargs"],
-            engine=engine,
-            n_workers=2 if engine == "process" else None,
-        )
-        result = HTPGM(config).mine(sequence_db)
-        assert result.engine == engine
+        config = engine_config(payload, engine)
+        with evaluation(engine):
+            result = HTPGM(config).mine(sequence_db)
+        assert result.engine == config.engine
         assert result.n_sequences == payload["n_sequences"]
         assert len(result) == payload["n_patterns"]
         assert golden_records(result) == payload["patterns"]
@@ -93,13 +109,10 @@ class TestApproximateGolden:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_engine_reproduces_golden_ahtpgm(self, approximate_case, engine):
         payload, symbolic_db, sequence_db = approximate_case
-        config = MiningConfig(
-            **payload["config_kwargs"],
-            engine=engine,
-            n_workers=2 if engine == "process" else None,
-        )
+        config = engine_config(payload, engine)
         miner = AHTPGM(config, graph_density=payload["graph_density"])
-        result = miner.mine(sequence_db, symbolic_db)
+        with evaluation(engine):
+            result = miner.mine(sequence_db, symbolic_db)
         graph = miner.correlation_graph_
         mu = float(payload["mi_threshold"])
         assert repr(float(graph.mi_threshold)) == payload["mi_threshold"]
@@ -107,7 +120,7 @@ class TestApproximateGolden:
             row for row in payload["pairwise_nmi"] if float(row[2]) >= mu
         ]
         assert result.correlated_series == payload["correlated_series"]
-        assert result.engine == engine
+        assert result.engine == config.engine
         assert result.n_sequences == payload["n_sequences"]
         assert len(result) == payload["n_patterns"]
         assert golden_records(result) == payload["patterns"]

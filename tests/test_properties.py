@@ -16,6 +16,8 @@ These cover the library's load-bearing invariants:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,7 @@ from repro.timeseries import (
     TemporalSequence,
 )
 
+from reference_miner import reference_evaluation
 from test_engine_parity import store_snapshot
 from test_session import work_counters
 
@@ -304,10 +307,11 @@ class TestMiningProperties:
         full = SequenceDatabase(base.sequences + delta)
         expected = [(m.pattern, m.support, m.confidence) for m in scratch.mine(full)]
         counters = []
-        for vectorized in (True, False):
-            session = MiningSession(config.with_vectorized(vectorized))
-            session.mine(base)
-            result = session.append(delta)
+        for evaluation in (nullcontext(), reference_evaluation()):
+            session = MiningSession(config)
+            with evaluation:
+                session.mine(base)
+                result = session.append(delta)
             assert [(m.pattern, m.support, m.confidence) for m in result] == expected
             assert store_snapshot(session.graph) == store_snapshot(scratch.graph)
             counters.append(work_counters(session.statistics))

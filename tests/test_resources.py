@@ -34,7 +34,7 @@ from repro import (
 from repro.cli import main as cli_main
 from repro.core import engine, faults, resources
 from repro.core.engine import LevelContext, _ShardPiece
-from repro.core.faults import FaultPlan
+from repro.core.faults import FaultPlan, FaultSpec
 from repro.io import read_session
 
 from test_engine_parity import mined_tuples, random_database, store_snapshot
@@ -302,9 +302,9 @@ class TestContextEstimation:
             for entry in node.patterns.values()
         )
         assert stored > 0
-        # The vectorized level-k pass stacks each parent once (a copy of its
-        # entries' row blocks plus their runs); the estimate prices exactly
-        # those stacks.  The scalar reference reads the entries in place.
+        # The level-k pass stacks each parent once (a copy of its entries'
+        # row blocks plus their runs); the estimate prices exactly those
+        # stacks.
         batch = engine._ExtensionBatch(context, None, [])
         stacks = sum(
             rows.index_rows.nbytes + rows.runs.nbytes
@@ -312,8 +312,6 @@ class TestContextEstimation:
         )
         assert stacks > 0
         assert resources.estimate_context_bytes(context) == arrays + stored + stacks
-        context.config = CONFIG.with_vectorized(False)
-        assert resources.estimate_context_bytes(context) == arrays + stored
 
     def test_vectorized_level_2_prices_the_event_row_stacks(self):
         """At level 2 the vectorized pass stacks every event's instance list
@@ -337,8 +335,6 @@ class TestContextEstimation:
         )
         assert stacks > 0
         assert resources.estimate_context_bytes(context) == arrays + stacks
-        context.config = CONFIG.with_vectorized(False)
-        assert resources.estimate_context_bytes(context) == arrays
 
     def test_estimate_never_raises_on_opaque_payloads(self):
         class Opaque:
@@ -350,7 +346,7 @@ class TestContextEstimation:
 
 # --------------------------------------------------------------------------- config
 class TestConfigIntegration:
-    def test_budget_validated_alongside_kernel_chunk_bytes(self):
+    def test_budget_validated(self):
         assert MiningConfig(memory_budget_bytes=None).memory_budget_bytes is None
         assert MiningConfig(memory_budget_bytes=1024).memory_budget_bytes == 1024
         with pytest.raises(ConfigurationError, match="memory_budget_bytes"):
@@ -423,6 +419,49 @@ class TestMemoryErrorRouting:
         )
         assert mined_tuples(result) == mined_tuples(serial_result)
         assert result.statistics.shard_splits == {2: 1}
+
+
+class TestReusedBackendWarnings:
+    """A backend injected into ``HTPGM`` serves every later mine too; each
+    result reports the warnings of its own batches only, like its retry and
+    split counters."""
+
+    def test_a_later_mine_reports_no_earlier_split(self):
+        backend = ProcessPoolBackend(
+            n_workers=2,
+            min_candidates_per_worker=1,
+            memory_budget=1 << 30,
+            fault_plan=FaultPlan([FaultSpec("membudget", level=2, shard=0)]),
+        )
+        miner = HTPGM(CONFIG, backend=backend)
+        database = random_database(3, n_sequences=12)
+        try:
+            first = miner.mine(database)
+            second = miner.mine(database)
+        finally:
+            backend.close()
+        assert first.statistics.shard_splits == {2: 1}
+        assert any("split into pieces" in w for w in first.statistics.warnings)
+        assert second.statistics.shard_splits == {}
+        assert second.statistics.warnings == []
+        assert mined_tuples(second) == mined_tuples(first)
+        assert len(backend.warnings) == 1
+
+    def test_a_degraded_backend_reports_it_on_every_later_mine(self):
+        backend = ProcessPoolBackend(
+            n_workers=2,
+            min_candidates_per_worker=1,
+            fault_plan=FaultPlan.parse("pool:level=2"),
+        )
+        miner = HTPGM(CONFIG, backend=backend)
+        database = random_database(3, n_sequences=12)
+        try:
+            results = [miner.mine(database) for _ in range(2)]
+        finally:
+            backend.close()
+        for result in results:
+            assert len(result.statistics.warnings) == 1
+            assert "process pool unavailable" in result.statistics.warnings[0]
 
 
 # ------------------------------------------------------------------ fault matrix
@@ -554,7 +593,7 @@ class TestGovernorFaultMatrix:
 
     def test_shared_context_mutations_stay_output_preserving(self, baseline):
         database, serial_session, serial_result = baseline
-        # Drive one shard to the floor so kernel_chunk_bytes shrinks for the
+        # Drive one shard to the floor so the chunk cap shrinks for the
         # *whole* level, then let everything else mine with the tiny chunks.
         plan = FaultPlan.parse("membudget:level=2,shard=0,times=6")
         session, result, _backend = _mine_budgeted(database, plan)

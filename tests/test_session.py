@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import random
 import types
+from contextlib import nullcontext
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro import (
 from repro.core.patterns import TemporalPattern
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
+from reference_miner import reference_evaluation
 from test_engine_parity import store_snapshot
 
 
@@ -422,12 +424,13 @@ class TestDeltaPassPromotions:
 
         reference = None
         for vectorized in (True, False):
-            axis_config = config.with_vectorized(vectorized)
+            evaluation = nullcontext() if vectorized else reference_evaluation()
             for backend in (SerialBackend(), process_backend, spawn_backend):
-                session = MiningSession(axis_config)
-                base_result = session.mine(base_db, backend=backend)
-                assert promoted not in base_result.pattern_set()
-                appended = session.append(delta_seqs, backend=backend)
+                session = MiningSession(config)
+                with evaluation:
+                    base_result = session.mine(base_db, backend=backend)
+                    assert promoted not in base_result.pattern_set()
+                    appended = session.append(delta_seqs, backend=backend)
                 assert mined_tuples(appended) == mined_tuples(scratch_result)
                 assert store_snapshot(session.graph) == store_snapshot(scratch.graph)
                 counters = work_counters(session.statistics)

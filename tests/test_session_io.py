@@ -294,6 +294,19 @@ class TestCurrentFormatRoundTrip:
         assert store_snapshot(loaded.graph) == store_snapshot(scratch.graph)
 
 
+#: One value of a wrong type per session field of the envelope.
+_WRONG_TYPES = {
+    "config": None,
+    "n_sequences": "14",
+    "events": [],
+    "level1_keys": None,
+    "levels": [],
+    "statistics": {},
+    "appends": None,
+    "mining_state": {"next_level": "x"},
+}
+
+
 class TestGuards:
     def test_unmined_session_rejected(self, tmp_path):
         with pytest.raises(MiningError):
@@ -326,6 +339,21 @@ class TestGuards:
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(DataError, match="missing session payload"):
             read_session(path)
+
+    @pytest.mark.parametrize("name", list(_WRONG_TYPES))
+    def test_a_field_of_the_wrong_type_is_rejected(
+        self, mined_session, tmp_path, name
+    ):
+        """A field of the wrong type is refused on load, naming the field;
+        a ``None`` config would otherwise load as the default config."""
+        path = write_session(mined_session, tmp_path / "state.bin")
+        payload = pickle.loads(path.read_bytes())
+        payload[name] = _WRONG_TYPES[name]
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(SessionFormatError, match=f"entry '{name}'") as error:
+            read_session(path)
+        assert error.value.path == path
+        assert error.value.version == FORMAT_VERSION
 
     def test_pickle_referencing_unknown_module_rejected(self, tmp_path):
         """A foreign pickle whose classes are not installed here must be a

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,20 @@ class TestGaussianBreakpoints:
     def test_too_small_alphabet_rejected(self):
         with pytest.raises(ConfigurationError):
             gaussian_breakpoints(1)
+
+    def test_each_breakpoint_is_the_normal_quantile(self):
+        normal = NormalDist()
+        for size in range(2, 27):
+            expected = [normal.inv_cdf(i / size) for i in range(1, size)]
+            assert gaussian_breakpoints(size) == expected
+
+    def test_breakpoints_do_not_depend_on_scipy(self, monkeypatch):
+        """The cut points are the same whether or not SciPy is importable."""
+        sizes = range(2, 27)
+        before = [gaussian_breakpoints(size) for size in sizes]
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        assert [gaussian_breakpoints(size) for size in sizes] == before
 
 
 class TestSAXSymbolizer:
