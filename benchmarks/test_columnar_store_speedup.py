@@ -43,7 +43,6 @@ from _bench_utils import (
     best_of,
     emit,
     reference_evaluation,
-    smoke_mode,
 )
 
 #: Minimum end-to-end speedup of the vectorized columnar miner over the

@@ -44,6 +44,13 @@ class Bitmap:
         return cls(length, bits)
 
     @classmethod
+    def from_bytes(cls, length: int, data: bytes) -> "Bitmap":
+        """Bitmap of ``length`` bits read from little-endian ``data`` (bit
+        ``i`` is bit ``i % 8`` of byte ``i // 8``), the inverse of
+        :meth:`to_bytes`."""
+        return cls(length, int.from_bytes(data, "little"))
+
+    @classmethod
     def full(cls, length: int) -> "Bitmap":
         """Bitmap with every bit set."""
         return cls(length, (1 << length) - 1 if length else 0)
@@ -106,6 +113,11 @@ class Bitmap:
     def count(self) -> int:
         """Population count — the support of the indexed object."""
         return self._bits.bit_count()
+
+    def to_bytes(self, size: int) -> bytes:
+        """The bits as ``size`` little-endian bytes (see :meth:`from_bytes`);
+        a multiple of 8 reads as ``uint64`` words."""
+        return self._bits.to_bytes(size, "little")
 
     def get(self, index: int) -> bool:
         """Whether bit ``index`` is set."""

@@ -26,8 +26,9 @@ functions over a picklable :class:`LevelContext`, and puts an
 
 *Cost-balanced sharding.*  The miner estimates every candidate's evaluation
 cost during candidate generation (level 2: instance-pair counts over shared
-sequences; level k: parent occurrence counts × new-event instance counts) and
-passes the estimates to :meth:`ProcessPoolBackend.run`.  Candidates are then
+sequences; level k: parent occurrence counts × new-event instance counts),
+reading the arrays admission reads, and passes the estimates to
+:meth:`ProcessPoolBackend.run`.  Candidates are then
 assigned to shards by greedy LPT (longest processing time first, ties broken
 by candidate index), each shard is re-sorted into ascending candidate order,
 and the merge applies the inverse permutation — so the merged node order, and
@@ -35,7 +36,10 @@ therefore the mined pattern set and the golden fixtures, is byte-identical to
 a serial run while skewed levels no longer wait on one overloaded shard.
 Batches without cost estimates fall back to contiguous equal-count shards.
 
-Under every backend, :func:`evaluate_candidates` runs relation
+Under every backend, :func:`evaluate_candidates` admits candidates
+:data:`_ADMISSION_CHUNK` at a time as one matrix of instance-table rows —
+Apriori over the table's packed bitmap words, one ``searchsorted`` for the
+decompositions' parents, Lemma 5 as one gather — and runs relation
 classification through the kernel of :mod:`repro.core.relation_kernel` over
 the level's flat :class:`~repro.core.hpg.InstanceTable`
 (``LevelContext.instances``), every level alike: segmented passes over
@@ -69,6 +73,7 @@ from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, NamedTuple, Protocol, TypeVar, runtime_checkable
 
 import numpy as np
@@ -193,30 +198,6 @@ class LevelOutcome:
 
 
 # --------------------------------------------------------------------------- evaluation
-def apriori_prune(
-    joint_support: int,
-    max_event_support: int,
-    min_count: int,
-    config: MiningConfig,
-) -> str | None:
-    """Which Apriori check discards a candidate of any level: ``"support"``
-    (Lemma 2), ``"confidence"`` (Lemma 3) or ``None`` when it survives.
-
-    ``max_event_support`` is the largest support among the candidate's
-    events.  Shared by candidate evaluation and the miner's level-2 cost
-    estimator so the prune predicate cannot drift between the two — a drift
-    would not change the mined set (costs never do) but would silently skew
-    the cost-balanced shards.
-    """
-    if not config.pruning.uses_apriori:
-        return None
-    if joint_support < min_count:
-        return "support"
-    if joint_support / max_event_support < config.min_confidence:
-        return "confidence"
-    return None
-
-
 def evaluate_candidates(
     context: LevelContext, candidates: Sequence[Candidate]
 ) -> LevelOutcome:
@@ -232,42 +213,131 @@ def evaluate_candidates(
     stats = MiningStatistics()
     nodes: list[CombinationNode] = []
     batch = _ExtensionBatch(context, stats, nodes)
-    # Armed only inside process-pool workers shipping a budgeted context;
-    # serial runs and the in-process degradation fallback get None.
-    watchdog = resources.shard_watchdog(context)
-    for candidate in candidates:
-        if watchdog is not None:
-            watchdog.check()
-        batch.add(candidate)
+    batch.admit(candidates)
     batch.flush()
     stats.level_seconds[context.level] = time.perf_counter() - started
     return LevelOutcome(nodes=nodes, stats=stats)
 
 
-def _open_combination(
-    context: LevelContext, candidate: Candidate, stats: MiningStatistics
-) -> CombinationNode | None:
-    """The Apriori checks (Lemmas 2–3) of one candidate of any level; the
-    (still empty) node of a survivor, its events sorted."""
-    level = context.level
-    stats.bump(stats.candidates_generated, level)
-    bitmap = Bitmap.intersect_all(
-        context.level1[event].bitmap for event in candidate
-    )
-    support = bitmap.count()
-    prune = apriori_prune(
-        support,
-        max(context.event_support(event) for event in candidate),
-        context.min_count,
-        context.config,
-    )
-    if prune is not None:
-        pruned = stats.pruned_support if prune == "support" else stats.pruned_confidence
-        stats.bump(pruned, level)
-        return None
-    if support == 0:
-        return None
-    return CombinationNode(events=tuple(sorted(candidate)), bitmap=bitmap)
+#: Candidates admitted per step (:meth:`_ExtensionBatch.admit` and the
+#: miner's cost estimators): a step maps its candidates to one ``(n, k)``
+#: matrix of instance-table rows and runs Apriori, the parent lookup and
+#: Lemma 5 as array operations over it, so its arrays (``n`` joint bitmaps
+#: of ``⌈|DSEQ|/64⌉`` words among them) stay bounded.  Results never depend
+#: on it.  Read at call time, so tests monkeypatch it.
+_ADMISSION_CHUNK = 1024
+
+
+def candidate_chunks(table: InstanceTable, candidates: Sequence[Candidate]):
+    """Yield ``(first, rows)`` per admission step: ``rows[i]`` holds the
+    table rows of the events of ``candidates[first + i]``, in candidate
+    order."""
+    index, step = table.index, _ADMISSION_CHUNK
+    for first in range(0, len(candidates), step):
+        chunk = candidates[first : first + step]
+        events = chain.from_iterable(chunk)
+        flat = np.fromiter(map(index.__getitem__, events), np.intp)
+        yield first, flat.reshape(len(chunk), -1)
+
+
+def apriori(context: LevelContext, rows: np.ndarray):
+    """Lemmas 2–3 for candidates given as ``(n, k)`` table rows.
+
+    Returns the joint bitmaps (the AND of the rows' packed level-1 bitmaps,
+    ``InstanceTable.bitmaps``), the joint supports (one population count
+    per word), the largest event support of each candidate, and the two
+    prune masks: Lemma 2 prunes a support below ``min_count``, Lemma 3 then
+    a ``support / max event support`` below ``min_confidence``, divided in
+    ``float64`` as Python divides two ints.  Without Apriori pruning both
+    masks are all False.
+    """
+    bitmaps = context.instances.bitmaps
+    words = bitmaps[rows[:, 0]]
+    for column in rows.T[1:]:
+        words &= bitmaps[column]
+    support = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    event_support = np.bitwise_count(bitmaps).sum(axis=1, dtype=np.int64)
+    max_support = event_support[rows].max(axis=1)
+    low = np.zeros(len(rows), dtype=bool)
+    weak = low.copy()
+    config = context.config
+    if config.pruning.uses_apriori:
+        low = support < context.min_count
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weak = ~low & (support / max_support < config.min_confidence)
+    return words, support, max_support, low, weak
+
+
+def decompositions(rows: np.ndarray) -> np.ndarray:
+    """``(n, k, k - 1)`` parent rows of ``(n, k)`` candidate rows: entry
+    ``[i, j]`` is row ``i`` without column ``j``, the parent of the
+    decomposition whose new event is column ``j``."""
+    k = rows.shape[1]
+    return rows[:, np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)]
+
+
+class _RowIndex:
+    """Exact lookup of integer rows among a fixed set of distinct rows.
+
+    A row's columns fold, left to right, into one ``int64`` key of digits
+    base ``n_values``.  Where the whole row would not fit, the fold takes
+    steps: each step's key is the rank of the row's prefix among the
+    indexed prefixes followed by as many further columns as fit below
+    ``2**63``, so no key overflows for any value count or width.  One
+    ``searchsorted`` per step finds a query's prefix; a query whose prefix
+    is no indexed row's is absent.
+    """
+
+    def __init__(self, rows: np.ndarray, n_values: int) -> None:
+        self.n_values = n_values
+        self.steps: list[tuple[int, int, np.ndarray]] = []
+        ranks, n_ranks, column = np.zeros(len(rows), np.int64), 1, 0
+        while len(rows) and column < rows.shape[1]:
+            stop = column + 1
+            while (
+                stop < rows.shape[1]
+                and n_ranks * n_values ** (stop + 1 - column) < 1 << 63
+            ):
+                stop += 1
+            keys = self._keys(ranks, rows[:, column:stop])
+            unique, ranks = np.unique(keys, return_inverse=True)
+            self.steps.append((column, stop, unique))
+            n_ranks, column = len(unique), stop
+        # The rows are distinct, so the last step's ranks number them.
+        self.positions = np.empty(len(rows), dtype=np.intp)
+        self.positions[ranks] = np.arange(len(rows))
+
+    def _keys(self, ranks: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        width = digits.shape[1]
+        radix = np.array([self.n_values**p for p in range(width - 1, -1, -1)])
+        return ranks * self.n_values**width + digits.astype(np.int64) @ radix
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """Position of each query row among the indexed rows; -1 if absent."""
+        if not len(self.positions):
+            return np.full(len(queries), -1, dtype=np.intp)
+        found = np.ones(len(queries), dtype=bool)
+        ranks = np.zeros(len(queries), dtype=np.int64)
+        for column, stop, unique in self.steps:
+            keys = self._keys(ranks, queries[:, column:stop])
+            ranks = np.minimum(np.searchsorted(unique, keys), len(unique) - 1)
+            found &= unique[ranks] == keys
+        return np.where(found, self.positions[ranks], -1)
+
+
+def parent_index(context: LevelContext) -> tuple[list[CombinationNode], _RowIndex]:
+    """The level-``k`` parents whose events all have table rows, and an
+    index of their event rows (canonical event order, so ascending)."""
+    index = context.instances.index
+    nodes = [
+        node
+        for key, node in context.parents.items()
+        if all(event in index for event in key)
+    ]
+    rows = np.array(
+        [[index[event] for event in node.events] for node in nodes], dtype=np.intp
+    ).reshape(len(nodes), context.level - 1)
+    return nodes, _RowIndex(rows, len(index))
 
 
 def _first_run(entry: PatternEntry, delta_start: int) -> int:
@@ -357,35 +427,44 @@ class _ParentRows(NamedTuple):
     runs: np.ndarray
 
 
-class _Extension(NamedTuple):
-    """One queued (candidate node, new event, parent node) decomposition.
+class _Queued(NamedTuple):
+    """Queued (node, new event, parent) decompositions, one entry of each
+    array per decomposition, in candidate order."""
 
-    ``flipped`` marks the level-2 orientation whose parent is the
-    candidate's second event."""
-
-    node: CombinationNode
-    new_event: EventKey
-    parent: _ParentRows
-    flipped: bool = False
+    #: Position of the decomposition's node in ``_ExtensionBatch.pending``.
+    node: np.ndarray
+    #: Its parent stack: a level-``k`` parent's position in
+    #: ``_ExtensionBatch.parent_nodes``, at level 2 the parent event's row.
+    parent: np.ndarray
+    #: Table row of the new event.
+    new: np.ndarray
+    #: The level-2 orientation whose parent is the candidate's second event.
+    flipped: np.ndarray
+    #: Largest support among the node's events (admission's denominator).
+    support: np.ndarray
 
 
 class _ExtensionBatch:
     """Vectorized growth (Alg. 1 lines 6–20) across candidates of one level.
 
-    :meth:`add` runs a candidate's Apriori checks and queues an
-    :class:`_Extension` per (new event, parent node) decomposition — at
-    level 2, one per orientation of the pair, whose parent is one event's
-    instances.  Once :data:`_EXTENSION_BATCH_ROWS` rows are queued — checked
-    between candidates, so no candidate spans two passes — :meth:`flush`
-    evaluates them in one pass and finalises the queued nodes in candidate
-    order.  The pass is the scalar reference's per-candidate loops batched:
-    the same pairs and gates, Lemmas 4–7 as table lookups (level ``k``
-    only), the scalar loop's early-exit counters rebuilt from each pair's
-    first failing position,
-    and one stored row block per pattern, patterns in first-hit order and
-    each block's sequences ascending — skipping patterns whose (complete)
-    support :func:`admit_patterns` would reject.  A candidate that queues
-    no decomposition can only finalise empty, so it is not kept pending.
+    :meth:`admit` takes candidates :data:`_ADMISSION_CHUNK` at a time and
+    runs, on each chunk's ``(n, k)`` matrix of table rows, the Apriori
+    checks (:func:`apriori`), at level ``k`` the parent lookup of every
+    (candidate, new event) decomposition (one :class:`_RowIndex` search) and
+    Lemma 5 (one gather from ``has_pair``).  It queues each survivor's
+    decompositions — at level 2, one per orientation of the pair, whose
+    parent is one event's instances — as arrays, and only survivors that
+    queue one get a :class:`CombinationNode`: a candidate that queues no
+    decomposition can only finalise empty, so it is not kept pending.  Once
+    :data:`_EXTENSION_BATCH_ROWS` rows are queued — counted between
+    candidates, so no candidate spans two passes — :meth:`flush` evaluates
+    them in one pass and finalises the queued nodes in candidate order.
+    The pass is the scalar reference's per-candidate loops batched: the
+    same pairs and gates, Lemmas 4–7 as table lookups (level ``k`` only),
+    the scalar loop's early-exit counters rebuilt from each pair's first
+    failing position, and one stored row block per pattern, patterns in
+    first-hit order and each block's sequences ascending — skipping
+    patterns whose (complete) support :func:`admit_patterns` would reject.
     A delta pass (``LevelContext.delta_start``) stacks only delta rows,
     stores every pattern it finds and keeps every Apriori survivor.
     """
@@ -398,135 +477,197 @@ class _ExtensionBatch:
         self.transitivity = (
             context.level >= 3 and context.config.pruning.uses_transitivity
         )
-        self.supports = {e: node.support for e, node in context.level1.items()}
-        # Lemma 5 is tested per (candidate, new event): Python lookups win.
-        self.partners = table.has_pair.tolist()
+        #: Event key of each table row.
+        self.events = list(table.index)
         self.group_starts = _group_keys(
             np.repeat(np.arange(table.count.size), table.count.ravel()), table.starts
         )
-        self.parents: dict[tuple[EventKey, ...], tuple | None] = {}
-        self.event_rows: dict[EventKey, _ParentRows] = {}
-        self.queue: list[_Extension] = []
+        self.watchdog = resources.shard_watchdog(context)
+        self.parent_nodes: list[CombinationNode] = []
+        if context.level >= 3:
+            self.parent_nodes, self.parent_index = parent_index(context)
+        n_parents = len(self.events) if context.level == 2 else len(self.parent_nodes)
+        #: Parent stacks by parent id, built on first use.
+        self.stacks: dict[int, _ParentRows | None] = {}
+        #: Patterns, runs and rows of each parent's stack (0 until built, and
+        #: for an absent parent: id -1 reads the last row).
+        self.sizes = np.zeros((n_parents + 1, 3), dtype=np.int64)
+        self.queue: list[_Queued] = []
         self.pending: list[CombinationNode] = []
         self.rows = 0
 
-    def _parent(self, key: tuple[EventKey, ...]) -> tuple | None:
-        """``(parent, its events' table rows, its stacked rows)`` of a parent
-        node, built once from the rows of sequences from ``delta_start`` on
-        (rows ``None`` when no entry has any); ``None`` if the parent is
-        absent."""
-        if key not in self.parents:
-            parent = self.context.parents.get(key)
-            if parent is None:
-                self.parents[key] = None
-                return None
-            index, start = self.table.index, self.context.delta_start
-            entries, firsts = [], []
-            for entry in parent.patterns.values():
-                first = _first_run(entry, start)
-                if first < len(entry.sequences):
-                    entries.append(entry)
-                    firsts.append(first)
-            rows = None
-            if entries:
-                tails = list(zip(entries, firsts))
-                sequences = [entry.sequences[first:] for entry, first in tails]
-                runs = np.column_stack(
-                    (
-                        np.repeat(np.arange(len(entries)), list(map(len, sequences))),
-                        np.concatenate(sequences),
-                        np.concatenate([np.diff(e.offsets[f:]) for e, f in tails]),
-                    )
-                )
-                patterns = [entry.pattern for entry in entries]
-                events = [[index[e] for e in pattern.events] for pattern in patterns]
-                index_rows = np.concatenate([e.rows[e.offsets[f] :] for e, f in tails])
-                rows = _ParentRows(patterns, np.array(events), index_rows, runs)
-            self.parents[key] = (parent, [index[e] for e in key], rows)
-        return self.parents[key]
+    def _parent_rows(self, parent: CombinationNode) -> _ParentRows | None:
+        """A level-``k`` parent's stack, built from the rows of sequences
+        from ``delta_start`` on; ``None`` when no entry has any."""
+        index, start = self.table.index, self.context.delta_start
+        entries, firsts = [], []
+        for entry in parent.patterns.values():
+            first = _first_run(entry, start)
+            if first < len(entry.sequences):
+                entries.append(entry)
+                firsts.append(first)
+        if not entries:
+            return None
+        tails = list(zip(entries, firsts))
+        sequences = [entry.sequences[first:] for entry, first in tails]
+        runs = np.column_stack(
+            (
+                np.repeat(np.arange(len(entries)), list(map(len, sequences))),
+                np.concatenate(sequences),
+                np.concatenate([np.diff(e.offsets[f:]) for e, f in tails]),
+            )
+        )
+        patterns = [entry.pattern for entry in entries]
+        events = [[index[e] for e in pattern.events] for pattern in patterns]
+        index_rows = np.concatenate([e.rows[e.offsets[f] :] for e, f in tails])
+        return _ParentRows(patterns, np.array(events), index_rows, runs)
 
     def _event_rows(self, event: EventKey) -> _ParentRows:
-        """A level-2 parent, built once: ``event``'s instances as one-column
-        rows of list positions, one run per sequence from ``delta_start`` on,
-        under a one-event pattern."""
-        if event not in self.event_rows:
-            table, start = self.table, self.context.delta_start
-            row = table.index[event]
-            sequences = np.flatnonzero(table.count[row, start:]) + start
-            counts = table.count[row, sequences]
-            positions = np.arange(counts.sum()) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            pattern = TemporalPattern(events=(event,), relations=())
-            runs = np.column_stack((np.zeros_like(sequences), sequences, counts))
-            self.event_rows[event] = _ParentRows(
-                [pattern], np.array([[row]]), positions.astype(np.int32)[:, None], runs
-            )
-        return self.event_rows[event]
+        """A level-2 parent: ``event``'s instances as one-column rows of list
+        positions, one run per sequence from ``delta_start`` on, under a
+        one-event pattern."""
+        table, start = self.table, self.context.delta_start
+        row = table.index[event]
+        sequences = np.flatnonzero(table.count[row, start:]) + start
+        counts = table.count[row, sequences]
+        positions = np.arange(counts.sum()) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        pattern = TemporalPattern(events=(event,), relations=())
+        runs = np.column_stack((np.zeros_like(sequences), sequences, counts))
+        return _ParentRows(
+            [pattern], np.array([[row]]), positions.astype(np.int32)[:, None], runs
+        )
 
-    def _queue(self, extension: _Extension) -> None:
-        self.queue.append(extension)
-        self.rows += len(extension.parent.index_rows)
+    def _sizes(self, parents: np.ndarray) -> np.ndarray:
+        """``parents.shape + (3,)``: the patterns, runs and rows of each
+        parent's stack, building the stacks not built yet (zeros for -1,
+        absent)."""
+        for parent in np.unique(parents[parents >= 0]).tolist():
+            if parent not in self.stacks:
+                if self.context.level == 2:
+                    stack = self._event_rows(self.events[parent])
+                else:
+                    stack = self._parent_rows(self.parent_nodes[parent])
+                self.stacks[parent] = stack
+                if stack is not None:
+                    rows = stack.patterns, stack.runs, stack.index_rows
+                    self.sizes[parent] = tuple(map(len, rows))
+        return self.sizes[parents]
 
-    def add(self, candidate: Candidate) -> None:
-        """Queue one candidate; run a pass once enough rows are queued."""
-        context, stats = self.context, self.stats
-        node = _open_combination(context, candidate, stats)
-        if node is None:
-            return
-        queued = len(self.queue)
-        if context.level == 2:
+    def admit(self, candidates: Sequence[Candidate]) -> None:
+        """Admit candidates in order, :data:`_ADMISSION_CHUNK` at a time,
+        running a pass whenever enough rows are queued."""
+        for first, rows in candidate_chunks(self.table, candidates):
+            if self.watchdog is not None:
+                self.watchdog.check(len(rows))
+            self._admit(candidates[first : first + len(rows)], rows)
+
+    def _admit(self, candidates: Sequence[Candidate], rows: np.ndarray) -> None:
+        context, stats, level = self.context, self.stats, self.context.level
+        words, support, max_support, low, weak = apriori(context, rows)
+        stats.bump(stats.candidates_generated, level, len(rows))
+        stats.bump(stats.pruned_support, level, int(low.sum()))
+        stats.bump(stats.pruned_confidence, level, int(weak.sum()))
+        alive = np.flatnonzero(~(low | weak) & (support > 0))
+        if level == 2:
             # Each orientation finds the pairs whose chronologically first
             # instance is its parent event's; a self pair has one.
-            first, second = candidate
-            self._queue(_Extension(node, second, self._event_rows(first)))
-            if second != first:
-                rows = self._event_rows(second)
-                self._queue(_Extension(node, first, rows, flipped=True))
+            pairs = rows[alive]
+            parents, new = pairs.ravel(), pairs[:, ::-1].ravel()
+            flipped = np.tile([False, True], len(pairs))
+            queued = ~flipped | (parents != new)
         else:
-            for new_event in node.events:
-                stack = self._parent(tuple(e for e in node.events if e != new_event))
-                if stack is None:
-                    continue
-                parent, parent_rows, rows = stack
-                if rows is None:
-                    continue
-                partners = self.partners[self.table.index[new_event]]
-                if self.transitivity and not all(partners[row] for row in parent_rows):
-                    # Lemma 5 fails for every entry alike; the scalar loop
-                    # counts each.
-                    level, n_entries = context.level, len(rows.patterns)
-                    stats.bump(stats.pruned_relation_checks, level, n_entries)
-                else:
-                    self._queue(_Extension(node, new_event, rows))
-        if len(self.queue) > queued or context.delta_start:
-            self.pending.append(node)
-        if self.rows >= _EXTENSION_BATCH_ROWS:
-            self.flush()
+            new = np.sort(rows[alive], axis=1)
+            parent_rows = decompositions(new)
+            parents = self.parent_index.find(parent_rows.reshape(-1, level - 1))
+            parents = parents.reshape(new.shape)
+            entries = self._sizes(parents)[..., 0]
+            queued = entries > 0
+            if self.transitivity:
+                lemma5 = self.table.has_pair[new[..., None], parent_rows].all(axis=2)
+                # Lemma 5 fails for every entry alike; the scalar loop counts
+                # each.
+                failed = int(entries[queued & ~lemma5].sum())
+                stats.bump(stats.pruned_relation_checks, level, failed)
+                queued &= lemma5
+            parents, new, queued = parents.ravel(), new.ravel(), queued.ravel()
+            flipped = np.zeros(len(parents), dtype=bool)
+        owner = np.repeat(np.arange(len(alive)), level)[queued]
+        parents, new, flipped = parents[queued], new[queued], flipped[queued]
+        keep = np.bincount(owner, minlength=len(alive)) > 0
+        if context.delta_start:
+            keep[:] = True
+        pending = alive[keep]
+        node_of = (np.cumsum(keep) - 1)[owner]
+        bounds = np.searchsorted(node_of, np.arange(len(pending) + 1))
+        queue = _Queued(
+            node_of, parents, new, flipped, max_support[pending][node_of]
+        )
+        # Rows the pending nodes before each one queue (all of them, last);
+        # a pass runs after the node that brings the queue to the bound.
+        queued_rows = np.r_[0, np.cumsum(self._sizes(parents)[:, 2])][bounds]
+        start, bound = 0, _EXTENSION_BATCH_ROWS
+        while start < len(pending):
+            base = queued_rows[start]
+            target = base + max(bound - self.rows, 1)
+            stop = int(np.searchsorted(queued_rows[1:], target)) + 1
+            full = stop <= len(pending)
+            stop = min(stop, len(pending))
+            if bounds[stop] > bounds[start]:
+                part = slice(bounds[start], bounds[stop])
+                segment = _Queued(*(array[part] for array in queue))
+                offset = len(self.pending) - start
+                self.queue.append(segment._replace(node=segment.node + offset))
+            self._open(candidates, pending[start:stop], words[pending[start:stop]])
+            self.rows += int(queued_rows[stop] - base)
+            if full:
+                self.flush()
+            start = stop
+
+    def _open(self, candidates, positions: np.ndarray, words: np.ndarray) -> None:
+        """Append the (still empty) nodes of ``candidates[positions]``,
+        whose joint bitmaps are ``words``, to the pending nodes."""
+        width, n_sequences = words.shape[1] * 8, self.table.count.shape[1]
+        raw = words.tobytes()
+        self.pending.extend(
+            CombinationNode(
+                events=tuple(sorted(candidates[position])),
+                bitmap=Bitmap.from_bytes(n_sequences, raw[i * width : (i + 1) * width]),
+            )
+            for i, position in enumerate(positions.tolist())
+        )
 
     def flush(self) -> None:
         """Evaluate the queue, then finalise the queued nodes in order."""
         if self.queue:
+            if self.watchdog is not None:
+                self.watchdog.check(len(self.pending))
             self._evaluate()
+        context = self.context
         for node in self.pending:
-            node = _finalise_node(self.context, node, self.stats, self.context.level)
-            if node is not None:
-                self.nodes.append(node)
+            if node.patterns or context.delta_start:
+                node = _finalise_node(context, node, self.stats, context.level)
+                if node is not None:
+                    self.nodes.append(node)
         self.queue, self.pending, self.rows = [], [], 0
 
     def _evaluate(self) -> None:
         config, table, stats = self.context.config, self.table, self.stats
-        level, parents = self.context.level, [item.parent for item in self.queue]
+        level = self.context.level
+        queued = _Queued(*map(np.concatenate, zip(*self.queue)))
+        stacks = [self.stacks[parent] for parent in queued.parent.tolist()]
+        n_patterns, n_runs, _ = self.sizes[queued.parent].T
+        runs = np.concatenate([stack.runs for stack in stacks])
         # A job is one (decomposition, parent pattern) pair, numbered across
         # the queue; jobs never span passes.
-        owners = [(item, p) for item in self.queue for p in item.parent.patterns]
-        first_jobs = np.cumsum([0] + [len(parent.patterns) for parent in parents])[:-1]
-        runs = np.concatenate([parent.runs for parent in parents])
-        runs[:, 0] += np.repeat(first_jobs, [len(parent.runs) for parent in parents])
+        first_jobs = np.cumsum(n_patterns) - n_patterns
+        job_owner = np.repeat(np.arange(len(stacks)), n_patterns)
+        runs[:, 0] += np.repeat(first_jobs, n_runs)
         jobs, sequences = np.repeat(runs[:, :2], runs[:, 2], axis=0).T
-        index_rows = np.concatenate([parent.index_rows for parent in parents])
-        event_rows = np.concatenate([parent.events for parent in parents])[jobs]
-        new_rows = np.array([table.index[item.new_event] for item, _ in owners])[jobs]
+        index_rows = np.concatenate([stack.index_rows for stack in stacks])
+        event_rows = np.concatenate([stack.events for stack in stacks])[jobs]
+        new_rows = queued.new[job_owner][jobs]
         # The new event's instances of each row's sequence: flat positions
         # first .. stop, list position = flat position - first.
         first = table.offset[new_rows, sequences]
@@ -599,7 +740,7 @@ class _ExtensionBatch:
             if level == 2 and len(block):
                 # The scalar loop's hit order: sequence, then the candidate's
                 # first event's instance, then its second's.
-                flipped = np.array([item.flipped for item, _ in owners])[jobs[rows]]
+                flipped = queued.flipped[job_owner][jobs[rows]]
                 order = np.lexsort(
                     (
                         np.where(flipped, block[:, 0], block[:, 1]),
@@ -609,11 +750,25 @@ class _ExtensionBatch:
                 )
                 rows, block, codes = rows[order], block[order], codes[order]
             if len(block):
-                self._store(jobs[rows], owners, block, sequences[rows], codes)
 
-    def _store(self, jobs, owners, block, sequences, codes) -> None:
+                def owner(job: int) -> tuple:
+                    decomposition = job_owner[job]
+                    patterns = stacks[decomposition].patterns
+                    return (
+                        self.pending[queued.node[decomposition]],
+                        self.events[queued.new[decomposition]],
+                        patterns[job - first_jobs[decomposition]],
+                    )
+
+                supports = queued.support[job_owner]
+                self._store(
+                    jobs[rows], owner, supports, block, sequences[rows], codes
+                )
+
+    def _store(self, jobs, owner, supports, block, sequences, codes) -> None:
         """Store surviving pairs (in enumeration order) by extended pattern;
-        ``owners[job]`` is a job's (queued decomposition, parent pattern)."""
+        ``owner(job)`` is a job's (node, new event, parent pattern) and
+        ``supports[job]`` the largest support among its node's events."""
         # One key per (job, relation codes): fold the code columns in one at
         # a time, as ranks, so the key never overflows.
         keys = jobs
@@ -630,18 +785,15 @@ class _ExtensionBatch:
         runs = np.flatnonzero(
             np.r_[True, (group[1:] != group[:-1]) | (sequences[1:] != sequences[:-1])]
         )
-        queued = [owners[job] for job in jobs[first_hit].tolist()]
+        group_jobs = jobs[first_hit]
         if self.context.delta_start:
             # A delta pass keeps every group: the session settles them.
             frequent = np.ones(len(first_hit), dtype=bool)
         else:
             support = np.bincount(group[runs], minlength=len(first_hit))
-            supports = [
-                max(map(self.supports.get, item.node.events)) for item, _ in queued
-            ]
             # admit_patterns as one mask: groups it would drop build no entry.
             frequent = (support >= self.context.min_count) & ~(
-                support / np.array(supports) < self.context.config.min_confidence
+                support / supports[group_jobs] < self.context.config.min_confidence
             )
         bounds = np.r_[runs, len(block)]
         run_sequences = sequences[runs].astype(hpg._INDEX_DTYPE)
@@ -652,13 +804,13 @@ class _ExtensionBatch:
             g = run_groups[a]
             if not frequent[g]:
                 continue
-            item, parent = queued[g]
+            node, new_event, parent = owner(int(group_jobs[g]))
             codes_row = codes[first_hit[g]].tolist()
             relations = tuple(RELATIONS_BY_CODE[code] for code in codes_row)
-            pattern = parent.extend(item.new_event, relations)
+            pattern = parent.extend(new_event, relations)
             # One copy of each array, so no entry pins the pass's arrays.
             offsets = bounds[a : b + 1] - bounds[a]
-            item.node.patterns[pattern] = PatternEntry(
+            node.patterns[pattern] = PatternEntry(
                 pattern,
                 run_sequences[a:b].copy(),
                 offsets,

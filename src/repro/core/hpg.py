@@ -315,10 +315,15 @@ class InstanceTable:
     with events ``(a, b)``, in that order, and relation code ``c`` is a
     frequent, confident level-2 pattern; ``has_pair[a, b]`` (Lemma 5) when
     ``a`` and ``b`` share a frequent pair node.  Both come from
-    ``pair_patterns`` and are all False without it.
+    ``pair_patterns`` and are all False without it.  ``bitmaps`` packs each
+    event's level-1 bitmap (Sec. IV-C) for the Apriori checks of Lemmas 2–3:
+    ``⌈n_sequences / 64⌉`` little-endian ``uint64`` words per row, bit ``s``
+    set when the event occurs in sequence ``s``.
     """
 
-    __slots__ = ("index", "starts", "ends", "offset", "count", "allowed", "has_pair")
+    __slots__ = (
+        "index", "starts", "ends", "offset", "count", "allowed", "has_pair", "bitmaps"
+    )
 
     def __init__(
         self,
@@ -335,6 +340,9 @@ class InstanceTable:
             for sequence_id, instances in node.instances_by_sequence.items():
                 count[row, sequence_id] = len(instances)
         self.offset = (np.cumsum(count) - count.ravel()).reshape(count.shape)
+        words = (n_sequences + 63) // 64
+        packed = b"".join(node.bitmap.to_bytes(8 * words) for node in nodes)
+        self.bitmaps = np.frombuffer(packed, dtype="<u8").reshape(len(nodes), words)
         ordered = [
             instance
             for node in nodes

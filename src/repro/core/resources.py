@@ -149,8 +149,9 @@ class MemoryBudget:
 
 
 # --------------------------------------------------------------------------- watchdog
-#: RSS is re-read every this many :meth:`MemoryWatchdog.check` calls; the
-#: probes are ~µs but candidate loops can be millions long.
+#: RSS is re-read once this many candidates have been handled since the last
+#: read (:meth:`MemoryWatchdog.check`); the probes are ~µs but a level can
+#: hold millions of candidates.
 _CHECK_EVERY = 4
 
 
@@ -184,15 +185,18 @@ class MemoryWatchdog:
         """Bytes of RSS growth since shard start (never negative)."""
         return max(0, self._probe() - self._baseline)
 
-    def check(self) -> None:
+    def check(self, work: int = 1) -> None:
         """Raise :class:`MemoryBudgetExceeded` when over the share.
 
-        Throttled: the RSS is re-read once every ``_CHECK_EVERY`` calls, so
-        the per-candidate cost is an integer increment almost always.
+        ``work`` counts the candidates handled since the last call.
+        Throttled: the RSS is re-read at most once per call, and only once
+        ``_CHECK_EVERY`` candidates have been handled since the last read,
+        so a call per candidate is an integer increment almost always.
         """
-        self._calls += 1
-        if self._calls % _CHECK_EVERY:
+        self._calls += work
+        if self._calls < _CHECK_EVERY:
             return
+        self._calls = 0
         grown = self.growth()
         if grown > self.limit_bytes:
             raise MemoryBudgetExceeded(
@@ -253,7 +257,7 @@ def estimate_context_bytes(context) -> int:
     0 (estimation must never fail a run).
     """
     table = getattr(context, "instances", None)
-    arrays = ("starts", "ends", "offset", "count", "allowed", "has_pair")
+    arrays = ("starts", "ends", "offset", "count", "allowed", "has_pair", "bitmaps")
     total = sum(getattr(table, name).nbytes for name in arrays) if table else 0
     if table and getattr(context, "level", None) == 2:
         total += 4 * table.starts.size + 24 * int((table.count > 0).sum())

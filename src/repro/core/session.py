@@ -85,8 +85,11 @@ from .engine import (
     LevelOutcome,
     admit_patterns,
     admits,
-    apriori_prune,
+    apriori,
     backend_from_config,
+    candidate_chunks,
+    decompositions,
+    parent_index,
 )
 from .events import EventKey, TemporalEvent, collect_events
 from .hpg import (
@@ -136,60 +139,34 @@ def _backend_uses_costs(backend: ExecutionBackend, n_candidates: int) -> bool:
 
 
 def _estimate_pair_costs(
-    context: LevelContext,
-    candidates: list[Candidate],
-    config: MiningConfig,
-    min_count: int,
+    context: LevelContext, candidates: list[Candidate]
 ) -> list[float]:
     """Per-candidate evaluation cost estimates for level 2.
 
     The dominant cost of a surviving pair is relation classification over the
     chronologically ordered instance pairs in shared sequences, so the
     estimate is the product of the two instance counts summed over the shared
-    sequences (the self-pair analogue: instances choose two) — computed as a
-    dot product of the events' rows of the level's instance-table ``count``
-    matrix over the shared sequence ids, instead of a Python loop per
-    sequence.  Pairs the Apriori checks of Lemmas 2–3
-    would discard stop after one bitmap intersection, so they are estimated
-    at unit cost.
-
-    Pairs that Lemma 2 *certainly* prunes — the smaller event support is
-    already below the threshold, an upper bound on the joint support — are
-    recognised without any bitmap work, so on prune-dominated workloads the
-    estimation pre-pass does not replicate the level's intersections
-    serially.  For the remaining pairs the estimator repeats the bitmap AND
-    the worker will perform — one word-wise intersection + popcount,
-    negligible next to the instance-pair classification it predicts;
-    shipping the intersections to the workers instead would grow the very
-    payload the engine tries to keep small.
+    sequences from ``delta_start`` on (the self-pair analogue: instances
+    choose two).  Every such sum is one entry of the Gram matrix of the
+    instance table's ``count`` matrix (an exact integer product), since a
+    sequence one event lacks contributes 0.  Pairs the Apriori checks of
+    Lemmas 2–3 discard stop after one bitmap intersection, so they are
+    estimated at unit cost; the estimator runs the evaluation's own checks
+    (:func:`~repro.core.engine.apriori`) over the same packed bitmaps, one
+    admission chunk of candidates at a time.
     """
-    uses_apriori = config.pruning.uses_apriori
     table = context.instances
+    counts = table.count[:, context.delta_start :]
+    products = counts @ counts.T
+    # A self pair's instances choose two: (sum c^2 - sum c) / 2.
+    chosen = (np.diagonal(products) - counts.sum(axis=1)) // 2
     costs: list[float] = []
-    for event_a, event_b in candidates:
-        node_a = context.level1[event_a]
-        node_b = context.level1[event_b]
-        if uses_apriori and min(node_a.support, node_b.support) < min_count:
-            costs.append(1.0)
-            continue
-        joint = node_a.bitmap & node_b.bitmap
-        joint_support = joint.count()
-        if joint_support == 0 or (
-            apriori_prune(
-                joint_support, max(node_a.support, node_b.support), min_count, config
-            )
-            is not None
-        ):
-            costs.append(1.0)
-            continue
-        shared = np.fromiter(joint.indices(), dtype=np.intp, count=joint_support)
-        shared = shared[shared >= context.delta_start]
-        counts_a = table.count[table.index[event_a], shared]
-        if event_a == event_b:
-            pair_count = float(counts_a @ (counts_a - 1.0)) / 2.0
-        else:
-            pair_count = float(counts_a @ table.count[table.index[event_b], shared])
-        costs.append(max(pair_count, 1.0))
+    for _, rows in candidate_chunks(table, candidates):
+        _, support, _, low, weak = apriori(context, rows)
+        first, second = rows.T
+        pairs = np.where(first == second, chosen[first], products[first, second])
+        doomed = low | weak | (support == 0)
+        costs.extend(np.where(doomed, 1, np.maximum(pairs, 1)).astype(float).tolist())
     return costs
 
 
@@ -201,38 +178,61 @@ def _estimate_combination_costs(
     Evaluating a combination extends every stored occurrence of every parent
     ``(k-1)``-node with the instances of the remaining event, so the estimate
     sums, over each (parent, new event) decomposition, the per-sequence
-    product of parent occurrence counts and new-event instance counts.  A
-    parent's per-sequence occurrence counts are one ``np.add.at`` of its
-    entries' run lengths (``np.diff(offsets)``) over their ``sequences``;
-    each decomposition is one dot product of those counts with the new
-    event's row of the level's instance-table ``count`` matrix (one matrix
-    product per parent).  Every sum is an exact integer.  A delta pass counts
-    only the sequences from ``delta_start`` on.
+    product of parent occurrence counts and new-event instance counts.  The
+    decompositions' parents are found one admission chunk at a time, as the
+    evaluation finds them (:func:`~repro.core.engine.parent_index`).  Every
+    parent's per-sequence occurrence counts come from one ``np.unique`` over
+    the entries' (parent, sequence) runs and their lengths
+    (``np.diff(offsets)``); a chunk's decompositions of one parent are one
+    product of the new events' rows of the instance table's ``count``
+    matrix with those counts.  Every sum is an exact integer.  A delta pass
+    counts only the sequences from ``delta_start`` on.
     """
-    table, start = context.instances, context.delta_start
-    # Every (parent, new event) decomposition, grouped by parent.
-    decompositions: dict[tuple[EventKey, ...], tuple[list[int], list[int]]] = {}
-    for position, candidate in enumerate(candidates):
-        for new_event in candidate:
-            parent_key = tuple(e for e in candidate if e != new_event)
-            positions, rows = decompositions.setdefault(parent_key, ([], []))
-            positions.append(position)
-            rows.append(table.index[new_event])
+    table, level = context.instances, context.level
+    nodes, index = parent_index(context)
+    sequences, counts, bounds = _occurrence_counts(
+        nodes, context.delta_start, table.count.shape[1]
+    )
     costs = np.zeros(len(candidates), dtype=np.int64)
-    for parent_key, (positions, rows) in decompositions.items():
-        parent = context.parents.get(parent_key)
-        if parent is None or not parent.patterns:
-            continue
-        entries = parent.patterns.values()
-        sequences = np.concatenate([entry.sequences for entry in entries])
-        runs = np.concatenate([np.diff(entry.offsets) for entry in entries])
-        delta = sequences >= start
-        ids, position = np.unique(sequences[delta], return_inverse=True)
-        counts = np.zeros(len(ids), dtype=np.int64)
-        np.add.at(counts, position, runs[delta])
-        # The parent's decompositions' dot products, as one matrix product.
-        costs[positions] += table.count[np.ix_(rows, ids)] @ counts
+    for first, rows in candidate_chunks(table, candidates):
+        rows = np.sort(rows, axis=1)
+        parents = index.find(decompositions(rows).reshape(-1, level - 1))
+        order = np.argsort(parents, kind="stable")
+        groups = np.flatnonzero(np.r_[True, np.diff(parents[order]) != 0, True])
+        for a, b in zip(groups[:-1].tolist(), groups[1:].tolist()):
+            parent = parents[order[a]]
+            if parent < 0:
+                continue
+            runs = slice(bounds[parent], bounds[parent + 1])
+            decomposed = order[a:b]
+            new_rows = rows.ravel()[decomposed, None]
+            products = table.count[new_rows, sequences[runs]] @ counts[runs]
+            costs[first + decomposed // level] += products
     return np.maximum(costs, 1).astype(float).tolist()
+
+
+def _occurrence_counts(
+    nodes: list[CombinationNode], start: int, n_sequences: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored occurrences of every node per sequence from ``start`` on:
+    sequence ids and row counts, node by node (ascending sequences), and
+    each node's bounds in them."""
+    entries = [(n, e) for n, node in enumerate(nodes) for e in node.patterns.values()]
+    empty = [np.zeros(0, dtype=np.int64)]
+    owners = np.repeat(
+        np.array([n for n, _ in entries], dtype=np.int64),
+        [len(e.sequences) for _, e in entries],
+    )
+    sequences = np.concatenate(empty + [e.sequences for _, e in entries])
+    runs = np.concatenate(empty + [np.diff(e.offsets) for _, e in entries])
+    delta = sequences >= start
+    keys, position = np.unique(
+        owners[delta] * n_sequences + sequences[delta], return_inverse=True
+    )
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, position, runs[delta])
+    bounds = np.searchsorted(keys // n_sequences, np.arange(len(nodes) + 1))
+    return keys % n_sequences, counts, bounds
 
 
 class MiningSession:
@@ -837,13 +837,12 @@ class MiningSession:
         into ``stats``; returns the outcome and the call's wall-clock."""
         costs = None
         if _backend_uses_costs(backend, len(candidates)):
-            costs = (
-                _estimate_pair_costs(
-                    context, candidates, self.config, context.min_count
-                )
+            estimate = (
+                _estimate_pair_costs
                 if context.level == 2
-                else _estimate_combination_costs(context, candidates)
+                else _estimate_combination_costs
             )
+            costs = estimate(context, candidates)
         started = time.perf_counter()
         outcome = backend.run(context, candidates, costs)
         elapsed = time.perf_counter() - started

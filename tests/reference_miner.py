@@ -6,8 +6,12 @@ loops beside the tests, as the executable specification the pass is checked
 against: one ``classify`` call per instance pair at level 2, one per
 (occurrence, new instance, pattern event) at level ``k``, with the Lemma 4–7
 checks as set lookups and the work counters bumped where the loops do the
-work.  :func:`evaluate_candidates` has the engine's signature and returns
-the same nodes, stored arrays and counters.
+work.  Candidate admission runs one candidate at a time too: the Apriori
+checks of Lemmas 2–3 on each candidate's ``Bitmap`` objects
+(:func:`_open_combination`), the parent lookup and Lemma 5 (the level-``k``
+loop, and :func:`admit`, the engine's admission before it ran in chunks).
+:func:`evaluate_candidates` has the engine's signature and returns the same
+nodes, stored arrays and counters.
 
 :func:`reference_evaluation` routes every mine, resume and append inside its
 block through this module, on every backend: both backends look
@@ -34,13 +38,13 @@ import numpy as np
 import repro.core.engine as engine
 from repro.core import hpg, resources
 from repro.core.config import MiningConfig
+from repro.core.bitmap import Bitmap
 from repro.core.engine import (
     Candidate,
     LevelContext,
     LevelOutcome,
     _finalise_node,
     _first_run,
-    _open_combination,
 )
 from repro.core.events import EventKey
 from repro.core.hpg import CombinationNode, EventNode, Occurrence, PatternEntry
@@ -49,7 +53,7 @@ from repro.core.relations import Relation, classify
 from repro.core.stats import MiningStatistics
 from repro.timeseries.sequences import EventInstance
 
-__all__ = ["evaluate_candidates", "from_rows", "reference_evaluation"]
+__all__ = ["admit", "evaluate_candidates", "from_rows", "reference_evaluation"]
 
 
 def reference_evaluation(log=None):
@@ -92,6 +96,112 @@ def evaluate_candidates(
             nodes.append(node)
     stats.level_seconds[context.level] = time.perf_counter() - started
     return LevelOutcome(nodes=nodes, stats=stats)
+
+
+def apriori_prune(
+    joint_support: int,
+    max_event_support: int,
+    min_count: int,
+    config: MiningConfig,
+) -> str | None:
+    """Which Apriori check discards a candidate of any level: ``"support"``
+    (Lemma 2), ``"confidence"`` (Lemma 3) or ``None`` when it survives.
+
+    ``max_event_support`` is the largest support among the candidate's
+    events.
+    """
+    if not config.pruning.uses_apriori:
+        return None
+    if joint_support < min_count:
+        return "support"
+    if joint_support / max_event_support < config.min_confidence:
+        return "confidence"
+    return None
+
+
+def _open_combination(
+    context: LevelContext, candidate: Candidate, stats: MiningStatistics
+) -> CombinationNode | None:
+    """The Apriori checks (Lemmas 2–3) of one candidate of any level; the
+    (still empty) node of a survivor, its events sorted."""
+    level = context.level
+    stats.bump(stats.candidates_generated, level)
+    bitmap = Bitmap.intersect_all(
+        context.level1[event].bitmap for event in candidate
+    )
+    support = bitmap.count()
+    prune = apriori_prune(
+        support,
+        max(context.event_support(event) for event in candidate),
+        context.min_count,
+        context.config,
+    )
+    if prune is not None:
+        pruned = stats.pruned_support if prune == "support" else stats.pruned_confidence
+        stats.bump(pruned, level)
+        return None
+    if support == 0:
+        return None
+    return CombinationNode(events=tuple(sorted(candidate)), bitmap=bitmap)
+
+
+#: One queued decomposition of :func:`admit`: the new event and the parent's
+#: key (at level 2, the one-event key of the parent event).
+Decomposition = tuple[EventKey, tuple[EventKey, ...]]
+
+
+def admit(
+    context: LevelContext, candidates: Sequence[Candidate], stats: MiningStatistics
+) -> list[tuple[CombinationNode, list[Decomposition]]]:
+    """Candidate admission one candidate at a time: the engine batch's
+    per-candidate ``add`` before admission ran in chunks, without the
+    queueing.
+
+    Per candidate: the Apriori checks (:func:`_open_combination`); at level
+    2 one decomposition per orientation of the pair (a self pair has one);
+    at level ``k`` a parent lookup per new event, skipping absent parents
+    and parents with no entry holding a row from ``delta_start`` on, and
+    Lemma 5 through the instance table's ``has_pair`` (a failure counts one
+    pruned relation check per such entry).  Returns, in candidate order,
+    each node the batch keeps pending — a survivor that queues a
+    decomposition, or every survivor of a delta pass — with its queued
+    decompositions in order.
+    """
+    level, start = context.level, context.delta_start
+    table = context.instances
+    transitivity = level >= 3 and context.config.pruning.uses_transitivity
+    pending = []
+    for candidate in candidates:
+        node = _open_combination(context, candidate, stats)
+        if node is None:
+            continue
+        queued: list[Decomposition] = []
+        if level == 2:
+            first, second = candidate
+            queued.append((second, (first,)))
+            if second != first:
+                queued.append((first, (second,)))
+        else:
+            for new_event in node.events:
+                key = tuple(e for e in node.events if e != new_event)
+                parent = context.parents.get(key)
+                if parent is None:
+                    continue
+                entries = [
+                    entry
+                    for entry in parent.patterns.values()
+                    if _first_run(entry, start) < len(entry.sequences)
+                ]
+                if not entries:
+                    continue
+                partners = table.has_pair[table.index[new_event]]
+                if transitivity and not all(partners[table.index[e]] for e in key):
+                    stats.bump(stats.pruned_relation_checks, level, len(entries))
+                else:
+                    queued.append((new_event, key))
+        if queued or start:
+            pending.append((node, queued))
+    return pending
 
 
 def from_rows(

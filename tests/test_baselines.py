@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import HTPGM, MiningConfig, Relation, TemporalPattern
+from repro import HTPGM, MiningConfig
 from repro.baselines import BaselineMiner, HDFSMiner, IEMiner, TPMiner
 from repro.baselines.tpminer import Endpoint, to_endpoint_sequence
 from repro.exceptions import MiningError

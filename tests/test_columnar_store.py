@@ -655,8 +655,7 @@ class TestExtensionBatchBound:
         )
         stats = MiningStatistics()
         batch = engine_module._ExtensionBatch(context, stats, [])
-        for candidate in combinations(sorted(graph.level1), 3):
-            batch.add(candidate)
+        batch.admit(list(combinations(sorted(graph.level1), 3)))
         survivors = (
             stats.candidates_generated[3]
             - stats.pruned_support.get(3, 0)
@@ -729,6 +728,43 @@ class TestLevelKBatching:
         assert scalar_calls
         assert levels == levelk(reference.statistics.relation_checks)
         assert mined_tuples(batched) == mined_tuples(reference)
+
+
+class TestArrayAdmission:
+    """Guard against candidate admission drifting back to one candidate at
+    a time: the engine never intersects ``Bitmap`` objects (the Apriori
+    checks AND packed words, a chunk of candidates at a time), so with
+    ``Bitmap.intersect_all`` raising a dataport stand-in still mines —
+    serially and on a fork pool — to the reference's result and store."""
+
+    def test_dataport_mines_without_intersecting_bitmap_objects(self, monkeypatch):
+        if "fork" not in __import__("multiprocessing").get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        _, database = make_dataset(
+            "dataport", scale=0.01, attribute_fraction=0.5, seed=103
+        ).transform()
+        config = MiningConfig(
+            min_support=0.45, min_confidence=0.45, epsilon=0.0, min_overlap=1.0
+        )
+        reference = MiningSession(config)
+        with reference_evaluation():
+            reference_result = reference.mine(database)
+        assert reference_result.statistics.candidates_generated.get(3)
+
+        def refuse(cls, bitmaps):
+            raise AssertionError("candidate admission intersected Bitmap objects")
+
+        monkeypatch.setattr(Bitmap, "intersect_all", classmethod(refuse))
+        serial = MiningSession(config)
+        serial_result = serial.mine(database)
+        pooled = MiningSession(config)
+        with ProcessPoolBackend(
+            n_workers=2, min_candidates_per_worker=1, start_method="fork"
+        ) as backend:
+            pooled_result = pooled.mine(database, backend=backend)
+        for session, result in ((serial, serial_result), (pooled, pooled_result)):
+            assert_parity(reference_result, result)
+            assert store_snapshot(session.graph) == store_snapshot(reference.graph)
 
 
 class TestLevel2Batching:

@@ -555,6 +555,77 @@ class TestCombinationCostEstimate:
             assert candidates and max(estimated) > 1.0
 
 
+def _walked_pair_costs(context, candidates):
+    """The level-2 cost estimate one pair at a time: Apriori on ``Bitmap``
+    objects, then a dot product over the shared sequences from
+    ``delta_start`` on; the reference for the Gram-matrix estimator."""
+    from reference_miner import apriori_prune
+
+    table, config = context.instances, context.config
+    costs = []
+    for event_a, event_b in candidates:
+        node_a, node_b = context.level1[event_a], context.level1[event_b]
+        joint = node_a.bitmap & node_b.bitmap
+        if joint.count() == 0 or apriori_prune(
+            joint.count(),
+            max(node_a.support, node_b.support),
+            context.min_count,
+            config,
+        ):
+            costs.append(1.0)
+            continue
+        shared = [s for s in joint.indices() if s >= context.delta_start]
+        counts_a = table.count[table.index[event_a], shared]
+        if event_a == event_b:
+            pair_count = float(counts_a @ (counts_a - 1.0)) / 2.0
+        else:
+            pair_count = float(counts_a @ table.count[table.index[event_b], shared])
+        costs.append(max(pair_count, 1.0))
+    return costs
+
+
+class TestPairCostEstimate:
+    @pytest.mark.parametrize("pruning", [PruningMode.ALL, PruningMode.NONE])
+    @pytest.mark.parametrize("delta_start", [0, 7])
+    def test_gram_estimate_equals_the_per_pair_walk(
+        self, pruning, delta_start, monkeypatch
+    ):
+        """The level-2 estimator's costs are the walk's, self pairs, pruned
+        pairs and delta passes included, across admission chunks."""
+        from dataclasses import replace
+
+        import repro.core.engine as engine_module
+        from repro import MiningSession
+        from repro.core.engine import LevelContext
+        from repro.core.session import _estimate_pair_costs
+
+        config = MiningConfig(
+            min_support=0.3,
+            min_confidence=0.6,
+            min_overlap=1.0,
+            pruning=pruning,
+            allow_self_relations=True,
+        )
+        session = MiningSession(replace(config, max_pattern_size=1))
+        session.mine(random_database(seed=5, n_sequences=14, max_instances=14))
+        graph = session.graph
+        candidates = session._generate_pair_candidates(graph)
+        context = LevelContext(
+            level=2,
+            config=config,
+            min_count=5,
+            level1=graph.level1,
+            delta_start=delta_start,
+        )
+        monkeypatch.setattr(engine_module, "_ADMISSION_CHUNK", 7)
+        estimated = _estimate_pair_costs(context, candidates)
+        walked = _walked_pair_costs(context, candidates)
+        assert estimated == walked
+        assert max(walked) > 1.0
+        if pruning is PruningMode.ALL:
+            assert 1.0 in walked, "no pair was pruned"
+
+
 class TestShardOverDecomposition:
     """Asked for more shards than items, the LPT splitter returns no empty
     shard."""

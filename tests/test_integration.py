@@ -9,9 +9,7 @@ are consistent with the in-memory results.
 
 from __future__ import annotations
 
-import pytest
-
-from repro import AHTPGM, HTPGM, MiningConfig, PruningMode
+from repro import AHTPGM, HTPGM, PruningMode
 from repro.baselines import HDFSMiner, IEMiner, TPMiner
 from repro.evaluation import ExperimentRunner, accuracy
 from repro.io import read_patterns_json, write_patterns_json

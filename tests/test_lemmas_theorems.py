@@ -17,8 +17,6 @@ implementation on concrete data:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -289,7 +288,9 @@ class TestContextEstimation:
         table = context.instances  # built with the context
         arrays = sum(
             getattr(table, name).nbytes
-            for name in ("starts", "ends", "offset", "count", "allowed", "has_pair")
+            for name in (
+                "starts", "ends", "offset", "count", "allowed", "has_pair", "bitmaps"
+            )
         )
         assert table.starts.nbytes == 8 * sum(
             len(instances)
@@ -308,7 +309,7 @@ class TestContextEstimation:
         batch = engine._ExtensionBatch(context, None, [])
         stacks = sum(
             rows.index_rows.nbytes + rows.runs.nbytes
-            for _parent, _events, rows in map(batch._parent, graph.levels[2])
+            for rows in map(batch._parent_rows, graph.levels[2].values())
         )
         assert stacks > 0
         assert resources.estimate_context_bytes(context) == arrays + stored + stacks
@@ -325,7 +326,9 @@ class TestContextEstimation:
         table = context.instances
         arrays = sum(
             getattr(table, name).nbytes
-            for name in ("starts", "ends", "offset", "count", "allowed", "has_pair")
+            for name in (
+                "starts", "ends", "offset", "count", "allowed", "has_pair", "bitmaps"
+            )
         )
         batch = engine._ExtensionBatch(context, None, [])
         stacks = sum(

@@ -1,4 +1,5 @@
-"""Every module under ``src/repro`` uses each name it imports.
+"""Every module under ``src/repro``, ``tests`` and ``benchmarks`` uses each
+name it imports.
 
 A name counts as used when the module reads it anywhere — code, decorators,
 default values, annotations (string annotations included) — or lists it in
@@ -13,7 +14,11 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "repro"
+#: Test and benchmark modules; ``perfbench`` is the benchmark's own harness
+#: and is left to it.
+CHECKED = (ROOT / "tests", ROOT / "benchmarks")
 
 
 def imported_names(tree: ast.AST) -> dict[str, int]:
@@ -65,15 +70,24 @@ def unused_imports(source: str) -> dict[str, int]:
     }
 
 
-def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted(SOURCE.rglob("*.py"))
-    assert len(modules) > 40
-    unused = [
-        f"{path.relative_to(SOURCE.parent)}:{line}: {name}"
+def _unused(modules: list[Path]) -> list[str]:
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in modules
         for name, line in unused_imports(path.read_text()).items()
     ]
-    assert unused == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(SOURCE.rglob("*.py"))
+    assert len(modules) > 40
+    assert _unused(modules) == []
+
+
+def test_no_test_or_benchmark_imports_a_name_it_never_uses():
+    modules = sorted(path for folder in CHECKED for path in folder.rglob("*.py"))
+    assert len(modules) > 50
+    assert _unused(modules) == []
 
 
 def test_the_check_sees_unused_and_used_names():
