@@ -146,8 +146,8 @@ def _payload_bytes(graph) -> tuple[int, int]:
 
     The legacy emulation replaces each entry's index matrices with the
     materialised instance-tuple lists — the exact payload shape workers
-    shipped before the columnar store — alongside the same node identity and
-    bitmap, so the comparison isolates the occurrence representation."""
+    shipped before the columnar store — alongside the same node identity, so
+    the comparison isolates the occurrence representation."""
     level, _entries = _deepest_entries(graph)
     columnar = 0
     legacy = 0
@@ -155,7 +155,6 @@ def _payload_bytes(graph) -> tuple[int, int]:
         columnar += len(pickle.dumps(node, protocol=pickle.HIGHEST_PROTOCOL))
         emulated = {
             "events": node.events,
-            "bitmap": node.bitmap,
             "patterns": {
                 pattern: entry.occurrences(graph.level1)
                 for pattern, entry in node.patterns.items()

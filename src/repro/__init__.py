@@ -46,7 +46,6 @@ candidate generation in the coordinating process.
 from .core import (
     AHTPGM,
     HTPGM,
-    Bitmap,
     CorrelationGraph,
     EventKey,
     ExecutionBackend,
@@ -112,7 +111,6 @@ __all__ = [
     "TemporalPattern",
     "Relation",
     "EventKey",
-    "Bitmap",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",

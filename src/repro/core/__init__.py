@@ -1,15 +1,14 @@
 """Core of the reproduction: the paper's primary contribution.
 
 This subpackage contains the temporal-relation model, the Hierarchical Pattern
-Graph with its bitmap indexes, the exact miner (E-HTPGM), the mutual-information
-machinery, the approximate miner (A-HTPGM), and the execution layer
+Graph, the exact miner (E-HTPGM), the mutual-information machinery, the
+approximate miner (A-HTPGM), and the execution layer
 (:mod:`repro.core.engine`) whose backends evaluate level candidates either
 in-process (``SerialBackend``) or sharded across worker processes
 (``ProcessPoolBackend``) — always producing the identical pattern set.
 """
 
 from .approximate import AHTPGM
-from .bitmap import Bitmap
 from .config import MiningConfig, PruningMode, RetryPolicy
 from .faults import FaultPlan, FaultSpec, install_plan
 from .engine import (
@@ -75,7 +74,6 @@ __all__ = [
     "follows",
     "contains",
     "overlaps",
-    "Bitmap",
     "TemporalPattern",
     "PatternMeasures",
     "pair_index",

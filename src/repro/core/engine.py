@@ -80,7 +80,6 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, MemoryBudgetExceeded, MiningError
 from . import faults, hpg, resources
-from .bitmap import Bitmap
 from .config import MiningConfig, RetryPolicy
 from .events import EventKey
 from .hpg import CombinationNode, EventNode, InstanceTable, PatternEntry
@@ -126,9 +125,11 @@ class LevelContext:
     picklable:
 
     * ``level1`` — the :class:`EventNode` of every event appearing in a
-      candidate: bitmaps for the Apriori checks, and instance lists that
-      ``instances`` is built from (the pass reads arrays only; the tests'
-      scalar reference resolves the parent rows it extends against them);
+      candidate: the instance lists ``instances`` is built from (the pass
+      reads arrays only; the tests' scalar reference resolves the parent
+      rows it extends against them);
+    * ``n_sequences`` — |DSEQ|, the width of the table's ``count`` matrix
+      and of its bitmap words;
     * ``parents`` — the frequent ``(k-1)``-combination nodes, keyed by their
       canonical event tuple (empty at level 2);
     * ``pair_patterns`` — the frequent 2-event pattern set per pair node, used
@@ -136,13 +137,14 @@ class LevelContext:
       pruning is off or at level 2).  Shipping only the pattern *identities*
       instead of the full pair nodes keeps the per-worker payload light;
     * ``instances`` — the flat :class:`~repro.core.hpg.InstanceTable` of the
-      ``level1`` events with the Lemma 4–7 tables (built at construction).
+      ``level1`` events with the Lemma 4–7 tables and the packed bitmap
+      words of the Apriori checks (built at construction).
 
     ``delta_start`` turns the evaluation into an append's *delta pass*: the
-    Apriori checks still read the full bitmaps, but relation checks read only
-    the parent rows and new-event instances of sequences with an id of at
-    least ``delta_start``, and every pattern found is kept, admitted or not,
-    with its delta rows — raw evidence for
+    Apriori checks still read the bits of every sequence, but relation checks
+    read only the parent rows and new-event instances of sequences with an id
+    of at least ``delta_start``, and every pattern found is kept, admitted or
+    not, with its delta rows — raw evidence for
     :meth:`~repro.core.session.MiningSession._level` to settle.  A node is
     returned for every candidate that survives Apriori, even an empty one.
     ``0`` (the default) evaluates over every sequence.
@@ -163,6 +165,7 @@ class LevelContext:
     config: MiningConfig
     min_count: int
     level1: dict[EventKey, EventNode]
+    n_sequences: int
     parents: dict[tuple[EventKey, ...], CombinationNode] = field(default_factory=dict)
     pair_patterns: dict[tuple[EventKey, EventKey], frozenset[TemporalPattern]] = field(
         default_factory=dict
@@ -173,14 +176,17 @@ class LevelContext:
     chunk_bytes: int | None = None
 
     def event_support(self, event: EventKey) -> int:
-        """Support of a frequent event (0 when absent, mirroring the graph)."""
-        node = self.level1.get(event)
-        return node.support if node is not None else 0
+        """Support of a frequent event (0 when absent, mirroring the graph):
+        its non-empty cells of the table's ``count`` row, so evaluation reads
+        no instance list."""
+        row = self.instances.index.get(event)
+        return 0 if row is None else int(np.count_nonzero(self.instances.count[row]))
 
     def __post_init__(self) -> None:
         if self.instances is None:
-            n = max((node.bitmap.length for node in self.level1.values()), default=0)
-            self.instances = InstanceTable(self.level1, n, self.pair_patterns)
+            self.instances = InstanceTable(
+                self.level1, self.n_sequences, self.pair_patterns
+            )
 
 
 @dataclass
@@ -243,13 +249,12 @@ def candidate_chunks(table: InstanceTable, candidates: Sequence[Candidate]):
 def apriori(context: LevelContext, rows: np.ndarray):
     """Lemmas 2–3 for candidates given as ``(n, k)`` table rows.
 
-    Returns the joint bitmaps (the AND of the rows' packed level-1 bitmaps,
-    ``InstanceTable.bitmaps``), the joint supports (one population count
-    per word), the largest event support of each candidate, and the two
-    prune masks: Lemma 2 prunes a support below ``min_count``, Lemma 3 then
-    a ``support / max event support`` below ``min_confidence``, divided in
-    ``float64`` as Python divides two ints.  Without Apriori pruning both
-    masks are all False.
+    Returns the joint supports (the population count of the AND of the
+    rows' packed bitmap words, ``InstanceTable.bitmaps``), the largest event
+    support of each candidate, and the two prune masks: Lemma 2 prunes a
+    support below ``min_count``, Lemma 3 then a ``support / max event
+    support`` below ``min_confidence``, divided in ``float64`` as Python
+    divides two ints.  Without Apriori pruning both masks are all False.
     """
     bitmaps = context.instances.bitmaps
     words = bitmaps[rows[:, 0]]
@@ -265,7 +270,7 @@ def apriori(context: LevelContext, rows: np.ndarray):
         low = support < context.min_count
         with np.errstate(divide="ignore", invalid="ignore"):
             weak = ~low & (support / max_support < config.min_confidence)
-    return words, support, max_support, low, weak
+    return support, max_support, low, weak
 
 
 def decompositions(rows: np.ndarray) -> np.ndarray:
@@ -565,7 +570,7 @@ class _ExtensionBatch:
 
     def _admit(self, candidates: Sequence[Candidate], rows: np.ndarray) -> None:
         context, stats, level = self.context, self.stats, self.context.level
-        words, support, max_support, low, weak = apriori(context, rows)
+        support, max_support, low, weak = apriori(context, rows)
         stats.bump(stats.candidates_generated, level, len(rows))
         stats.bump(stats.pruned_support, level, int(low.sum()))
         stats.bump(stats.pruned_confidence, level, int(weak.sum()))
@@ -619,24 +624,14 @@ class _ExtensionBatch:
                 segment = _Queued(*(array[part] for array in queue))
                 offset = len(self.pending) - start
                 self.queue.append(segment._replace(node=segment.node + offset))
-            self._open(candidates, pending[start:stop], words[pending[start:stop]])
+            self.pending.extend(
+                CombinationNode(events=tuple(sorted(candidates[position])))
+                for position in pending[start:stop].tolist()
+            )
             self.rows += int(queued_rows[stop] - base)
             if full:
                 self.flush()
             start = stop
-
-    def _open(self, candidates, positions: np.ndarray, words: np.ndarray) -> None:
-        """Append the (still empty) nodes of ``candidates[positions]``,
-        whose joint bitmaps are ``words``, to the pending nodes."""
-        width, n_sequences = words.shape[1] * 8, self.table.count.shape[1]
-        raw = words.tobytes()
-        self.pending.extend(
-            CombinationNode(
-                events=tuple(sorted(candidates[position])),
-                bitmap=Bitmap.from_bytes(n_sequences, raw[i * width : (i + 1) * width]),
-            )
-            for i, position in enumerate(positions.tolist())
-        )
 
     def flush(self) -> None:
         """Evaluate the queue, then finalise the queued nodes in order."""

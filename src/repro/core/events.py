@@ -81,8 +81,8 @@ def collect_events(database: SequenceDatabase) -> dict[EventKey, TemporalEvent]:
     """Scan a sequence database once and group instances per temporal event.
 
     This is the single database scan performed by the first HTPGM step; the
-    result feeds both the bitmap construction and the per-node instance lists
-    kept in level ``L1`` of the Hierarchical Pattern Graph.
+    result feeds the per-node instance lists kept in level ``L1`` of the
+    Hierarchical Pattern Graph, whose keys are each event's sequence set.
     """
     grouped: dict[EventKey, dict[int, list[EventInstance]]] = defaultdict(
         lambda: defaultdict(list)

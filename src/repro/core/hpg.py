@@ -1,7 +1,7 @@
 """Hierarchical Pattern Graph (paper Section IV-C, Fig. 4).
 
 The HPG is the working data structure of HTPGM.  Level ``L1`` holds one node
-per frequent single event (bitmap + instance lists); level ``Lk`` (``k >= 2``)
+per frequent single event (its instance lists); level ``Lk`` (``k >= 2``)
 holds one node per frequent *combination* of ``k`` events, and each node stores
 the frequent ``k``-event patterns found for that combination together with the
 sequences and instance assignments supporting them.  Mining level ``k+1`` only
@@ -30,7 +30,6 @@ import numpy as np
 
 from ..exceptions import RepresentationOverflowError
 from ..timeseries.sequences import EventInstance
-from .bitmap import Bitmap
 from .events import EventKey
 from .patterns import TemporalPattern
 from .relations import RELATIONS_BY_CODE
@@ -54,11 +53,11 @@ Occurrence = tuple[EventInstance, ...]
 IndexRow = tuple[int, ...]
 
 
-#: Storage dtype of the index rows (and of the sequence ids, which index
-#: bitmaps and the instance table's dense columns) and the largest
-#: representable list position.  ``_INDEX_MAX`` is a module attribute (not
-#: an inlined literal) so the overflow-guard tests can lower the boundary
-#: without building a multi-gigabyte instance list.
+#: Storage dtype of the index rows (and of the sequence ids, which index the
+#: instance table's dense columns) and the largest representable list
+#: position.  ``_INDEX_MAX`` is a module attribute (not an inlined literal)
+#: so the overflow-guard tests can lower the boundary without building a
+#: multi-gigabyte instance list.
 _INDEX_DTYPE = np.int32
 _INDEX_MAX = int(np.iinfo(np.int32).max)
 
@@ -291,16 +290,16 @@ class PatternEntry:
 
 @dataclass
 class EventNode:
-    """Level-1 node: one frequent single event and its instance lists."""
+    """Level-1 node: one frequent single event and its instance lists, whose
+    keys (each list non-empty) are the event's sequence set."""
 
     event: EventKey
-    bitmap: Bitmap
     instances_by_sequence: dict[int, list[EventInstance]]
 
     @property
     def support(self) -> int:
-        """Sequence-level support of the event."""
-        return self.bitmap.count()
+        """Sequence-level support of the event (Def. 3.13)."""
+        return len(self.instances_by_sequence)
 
 
 class InstanceTable:
@@ -315,10 +314,10 @@ class InstanceTable:
     with events ``(a, b)``, in that order, and relation code ``c`` is a
     frequent, confident level-2 pattern; ``has_pair[a, b]`` (Lemma 5) when
     ``a`` and ``b`` share a frequent pair node.  Both come from
-    ``pair_patterns`` and are all False without it.  ``bitmaps`` packs each
-    event's level-1 bitmap (Sec. IV-C) for the Apriori checks of Lemmas 2–3:
+    ``pair_patterns`` and are all False without it.  ``bitmaps`` is the
+    bitmap index (Sec. IV-C) the Apriori checks of Lemmas 2–3 read:
     ``⌈n_sequences / 64⌉`` little-endian ``uint64`` words per row, bit ``s``
-    set when the event occurs in sequence ``s``.
+    set when ``count[row, s] > 0``, i.e. the event occurs in sequence ``s``.
     """
 
     __slots__ = (
@@ -340,9 +339,8 @@ class InstanceTable:
             for sequence_id, instances in node.instances_by_sequence.items():
                 count[row, sequence_id] = len(instances)
         self.offset = (np.cumsum(count) - count.ravel()).reshape(count.shape)
-        words = (n_sequences + 63) // 64
-        packed = b"".join(node.bitmap.to_bytes(8 * words) for node in nodes)
-        self.bitmaps = np.frombuffer(packed, dtype="<u8").reshape(len(nodes), words)
+        occurs = np.pad(count > 0, ((0, 0), (0, -n_sequences % 64)))
+        self.bitmaps = np.packbits(occurs, axis=1, bitorder="little").view("<u8")
         ordered = [
             instance
             for node in nodes
@@ -373,22 +371,12 @@ class CombinationNode:
     """
 
     events: tuple[EventKey, ...]
-    bitmap: Bitmap
     patterns: dict[TemporalPattern, PatternEntry] = field(default_factory=dict)
 
     @property
     def level(self) -> int:
         """Number of events in the combination."""
         return len(self.events)
-
-    @property
-    def support(self) -> int:
-        """Sequence-level support of the event combination."""
-        return self.bitmap.count()
-
-    def prune_patterns(self, keep: set[TemporalPattern]) -> None:
-        """Drop every stored pattern not in ``keep`` (infrequent / low confidence)."""
-        self.patterns = {p: e for p, e in self.patterns.items() if p in keep}
 
     def has_patterns(self) -> bool:
         """True when at least one frequent pattern is stored."""

@@ -2,7 +2,7 @@
 
 The miner works level by level over the Hierarchical Pattern Graph:
 
-* **Level 1** — one database scan builds a bitmap and an instance list per
+* **Level 1** — one database scan builds the instance lists of every
   event; events below the support threshold are discarded (Alg. 1, lines 1–4).
 * **Level 2** — candidate event pairs come from the Cartesian product of the
   frequent events; the Apriori checks of Lemmas 2–3 (bitmap AND + confidence
@@ -20,11 +20,11 @@ Since the incremental-mining refactor, the level-wise machinery lives in
 order-sensitive) happens in the session, candidate *evaluation* (expensive,
 embarrassingly parallel) is delegated to an
 :class:`~repro.core.engine.ExecutionBackend`, and all per-run state — level-1
-bitmaps, node trees, statistics — is explicit session state.  One per-level
-method of the session serves a full mine, a resumed checkpoint and an append;
-a full mine is a merge against an empty previous state.  :class:`HTPGM` is
-the stable one-shot façade: :meth:`HTPGM.mine` creates a session, runs the
-levels and builds the result.  Every backend builds the same occurrence store,
+instance lists, node trees, statistics — is explicit session state.  One
+per-level method of the session serves a full mine, a resumed checkpoint and
+an append; a full mine is a merge against an empty previous state.
+:class:`HTPGM` is the stable one-shot façade: :meth:`HTPGM.mine` creates a
+session, runs the levels and builds the result.  Every backend builds the same occurrence store,
 so the session left in :attr:`HTPGM.session_` can be appended to or persisted
 via :mod:`repro.io.session_io` like one created directly; with
 ``MiningConfig.checkpoint_path`` set it also checkpoints after level 1 and

@@ -1,8 +1,8 @@
 """Persistent mining sessions: explicit HTPGM level state plus incremental append.
 
 Historically :meth:`HTPGM.mine` rebuilt all of its working state — level-1
-bitmaps and instance lists, pair and combination node trees, the Hierarchical
-Pattern Graph, the statistics — as per-call locals and threw most of it away.
+instance lists, pair and combination node trees, the Hierarchical Pattern
+Graph, the statistics — as per-call locals and threw most of it away.
 A production deployment that keeps mining the same stream cannot afford that:
 new time windows arrive continuously and re-mining the whole sequence database
 from scratch repeats almost all of yesterday's work.
@@ -10,18 +10,17 @@ from scratch repeats almost all of yesterday's work.
 :class:`MiningSession` makes that state explicit and serialisable:
 
 * :meth:`MiningSession.mine` runs the ordinary level-wise HTPGM search and
-  *keeps* the constructed state — every event's bitmap and instance lists
-  (frequent or not), the full node trees with their occurrence evidence, the
-  statistics;
+  *keeps* the constructed state — every event's instance lists (frequent or
+  not), the full node trees with their occurrence evidence, the statistics;
 * :meth:`MiningSession.append` folds new sequences into that state
-  *incrementally*: level-1 bitmaps and instance lists are extended, and at
-  every level a candidate whose events co-occur in a delta sequence is
-  evaluated on the delta sequences only (the *delta pass*), then settled: its
-  stored patterns take their delta rows and are re-admitted, and a pattern
-  the old state did not store is dropped by a support bound.  Only a
-  candidate the bound cannot settle, or one involving a newly frequent
-  event, is evaluated over every sequence; every other node is reused as-is
-  (re-checked against the new thresholds, never re-computed);
+  *incrementally*: level-1 instance lists are extended, and at every level
+  a candidate whose events co-occur in a delta sequence is evaluated on the
+  delta sequences only (the *delta pass*), then settled: its stored patterns
+  take their delta rows and are re-admitted, and a pattern the old state
+  did not store is dropped by a support bound.  Only a candidate the bound
+  cannot settle, or one involving a newly frequent event, is evaluated over
+  every sequence; every other node is reused as-is (re-checked against the
+  new thresholds, never re-computed);
 * :mod:`repro.io.session_io` saves and loads a session, so the mining state
   can outlive the process that built it.
 
@@ -73,10 +72,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..exceptions import MiningError
+from ..exceptions import DataError, MiningError
 from ..timeseries.sequences import SequenceDatabase, TemporalSequence
 from . import faults
-from .bitmap import Bitmap
 from .config import MiningConfig
 from .engine import (
     Candidate,
@@ -115,8 +113,8 @@ def _restrict_level1(
     """Level-1 nodes of only the events appearing in ``candidates``.
 
     The level context travels to worker processes, so shipping just the
-    needed event nodes (bitmaps + instance lists) keeps the payload minimal
-    when filters or transitivity pruning have narrowed the candidate set.
+    needed event nodes (instance lists) keeps the payload minimal when
+    filters or transitivity pruning have narrowed the candidate set.
     """
     needed = {event for candidate in candidates for event in candidate}
     return {event: graph.level1[event] for event in graph.level1 if event in needed}
@@ -162,7 +160,7 @@ def _estimate_pair_costs(
     chosen = (np.diagonal(products) - counts.sum(axis=1)) // 2
     costs: list[float] = []
     for _, rows in candidate_chunks(table, candidates):
-        _, support, _, low, weak = apriori(context, rows)
+        support, _, low, weak = apriori(context, rows)
         first, second = rows.T
         pairs = np.where(first == second, chosen[first], products[first, second])
         doomed = low | weak | (support == 0)
@@ -252,7 +250,7 @@ class MiningSession:
     ----------
     events:
         Level-1 state of *every* event passing ``event_filter``, frequent or
-        not: bitmap over sequence ids plus per-sequence instance lists.
+        not: its per-sequence instance lists, whose keys are its sequences.
         Infrequent events must be retained because an append can push them
         over the (also growing) support threshold.  Empty until
         :meth:`mine`.
@@ -322,6 +320,14 @@ class MiningSession:
             )
         if len(database) == 0:
             raise MiningError("cannot mine an empty sequence database")
+        for sequence in database:
+            # The ids index the instance table's columns (a negative one
+            # would silently count as the last sequence).
+            if not 0 <= sequence.sequence_id < len(database):
+                raise DataError(
+                    f"sequence id {sequence.sequence_id!r} is outside "
+                    f"[0, {len(database)}): the ids must number the sequences"
+                )
         checkpointing = self.config.checkpoint_path is not None
         if checkpointing and (
             self.event_filter is not None or self.pair_filter is not None
@@ -502,10 +508,10 @@ class MiningSession:
         min_count = config.support_count(n_new)
         stats = MiningStatistics(n_sequences=n_new)
 
-        # ---- level 1: extend bitmaps and instance lists with the delta scan
+        # ---- level 1: extend the instance lists with the delta scan
         level_start = time.perf_counter()
         delta_events = collect_events(delta_db)
-        merged_events, delta_ids = self._merge_level1(delta_events, n_new)
+        merged_events, delta_ids = self._merge_level1(delta_events)
         graph = HierarchicalPatternGraph(n_sequences=n_new)
         for key, node in merged_events.items():
             if node.support >= min_count:
@@ -562,16 +568,9 @@ class MiningSession:
         for key, event in events.items():
             if self.event_filter is not None and not self.event_filter(key):
                 continue
-            bitmap = Bitmap.from_indices(
-                len(database), event.instances_by_sequence.keys()
-            )
-            node = EventNode(
-                event=key,
-                bitmap=bitmap,
-                instances_by_sequence=event.instances_by_sequence,
-            )
+            node = EventNode(key, event.instances_by_sequence)
             all_nodes[key] = node
-            if bitmap.count() >= min_count:
+            if node.support >= min_count:
                 graph.add_event_node(node)
         stats.frequent_events = len(graph.level1)
         stats.patterns_found[1] = len(graph.level1)
@@ -579,47 +578,25 @@ class MiningSession:
         return all_nodes
 
     def _merge_level1(
-        self,
-        delta_events: dict[EventKey, TemporalEvent],
-        n_new: int,
+        self, delta_events: dict[EventKey, TemporalEvent]
     ) -> tuple[dict[EventKey, EventNode], dict[EventKey, set[int]]]:
         """Merge the delta scan into the all-event level-1 state.
 
-        Returns the merged nodes (bitmaps grown to ``n_new``, instance dicts
-        extended with the delta sequences) plus, for each event occurring in
-        the delta, the set of delta sequence ids containing it — the raw
-        material of the *touched candidate* test.
+        Returns the merged nodes (the delta's events with their instance
+        dicts extended) plus, for each event occurring in the delta, the set
+        of delta sequence ids containing it — the raw material of the
+        *touched candidate* test.
         """
-        merged: dict[EventKey, EventNode] = {}
+        merged = dict(self.events)
         delta_ids: dict[EventKey, set[int]] = {}
-        for key, node in self.events.items():
-            delta = delta_events.get(key)
-            if delta is None:
-                merged[key] = EventNode(
-                    event=key,
-                    bitmap=node.bitmap.resized(n_new),
-                    instances_by_sequence=node.instances_by_sequence,
-                )
-                continue
-            instances = dict(node.instances_by_sequence)
-            instances.update(delta.instances_by_sequence)
-            bitmap = node.bitmap.resized(n_new)
-            for sequence_id in delta.instances_by_sequence:
-                bitmap.set(sequence_id)
-            merged[key] = EventNode(
-                event=key, bitmap=bitmap, instances_by_sequence=instances
-            )
-            delta_ids[key] = set(delta.instances_by_sequence)
         for key, delta in delta_events.items():
-            if key in merged:
-                continue
-            if self.event_filter is not None and not self.event_filter(key):
-                continue
-            merged[key] = EventNode(
-                event=key,
-                bitmap=Bitmap.from_indices(n_new, delta.instances_by_sequence.keys()),
-                instances_by_sequence=delta.instances_by_sequence,
-            )
+            node = merged.get(key)
+            if node is None:
+                if self.event_filter is not None and not self.event_filter(key):
+                    continue
+                node = EventNode(key, {})
+            instances = {**node.instances_by_sequence, **delta.instances_by_sequence}
+            merged[key] = EventNode(key, instances)
             delta_ids[key] = set(delta.instances_by_sequence)
         return merged, delta_ids
 
@@ -871,8 +848,7 @@ class MiningSession:
         old state did not store must be proven unable to pass
         (:meth:`_may_pass`).  So only stored patterns survive; each occurs in
         an old sequence, so its stored order is its from-scratch first-hit
-        order.  The node's bitmap is the delta pass's intersection of the
-        full event bitmaps.
+        order.
         """
         if stored is None and not found.patterns:
             return found
@@ -885,7 +861,6 @@ class MiningSession:
                 return None
         return CombinationNode(
             events=found.events,
-            bitmap=found.bitmap,
             patterns=admit_patterns(patterns, supports.get, min_count, self.config),
         )
 
@@ -940,11 +915,7 @@ class MiningSession:
         )
         if not patterns:
             return None
-        return CombinationNode(
-            events=node.events,
-            bitmap=node.bitmap.resized(graph.n_sequences),
-            patterns=patterns,
-        )
+        return CombinationNode(events=node.events, patterns=patterns)
 
     # ------------------------------------------------------------------ shared helpers
     def _resolve_backend(
@@ -989,6 +960,7 @@ class MiningSession:
             config=config,
             min_count=min_count,
             level1=_restrict_level1(graph, candidates),
+            n_sequences=graph.n_sequences,
             parents=dict(graph.levels.get(level - 1, {})) if level >= 3 else {},
             pair_patterns=pair_patterns,
         )

@@ -1,8 +1,8 @@
 """Persistence of incremental mining sessions.
 
 A :class:`~repro.core.session.MiningSession` holds everything an append needs:
-level-1 bitmaps and instance lists of every event (frequent or not), the node
-trees with their occurrence evidence, the configuration and the statistics.
+the level-1 instance lists of every event (frequent or not), the node trees
+with their occurrence evidence, the configuration and the statistics.
 :func:`write_session` snapshots that state to a file and :func:`read_session`
 restores it, so the typical production loop becomes::
 
@@ -15,9 +15,11 @@ that already cross process boundaries inside
 ``PatternEntry``, ``MiningConfig``, ``MiningStatistics``) — anything a worker
 can evaluate, a session file can persist.  Each ``PatternEntry`` pickles as
 its pattern plus the three arrays of its CSR occurrence store (format version
-5), and :func:`read_session` checks every entry whole on load: the array
-layout, the sequence ids, one non-empty run per sequence, and every index
-against a per-(event, sequence) instance-count matrix built once per load.
+5), and :func:`read_session` checks the level-1 state and every entry whole
+on load: each event's node and its sequence ids (inside ``[0, n_sequences)``,
+each with a non-empty instance list), then each entry's array layout, its
+sequence ids, one non-empty run per sequence, and every index against a
+per-(event, sequence) instance-count matrix built once per load.
 Like any pickle, a session file is a trusted artefact: only load files you
 wrote.
 
@@ -32,10 +34,11 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 from ..core.config import MiningConfig
-from ..core.hpg import HierarchicalPatternGraph, InstanceTable
+from ..core.hpg import EventNode, HierarchicalPatternGraph, InstanceTable
 from ..core.session import MiningSession
 from ..core.stats import MiningStatistics
 from ..exceptions import MiningError, SessionFormatError
@@ -70,7 +73,11 @@ __all__ = ["read_session", "write_session"]
 #:    of an ``index`` dict of per-sequence matrices.  A file written while
 #:    ``MiningConfig`` still had its scalar-path switch and pass chunk budget
 #:    loads too: its config keeps the two old keys in its ``__dict__``, which
-#:    no comparison, hash or ``replace()`` of the dataclass reads.
+#:    no comparison, hash or ``replace()`` of the dataclass reads.  A file
+#:    whose nodes still carry a ``bitmap`` (the retired
+#:    ``repro.core.bitmap.Bitmap``) loads too: :class:`_SessionUnpickler`
+#:    reads each as a :class:`_RetiredBitmap`, and :func:`read_session`
+#:    drops it (an event's sequence set is its instance dict's keys).
 #:
 #: Only the current version is read; files of any older version raise
 #: :class:`~repro.exceptions.SessionFormatError` and must be re-mined.
@@ -90,6 +97,42 @@ def _is_progress(value: object) -> bool:
     return value is None or (
         isinstance(value, dict) and _is_count(value.get("next_level"))
     )
+
+
+class _RetiredBitmap:
+    """Stand-in for the retired ``repro.core.bitmap.Bitmap`` (same slots)."""
+
+    __slots__ = ("_bits", "_length")
+
+
+class _SessionUnpickler(pickle.Unpickler):
+    """The session reader's unpickler: reads the retired ``Bitmap`` of an
+    older format-5 file as a :class:`_RetiredBitmap`."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) == ("repro.core.bitmap", "Bitmap"):
+            return _RetiredBitmap
+        return super().find_class(module, name)
+
+
+def _check_event_node(key: object, node: object, n_sequences: int) -> None:
+    """Raise :class:`ValueError`, naming the event, unless ``node`` is
+    ``key``'s EventNode with non-empty lists under ids in ``[0, n_sequences)``:
+    a negative id would count its list in the last sequence's column of every
+    instance table, and an empty list would inflate the support."""
+    if not isinstance(node, EventNode) or node.event != key:
+        raise ValueError(f"events[{key!r}] is not the EventNode of {key!r}")
+    for sequence_id, instances in node.instances_by_sequence.items():
+        if not _is_count(sequence_id) or sequence_id >= n_sequences:
+            raise ValueError(
+                f"event {key!r} lists sequence id {sequence_id!r} outside "
+                f"[0, {n_sequences})"
+            )
+        if not instances:
+            raise ValueError(
+                f"event {key!r} holds an empty instance list for sequence "
+                f"{sequence_id}"
+            )
 
 
 #: The envelope's session fields and the check each must pass on load.
@@ -156,7 +199,8 @@ def read_session(path: str | Path) -> MiningSession:
     """Restore a session written by :func:`write_session`.
 
     Any malformed file — truncated, corrupted, a foreign pickle, an
-    unsupported format version, internally inconsistent evidence — raises
+    unsupported format version, malformed level-1 state, internally
+    inconsistent evidence — raises
     :class:`~repro.exceptions.SessionFormatError` carrying the path and the
     detected format version.  A missing or unreadable file raises the plain
     ``OSError`` from ``open`` (a usage problem, not a corrupt artefact).
@@ -164,7 +208,7 @@ def read_session(path: str | Path) -> MiningSession:
     path = Path(path)
     with path.open("rb") as handle:
         try:
-            payload = pickle.load(handle)
+            payload = _SessionUnpickler(handle).load()
         except Exception as error:
             # Corrupt or truncated pickles fail in wildly different ways
             # (UnpicklingError, EOFError, AttributeError, ImportError, ...);
@@ -209,6 +253,12 @@ def read_session(path: str | Path) -> MiningSession:
     session.appends = payload["appends"]
     session._mining_state = payload["mining_state"]
     try:
+        for key, node in session.events.items():
+            _check_event_node(key, node, session.n_sequences)
+        nodes = chain.from_iterable(map(dict.values, payload["levels"].values()))
+        for node in chain(session.events.values(), nodes):
+            # An older format-5 file's node bitmaps (see FORMAT_VERSION).
+            vars(node).pop("bitmap", None)
         # Level-1 nodes are the same objects as their ``events`` entries
         # (pickle preserves identity within one payload), so the graph is
         # rebuilt by key.
@@ -227,8 +277,8 @@ def read_session(path: str | Path) -> MiningSession:
             entry.validate_indices(table)
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as error:
         raise SessionFormatError(
-            f"{path} holds occurrence evidence inconsistent with its "
-            f"level-1 instance lists: {error!r}",
+            f"{path} holds malformed level-1 instance lists or occurrence "
+            f"evidence inconsistent with them: {error!r}",
             path=path,
             version=version,
         ) from error

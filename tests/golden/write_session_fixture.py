@@ -22,6 +22,14 @@ of commit ``6c6fc89`` (session format 5, the CSR occurrence store)::
 
 run from the root of this tree under CPython 3.11.7 and NumPy 2.4.6.  Replace it only when
 ``repro.io.session_io.FORMAT_VERSION`` changes.
+
+The file holds the node shape of that build: every ``EventNode`` and
+``CombinationNode`` carries a ``bitmap``, a ``repro.core.bitmap.Bitmap``.
+That class is gone; ``read_session`` reads those bitmaps into a stand-in and
+drops them, and ``TestCommittedSessionFile`` checks that the loaded nodes
+have exactly a fresh node's fields.  Running this script now writes the
+current shape, without bitmaps, so the committed file is the only one that
+covers the old shape.
 """
 
 from __future__ import annotations

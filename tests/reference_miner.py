@@ -7,8 +7,9 @@ against: one ``classify`` call per instance pair at level 2, one per
 (occurrence, new instance, pattern event) at level ``k``, with the Lemma 4–7
 checks as set lookups and the work counters bumped where the loops do the
 work.  Candidate admission runs one candidate at a time too: the Apriori
-checks of Lemmas 2–3 on each candidate's ``Bitmap`` objects
-(:func:`_open_combination`), the parent lookup and Lemma 5 (the level-``k``
+checks of Lemmas 2–3 on each candidate's sequence set, the intersection of
+its events' level-1 instance-dict keys (Def. 3.13, :func:`shared_sequences`,
+:func:`_open_combination`), the parent lookup and Lemma 5 (the level-``k``
 loop, and :func:`admit`, the engine's admission before it ran in chunks).
 :func:`evaluate_candidates` has the engine's signature and returns the same
 nodes, stored arrays and counters.
@@ -38,7 +39,6 @@ import numpy as np
 import repro.core.engine as engine
 from repro.core import hpg, resources
 from repro.core.config import MiningConfig
-from repro.core.bitmap import Bitmap
 from repro.core.engine import (
     Candidate,
     LevelContext,
@@ -53,7 +53,13 @@ from repro.core.relations import Relation, classify
 from repro.core.stats import MiningStatistics
 from repro.timeseries.sequences import EventInstance
 
-__all__ = ["admit", "evaluate_candidates", "from_rows", "reference_evaluation"]
+__all__ = [
+    "admit",
+    "evaluate_candidates",
+    "from_rows",
+    "reference_evaluation",
+    "shared_sequences",
+]
 
 
 def reference_evaluation(log=None):
@@ -119,6 +125,14 @@ def apriori_prune(
     return None
 
 
+def shared_sequences(level1, events) -> set[int]:
+    """The sequences holding every one of ``events`` (Def. 3.13): the
+    intersection of their level-1 instance-dict keys."""
+    return set.intersection(
+        *(set(level1[event].instances_by_sequence) for event in events)
+    )
+
+
 def _open_combination(
     context: LevelContext, candidate: Candidate, stats: MiningStatistics
 ) -> CombinationNode | None:
@@ -126,13 +140,10 @@ def _open_combination(
     (still empty) node of a survivor, its events sorted."""
     level = context.level
     stats.bump(stats.candidates_generated, level)
-    bitmap = Bitmap.intersect_all(
-        context.level1[event].bitmap for event in candidate
-    )
-    support = bitmap.count()
+    support = len(shared_sequences(context.level1, candidate))
     prune = apriori_prune(
         support,
-        max(context.event_support(event) for event in candidate),
+        max(context.level1[event].support for event in candidate),
         context.min_count,
         context.config,
     )
@@ -142,7 +153,7 @@ def _open_combination(
         return None
     if support == 0:
         return None
-    return CombinationNode(events=tuple(sorted(candidate)), bitmap=bitmap)
+    return CombinationNode(events=tuple(sorted(candidate)))
 
 
 #: One queued decomposition of :func:`admit`: the new event and the parent's
@@ -237,7 +248,7 @@ def _evaluate_pair(
     if node is None:
         return None
     hits: _Hits = {}
-    _grow_pair_patterns(context, node, candidate, hits, stats)
+    _grow_pair_patterns(context, candidate, hits, stats)
     return _finalise_node(context, _store_hits(node, hits), stats, level=2)
 
 
@@ -249,7 +260,6 @@ def _store_hits(node: CombinationNode, hits: _Hits) -> CombinationNode:
 
 def _grow_pair_patterns(
     context: LevelContext,
-    node: CombinationNode,
     candidate: Candidate,
     hits: _Hits,
     stats: MiningStatistics,
@@ -259,7 +269,7 @@ def _grow_pair_patterns(
     (:func:`_grow_sequence_pairs_scalar`)."""
     node_a, node_b = (context.level1[event] for event in candidate)
     same_event = node_a.event == node_b.event
-    for sequence_id in node.bitmap.indices():
+    for sequence_id in sorted(shared_sequences(context.level1, candidate)):
         if sequence_id < context.delta_start:
             continue
         instances_a = node_a.instances_by_sequence.get(sequence_id, [])

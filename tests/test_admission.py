@@ -4,11 +4,12 @@
 packed bitmap words, finds every (candidate, new event) decomposition's
 parent with one ``_RowIndex`` search and tests Lemma 5 with one gather, a
 chunk of candidates at a time.  ``reference_miner.admit`` does the same one
-candidate at a time, on ``Bitmap`` objects and dict lookups.  Both must keep
-the same nodes pending, with the same bitmaps and queued decompositions, and
-bump the same counters.  Random level contexts cover every pruning mode,
-self pairs, delta passes, absent parents, the admission chunk's edges and
-the word edges of the bitmap packing.
+candidate at a time, on the sets of the events' level-1 instance-dict keys
+(Def. 3.13) and dict lookups.  Both must keep the same nodes pending, with
+the same queued decompositions, and bump the same counters.  Random level
+contexts cover every pruning mode, self pairs, delta passes, absent
+parents, the admission chunk's edges and the word edges of the bitmap
+packing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 
 import repro.core.engine as engine
 from repro import MiningConfig, PruningMode, Relation, TemporalPattern
-from repro.core.bitmap import Bitmap
 from repro.core.engine import LevelContext, _RowIndex
 from repro.core.hpg import CombinationNode, EventNode, PatternEntry
 from repro.core.stats import MiningStatistics
@@ -52,8 +52,7 @@ def _level1(rng: random.Random, n_events: int, n_sequences: int):
             s: [EventInstance(start=1.0, end=2.0, series=event[0], symbol="On")]
             for s in sequences
         }
-        bitmap = Bitmap.from_indices(n_sequences, sequences)
-        level1[event] = EventNode(event, bitmap, instances)
+        level1[event] = EventNode(event, instances)
     return level1
 
 
@@ -82,9 +81,7 @@ def _parents(rng: random.Random, events, level: int, n_sequences: int):
             for relation in rng.sample(list(Relation), rng.randint(1, 3))
         ]
         entries = {p: _entry(rng, p, n_sequences) for p in patterns}
-        parents[key] = CombinationNode(
-            events=key, bitmap=Bitmap(n_sequences), patterns=entries
-        )
+        parents[key] = CombinationNode(events=key, patterns=entries)
     return parents
 
 
@@ -134,6 +131,7 @@ def admission_cases(draw):
         config=config,
         min_count=min_count,
         level1=level1,
+        n_sequences=n_sequences,
         parents=_parents(rng, events, level, n_sequences) if level >= 3 else {},
         pair_patterns=_pair_patterns(rng, events) if level >= 3 else {},
         delta_start=delta_start,
@@ -171,30 +169,30 @@ def test_chunk_admission_equals_the_per_candidate_reference(case):
     assert [node.events for node, _ in admitted] == [
         node.events for node, _ in expected
     ]
-    assert [node.bitmap for node, _ in admitted] == [
-        node.bitmap for node, _ in expected
-    ]
     assert [queued for _, queued in admitted] == [queued for _, queued in expected]
     for counter in COUNTERS:
         assert getattr(stats, counter) == getattr(reference_stats, counter), counter
 
 
 def test_the_packed_words_hold_every_bitmap_bit():
-    """Bit ``s`` of an event's packed row is the bitmap's bit ``s``, across
-    the 64-bit word edges."""
+    """Bit ``s`` of an event's packed row is set exactly when ``s`` is a key
+    of its level-1 instance dict (Def. 3.13), across the 64-bit word edges;
+    the padding past |DSEQ| stays clear."""
     rng = random.Random(3)
     for n_sequences in (1, 63, 64, 65, 129):
         level1 = _level1(rng, 4, n_sequences)
         table = LevelContext(
-            level=2, config=MiningConfig(), min_count=1, level1=level1
+            level=2,
+            config=MiningConfig(),
+            min_count=1,
+            level1=level1,
+            n_sequences=n_sequences,
         ).instances
         assert table.bitmaps.shape == (4, (n_sequences + 63) // 64)
         for event, row in table.index.items():
-            bits = np.unpackbits(
-                table.bitmaps[row].view(np.uint8), bitorder="little"
-            )[:n_sequences]
-            assert np.flatnonzero(bits).tolist() == list(
-                level1[event].bitmap.indices()
+            bits = np.unpackbits(table.bitmaps[row].view(np.uint8), bitorder="little")
+            assert np.flatnonzero(bits).tolist() == sorted(
+                level1[event].instances_by_sequence
             )
 
 
@@ -242,7 +240,9 @@ def test_level_2_self_pairs_queue_one_orientation():
     events = list(level1)
     candidates = [pair for pair in product(events, repeat=2)]
     config = MiningConfig(min_support=0.1, min_confidence=0.1, min_overlap=1.0)
-    context = LevelContext(level=2, config=config, min_count=1, level1=level1)
+    context = LevelContext(
+        level=2, config=config, min_count=1, level1=level1, n_sequences=65
+    )
     admitted, stats = chunked_admission(context, candidates, 3)
     reference_stats = MiningStatistics()
     expected = reference_miner.admit(context, candidates, reference_stats)

@@ -41,7 +41,6 @@ from repro import (
 from repro.core.engine import LevelContext, _anchor_chunks
 from repro.core.hpg import EventNode, InstanceTable, PatternEntry
 from repro.core.stats import MiningStatistics
-from repro.core.bitmap import Bitmap
 from repro.datasets import make_dataset
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
@@ -62,13 +61,7 @@ def _pattern(size: int) -> TemporalPattern:
 
 
 def _event_node(series: str, instances_by_sequence) -> EventNode:
-    return EventNode(
-        event=(series, "On"),
-        bitmap=Bitmap.from_indices(
-            max(instances_by_sequence) + 1, instances_by_sequence.keys()
-        ),
-        instances_by_sequence=instances_by_sequence,
-    )
+    return EventNode((series, "On"), instances_by_sequence)
 
 
 def _random_instances(rng: random.Random, series: str, count: int):
@@ -345,6 +338,7 @@ class TestEntriesAreValues:
             config=self.CONFIG,
             min_count=2,
             level1=graph.level1,
+            n_sequences=graph.n_sequences,
             parents=parents,
             pair_patterns={
                 events: frozenset(node.patterns) for events, node in parents.items()
@@ -651,6 +645,7 @@ class TestExtensionBatchBound:
             config=config,
             min_count=1,
             level1=graph.level1,
+            n_sequences=graph.n_sequences,
             parents=dict(graph.levels[2]) if with_parents else {},
         )
         stats = MiningStatistics()
@@ -728,43 +723,6 @@ class TestLevelKBatching:
         assert scalar_calls
         assert levels == levelk(reference.statistics.relation_checks)
         assert mined_tuples(batched) == mined_tuples(reference)
-
-
-class TestArrayAdmission:
-    """Guard against candidate admission drifting back to one candidate at
-    a time: the engine never intersects ``Bitmap`` objects (the Apriori
-    checks AND packed words, a chunk of candidates at a time), so with
-    ``Bitmap.intersect_all`` raising a dataport stand-in still mines —
-    serially and on a fork pool — to the reference's result and store."""
-
-    def test_dataport_mines_without_intersecting_bitmap_objects(self, monkeypatch):
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        _, database = make_dataset(
-            "dataport", scale=0.01, attribute_fraction=0.5, seed=103
-        ).transform()
-        config = MiningConfig(
-            min_support=0.45, min_confidence=0.45, epsilon=0.0, min_overlap=1.0
-        )
-        reference = MiningSession(config)
-        with reference_evaluation():
-            reference_result = reference.mine(database)
-        assert reference_result.statistics.candidates_generated.get(3)
-
-        def refuse(cls, bitmaps):
-            raise AssertionError("candidate admission intersected Bitmap objects")
-
-        monkeypatch.setattr(Bitmap, "intersect_all", classmethod(refuse))
-        serial = MiningSession(config)
-        serial_result = serial.mine(database)
-        pooled = MiningSession(config)
-        with ProcessPoolBackend(
-            n_workers=2, min_candidates_per_worker=1, start_method="fork"
-        ) as backend:
-            pooled_result = pooled.mine(database, backend=backend)
-        for session, result in ((serial, serial_result), (pooled, pooled_result)):
-            assert_parity(reference_result, result)
-            assert store_snapshot(session.graph) == store_snapshot(reference.graph)
 
 
 class TestLevel2Batching:

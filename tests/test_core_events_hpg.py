@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Bitmap, Relation, TemporalPattern
+from repro import Relation, TemporalPattern
 from repro.core.events import collect_events, format_event, parse_event
 from repro.core.hpg import CombinationNode, EventNode, HierarchicalPatternGraph
 from repro.timeseries import EventInstance
@@ -59,7 +59,6 @@ class TestHierarchicalPatternGraph:
             graph.add_event_node(
                 EventNode(
                     event=(name, "On"),
-                    bitmap=Bitmap.from_indices(4, sequences),
                     instances_by_sequence={s: [instance] for s in sequences},
                 )
             )
@@ -74,9 +73,7 @@ class TestHierarchicalPatternGraph:
 
     def test_combination_nodes_and_pair_lookup(self):
         graph = self._graph()
-        node = CombinationNode(
-            events=(("K", "On"), ("T", "On")), bitmap=Bitmap.from_indices(4, [0, 1, 2])
-        )
+        node = CombinationNode(events=(("K", "On"), ("T", "On")))
         pattern = TemporalPattern(events=(("K", "On"), ("T", "On")), relations=(Relation.CONTAIN,))
         node.patterns[pattern] = from_rows(pattern, [(0, (0, 0))])
         graph.add_combination_node(node)
@@ -98,7 +95,6 @@ class TestHierarchicalPatternGraph:
         level1 = {
             (name, "On"): EventNode(
                 event=(name, "On"),
-                bitmap=Bitmap.from_indices(3, [0, 2]),
                 instances_by_sequence={0: [instance], 2: [instance]},
             )
             for name, instance in (("K", instance_k), ("T", instance_t))
@@ -112,15 +108,3 @@ class TestHierarchicalPatternGraph:
             0: [(instance_k, instance_t), (instance_k, instance_t)],
             2: [(instance_k, instance_t)],
         }
-
-    def test_prune_patterns(self):
-        node = CombinationNode(events=(("K", "On"), ("T", "On")), bitmap=Bitmap(4))
-        keep = TemporalPattern(events=(("K", "On"), ("T", "On")), relations=(Relation.FOLLOW,))
-        drop = TemporalPattern(events=(("K", "On"), ("T", "On")), relations=(Relation.CONTAIN,))
-        for sequence_id, pattern in enumerate((keep, drop)):
-            node.patterns[pattern] = from_rows(pattern, [(sequence_id, (0, 0))])
-        node.prune_patterns({keep})
-        assert node.has_patterns()
-        assert list(node.patterns) == [keep]
-        node.prune_patterns(set())
-        assert not node.has_patterns()

@@ -462,7 +462,9 @@ class TestCostBalancedSharding:
         from repro.core.engine import LevelContext
 
         backend = ProcessPoolBackend(n_workers=2, min_candidates_per_worker=1)
-        context = LevelContext(level=2, config=MiningConfig(), min_count=1, level1={})
+        context = LevelContext(
+            level=2, config=MiningConfig(), min_count=1, level1={}, n_sequences=0
+        )
         with pytest.raises(ConfigurationError):
             backend.run(context, [(("A", "On"), ("B", "On"))], costs=[1.0, 2.0])
 
@@ -556,25 +558,26 @@ class TestCombinationCostEstimate:
 
 
 def _walked_pair_costs(context, candidates):
-    """The level-2 cost estimate one pair at a time: Apriori on ``Bitmap``
-    objects, then a dot product over the shared sequences from
+    """The level-2 cost estimate one pair at a time: Apriori on the pair's
+    shared sequences (the intersection of the events' level-1 instance-dict
+    keys, Def. 3.13), then a dot product over the shared sequences from
     ``delta_start`` on; the reference for the Gram-matrix estimator."""
-    from reference_miner import apriori_prune
+    from reference_miner import apriori_prune, shared_sequences
 
     table, config = context.instances, context.config
     costs = []
     for event_a, event_b in candidates:
         node_a, node_b = context.level1[event_a], context.level1[event_b]
-        joint = node_a.bitmap & node_b.bitmap
-        if joint.count() == 0 or apriori_prune(
-            joint.count(),
+        joint = shared_sequences(context.level1, (event_a, event_b))
+        if not joint or apriori_prune(
+            len(joint),
             max(node_a.support, node_b.support),
             context.min_count,
             config,
         ):
             costs.append(1.0)
             continue
-        shared = [s for s in joint.indices() if s >= context.delta_start]
+        shared = [s for s in sorted(joint) if s >= context.delta_start]
         counts_a = table.count[table.index[event_a], shared]
         if event_a == event_b:
             pair_count = float(counts_a @ (counts_a - 1.0)) / 2.0
@@ -615,6 +618,7 @@ class TestPairCostEstimate:
             config=config,
             min_count=5,
             level1=graph.level1,
+            n_sequences=graph.n_sequences,
             delta_start=delta_start,
         )
         monkeypatch.setattr(engine_module, "_ADMISSION_CHUNK", 7)

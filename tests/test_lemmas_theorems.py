@@ -35,6 +35,8 @@ from repro import (
 from repro.core.relations import classify
 from repro.timeseries import EventInstance
 
+from reference_miner import shared_sequences
+
 
 class TestLemma1SearchSpaceBound:
     def test_stored_patterns_below_analytical_bound(self, paper_sequence_db):
@@ -56,13 +58,16 @@ class TestLemmas2and3:
         for mined in result:
             node = graph.node_for(tuple(sorted(mined.pattern.events)))
             assert node is not None
+            # The combination's support (Def. 3.13): the sequences holding
+            # every one of its events.
+            support = len(shared_sequences(graph.level1, node.events))
             # Lemma 2: supp(P) <= supp(event combination).
-            assert mined.support <= node.support
+            assert mined.support <= support
             # Lemma 3: conf(P) <= conf(event combination).
             max_event_support = max(
                 graph.event_support(event) for event in mined.pattern.events
             )
-            combination_confidence = node.support / max_event_support
+            combination_confidence = support / max_event_support
             assert mined.confidence <= combination_confidence + 1e-12
 
 

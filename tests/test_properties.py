@@ -2,7 +2,6 @@
 
 These cover the library's load-bearing invariants:
 
-* bitmap algebra behaves like finite sets;
 * relation classification is a function (never two relations for one pair) and
   agrees with the individual predicates;
 * pattern extend/project round-trips;
@@ -22,7 +21,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import HTPGM, Bitmap, MiningConfig, MiningSession, PruningMode, Relation
+from repro import HTPGM, MiningConfig, MiningSession, PruningMode, Relation
 from repro.baselines import HDFSMiner, TPMiner
 from repro.core.correlation import pairwise_nmi
 from repro.core.engine import admits
@@ -47,18 +46,6 @@ from test_engine_parity import store_snapshot
 from test_session import work_counters
 
 # --------------------------------------------------------------------------- strategies
-
-bit_indices = st.lists(st.integers(min_value=0, max_value=63), max_size=20)
-
-
-@st.composite
-def two_bitmaps(draw):
-    length = draw(st.integers(min_value=1, max_value=64))
-    a = draw(st.lists(st.integers(min_value=0, max_value=length - 1), max_size=length))
-    b = draw(st.lists(st.integers(min_value=0, max_value=length - 1), max_size=length))
-    return Bitmap.from_indices(length, a), Bitmap.from_indices(length, b), set(a), set(b)
-
-
 @st.composite
 def instance_pairs(draw):
     """Two chronologically ordered instances with small integer endpoints."""
@@ -134,30 +121,6 @@ RELAXED = settings(
 MINING_CONFIG = MiningConfig(
     min_support=0.5, min_confidence=0.5, min_overlap=1.0, max_pattern_size=3
 )
-
-
-# --------------------------------------------------------------------------- bitmaps
-class TestBitmapProperties:
-    @given(two_bitmaps())
-    def test_bitmap_algebra_matches_set_algebra(self, data):
-        bitmap_a, bitmap_b, set_a, set_b = data
-        assert set((bitmap_a & bitmap_b).indices()) == set_a & set_b
-        assert set((bitmap_a | bitmap_b).indices()) == set_a | set_b
-        assert set((bitmap_a ^ bitmap_b).indices()) == set_a ^ set_b
-        assert set(bitmap_a.difference(bitmap_b).indices()) == set_a - set_b
-        assert bitmap_a.count() == len(set_a)
-
-    @given(two_bitmaps())
-    def test_and_count_never_exceeds_operands(self, data):
-        bitmap_a, bitmap_b, _, _ = data
-        joint = (bitmap_a & bitmap_b).count()
-        assert joint <= bitmap_a.count()
-        assert joint <= bitmap_b.count()
-
-    @given(two_bitmaps())
-    def test_subset_relation_consistent(self, data):
-        bitmap_a, bitmap_b, set_a, set_b = data
-        assert bitmap_a.is_subset_of(bitmap_b) == (set_a <= set_b)
 
 
 # --------------------------------------------------------------------------- relations

@@ -185,10 +185,12 @@ class TestWorkerScope:
 
     def test_shard_watchdog_arms_only_in_scope_with_share(self):
         context = LevelContext(
-            level=2, config=CONFIG, min_count=1, level1={},
+            level=2, config=CONFIG, min_count=1, level1={}, n_sequences=0,
             memory_share_bytes=1 << 30,
         )
-        bare = LevelContext(level=2, config=CONFIG, min_count=1, level1={})
+        bare = LevelContext(
+            level=2, config=CONFIG, min_count=1, level1={}, n_sequences=0
+        )
         assert resources.shard_watchdog(context) is None  # not in scope
         with resources.worker_scope():
             assert resources.shard_watchdog(bare) is None  # no share
@@ -283,6 +285,7 @@ class TestContextEstimation:
             config=CONFIG,
             min_count=1,
             level1=graph.level1,
+            n_sequences=graph.n_sequences,
             parents=graph.levels[2],
         )
         table = context.instances  # built with the context
@@ -321,7 +324,11 @@ class TestContextEstimation:
         session.mine(random_database(seed=23, n_sequences=10, max_instances=14))
         graph = session.graph
         context = LevelContext(
-            level=2, config=CONFIG, min_count=1, level1=graph.level1
+            level=2,
+            config=CONFIG,
+            min_count=1,
+            level1=graph.level1,
+            n_sequences=graph.n_sequences,
         )
         table = context.instances
         arrays = sum(

@@ -23,6 +23,7 @@ import pytest
 
 from repro import (
     HTPGM,
+    DataError,
     MiningConfig,
     MiningError,
     MiningSession,
@@ -451,6 +452,18 @@ class TestSessionLifecycle:
         with pytest.raises(MiningError):
             MiningSession().append([])
 
+    @pytest.mark.parametrize("last_id", [-1, 6])
+    def test_sequence_ids_outside_the_database_rejected(self, last_id):
+        """The ids number the sequences: they index the instance table's
+        columns, where a negative id would mine a wrong result silently."""
+        database = random_database(5, n_sequences=6)
+        ids = [*range(5), last_id]
+        renumbered = SequenceDatabase(
+            [TemporalSequence(i, list(s.instances)) for i, s in zip(ids, database)]
+        )
+        with pytest.raises(DataError, match=rf"sequence id {last_id} is outside"):
+            MiningSession(MiningConfig(min_overlap=1.0)).mine(renumbered)
+
     @pytest.mark.parametrize("engine", ["serial", "process"])
     def test_htpgm_session_appends_like_a_scratch_mine(self, engine, request):
         """HTPGM's own session keeps the full store on every backend, so it
@@ -510,10 +523,6 @@ class TestSessionLifecycle:
         assert session.n_sequences == len(database)
         assert session.graph.n_sequences == len(database)
         assert session.statistics.n_sequences == len(database)
-        # Every event bitmap was grown to cover the appended sequences.
-        assert all(
-            node.bitmap.length == len(database) for node in session.events.values()
-        )
 
     def test_statistics_count_only_incremental_work(self):
         """Appending a small delta generates far fewer candidates than the

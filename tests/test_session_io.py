@@ -22,7 +22,7 @@ from repro import (
 from repro.cli import main
 from repro.core.hpg import PatternEntry
 from repro.io import read_session, write_session
-from repro.io.session_io import FORMAT_NAME, FORMAT_VERSION
+from repro.io.session_io import FORMAT_NAME, FORMAT_VERSION, _SessionUnpickler
 
 from test_engine_parity import assert_same_occurrences, store_snapshot
 from test_session import mined_tuples, random_database, split_database
@@ -109,11 +109,14 @@ class TestCommittedSessionFile:
     """A format-5 file written by an earlier build (see
     ``tests/golden/write_session_fixture.py`` for its provenance) loads in
     this one: same-build round trips cannot see a change to the pickled
-    state of a session object."""
+    state of a session object.  Its nodes still carry the retired
+    ``repro.core.bitmap.Bitmap``, which only the session reader's unpickler
+    resolves."""
 
     def test_loads_like_a_fresh_mine_and_takes_the_append(self):
         fixture = session_fixture.FIXTURE
-        assert pickle.loads(fixture.read_bytes())["version"] == FORMAT_VERSION
+        with fixture.open("rb") as handle:
+            assert _SessionUnpickler(handle).load()["version"] == FORMAT_VERSION
         loaded = read_session(fixture)
         fresh = MiningSession(session_fixture.CONFIG)
         fresh_result = fresh.mine(session_fixture.base_database())
@@ -128,6 +131,28 @@ class TestCommittedSessionFile:
         assert mined_tuples(appended) == mined_tuples(scratch.mine(database))
         assert store_snapshot(loaded.graph) == store_snapshot(scratch.graph)
         assert_same_occurrences(loaded.graph, scratch.graph)
+
+    def test_loaded_nodes_have_a_fresh_nodes_fields(self):
+        """The file's stale node bitmaps are dropped on load."""
+        loaded = read_session(session_fixture.FIXTURE)
+        fresh = MiningSession(session_fixture.CONFIG)
+        fresh.mine(session_fixture.base_database())
+        combinations = [
+            node for nodes in loaded.graph.levels.values() for node in nodes.values()
+        ]
+        assert combinations
+        event_fields = vars(next(iter(fresh.events.values()))).keys()
+        combination_fields = vars(fresh.graph.nodes_at(2)[0]).keys()
+        for node in loaded.events.values():
+            assert vars(node).keys() == event_fields
+        for node in combinations:
+            assert vars(node).keys() == combination_fields
+
+    def test_the_loaded_session_round_trips(self, tmp_path):
+        loaded = read_session(session_fixture.FIXTURE)
+        reread = read_session(write_session(loaded, tmp_path / "state.bin"))
+        assert store_snapshot(reread.graph) == store_snapshot(loaded.graph)
+        assert mined_tuples(reread.result()) == mined_tuples(loaded.result())
 
 
 @pytest.fixture()
@@ -522,6 +547,64 @@ class TestMalformedEvidence:
         assert re.search(rule, str(error.value))
         # The untouched file still reads.
         read_session(write_session(deep_session, tmp_path / "state.bin"))
+
+
+def _malformed_level1(session, case):
+    """Edit one event's level-1 state the way ``case`` names; return the
+    event."""
+    n_sequences = session.n_sequences
+    event, node = next(
+        (event, node)
+        for event, node in session.events.items()
+        if node.support < n_sequences
+    )
+    lists = node.instances_by_sequence
+    absent = next(s for s in range(n_sequences) if s not in lists)
+    instances = next(iter(lists.values()))
+    if case == "negative-id":
+        lists[-1] = instances
+    elif case == "empty-list":
+        lists[absent] = []
+    elif case == "id-past-the-end":
+        lists[n_sequences] = instances
+    elif case == "bool-id":
+        lists[True] = lists.pop(1, instances)
+    elif case == "not-a-node":
+        session.events[event] = lists
+    else:
+        other = next(node for key, node in session.events.items() if key != event)
+        session.events[event] = other
+    return event
+
+
+class TestMalformedLevel1:
+    """The instance dicts' keys are each event's sequence set, so level-1
+    state the miner could not have written is refused on load, naming the
+    event: a negative sequence id (NumPy would count its list in the last
+    sequence's column of every instance table), an empty list (an inflated
+    support), an id past the end, a ``bool`` id, another event's node or no
+    node at all."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "negative-id",
+            "empty-list",
+            "id-past-the-end",
+            "another-node",
+            "bool-id",
+            "not-a-node",
+        ],
+    )
+    def test_malformed_level1_rejected(self, tmp_path, case):
+        session = MiningSession(CONFIG)
+        session.mine(random_database(5, n_sequences=12))
+        event = _malformed_level1(session, case)
+        path = write_session(session, tmp_path / "state.bin")
+        with pytest.raises(SessionFormatError, match=re.escape(repr(event))) as error:
+            read_session(path)
+        assert error.value.path == path
+        assert error.value.version == FORMAT_VERSION
 
 
 class TestAtomicWrite:
