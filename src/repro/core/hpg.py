@@ -40,6 +40,7 @@ __all__ = [
     "PatternEntry",
     "EventNode",
     "InstanceTable",
+    "instance_counts",
     "CombinationNode",
     "HierarchicalPatternGraph",
 ]
@@ -189,15 +190,18 @@ class PatternEntry:
         }
 
     # ------------------------------------------------------------------ validation
-    def validate_indices(self, table: "InstanceTable") -> None:
-        """Check the entry is well-formed evidence over ``table``'s instances.
+    def validate_indices(
+        self, index: Mapping[EventKey, int], count: np.ndarray
+    ) -> None:
+        """Check the entry is well-formed evidence over the level-1 instances.
 
-        Untrusted stores (session files) can carry malformed arrays, a
-        sequence listed with no rows (which would inflate the support), or
+        ``index`` and ``count`` are :func:`instance_counts` of the level-1
+        nodes.  Untrusted stores (session files) can carry malformed arrays,
+        a sequence listed with no rows (which would inflate the support), or
         negative or out-of-range indices that would otherwise materialise the
         *wrong* instance (Python negative indexing) or blow up far from the
         load site.  The whole entry is checked with a few array operations;
-        the index ranges with one gather from ``table.count``.  Raises
+        the index ranges with one gather from ``count``.  Raises
         :class:`ValueError`.
         """
         sequences, offsets, rows = self.sequences, self.offsets, self.rows
@@ -229,7 +233,7 @@ class PatternEntry:
                 f"offsets of {self.pattern!r} do not split its {len(rows)} "
                 "rows into one non-empty run per sequence"
             )
-        n_sequences = table.count.shape[1]
+        n_sequences = count.shape[1]
         if len(sequences) and (
             sequences[0] < 0
             or sequences[-1] >= n_sequences
@@ -239,8 +243,8 @@ class PatternEntry:
                 f"sequence ids of {self.pattern!r} are not strictly ascending "
                 f"inside [0, {n_sequences})"
             )
-        events = [table.index[event] for event in self.pattern.events]
-        lengths = table.count[events, np.repeat(sequences, runs)[:, None]]
+        events = [index[event] for event in self.pattern.events]
+        lengths = count[events, np.repeat(sequences, runs)[:, None]]
         if ((rows < 0) | (rows >= lengths)).any():
             raise ValueError(
                 f"index rows of {self.pattern!r} point outside the instance lists"
@@ -302,6 +306,24 @@ class EventNode:
         return len(self.instances_by_sequence)
 
 
+def instance_counts(
+    level1: Mapping[EventKey, EventNode], n_sequences: int
+) -> tuple[dict[EventKey, int], np.ndarray]:
+    """Each event's row, in event-key order, and its instance counts.
+
+    ``count[row, s]`` is the length of the event's instance list in
+    sequence ``s``.  These are :class:`InstanceTable`'s ``index`` and
+    ``count``, and all that :meth:`PatternEntry.validate_indices` reads.
+    """
+    nodes = [level1[event] for event in sorted(level1)]
+    index = {node.event: row for row, node in enumerate(nodes)}
+    count = np.zeros((len(nodes), n_sequences), dtype=np.int64)
+    for row, node in enumerate(nodes):
+        for sequence_id, instances in node.instances_by_sequence.items():
+            count[row, sequence_id] = len(instances)
+    return index, count
+
+
 class InstanceTable:
     """Flat columnar copy of the level-1 instances one level evaluates against.
 
@@ -333,11 +355,7 @@ class InstanceTable:
         ] | None = None,
     ) -> None:
         nodes = [level1[event] for event in sorted(level1)]
-        index = self.index = {node.event: row for row, node in enumerate(nodes)}
-        count = self.count = np.zeros((len(nodes), n_sequences), dtype=np.int64)
-        for row, node in enumerate(nodes):
-            for sequence_id, instances in node.instances_by_sequence.items():
-                count[row, sequence_id] = len(instances)
+        index, count = self.index, self.count = instance_counts(level1, n_sequences)
         self.offset = (np.cumsum(count) - count.ravel()).reshape(count.shape)
         occurs = np.pad(count > 0, ((0, 0), (0, -n_sequences % 64)))
         self.bitmaps = np.packbits(occurs, axis=1, bitorder="little").view("<u8")

@@ -143,12 +143,12 @@ def nmi_matrix(symbolic_db: SymbolicDatabase) -> dict[tuple[str, str], float]:
         mi = mutual_information(probabilities, marginals[x], marginals[y])
         return min(mi / entropies[x], 1.0)
 
+    # Widened once per series: narrow codes would wrap in the product below.
+    codes = [item.codes.astype(np.intp) for item in series]
     matrix: dict[tuple[str, str], float] = {}
     for x, y in combinations(range(len(series)), 2):
         n_x, n_y = len(series[x].alphabet), len(series[y].alphabet)
-        counts = np.bincount(
-            series[x].codes() * n_y + series[y].codes(), minlength=n_x * n_y
-        )
+        counts = np.bincount(codes[x] * n_y + codes[y], minlength=n_x * n_y)
         joint = counts.reshape(n_x, n_y) / len(series[x])
         matrix[(series[x].name, series[y].name)] = directed(joint, x, y)
         matrix[(series[y].name, series[x].name)] = directed(joint.T, y, x)

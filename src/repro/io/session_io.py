@@ -38,7 +38,7 @@ from itertools import chain
 from pathlib import Path
 
 from ..core.config import MiningConfig
-from ..core.hpg import EventNode, HierarchicalPatternGraph, InstanceTable
+from ..core.hpg import EventNode, HierarchicalPatternGraph, instance_counts
 from ..core.session import MiningSession
 from ..core.stats import MiningStatistics
 from ..exceptions import MiningError, SessionFormatError
@@ -268,13 +268,13 @@ def read_session(path: str | Path) -> MiningSession:
             levels=payload["levels"],
         )
         # One per-(event, sequence) instance-count matrix for the whole load.
-        table = InstanceTable(session.graph.level1, session.n_sequences)
+        index, count = instance_counts(session.graph.level1, session.n_sequences)
         for _level, _node, entry in session.graph.iter_pattern_entries():
             # Check the whole entry against the loaded instance lists its
             # rows point into — corrupted evidence would otherwise inflate a
             # support or materialise the wrong instance silently (negative
             # indexing).
-            entry.validate_indices(table)
+            entry.validate_indices(index, count)
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as error:
         raise SessionFormatError(
             f"{path} holds malformed level-1 instance lists or occurrence "

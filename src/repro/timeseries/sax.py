@@ -128,10 +128,9 @@ class SAXSymbolizer(Symbolizer):
         means = np.array(
             [np.mean(series.values[lo[k]:hi[k]]) for k in kept.tolist()], dtype=float
         )
-        alphabet = self.alphabet
         return SymbolicSeries(
             name=series.name,
             timestamps=frame_starts[kept],
-            symbols=[alphabet[code] for code in self.codes_for(means).tolist()],
-            alphabet=alphabet,
+            codes=self.codes_for(means),
+            alphabet=self.alphabet,
         )

@@ -219,7 +219,8 @@ class TimeSeriesSet:
             return True
         first = self.series[0].timestamps
         return all(
-            len(s.timestamps) == len(first) and np.allclose(s.timestamps, first)
+            s.timestamps is first
+            or (len(s.timestamps) == len(first) and np.allclose(s.timestamps, first))
             for s in self.series[1:]
         )
 

@@ -2,7 +2,11 @@
 
 A :class:`SymbolicSeries` is the symbol-encoded form of one time series; the
 collection of all symbolic series forms the symbolic database ``DSYB``
-(:class:`SymbolicDatabase`).  Besides holding symbols, this module implements
+(:class:`SymbolicDatabase`).  A series holds integer codes into its alphabet,
+in the narrowest unsigned dtype, beside its timestamps; series symbolised
+from one CSV read share that read's timestamp array, and the symbol strings
+are derived from the codes when asked for.  Besides holding the codes,
+this module implements
 
 * the conversion of a symbolic series into **temporal event instances** by
   merging runs of identical consecutive symbols into time intervals
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import DataError
+from ..exceptions import DataError, SymbolizationError
 
 __all__ = ["SymbolInterval", "SymbolicSeries", "SymbolicDatabase"]
 
@@ -60,11 +64,18 @@ class SymbolInterval:
 
 @dataclass
 class SymbolicSeries:
-    """Symbol-encoded time series ``XS`` (Def. 3.2)."""
+    """Symbol-encoded time series ``XS`` (Def. 3.2).
+
+    ``codes[i]`` is the position in ``alphabet`` of the symbol observed at
+    ``timestamps[i]`` (the last position, for a symbol the alphabet lists
+    twice), stored in the narrowest unsigned dtype that holds
+    ``len(alphabet) - 1``; the symbol strings are derived from the codes.
+    :meth:`from_symbols` builds a series from symbol strings.
+    """
 
     name: str
     timestamps: np.ndarray
-    symbols: list[str]
+    codes: np.ndarray
     alphabet: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -73,26 +84,66 @@ class SymbolicSeries:
             raise DataError(
                 f"symbolic series {self.name!r}: timestamps must be finite"
             )
-        if len(self.timestamps) != len(self.symbols):
+        codes = np.asarray(self.codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "biu":
+            raise DataError(
+                f"symbolic series {self.name!r}: codes must be a 1-D integer "
+                f"array, got a {codes.ndim}-D {codes.dtype} array"
+            )
+        if len(self.timestamps) != len(codes):
             raise DataError(
                 f"symbolic series {self.name!r}: {len(self.timestamps)} timestamps "
-                f"but {len(self.symbols)} symbols"
+                f"but {len(codes)} symbols"
             )
-        if len(self.symbols) == 0:
+        if len(codes) == 0:
             raise DataError(f"symbolic series {self.name!r}: empty series")
-        unknown = set(self.symbols) - set(self.alphabet)
-        if unknown:
-            raise DataError(
-                f"symbolic series {self.name!r}: symbols {sorted(unknown)} "
-                f"not in alphabet {self.alphabet}"
+        outside = (codes < 0) | (codes >= len(self.alphabet))
+        if outside.any():
+            code = codes[outside.argmax()]
+            raise SymbolizationError(
+                f"symbolic series {self.name!r}: code {code} is outside "
+                f"[0, {len(self.alphabet)}) of alphabet {self.alphabet}"
             )
+        last = {symbol: code for code, symbol in enumerate(self.alphabet)}
+        if len(last) < len(self.alphabet):
+            # A symbol listed twice is one symbol: its codes become its last
+            # position, as encoding the strings gives (from_symbols).
+            codes = np.array([last[symbol] for symbol in self.alphabet])[codes]
+        self.codes = codes.astype(np.min_scalar_type(len(self.alphabet) - 1), copy=False)
+
+    @classmethod
+    def from_symbols(
+        cls,
+        name: str,
+        timestamps: np.ndarray,
+        symbols: Sequence[str],
+        alphabet: tuple[str, ...],
+    ) -> "SymbolicSeries":
+        """Encode ``symbols``, each one of ``alphabet``, as codes."""
+        position = {symbol: code for code, symbol in enumerate(alphabet)}
+        try:
+            codes = np.fromiter(
+                map(position.__getitem__, symbols), dtype=np.intp, count=len(symbols)
+            )
+        except KeyError:
+            unknown = set(symbols) - set(alphabet)
+            raise DataError(
+                f"symbolic series {name!r}: symbols {sorted(unknown)} "
+                f"not in alphabet {alphabet}"
+            ) from None
+        return cls(name, timestamps, codes, alphabet)
 
     # ------------------------------------------------------------------ basics
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[tuple[float, str]]:
         return iter(zip(self.timestamps.tolist(), self.symbols))
+
+    @property
+    def symbols(self) -> list[str]:
+        """The symbol at every timestamp, derived from the codes."""
+        return np.asarray(self.alphabet, dtype=object)[self.codes].tolist()
 
     @property
     def sampling_interval(self) -> float:
@@ -106,29 +157,13 @@ class SymbolicSeries:
         """Occurrence counts per symbol (over time steps)."""
         return Counter(self.symbols)
 
-    def codes(self) -> np.ndarray:
-        """Symbols encoded as integer indices into the alphabet (cached).
-
-        The joint-distribution and mutual-information computations of A-HTPGM
-        are quadratic in the number of series, so per-series encoding work is
-        done once and reused.
-        """
-        cached = getattr(self, "_codes", None)
-        if cached is None or len(cached) != len(self.symbols):
-            index = {symbol: position for position, symbol in enumerate(self.alphabet)}
-            cached = np.fromiter(
-                map(index.__getitem__, self.symbols), dtype=np.int64, count=len(self.symbols)
-            )
-            self._codes = cached
-        return cached
-
     def distribution(self) -> dict[str, float]:
         """Empirical marginal probability of each alphabet symbol.
 
         Symbols that never occur get probability 0 so the alphabet is always
         fully represented (needed by the entropy computations).
         """
-        counts = np.bincount(self.codes(), minlength=len(self.alphabet))
+        counts = np.bincount(self.codes, minlength=len(self.alphabet))
         n = len(self)
         return {
             symbol: counts[position] / n
@@ -144,16 +179,17 @@ class SymbolicSeries:
         it has a non-zero duration even when it covers a single time step.
         """
         step = self.sampling_interval or 1.0
-        codes = self.codes()
+        codes = self.codes
         # Index of the first sample of every run after the first one.
         boundaries = np.flatnonzero(codes[1:] != codes[:-1]) + 1
         starts = [0, *boundaries.tolist()]
         start_times = self.timestamps[starts].tolist()
         end_times = self.timestamps[boundaries].tolist()
         end_times.append(float(self.timestamps[-1]) + step)
+        alphabet = self.alphabet
         return [
-            SymbolInterval(self.symbols[first], start, end)
-            for first, start, end in zip(starts, start_times, end_times)
+            SymbolInterval(alphabet[code], start, end)
+            for code, start, end in zip(codes[starts].tolist(), start_times, end_times)
         ]
 
     def slice_time(self, start: float, end: float) -> "SymbolicSeries":
@@ -163,8 +199,9 @@ class SymbolicSeries:
             raise DataError(
                 f"symbolic series {self.name!r}: no samples in window [{start}, {end})"
             )
-        symbols = [s for s, keep in zip(self.symbols, mask.tolist()) if keep]
-        return SymbolicSeries(self.name, self.timestamps[mask], symbols, self.alphabet)
+        return SymbolicSeries(
+            self.name, self.timestamps[mask], self.codes[mask], self.alphabet
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"SymbolicSeries(name={self.name!r}, n={len(self)}, alphabet={self.alphabet})"
@@ -221,7 +258,8 @@ class SymbolicDatabase:
             else:
                 first = self.series[0].timestamps
                 cached = all(
-                    len(s.timestamps) == len(first) and np.allclose(s.timestamps, first)
+                    s.timestamps is first
+                    or (len(s.timestamps) == len(first) and np.allclose(s.timestamps, first))
                     for s in self.series[1:]
                 )
             self._aligned = cached
@@ -258,7 +296,8 @@ class SymbolicDatabase:
         ys = self[name_y]
         n = len(xs)
         ny = len(ys.alphabet)
-        pair_codes = xs.codes() * ny + ys.codes()
+        # Widened first: narrow codes would wrap in the product.
+        pair_codes = xs.codes.astype(np.intp) * ny + ys.codes
         counts = np.bincount(pair_codes, minlength=len(xs.alphabet) * ny)
         joint = {}
         for ix, sx in enumerate(xs.alphabet):

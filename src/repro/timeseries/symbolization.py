@@ -1,7 +1,11 @@
 """Symbolic time-series representation (paper Def. 3.2).
 
 A symboliser is a mapping function ``f: X -> Sigma_X`` that encodes each raw
-value of a time series into a symbol from a finite alphabet.  The paper uses two
+value of a time series into a symbol from a finite alphabet.  It maps a whole
+array of values to integer codes into that alphabet at once
+(:meth:`Symbolizer.codes_for`); the resulting
+:class:`~repro.timeseries.symbolic.SymbolicSeries` keeps those codes and the
+series' own timestamp array, uncopied.  The paper uses two
 concrete mappings in its evaluation:
 
 * an **On/Off threshold** for the energy datasets (``value >= 0.05`` is On), and
@@ -57,7 +61,14 @@ class Symbolizer(ABC):
 
     def symbol_for(self, value: float) -> str:
         """Map one raw value to a symbol."""
-        return self.alphabet[int(self.codes_for(np.array([value], dtype=float))[0])]
+        alphabet = self.alphabet
+        code = int(self.codes_for(np.array([value], dtype=float))[0])
+        if not 0 <= code < len(alphabet):
+            raise SymbolizationError(
+                f"value {value} maps to code {code}, outside [0, {len(alphabet)}) "
+                f"of alphabet {alphabet}"
+            )
+        return alphabet[code]
 
     def fit(self, series: TimeSeries) -> "Symbolizer":
         """Adapt data-dependent parameters to ``series``.
@@ -68,14 +79,16 @@ class Symbolizer(ABC):
         return self
 
     def transform(self, series: TimeSeries) -> SymbolicSeries:
-        """Symbolise a whole series, preserving timestamps."""
-        alphabet = self.alphabet
-        codes = self.codes_for(series.values)
+        """Symbolise a whole series; the result shares its timestamp array.
+
+        :class:`SymbolicSeries` rejects a code outside the alphabet with a
+        :class:`SymbolizationError` naming the series and the code.
+        """
         return SymbolicSeries(
             name=series.name,
-            timestamps=series.timestamps.copy(),
-            symbols=[alphabet[code] for code in codes.tolist()],
-            alphabet=alphabet,
+            timestamps=series.timestamps,
+            codes=self.codes_for(series.values),
+            alphabet=self.alphabet,
         )
 
     def fit_transform(self, series: TimeSeries) -> SymbolicSeries:

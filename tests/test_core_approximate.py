@@ -10,7 +10,7 @@ from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
 
 def make_symbolic(name, symbols):
-    return SymbolicSeries(
+    return SymbolicSeries.from_symbols(
         name=name,
         timestamps=np.arange(len(symbols), dtype=float) * 10.0,
         symbols=symbols,

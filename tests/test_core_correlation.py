@@ -11,7 +11,7 @@ from repro.exceptions import DataError
 
 
 def make_series(name, symbols, alphabet=("Off", "On")):
-    return SymbolicSeries(
+    return SymbolicSeries.from_symbols(
         name=name,
         timestamps=np.arange(len(symbols), dtype=float),
         symbols=symbols,

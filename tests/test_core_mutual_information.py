@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.exceptions import DataError
 
 
 def make_series(name, symbols, alphabet=("Off", "On")):
-    return SymbolicSeries(
+    return SymbolicSeries.from_symbols(
         name=name,
         timestamps=np.arange(len(symbols), dtype=float),
         symbols=symbols,
@@ -135,6 +137,37 @@ class TestNormalizedMutualInformation:
         assert len(matrix) == 7 * 6
         for (name_x, name_y), value in matrix.items():
             assert value == normalized_mutual_information(db, name_x, name_y)
+
+    def test_wide_alphabets_count_every_joint_cell(self):
+        """17 x 17 symbols: a joint cell index reaches 16 * 17 + 16 = 288,
+        past what the series' one-byte codes hold, so the counts must come
+        out as the per-pair arithmetic of a Python count."""
+        alphabet = tuple(f"q{k}" for k in range(17))
+        rng = np.random.default_rng(17)
+        symbols_x = [alphabet[k] for k in rng.integers(0, 17, 2000)]
+        symbols_y = [alphabet[k] for k in rng.integers(0, 17, 2000)]
+        x = make_series("x", symbols_x, alphabet)
+        y = make_series("y", symbols_y, alphabet)
+        assert x.codes.dtype == np.uint8
+        db = SymbolicDatabase([x, y])
+        pairs = Counter(zip(symbols_x, symbols_y))
+        assert pairs[(alphabet[16], alphabet[16])] > 0
+        expected_joint = {
+            (sx, sy): pairs[(sx, sy)] / len(symbols_x) for sx in alphabet for sy in alphabet
+        }
+        assert db.joint_distribution("x", "y") == expected_joint
+
+        def per_pair(first, second, joint):
+            return min(
+                mutual_information(joint, first.distribution(), second.distribution())
+                / entropy(first.distribution()),
+                1.0,
+            )
+
+        transposed = {(sy, sx): expected_joint[(sx, sy)] for sy in alphabet for sx in alphabet}
+        matrix = nmi_matrix(db)
+        assert matrix[("x", "y")] == per_pair(x, y, expected_joint)
+        assert matrix[("y", "x")] == per_pair(y, x, transposed)
 
 
 class TestConfidenceLowerBound:

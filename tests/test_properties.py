@@ -92,7 +92,7 @@ def aligned_symbolic_databases(draw):
             st.lists(st.sampled_from(used), min_size=n_steps, max_size=n_steps)
         )
         timestamps = np.arange(n_steps, dtype=float)
-        series.append(SymbolicSeries(f"x{index}", timestamps, symbols, alphabet))
+        series.append(SymbolicSeries.from_symbols(f"x{index}", timestamps, symbols, alphabet))
     return SymbolicDatabase(series)
 
 

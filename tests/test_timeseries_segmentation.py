@@ -10,7 +10,7 @@ from repro import ConfigurationError, DataError, SplitConfig, SymbolicDatabase, 
 
 def make_series(name, symbols, step=10.0, alphabet=("Off", "On")):
     timestamps = np.arange(len(symbols), dtype=float) * step
-    return SymbolicSeries(name=name, timestamps=timestamps, symbols=symbols, alphabet=alphabet)
+    return SymbolicSeries.from_symbols(name=name, timestamps=timestamps, symbols=symbols, alphabet=alphabet)
 
 
 class TestSplitConfig:
@@ -109,7 +109,7 @@ class TestSplitIntoSequences:
         # must refuse instead of appending that start until memory runs out.
         timestamps = 1.7e12 + 60000.0 * np.arange(3)
         db = SymbolicDatabase(
-            [SymbolicSeries("K", timestamps, ["On", "Off", "On"], ("Off", "On"))]
+            [SymbolicSeries.from_symbols("K", timestamps, ["On", "Off", "On"], ("Off", "On"))]
         )
         config = SplitConfig(window_length=60000.0, overlap=60000.0 - 1e-4)
         with pytest.raises(ConfigurationError) as error:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import DataError, SymbolicDatabase, SymbolicSeries
+from repro import DataError, SymbolicDatabase, SymbolicSeries, SymbolizationError
 
 
 def make_series(name: str, symbols: list[str], alphabet=("Off", "On"), step=1.0):
     timestamps = np.arange(len(symbols), dtype=float) * step
-    return SymbolicSeries(name=name, timestamps=timestamps, symbols=symbols, alphabet=alphabet)
+    return SymbolicSeries.from_symbols(name=name, timestamps=timestamps, symbols=symbols, alphabet=alphabet)
 
 
 class TestSymbolicSeries:
@@ -20,11 +20,11 @@ class TestSymbolicSeries:
 
     def test_validation_rejects_length_mismatch(self):
         with pytest.raises(DataError):
-            SymbolicSeries("x", np.array([0.0, 1.0]), ["On"], ("Off", "On"))
+            SymbolicSeries.from_symbols("x", np.array([0.0, 1.0]), ["On"], ("Off", "On"))
 
     def test_validation_rejects_empty(self):
         with pytest.raises(DataError):
-            SymbolicSeries("x", np.array([]), [], ("Off", "On"))
+            SymbolicSeries.from_symbols("x", np.array([]), [], ("Off", "On"))
 
     def test_distribution_covers_full_alphabet(self):
         series = make_series("x", ["On", "On", "Off", "On"])
@@ -39,7 +39,7 @@ class TestSymbolicSeries:
 
     def test_codes_match_alphabet_positions(self):
         series = make_series("x", ["On", "Off", "On"])
-        assert series.codes().tolist() == [1, 0, 1]
+        assert series.codes.tolist() == [1, 0, 1]
 
     def test_to_intervals_merges_runs(self):
         # Paper Def. 3.4: consecutive identical symbols combine into one interval.
@@ -71,6 +71,67 @@ class TestSymbolicSeries:
         series = make_series("x", ["On"])
         with pytest.raises(DataError):
             series.slice_time(5.0, 6.0)
+
+
+class TestCodes:
+    def test_codes_use_the_narrowest_unsigned_dtype(self):
+        grid = np.arange(3, dtype=float)
+        for size, dtype in ((1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16)):
+            alphabet = tuple(f"s{k}" for k in range(size))
+            series = SymbolicSeries("x", grid, np.array([0, size - 1, 0]), alphabet)
+            assert series.codes.dtype == dtype
+            assert series.symbols == ["s0", f"s{size - 1}", "s0"]
+
+    def test_symbols_iteration_and_counts_derive_from_the_codes(self):
+        series = SymbolicSeries("x", np.array([0.0, 5.0, 10.0]), [2, 0, 2], ("a", "b", "c"))
+        assert series.codes.tolist() == [2, 0, 2]
+        assert series.symbols == ["c", "a", "c"]
+        assert list(series) == [(0.0, "c"), (5.0, "a"), (10.0, "c")]
+        assert series.symbol_counts() == {"c": 2, "a": 1}
+        assert list(series.symbol_counts()) == ["c", "a"]
+        assert series.slice_time(5.0, 11.0).codes.tolist() == [0, 2]
+
+    def test_from_symbols_keeps_the_unknown_symbol_message(self):
+        with pytest.raises(DataError) as error:
+            SymbolicSeries.from_symbols("x", np.arange(3.0), ["On", "Maybe", "Nah"], ("Off", "On"))
+        assert str(error.value) == (
+            "symbolic series 'x': symbols ['Maybe', 'Nah'] not in alphabet ('Off', 'On')"
+        )
+
+    @pytest.mark.parametrize(
+        "codes",
+        [np.array([0.0, 1.0]), ["On", "Off"], np.zeros((2, 1), int)],
+        ids=["float", "strings", "2-d"],
+    )
+    def test_codes_must_be_a_1d_integer_array(self, codes):
+        with pytest.raises(DataError, match="codes must be a 1-D integer array"):
+            SymbolicSeries("x", np.array([0.0, 1.0]), codes, ("Off", "On"))
+
+    def test_a_boolean_mask_is_codes_0_and_1(self):
+        series = SymbolicSeries("x", np.arange(3.0), np.array([True, False, True]), ("Off", "On"))
+        assert series.codes.dtype == np.uint8
+        assert series.symbols == ["On", "Off", "On"]
+
+    def test_a_symbol_listed_twice_is_one_symbol(self):
+        # Codes 0 and 1 both name "lo": one run, one probability mass, as
+        # the string encoding gives.
+        alphabet = ("lo", "lo", "hi")
+        series = SymbolicSeries("x", np.arange(4.0), np.array([0, 1, 2, 0]), alphabet)
+        encoded = SymbolicSeries.from_symbols("x", np.arange(4.0), series.symbols, alphabet)
+        assert series.codes.tolist() == encoded.codes.tolist() == [1, 1, 2, 1]
+        assert [(i.symbol, i.start, i.end) for i in series.to_intervals()] == [
+            ("lo", 0.0, 2.0), ("hi", 2.0, 3.0), ("lo", 3.0, 4.0)
+        ]
+        assert series.distribution() == {"lo": 0.75, "hi": 0.25}
+
+    @pytest.mark.parametrize("code", [-1, 2, 300])
+    def test_code_outside_the_alphabet_names_series_and_code(self, code):
+        with pytest.raises(SymbolizationError) as error:
+            SymbolicSeries("meter", np.arange(3.0), np.array([0, code, 1]), ("Off", "On"))
+        assert str(error.value) == (
+            f"symbolic series 'meter': code {code} is outside [0, 2) "
+            "of alphabet ('Off', 'On')"
+        )
 
 
 class TestSymbolicDatabase:

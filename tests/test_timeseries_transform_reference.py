@@ -173,7 +173,7 @@ def symbolic_series(draw, name: str, step: float | None = None, origin: float | 
         timestamps = start + np.concatenate([[0.0], np.cumsum(gaps)])
     else:
         timestamps = origin + step * np.arange(n, dtype=float)
-    return SymbolicSeries(name, timestamps, symbols, ALPHABET)
+    return SymbolicSeries.from_symbols(name, timestamps, symbols, ALPHABET)
 
 
 @st.composite
@@ -205,7 +205,7 @@ class TestIntervalsMatchReference:
         )
 
     def test_one_sample_series(self):
-        series = SymbolicSeries("K", np.array([3.0]), ["On"], ALPHABET)
+        series = SymbolicSeries.from_symbols("K", np.array([3.0]), ["On"], ALPHABET)
         assert exact_intervals(series.to_intervals()) == exact_intervals(
             reference_intervals(series)
         )
@@ -264,7 +264,7 @@ class TestSplitMatchesReference:
         # window's start.  Adding 0.1 ten times gives 0.9999999999999999,
         # not 1.0: starts computed as start + i * stride would differ.
         symbolic_db = SymbolicDatabase(
-            [SymbolicSeries("K", np.arange(31) * 0.1, ["On"] * 31, ALPHABET)]
+            [SymbolicSeries.from_symbols("K", np.arange(31) * 0.1, ["On"] * 31, ALPHABET)]
         )
         config = SplitConfig(window_length=0.2, overlap=0.1)
         self._check(symbolic_db, config)
@@ -274,7 +274,7 @@ class TestSplitMatchesReference:
     def test_negative_zero_window_start_is_kept(self):
         # A window starting at -0.0 clips an interval starting at 0.0 to the
         # first argument of max(), exactly as the scan did.
-        series = SymbolicSeries("K", np.array([-0.0, 1.0, 2.0]), ["On", "Off", "On"], ALPHABET)
+        series = SymbolicSeries.from_symbols("K", np.array([-0.0, 1.0, 2.0]), ["On", "Off", "On"], ALPHABET)
         self._check(SymbolicDatabase([series]), SplitConfig(window_length=1.5, overlap=0.5))
 
 
@@ -410,6 +410,36 @@ class TestErrorsThroughBothEntryPoints:
             symbolizer.transform(_series([1.0, 2.0, 3.0]))
         with pytest.raises(SymbolizationError, match="before fit"):
             symbolizer.codes_for(np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_codes_outside_the_alphabet_name_series_and_code(self, bad):
+        # A code of -1 used to pick the alphabet's last symbol silently, and
+        # len(alphabet) raised a bare IndexError.
+        class Broken(Symbolizer):
+            @property
+            def alphabet(self):
+                return ("Off", "On")
+
+            def codes_for(self, values):
+                values = np.asarray(values, dtype=float)
+                return np.where(values == 0.2, bad, values >= 0.5).astype(np.intp)
+
+        series = TimeSeries.from_values("meter", [0.0, 1.0, 0.2])
+        with pytest.raises(SymbolizationError, match=f"series 'meter': code {bad} is outside"):
+            Broken().transform(series)
+        with pytest.raises(SymbolizationError, match=f"maps to code {bad}, outside"):
+            Broken().symbol_for(0.2)
+        assert Broken().symbol_for(1.0) == "On"
+
+    def test_repeated_labels_merge_into_one_symbol(self):
+        symbolizer = UniformBinSymbolizer(labels=("lo", "lo", "hi"))
+        series = _series([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 5.0])
+        symbolic = symbolizer.fit_transform(series)
+        assert symbolic.symbols == reference_symbols(symbolizer, series)
+        assert exact_intervals(symbolic.to_intervals()) == exact_intervals(
+            reference_intervals(symbolic)
+        )
+        assert symbolic.distribution() == {"lo": 0.625, "hi": 0.375}
 
     def test_uniform_bins_before_fit_map_to_the_first_label(self):
         symbolizer = UniformBinSymbolizer(labels=("lo", "hi"))
