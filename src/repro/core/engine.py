@@ -78,7 +78,12 @@ from typing import Any, NamedTuple, Protocol, TypeVar, runtime_checkable
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, MemoryBudgetExceeded, MiningError
+from ..exceptions import (
+    ConfigurationError,
+    MemoryBudgetExceeded,
+    MiningError,
+    RepresentationOverflowError,
+)
 from . import faults, hpg, resources
 from .config import MiningConfig, RetryPolicy
 from .events import EventKey
@@ -404,13 +409,93 @@ def _anchor_chunks(lo: np.ndarray, hi: np.ndarray, max_pairs: int):
         start = stop
 
 
-def _group_keys(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``groups + values * 1j``, built without arithmetic.  NumPy orders
-    complex numbers lexicographically, so one ``searchsorted`` over such keys
-    searches inside each query's own (event, sequence) group."""
-    keys = np.empty(len(groups), dtype=np.complex128)
-    keys.real, keys.imag = groups, values
-    return keys
+class _Windows:
+    """Where a parent row's successors lie among the new event's instances
+    in one (event, sequence) group of the instance table.
+
+    ``latest[row, sequence]`` is the start of the group's last instance,
+    ``-inf`` for an empty group: a parent row whose last instance starts
+    later has an empty window, so the pass drops it before it gathers the
+    row's other columns.  ``keys`` holds one ``int64`` per table instance,
+    ``group * radix + rank``: ``rank`` is the position of the instance's
+    start among the table's ``distinct`` starts and ``radix`` is one more
+    than their number.  Groups ascend in table order and starts ascend
+    inside a group, so the keys are sorted, and one ``searchsorted`` over
+    them finds a start's place inside each query's own group, as a search
+    of that group's starts would.
+    """
+
+    def __init__(self, table: InstanceTable) -> None:
+        count = table.count
+        self.distinct, self.ranks = np.unique(table.starts, return_inverse=True)
+        self.radix = len(self.distinct) + 1
+        if count.size * self.radix > np.iinfo(np.int64).max:
+            raise RepresentationOverflowError(
+                f"{count.size} (event, sequence) groups of {len(self.distinct)} "
+                "distinct starts do not fit the pass's int64 window keys"
+            )
+        occupied = count > 0
+        self.latest = np.full(count.shape, -np.inf)
+        self.latest[occupied] = table.starts[(table.offset + count - 1)[occupied]]
+        groups = np.repeat(np.arange(count.size), count.ravel())
+        self.keys = groups * self.radix + self.ranks
+
+    def extends(self, new_rows, sequences, last_starts) -> np.ndarray:
+        """Rows with an instance of their new event in their sequence that
+        starts no earlier than their last instance (a tie may succeed)."""
+        return self.latest[new_rows, sequences] >= last_starts
+
+    def bounds(self, groups, last, first_starts, tmax, stop):
+        """``[lo, hi)`` table positions of each row's window in its group
+        ``new row * n_sequences + sequence``: successors start no earlier
+        than the row's last instance (table position ``last``) and, under a
+        finite ``tmax``, no later than ``bound = first start + tmax +
+        4 * (spacing(|first start + tmax|) + spacing(tmax))``; ``stop`` is
+        each group's end.
+
+        The exact tmax mask passes an end only if ``end - first start``
+        rounds to at most tmax, so the end is below ``first start + tmax +
+        spacing(tmax) / 2``; the computed sum is off by at most
+        ``spacing(|bound|)``, and the slack covers both errors.
+        """
+        lo = np.searchsorted(self.keys, groups * self.radix + self.ranks[last])
+        if tmax is None or not math.isfinite(tmax):
+            return lo, stop
+        bound = first_starts + tmax
+        bound += 4 * (np.spacing(np.abs(bound)) + np.spacing(tmax))
+        # Rank of the first distinct start past the bound: the window ends
+        # at the group's first instance of that rank or more.
+        past = np.searchsorted(self.distinct, bound, "right")
+        return lo, np.searchsorted(self.keys, groups * self.radix + past)
+
+
+def _pair_groups(jobs: np.ndarray, codes: np.ndarray):
+    """Group pairs (in enumeration order) by job and relation codes.
+
+    A pair's key is its job followed by its codes as base-3 digits; before
+    a digit that would take the keys past ``2**63``, the key so far becomes
+    its rank among the pass's keys (the :class:`_RowIndex` rule), so no key
+    overflows.  One stable ``argsort`` brings equal keys together, each run
+    of equal keys in enumeration order, so a run's head is its group's
+    first hit.  Returns ``(order, first_hit, sizes)``: the pairs of every
+    group, groups in first-hit order, and each group's first pair and size.
+    """
+    base = len(RELATIONS_BY_CODE)
+    keys, n_keys = jobs.astype(np.int64), int(jobs.max()) + 1
+    for column in codes.T:
+        if n_keys * base > 1 << 63:
+            unique, keys = np.unique(keys, return_inverse=True)
+            n_keys = len(unique)
+        keys = keys * base + column
+        n_keys *= base
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    heads = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    first_hit = order[heads]
+    by_hit = np.argsort(first_hit)
+    sizes = np.diff(np.r_[heads, len(keys)])[by_hit]
+    shift = np.repeat(heads[by_hit] - (np.cumsum(sizes) - sizes), sizes)
+    return order[np.arange(len(keys)) + shift], first_hit[by_hit], sizes
 
 
 class _ParentRows(NamedTuple):
@@ -470,6 +555,9 @@ class _ExtensionBatch:
     failing position, and one stored row block per pattern, patterns in
     first-hit order and each block's sequences ascending — skipping
     patterns whose (complete) support :func:`admit_patterns` would reject.
+    It first gathers only each parent row's last start and drops the rows
+    whose successor window is empty (:class:`_Windows`), which classify no
+    pair, and groups its hits with one sort (:func:`_pair_groups`).
     A delta pass (``LevelContext.delta_start``) stacks only delta rows,
     stores every pattern it finds and keeps every Apriori survivor.
     """
@@ -484,9 +572,7 @@ class _ExtensionBatch:
         )
         #: Event key of each table row.
         self.events = list(table.index)
-        self.group_starts = _group_keys(
-            np.repeat(np.arange(table.count.size), table.count.ravel()), table.starts
-        )
+        self.windows = _Windows(table)
         self.watchdog = resources.shard_watchdog(context)
         self.parent_nodes: list[CombinationNode] = []
         if context.level >= 3:
@@ -661,8 +747,17 @@ class _ExtensionBatch:
         runs[:, 0] += np.repeat(first_jobs, n_runs)
         jobs, sequences = np.repeat(runs[:, :2], runs[:, 2], axis=0).T
         index_rows = np.concatenate([stack.index_rows for stack in stacks])
-        event_rows = np.concatenate([stack.events for stack in stacks])[jobs]
-        new_rows = queued.new[job_owner][jobs]
+        job_events = np.concatenate([stack.events for stack in stacks])
+        job_new = queued.new[job_owner]
+        # A row whose last instance starts after every instance of the new
+        # event in its sequence extends nothing: drop it before gathering
+        # its other columns.
+        last = table.offset[job_events[jobs, -1], sequences] + index_rows[:, -1]
+        kept = np.flatnonzero(
+            self.windows.extends(job_new[jobs], sequences, table.starts[last])
+        )
+        jobs, sequences, index_rows = jobs[kept], sequences[kept], index_rows[kept]
+        event_rows, new_rows = job_events[jobs], job_new[jobs]
         # The new event's instances of each row's sequence: flat positions
         # first .. stop, list position = flat position - first.
         first = table.offset[new_rows, sequences]
@@ -671,20 +766,10 @@ class _ExtensionBatch:
         row_starts, row_ends = table.starts[positions], table.ends[positions]
         # Rows are in event-key order, so this is the successor key tie-break.
         after_last = new_rows > event_rows[:, -1]
-        # Windows holding every pair the masks below accept: successors start
-        # no earlier than the last instance, and none starts after ``bound``.
-        # The exact tmax mask passes an end only if ``end - first start``
-        # rounds to at most tmax, so the end is below ``first start + tmax +
-        # spacing(tmax) / 2``; the computed sum is off by at most
-        # ``spacing(|bound|)``, and the slack covers both errors.
+        # Windows holding every pair the masks below accept.
+        tmax = config.tmax
         groups = new_rows * table.count.shape[1] + sequences
-        lo = np.searchsorted(self.group_starts, _group_keys(groups, row_starts[:, -1]))
-        tmax, hi = config.tmax, stop
-        if tmax is not None and math.isfinite(tmax):
-            bound = row_starts[:, 0] + tmax
-            bound += 4 * (np.spacing(np.abs(bound)) + np.spacing(tmax))
-            keys = _group_keys(groups, bound)
-            hi = np.minimum(np.searchsorted(self.group_starts, keys, "right"), stop)
+        lo, hi = self.windows.bounds(groups, last[kept], row_starts[:, 0], tmax, stop)
         budget = self.context.chunk_bytes or _PASS_CHUNK_BYTES
         max_pairs = max(1, budget // _bytes_per_pair(level))
         hits = []
@@ -764,15 +849,9 @@ class _ExtensionBatch:
         """Store surviving pairs (in enumeration order) by extended pattern;
         ``owner(job)`` is a job's (node, new event, parent pattern) and
         ``supports[job]`` the largest support among its node's events."""
-        # One key per (job, relation codes): fold the code columns in one at
-        # a time, as ranks, so the key never overflows.
-        keys = jobs
-        for column in codes.T:
-            _, keys = np.unique(keys * len(RELATIONS_BY_CODE) + column, return_inverse=True)
-        _, first_hit, group = np.unique(keys, return_index=True, return_inverse=True)
-        # Groups in first-hit order, each group's pairs in enumeration order.
-        order = np.argsort(first_hit[group.reshape(-1)], kind="stable")
-        group, sequences = group.reshape(-1)[order], sequences[order]
+        order, first_hit, sizes = _pair_groups(jobs, codes)
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        sequences = sequences[order]
         block = hpg._checked_rows(block[order])
         # A group's pairs of one sequence are contiguous (its job's rows are
         # stacked sequence by sequence, ascending): each run is one sequence's
@@ -792,13 +871,11 @@ class _ExtensionBatch:
             )
         bounds = np.r_[runs, len(block)]
         run_sequences = sequences[runs].astype(hpg._INDEX_DTYPE)
-        # A group's runs are adjacent: split the runs where the group changes.
-        run_groups = group[runs]
-        splits = np.flatnonzero(np.r_[True, run_groups[1:] != run_groups[:-1]]).tolist()
-        for a, b in zip(splits, splits[1:] + [len(runs)]):
-            g = run_groups[a]
-            if not frequent[g]:
-                continue
+        # Groups are numbered in storing order: group g's runs are
+        # splits[g] .. splits[g + 1].
+        splits = np.searchsorted(group[runs], np.arange(len(sizes) + 1)).tolist()
+        for g in np.flatnonzero(frequent).tolist():
+            a, b = splits[g], splits[g + 1]
             node, new_event, parent = owner(int(group_jobs[g]))
             codes_row = codes[first_hit[g]].tolist()
             relations = tuple(RELATIONS_BY_CODE[code] for code in codes_row)

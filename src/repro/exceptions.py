@@ -85,5 +85,7 @@ class RepresentationOverflowError(MiningError):
     The columnar occurrence store indexes instance lists with ``int32``
     (see :class:`repro.core.hpg.PatternEntry`); an instance-list position
     beyond ``2**31 - 1`` would silently wrap into a negative index and
-    materialise the *wrong* instance.  Insertion raises this instead.
+    materialise the *wrong* instance.  Insertion raises this instead, and
+    so does a level whose (event, sequence) groups times distinct instance
+    starts would not fit the batched pass's ``int64`` window keys.
     """

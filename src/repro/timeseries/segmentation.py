@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..exceptions import ConfigurationError, DataError
 from .sequences import EventInstance, SequenceDatabase, TemporalSequence
-from .symbolic import SymbolicDatabase
+from .symbolic import SymbolicDatabase, closing_steps
 
 __all__ = ["SplitConfig", "split_into_sequences"]
 
@@ -97,10 +97,10 @@ def split_into_sequences(
 
     # Intervals once per series, without the dropped symbols (reused by every window).
     kept_intervals = []
-    for series in symbolic_db:
+    for series, step in zip(symbolic_db, closing_steps(symbolic_db.series)):
         intervals = [
             interval
-            for interval in series.to_intervals()
+            for interval in series._intervals(step)
             if interval.symbol not in config.drop_symbols
         ]
         kept_intervals.append(

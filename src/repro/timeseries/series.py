@@ -63,6 +63,16 @@ class TimeSeries:
             raise DataError(f"series {self.name!r}: timestamps must be strictly increasing")
 
     # ------------------------------------------------------------------ basics
+    def __eq__(self, other: object) -> bool:
+        """Same name and element-wise equal arrays (unhashable, as before)."""
+        if not isinstance(other, TimeSeries):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and np.array_equal(self.timestamps, other.timestamps)
+            and np.array_equal(self.values, other.values)
+        )
+
     def __len__(self) -> int:
         return len(self.values)
 

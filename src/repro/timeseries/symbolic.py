@@ -134,6 +134,18 @@ class SymbolicSeries:
         return cls(name, timestamps, codes, alphabet)
 
     # ------------------------------------------------------------------ basics
+    def __eq__(self, other: object) -> bool:
+        """Same name and alphabet, element-wise equal arrays (unhashable, as
+        before)."""
+        if not isinstance(other, SymbolicSeries):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.alphabet == other.alphabet
+            and np.array_equal(self.timestamps, other.timestamps)
+            and np.array_equal(self.codes, other.codes)
+        )
+
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -178,7 +190,11 @@ class SymbolicSeries:
         the final run closes one sampling interval after its last observation so
         it has a non-zero duration even when it covers a single time step.
         """
-        step = self.sampling_interval or 1.0
+        return self._intervals(self.sampling_interval or 1.0)
+
+    def _intervals(self, step: float) -> list[SymbolInterval]:
+        """:meth:`to_intervals`, the final run closing ``step`` after its
+        last observation."""
         codes = self.codes
         # Index of the first sample of every run after the first one.
         boundaries = np.flatnonzero(codes[1:] != codes[:-1]) + 1
@@ -205,6 +221,20 @@ class SymbolicSeries:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"SymbolicSeries(name={self.name!r}, n={len(self)}, alphabet={self.alphabet})"
+
+
+def closing_steps(series: Sequence[SymbolicSeries]) -> list[float]:
+    """Each series' ``sampling_interval or 1.0``, the step that closes its
+    last run, with one median per distinct timestamp array: the series of
+    one CSV read share one grid."""
+    by_grid: dict[int, float] = {}
+    steps = []
+    for one in series:
+        grid = id(one.timestamps)
+        if grid not in by_grid:
+            by_grid[grid] = one.sampling_interval or 1.0
+        steps.append(by_grid[grid])
+    return steps
 
 
 @dataclass
@@ -283,9 +313,8 @@ class SymbolicDatabase:
         if not self.series:
             raise DataError("empty SymbolicDatabase has no time span")
         start = min(float(s.timestamps[0]) for s in self.series)
-        end = max(
-            float(s.timestamps[-1]) + (s.sampling_interval or 1.0) for s in self.series
-        )
+        steps = closing_steps(self.series)
+        end = max(float(s.timestamps[-1]) + step for s, step in zip(self.series, steps))
         return start, end
 
     # ------------------------------------------------------------------ distributions

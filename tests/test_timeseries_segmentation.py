@@ -118,3 +118,30 @@ class TestSplitIntoSequences:
         assert "window_length=60000.0" in message
         assert f"overlap={60000.0 - 1e-4}" in message
         assert f"timestamp {1.7e12}" in message
+
+    def test_one_median_per_shared_grid(self, monkeypatch):
+        """Series on one timestamp array take its median step once per
+        caller (``time_span``, then the intervals), a series on its own grid
+        once more each, and the split equals one from separate grids."""
+        grid = np.arange(12, dtype=float) * 10.0
+        symbols = [["On", "Off"] * 6, ["Off", "Off", "On"] * 4, ["On"] * 12]
+        shared = [
+            SymbolicSeries.from_symbols(f"S{i}", grid, s, ("Off", "On"))
+            for i, s in enumerate(symbols)
+        ]
+        own = SymbolicSeries.from_symbols("T", grid * 2.0, ["On", "Off"] * 6, ("Off", "On"))
+        calls = []
+        interval = SymbolicSeries.sampling_interval
+        monkeypatch.setattr(
+            SymbolicSeries,
+            "sampling_interval",
+            property(lambda series: (calls.append(series.name), interval.fget(series))[1]),
+        )
+        config = SplitConfig(window_length=40.0)
+        split = split_into_sequences(SymbolicDatabase([*shared, own]), config)
+        assert calls == ["S0", "T", "S0", "T"]
+        copies = [
+            SymbolicSeries(one.name, one.timestamps.copy(), one.codes, one.alphabet)
+            for one in [*shared, own]
+        ]
+        assert split.sequences == split_into_sequences(SymbolicDatabase(copies), config).sequences

@@ -82,6 +82,42 @@ class TestTimeSeries:
         assert list(series) == [(1.0, 5.0), (2.0, 6.0)]
 
 
+class TestEquality:
+    """``==`` compares the name and the arrays element-wise; before, the
+    dataclass ``__eq__`` compared the arrays inside a tuple and raised
+    "truth value of an array is ambiguous" for two series of one name."""
+
+    def test_equal_series(self):
+        a = TimeSeries.from_values("a", [1.0, 2.0, 3.0])
+        b = TimeSeries.from_values("a", [1.0, 2.0, 3.0])
+        assert a == b and not a != b
+        assert b in [TimeSeries.from_values("z", [1.0, 2.0, 3.0]), a]
+        assert [TimeSeries.from_values("z", [0.0]), a].index(b) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            TimeSeries.from_values("b", [1.0, 2.0, 3.0]),
+            TimeSeries.from_values("a", [1.0, 2.0, 4.0]),
+            TimeSeries.from_values("a", [1.0, 2.0, 3.0], start=1.0),
+            TimeSeries.from_values("a", [1.0, 2.0]),
+        ],
+        ids=["name", "values", "timestamps", "length"],
+    )
+    def test_unequal_series(self, other):
+        a = TimeSeries.from_values("a", [1.0, 2.0, 3.0])
+        assert a != other and not a == other
+        assert other not in [a]
+        with pytest.raises(ValueError):
+            [a].index(other)
+
+    def test_other_types_and_hashing(self):
+        a = TimeSeries.from_values("a", [1.0, 2.0, 3.0])
+        assert a != "a" and a != (a.name, a.timestamps, a.values)
+        with pytest.raises(TypeError):
+            hash(a)
+
+
 class TestTimeSeriesSet:
     def _make_set(self) -> TimeSeriesSet:
         return TimeSeriesSet(

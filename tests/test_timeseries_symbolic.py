@@ -73,6 +73,43 @@ class TestSymbolicSeries:
             series.slice_time(5.0, 6.0)
 
 
+class TestEquality:
+    """``==`` compares name, alphabet and the arrays element-wise; before,
+    the dataclass ``__eq__`` raised "truth value of an array is ambiguous"
+    for two series of one name."""
+
+    def test_equal_series(self):
+        a = make_series("a", ["On", "Off", "On"])
+        b = make_series("a", ["On", "Off", "On"])
+        assert a == b and not a != b
+        assert b in [make_series("z", ["On", "Off", "On"]), a]
+        assert [make_series("z", ["On"]), a].index(b) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            make_series("b", ["On", "Off", "On"]),
+            make_series("a", ["On", "On", "On"]),
+            make_series("a", ["On", "Off", "On"], step=2.0),
+            make_series("a", ["On", "Off"]),
+            make_series("a", ["On", "Off", "On"], alphabet=("Off", "On", "Idle")),
+        ],
+        ids=["name", "codes", "timestamps", "length", "alphabet"],
+    )
+    def test_unequal_series(self, other):
+        a = make_series("a", ["On", "Off", "On"])
+        assert a != other and not a == other
+        assert other not in [a]
+        with pytest.raises(ValueError):
+            [a].index(other)
+
+    def test_other_types_and_hashing(self):
+        a = make_series("a", ["On", "Off", "On"])
+        assert a != "a" and a != (a.name, a.timestamps, a.codes, a.alphabet)
+        with pytest.raises(TypeError):
+            hash(a)
+
+
 class TestCodes:
     def test_codes_use_the_narrowest_unsigned_dtype(self):
         grid = np.arange(3, dtype=float)
