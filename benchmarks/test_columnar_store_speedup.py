@@ -20,8 +20,9 @@ the repository root keeps the records of earlier runs as frozen history):
   ``starts[idx]`` vs the legacy per-call list comprehension over instance
   objects;
 * **pickled shard payload** — the bytes a worker ships back per mined node
-  with index matrices vs the legacy instance-tuple emulation (a structural
-  fact, asserted unconditionally even in smoke mode).
+  with each entry's two arrays (one sequence id per row and the index
+  block) vs the legacy instance-tuple emulation (a structural fact,
+  asserted unconditionally even in smoke mode).
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _block_build_micro(graph) -> float:
 def _payload_bytes(graph) -> tuple[int, int]:
     """(columnar, legacy-emulated) pickled bytes of the deepest level's nodes.
 
-    The legacy emulation replaces each entry's index matrices with the
+    The legacy emulation replaces each entry's two arrays with the
     materialised instance-tuple lists — the exact payload shape workers
     shipped before the columnar store — alongside the same node identity, so
     the comparison isolates the occurrence representation."""
@@ -185,7 +186,7 @@ def test_columnar_store_speedup_on_dense_level_k_workload(benchmark):
     session.mine(database)
     block_ratio = _block_build_micro(session.graph)
     payload_columnar, payload_legacy = _payload_bytes(session.graph)
-    # The payload cut is structural, not a timing claim: int32 index matrices
+    # The payload cut is structural, not a timing claim: the int32 arrays
     # always pickle smaller than the instance-tuple lists they replace.
     assert payload_columnar < payload_legacy
 

@@ -79,9 +79,8 @@ class RetryPolicy:
         running past it is killed (the worker pool is torn down and rebuilt)
         and the shard is retried.  ``None`` (the default) never times out.
 
-    The backoff jitter is *deterministic*: it is derived from the retry round
-    and the mining level, never from a random source, so a retried run is
-    reproducible down to its sleep pattern.
+    The backoff is *deterministic*, a function of the retry round alone, so
+    a retried run is reproducible down to its sleep pattern.
     """
 
     max_retries: int = 2
@@ -107,16 +106,10 @@ class RetryPolicy:
                 f"shard_timeout must be positive or None, got {self.shard_timeout}"
             )
 
-    def delay(self, round_index: int, seed: int = 0) -> float:
-        """Backoff before retry round ``round_index`` (0-based), with jitter.
-
-        The jitter spreads retries of concurrent runs apart without
-        sacrificing determinism: it is a pure hash of ``(round_index, seed)``
-        in ``[0, base / 4)``, so the same run always sleeps the same amount.
-        """
-        base = self.backoff_seconds * self.backoff_multiplier**round_index
-        jitter_bucket = (round_index * 2654435761 + seed * 40503 + 12582917) % 1024
-        return base * (1.0 + 0.25 * jitter_bucket / 1024.0)
+    def delay(self, round_index: int) -> float:
+        """Backoff before retry round ``round_index`` (0-based):
+        ``backoff_seconds * backoff_multiplier ** round_index``."""
+        return self.backoff_seconds * self.backoff_multiplier**round_index
 
 
 #: Execution details a resumed/appended session adopts from the driving

@@ -46,13 +46,14 @@ the level's flat :class:`~repro.core.hpg.InstanceTable`
 :data:`_EXTENSION_BATCH_ROWS` parent rows of many candidates
 (:class:`_ExtensionBatch`) — at level 2 a parent row is one event instance,
 at level ``k`` a stored occurrence — chunked by :data:`_PASS_CHUNK_BYTES`.
-Every backend produces byte-identical nodes and counters, down to the CSR
+Every backend produces byte-identical nodes and counters, down to the two
 arrays of :class:`~repro.core.hpg.PatternEntry`, and so does the scalar
 reference the tests keep (``tests/reference_miner.py``).  Workers return
 every entry's full arrays, so a process-engine graph holds the same
-occurrence store as a serial one.  An entry is its pattern and its three
-arrays and refers to no instance list, so nothing is bound or rebound on
-either side of the process boundary: the pass reads only arrays.
+occurrence store as a serial one.  An entry is its pattern, one sequence id
+per row and its row block, and refers to no instance list, so nothing is
+bound or rebound on either side of the process boundary: the pass reads
+only arrays.
 
 Every backend mines the *identical* pattern set; the parity tests in
 ``tests/test_engine_parity.py`` and the golden fixtures in ``tests/golden/``
@@ -181,11 +182,11 @@ class LevelContext:
     chunk_bytes: int | None = None
 
     def event_support(self, event: EventKey) -> int:
-        """Support of a frequent event (0 when absent, mirroring the graph):
-        its non-empty cells of the table's ``count`` row, so evaluation reads
+        """Support of a frequent event (0 when absent, mirroring the graph),
+        read off the table (``InstanceTable.support``), so evaluation reads
         no instance list."""
         row = self.instances.index.get(event)
-        return 0 if row is None else int(np.count_nonzero(self.instances.count[row]))
+        return 0 if row is None else int(self.instances.support[row])
 
     def __post_init__(self) -> None:
         if self.instances is None:
@@ -256,18 +257,18 @@ def apriori(context: LevelContext, rows: np.ndarray):
 
     Returns the joint supports (the population count of the AND of the
     rows' packed bitmap words, ``InstanceTable.bitmaps``), the largest event
-    support of each candidate, and the two prune masks: Lemma 2 prunes a
-    support below ``min_count``, Lemma 3 then a ``support / max event
-    support`` below ``min_confidence``, divided in ``float64`` as Python
-    divides two ints.  Without Apriori pruning both masks are all False.
+    support of each candidate (``InstanceTable.support``), and the two prune
+    masks: Lemma 2 prunes a support below ``min_count``, Lemma 3 then a
+    ``support / max event support`` below ``min_confidence``, divided in
+    ``float64`` as Python divides two ints.  Without Apriori pruning both
+    masks are all False.
     """
     bitmaps = context.instances.bitmaps
     words = bitmaps[rows[:, 0]]
     for column in rows.T[1:]:
         words &= bitmaps[column]
     support = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    event_support = np.bitwise_count(bitmaps).sum(axis=1, dtype=np.int64)
-    max_support = event_support[rows].max(axis=1)
+    max_support = context.instances.support[rows].max(axis=1)
     low = np.zeros(len(rows), dtype=bool)
     weak = low.copy()
     config = context.config
@@ -350,8 +351,8 @@ def parent_index(context: LevelContext) -> tuple[list[CombinationNode], _RowInde
     return nodes, _RowIndex(rows, len(index))
 
 
-def _first_run(entry: PatternEntry, delta_start: int) -> int:
-    """Position of ``entry``'s first run in a sequence from ``delta_start`` on."""
+def _first_row(entry: PatternEntry, delta_start: int) -> int:
+    """Position of ``entry``'s first row in a sequence from ``delta_start`` on."""
     return int(np.searchsorted(entry.sequences, delta_start)) if delta_start else 0
 
 
@@ -502,11 +503,10 @@ class _ParentRows(NamedTuple):
     """A parent node's stored rows, stacked once per shard.
 
     ``index_rows`` holds the entries' row blocks, entry by entry, and
-    ``runs`` one ``(entry position, sequence, row count)`` row per
-    (entry, sequence) run, read off each entry's ``sequences`` and
-    ``offsets``, so per-row sequence and entry columns exist only inside a
-    pass.  At level 2 the parent is one event: a single one-event pattern
-    whose one-column rows are the event's instance list positions.
+    ``owners`` each row's ``(entry position, sequence)``, the sequence read
+    off its entry's ``sequences``.  At level 2 the parent is one event: a
+    single one-event pattern whose one-column rows are the event's instance
+    list positions.
     """
 
     #: The patterns of the parent's entries with stored rows.
@@ -514,7 +514,7 @@ class _ParentRows(NamedTuple):
     #: ``(len(patterns), k - 1)`` table rows of each pattern's events.
     events: np.ndarray
     index_rows: np.ndarray
-    runs: np.ndarray
+    owners: np.ndarray
 
 
 class _Queued(NamedTuple):
@@ -580,9 +580,9 @@ class _ExtensionBatch:
         n_parents = len(self.events) if context.level == 2 else len(self.parent_nodes)
         #: Parent stacks by parent id, built on first use.
         self.stacks: dict[int, _ParentRows | None] = {}
-        #: Patterns, runs and rows of each parent's stack (0 until built, and
-        #: for an absent parent: id -1 reads the last row).
-        self.sizes = np.zeros((n_parents + 1, 3), dtype=np.int64)
+        #: Patterns and rows of each parent's stack (0 until built, and for
+        #: an absent parent: id -1 reads the last row).
+        self.sizes = np.zeros((n_parents + 1, 2), dtype=np.int64)
         self.queue: list[_Queued] = []
         self.pending: list[CombinationNode] = []
         self.rows = 0
@@ -591,31 +591,25 @@ class _ExtensionBatch:
         """A level-``k`` parent's stack, built from the rows of sequences
         from ``delta_start`` on; ``None`` when no entry has any."""
         index, start = self.table.index, self.context.delta_start
-        entries, firsts = [], []
-        for entry in parent.patterns.values():
-            first = _first_run(entry, start)
-            if first < len(entry.sequences):
-                entries.append(entry)
-                firsts.append(first)
-        if not entries:
+        tails = [(entry, _first_row(entry, start)) for entry in parent.patterns.values()]
+        tails = [(entry, first) for entry, first in tails if first < len(entry.rows)]
+        if not tails:
             return None
-        tails = list(zip(entries, firsts))
         sequences = [entry.sequences[first:] for entry, first in tails]
-        runs = np.column_stack(
+        owners = np.column_stack(
             (
-                np.repeat(np.arange(len(entries)), list(map(len, sequences))),
+                np.repeat(np.arange(len(tails)), list(map(len, sequences))),
                 np.concatenate(sequences),
-                np.concatenate([np.diff(e.offsets[f:]) for e, f in tails]),
             )
         )
-        patterns = [entry.pattern for entry in entries]
+        patterns = [entry.pattern for entry, _ in tails]
         events = [[index[e] for e in pattern.events] for pattern in patterns]
-        index_rows = np.concatenate([e.rows[e.offsets[f] :] for e, f in tails])
-        return _ParentRows(patterns, np.array(events), index_rows, runs)
+        index_rows = np.concatenate([entry.rows[first:] for entry, first in tails])
+        return _ParentRows(patterns, np.array(events), index_rows, owners)
 
     def _event_rows(self, event: EventKey) -> _ParentRows:
-        """A level-2 parent: ``event``'s instances as one-column rows of list
-        positions, one run per sequence from ``delta_start`` on, under a
+        """A level-2 parent: ``event``'s instances in sequences from
+        ``delta_start`` on as one-column rows of list positions, under a
         one-event pattern."""
         table, start = self.table, self.context.delta_start
         row = table.index[event]
@@ -625,15 +619,15 @@ class _ExtensionBatch:
             np.cumsum(counts) - counts, counts
         )
         pattern = TemporalPattern(events=(event,), relations=())
-        runs = np.column_stack((np.zeros_like(sequences), sequences, counts))
+        owners = np.zeros((len(positions), 2), dtype=np.int64)
+        owners[:, 1] = np.repeat(sequences, counts)
         return _ParentRows(
-            [pattern], np.array([[row]]), positions.astype(np.int32)[:, None], runs
+            [pattern], np.array([[row]]), positions.astype(np.int32)[:, None], owners
         )
 
     def _sizes(self, parents: np.ndarray) -> np.ndarray:
-        """``parents.shape + (3,)``: the patterns, runs and rows of each
-        parent's stack, building the stacks not built yet (zeros for -1,
-        absent)."""
+        """``parents.shape + (2,)``: the patterns and rows of each parent's
+        stack, building the stacks not built yet (zeros for -1, absent)."""
         for parent in np.unique(parents[parents >= 0]).tolist():
             if parent not in self.stacks:
                 if self.context.level == 2:
@@ -642,8 +636,7 @@ class _ExtensionBatch:
                     stack = self._parent_rows(self.parent_nodes[parent])
                 self.stacks[parent] = stack
                 if stack is not None:
-                    rows = stack.patterns, stack.runs, stack.index_rows
-                    self.sizes[parent] = tuple(map(len, rows))
+                    self.sizes[parent] = len(stack.patterns), len(stack.index_rows)
         return self.sizes[parents]
 
     def admit(self, candidates: Sequence[Candidate]) -> None:
@@ -697,7 +690,7 @@ class _ExtensionBatch:
         )
         # Rows the pending nodes before each one queue (all of them, last);
         # a pass runs after the node that brings the queue to the bound.
-        queued_rows = np.r_[0, np.cumsum(self._sizes(parents)[:, 2])][bounds]
+        queued_rows = np.r_[0, np.cumsum(self._sizes(parents)[:, 1])][bounds]
         start, bound = 0, _EXTENSION_BATCH_ROWS
         while start < len(pending):
             base = queued_rows[start]
@@ -738,14 +731,14 @@ class _ExtensionBatch:
         level = self.context.level
         queued = _Queued(*map(np.concatenate, zip(*self.queue)))
         stacks = [self.stacks[parent] for parent in queued.parent.tolist()]
-        n_patterns, n_runs, _ = self.sizes[queued.parent].T
-        runs = np.concatenate([stack.runs for stack in stacks])
+        n_patterns, n_rows = self.sizes[queued.parent].T
+        owners = np.concatenate([stack.owners for stack in stacks])
         # A job is one (decomposition, parent pattern) pair, numbered across
         # the queue; jobs never span passes.
         first_jobs = np.cumsum(n_patterns) - n_patterns
         job_owner = np.repeat(np.arange(len(stacks)), n_patterns)
-        runs[:, 0] += np.repeat(first_jobs, n_runs)
-        jobs, sequences = np.repeat(runs[:, :2], runs[:, 2], axis=0).T
+        owners[:, 0] += np.repeat(first_jobs, n_rows)
+        jobs, sequences = owners.T
         index_rows = np.concatenate([stack.index_rows for stack in stacks])
         job_events = np.concatenate([stack.events for stack in stacks])
         job_new = queued.new[job_owner]
@@ -850,43 +843,37 @@ class _ExtensionBatch:
         ``owner(job)`` is a job's (node, new event, parent pattern) and
         ``supports[job]`` the largest support among its node's events."""
         order, first_hit, sizes = _pair_groups(jobs, codes)
-        group = np.repeat(np.arange(len(sizes)), sizes)
-        sequences = sequences[order]
+        sequences = sequences[order].astype(hpg._INDEX_DTYPE)
         block = hpg._checked_rows(block[order])
-        # A group's pairs of one sequence are contiguous (its job's rows are
-        # stacked sequence by sequence, ascending): each run is one sequence's
-        # run of the group's stored block.
-        runs = np.flatnonzero(
-            np.r_[True, (group[1:] != group[:-1]) | (sequences[1:] != sequences[:-1])]
-        )
         group_jobs = jobs[first_hit]
         if self.context.delta_start:
             # A delta pass keeps every group: the session settles them.
             frequent = np.ones(len(first_hit), dtype=bool)
         else:
-            support = np.bincount(group[runs], minlength=len(first_hit))
+            # A group's pairs of one sequence are contiguous (its job's rows
+            # are stacked in ascending sequence order), so its support is the
+            # number of its pairs that start a group or change the sequence.
+            group = np.repeat(np.arange(len(sizes)), sizes)
+            heads = np.r_[
+                True, (group[1:] != group[:-1]) | (sequences[1:] != sequences[:-1])
+            ]
+            support = np.bincount(group[heads], minlength=len(first_hit))
             # admit_patterns as one mask: groups it would drop build no entry.
             frequent = (support >= self.context.min_count) & ~(
                 support / supports[group_jobs] < self.context.config.min_confidence
             )
-        bounds = np.r_[runs, len(block)]
-        run_sequences = sequences[runs].astype(hpg._INDEX_DTYPE)
-        # Groups are numbered in storing order: group g's runs are
-        # splits[g] .. splits[g + 1].
-        splits = np.searchsorted(group[runs], np.arange(len(sizes) + 1)).tolist()
+        # Groups are numbered in storing order: group g's pairs are
+        # bounds[g] .. bounds[g + 1].
+        bounds = np.r_[0, np.cumsum(sizes)].tolist()
         for g in np.flatnonzero(frequent).tolist():
-            a, b = splits[g], splits[g + 1]
+            a, b = bounds[g], bounds[g + 1]
             node, new_event, parent = owner(int(group_jobs[g]))
             codes_row = codes[first_hit[g]].tolist()
             relations = tuple(RELATIONS_BY_CODE[code] for code in codes_row)
             pattern = parent.extend(new_event, relations)
             # One copy of each array, so no entry pins the pass's arrays.
-            offsets = bounds[a : b + 1] - bounds[a]
             node.patterns[pattern] = PatternEntry(
-                pattern,
-                run_sequences[a:b].copy(),
-                offsets,
-                block[bounds[a] : bounds[b]].copy(),
+                pattern, sequences[a:b].copy(), block[a:b].copy()
             )
 
 
@@ -1399,7 +1386,7 @@ class ProcessPoolBackend:
                 )
                 # Backoff only cushions transport trouble; split pieces carry
                 # *less* work than before and should resubmit immediately.
-                delay = policy.delay(round_index, seed=level)
+                delay = policy.delay(round_index)
                 if delay > 0:
                     time.sleep(delay)
             pending = retry

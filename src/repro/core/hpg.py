@@ -7,18 +7,18 @@ the frequent ``k``-event patterns found for that combination together with the
 sequences and instance assignments supporting them.  Mining level ``k+1`` only
 reads levels ``k`` and ``1``, which is what makes the level-wise pruning work.
 
-Occurrence evidence is stored *columnar*, in CSR layout: a
-:class:`PatternEntry` is a value — its pattern, its supporting sequence ids
-(strictly ascending), row offsets, and one ``int32`` block of shape
-``(n_occurrences, k)`` whose column ``j`` indexes into the instance list of
-``pattern.events[j]`` in the row's sequence; a sequence's index matrix is a
-view of that block.  The index representation is what makes the level-``k``
-extension vectorizable (endpoint blocks are gathered through the per-level
-flat :class:`InstanceTable` instead of rebuilt from instance objects per
-call) and pickles as three array copies per entry (the entire per-entry
-payload of a worker result or a session file).  The historical
-instance-tuple view is resolved on request against the level-1 nodes the
-caller passes: ``entry.occurrences(graph.level1)``.
+Occurrence evidence is stored *columnar*: a :class:`PatternEntry` is a
+value — its pattern, one sequence id per supporting assignment (ascending)
+and one ``int32`` block of shape ``(n_occurrences, k)`` whose column ``j``
+indexes into the instance list of ``pattern.events[j]`` in the row's
+sequence; a sequence's index matrix is a view of that block.  The index
+representation is what makes the level-``k`` extension vectorizable
+(endpoint blocks are gathered through the per-level flat
+:class:`InstanceTable` instead of rebuilt from instance objects per call)
+and pickles as two array copies per entry (the entire per-entry payload of
+a worker result or a session file).  The historical instance-tuple view is
+resolved on request against the level-1 nodes the caller passes:
+``entry.occurrences(graph.level1)``.
 """
 
 from __future__ import annotations
@@ -77,27 +77,26 @@ def _checked_rows(rows: list[IndexRow] | np.ndarray) -> np.ndarray:
 class PatternEntry:
     """A pattern together with the evidence supporting it.
 
-    The evidence is a *columnar occurrence store* in CSR layout: three
-    arrays hold every supporting assignment of the pattern.
+    The evidence is a *columnar occurrence store*: two arrays of one row per
+    supporting assignment of the pattern.
 
-    * ``sequences`` — the supporting sequence ids, strictly ascending
-      (``int32``; their count is the support of the pattern, Def. 3.14);
-    * ``offsets`` — ``len(sequences) + 1`` strictly increasing row bounds
-      from 0 to the row count (``int64``): sequence ``sequences[i]`` owns
-      rows ``offsets[i]:offsets[i + 1]``;
+    * ``sequences`` — the row's sequence id (``int32``, non-decreasing, so
+      a sequence's rows are contiguous);
     * ``rows`` — one ``(n_occurrences, k)`` ``int32`` block whose column
       ``j`` holds the position of the instance of ``pattern.events[j]``
       inside that event's chronologically sorted instance list of the row's
       sequence.
 
-    The rows are retained because level ``k+1`` extends every stored
-    assignment with instances of the new event.  A sequence's index matrix
-    (:meth:`index_matrix`, :meth:`iter_index_matrices`) is a view of the one
-    block, so a whole entry crosses a pipe or a file as three array copies.
+    ``support``, the number of distinct ids (Def. 3.14), is counted once
+    when the entry is built.  The rows are retained because level ``k+1``
+    extends every stored assignment with instances of the new event.  A
+    sequence's index matrix (:meth:`index_matrix`,
+    :meth:`iter_index_matrices`) is a view of the one block, so a whole
+    entry crosses a pipe or a file as two array copies.
 
-    An entry is a value: its pattern and its three arrays, built whole by
-    the vectorized pass from one checked block, and referring to nothing
-    else.  The historical instance-tuple view resolves the rows against the
+    An entry is a value: its pattern and its two arrays, built whole by the
+    vectorized pass from one checked block, and referring to nothing else.
+    The historical instance-tuple view resolves the rows against the
     level-1 nodes the caller passes (``graph.level1``, ``session.events`` or
     ``LevelContext.level1``): :meth:`occurrences` and :meth:`materialise`.
 
@@ -105,37 +104,29 @@ class PatternEntry:
     evidence, so any entry can be extended by a later level or an append.
     """
 
-    __slots__ = ("pattern", "sequences", "offsets", "rows")
+    __slots__ = ("pattern", "sequences", "rows", "support")
 
     def __init__(
-        self,
-        pattern: TemporalPattern,
-        sequences: np.ndarray,
-        offsets: np.ndarray,
-        rows: np.ndarray,
+        self, pattern: TemporalPattern, sequences: np.ndarray, rows: np.ndarray
     ) -> None:
-        """Adopt (not copy) the three CSR arrays: the caller hands over
-        arrays owning their memory."""
-        self.pattern = pattern
-        self.sequences, self.offsets, self.rows = sequences, offsets, rows
+        """Adopt (not copy) the two arrays: the caller hands over arrays
+        owning their memory."""
+        self.pattern, self.sequences, self.rows = pattern, sequences, rows
+        # The sorted ids hold one more sequence than they have changes.
+        changes = np.count_nonzero(sequences[1:] != sequences[:-1])
+        self.support = int(changes) + 1 if len(sequences) else 0
 
     def followed_by(self, later: "PatternEntry") -> "PatternEntry":
-        """A new entry of this pattern holding this entry's runs and then
+        """A new entry of this pattern holding this entry's rows and then
         ``later``'s, whose sequence ids all follow this entry's (an append's
         delta rows)."""
         return PatternEntry(
             self.pattern,
             np.concatenate((self.sequences, later.sequences)),
-            np.concatenate((self.offsets, later.offsets[1:] + self.offsets[-1])),
             np.concatenate((self.rows, later.rows)),
         )
 
     # ------------------------------------------------------------------ measures
-    @property
-    def support(self) -> int:
-        """Number of sequences supporting the pattern."""
-        return len(self.sequences)
-
     @property
     def n_occurrences(self) -> int:
         """Total number of supporting assignments across all sequences."""
@@ -149,20 +140,19 @@ class PatternEntry:
     def index_matrix(self, sequence_id: int) -> np.ndarray:
         """One sequence's ``(n_occurrences, k)`` rows, a view of the block;
         ``KeyError`` when the sequence does not support the pattern."""
-        sequences = self.sequences
-        position = int(np.searchsorted(sequences, sequence_id))
-        if position == len(sequences) or sequences[position] != sequence_id:
+        first = int(np.searchsorted(self.sequences, sequence_id))
+        stop = int(np.searchsorted(self.sequences, sequence_id, "right"))
+        if first == stop:
             raise KeyError(sequence_id)
-        offsets = self.offsets
-        return self.rows[offsets[position] : offsets[position + 1]]
+        return self.rows[first:stop]
 
     def iter_index_matrices(self):
         """Yield ``(sequence_id, index_matrix)`` in ascending sequence order,
         each matrix a view of the block."""
-        sequences, rows = self.sequences.tolist(), self.rows
-        bounds = self.offsets.tolist()
-        for position, sequence_id in enumerate(sequences):
-            yield sequence_id, rows[bounds[position] : bounds[position + 1]]
+        sequences, rows = self.sequences, self.rows
+        heads = np.flatnonzero(np.diff(sequences, prepend=-1)).tolist()
+        for first, stop in zip(heads, heads[1:] + [len(rows)]):
+            yield int(sequences[first]), rows[first:stop]
 
     # ------------------------------------------------------------------ materialisation
     def materialise(
@@ -186,7 +176,7 @@ class PatternEntry:
         sequence, resolved against ``level1`` and built fresh on each call."""
         return {
             sequence_id: self.materialise(sequence_id, level1)
-            for sequence_id in self.sequences.tolist()
+            for sequence_id in dict.fromkeys(self.sequences.tolist())
         }
 
     # ------------------------------------------------------------------ validation
@@ -197,54 +187,42 @@ class PatternEntry:
 
         ``index`` and ``count`` are :func:`instance_counts` of the level-1
         nodes.  Untrusted stores (session files) can carry malformed arrays,
-        a sequence listed with no rows (which would inflate the support), or
-        negative or out-of-range indices that would otherwise materialise the
-        *wrong* instance (Python negative indexing) or blow up far from the
-        load site.  The whole entry is checked with a few array operations;
-        the index ranges with one gather from ``count``.  Raises
-        :class:`ValueError`.
+        unsorted or out-of-range sequence ids, or negative or out-of-range
+        indices that would otherwise materialise the *wrong* instance (Python
+        negative indexing) or blow up far from the load site.  The whole
+        entry is checked with a few array operations; the index ranges with
+        one gather from ``count``.  Raises :class:`ValueError`.
         """
-        sequences, offsets, rows = self.sequences, self.offsets, self.rows
-        layout = (
-            ("sequences", sequences, 1, _INDEX_DTYPE),
-            ("offsets", offsets, 1, np.int64),
-            ("rows", rows, 2, _INDEX_DTYPE),
-        )
-        for name, array, ndim, dtype in layout:
+        sequences, rows = self.sequences, self.rows
+        for name, array, ndim in (("sequences", sequences, 1), ("rows", rows, 2)):
             shaped = isinstance(array, np.ndarray) and array.ndim == ndim
-            if not shaped or array.dtype != dtype:
+            if not shaped or array.dtype != _INDEX_DTYPE:
                 raise ValueError(
                     f"{name} of {self.pattern!r} is not a {ndim}-D "
-                    f"{np.dtype(dtype).name} array"
+                    f"{np.dtype(_INDEX_DTYPE).name} array"
                 )
         if rows.shape[1] != len(self.pattern.events):
             raise ValueError(
                 f"rows of {self.pattern!r} have {rows.shape[1]} columns, "
                 f"not {len(self.pattern.events)}"
             )
-        runs = np.diff(offsets)
-        if (
-            len(offsets) != len(sequences) + 1
-            or offsets[0] != 0
-            or offsets[-1] != len(rows)
-            or (runs <= 0).any()
-        ):
+        if len(sequences) != len(rows):
             raise ValueError(
-                f"offsets of {self.pattern!r} do not split its {len(rows)} "
-                "rows into one non-empty run per sequence"
+                f"{self.pattern!r} has {len(sequences)} sequence ids for "
+                f"{len(rows)} rows"
             )
         n_sequences = count.shape[1]
         if len(sequences) and (
             sequences[0] < 0
             or sequences[-1] >= n_sequences
-            or (np.diff(sequences) <= 0).any()
+            or (np.diff(sequences) < 0).any()
         ):
             raise ValueError(
-                f"sequence ids of {self.pattern!r} are not strictly ascending "
-                f"inside [0, {n_sequences})"
+                f"sequence ids of {self.pattern!r} are not sorted inside "
+                f"[0, {n_sequences})"
             )
         events = [index[event] for event in self.pattern.events]
-        lengths = count[events, np.repeat(sequences, runs)[:, None]]
+        lengths = count[events, sequences[:, None]]
         if ((rows < 0) | (rows >= lengths)).any():
             raise ValueError(
                 f"index rows of {self.pattern!r} point outside the instance lists"
@@ -252,37 +230,25 @@ class PatternEntry:
 
     # ------------------------------------------------------------------ pickling
     def __getstate__(self) -> dict:
-        """Pickle the pattern and the three arrays."""
+        """Pickle the pattern and the two arrays; the support is recounted
+        on load."""
         return {
             "pattern": self.pattern,
             "sequences": self.sequences,
-            "offsets": self.offsets,
             "rows": self.rows,
         }
 
     def __setstate__(self, state: dict) -> None:
-        # ``get``: an older session file's entries (another wire shape, such
-        # as version 4's per-sequence ``index`` dict) must still unpickle far
-        # enough for session_io to report its version.  A missing array fails
-        # validate_indices.
-        self.__init__(
-            state["pattern"],
-            state.get("sequences"),
-            state.get("offsets"),
-            state.get("rows"),
-        )
+        self.__init__(**state)
 
     # ------------------------------------------------------------------ dunder
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternEntry):
             return NotImplemented
-        return self.pattern == other.pattern and all(
-            np.array_equal(mine, theirs)
-            for mine, theirs in (
-                (self.sequences, other.sequences),
-                (self.offsets, other.offsets),
-                (self.rows, other.rows),
-            )
+        return (
+            self.pattern == other.pattern
+            and np.array_equal(self.sequences, other.sequences)
+            and np.array_equal(self.rows, other.rows)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -339,11 +305,14 @@ class InstanceTable:
     ``pair_patterns`` and are all False without it.  ``bitmaps`` is the
     bitmap index (Sec. IV-C) the Apriori checks of Lemmas 2–3 read:
     ``⌈n_sequences / 64⌉`` little-endian ``uint64`` words per row, bit ``s``
-    set when ``count[row, s] > 0``, i.e. the event occurs in sequence ``s``.
+    set when ``count[row, s] > 0``, i.e. the event occurs in sequence ``s``;
+    ``support[row]`` counts those sequences (the event's support, Lemma 3's
+    denominator).
     """
 
     __slots__ = (
-        "index", "starts", "ends", "offset", "count", "allowed", "has_pair", "bitmaps"
+        "index", "starts", "ends", "offset", "count", "support", "allowed",
+        "has_pair", "bitmaps",
     )
 
     def __init__(
@@ -357,6 +326,7 @@ class InstanceTable:
         nodes = [level1[event] for event in sorted(level1)]
         index, count = self.index, self.count = instance_counts(level1, n_sequences)
         self.offset = (np.cumsum(count) - count.ravel()).reshape(count.shape)
+        self.support = np.count_nonzero(count, axis=1)
         occurs = np.pad(count > 0, ((0, 0), (0, -n_sequences % 64)))
         self.bitmaps = np.packbits(occurs, axis=1, bitorder="little").view("<u8")
         ordered = [

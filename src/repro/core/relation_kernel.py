@@ -119,8 +119,8 @@ def expand_windows(
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
     left = np.repeat(np.arange(len(lo), dtype=np.intp), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    right = np.arange(total, dtype=np.intp) - np.repeat(offsets, counts) + np.repeat(
+    heads = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    right = np.arange(total, dtype=np.intp) - np.repeat(heads, counts) + np.repeat(
         lo, counts
     )
     return left, right

@@ -245,31 +245,28 @@ def shard_watchdog(context) -> MemoryWatchdog | None:
 
 # --------------------------------------------------------------------------- estimation
 def estimate_context_bytes(context) -> int:
-    """Estimated resident bytes of one shipped level context.
+    """Estimated resident bytes of one shipped
+    :class:`~repro.core.engine.LevelContext`.
 
     Walks the context's columnar data — the level's flat instance table and
-    the parent entries' CSR arrays — which is what grows with the data.  The
-    level-``k`` pass stacks every parent it reads once: a copy of its
-    entries' ``int32`` row blocks plus one ``(entry, sequence, count)`` run
-    of ``int64`` per (entry, sequence); at level 2 it stacks every event's
-    instance list positions (``int32``) with one such run per occupied
-    (event, sequence) cell.  Anything that is not a level context prices at
-    0 (estimation must never fail a run).
+    the parent entries' two arrays — which is what grows with the data, and
+    adds the pass's stacks of one ``(entry, sequence)`` pair of ``int64``
+    per row: at level ``k`` a copy of each parent's entries' ``int32`` row
+    blocks, at level 2 every event's instance list positions (``int32``).
     """
-    table = getattr(context, "instances", None)
-    arrays = ("starts", "ends", "offset", "count", "allowed", "has_pair", "bitmaps")
-    total = sum(getattr(table, name).nbytes for name in arrays) if table else 0
-    if table and getattr(context, "level", None) == 2:
-        total += 4 * table.starts.size + 24 * int((table.count > 0).sum())
-    for parent in getattr(context, "parents", {}).values():
-        for entry in getattr(parent, "patterns", {}).values():
-            try:
-                rows, sequences = entry.rows, entry.sequences
-                # The stored arrays, then the pass's stack of them.
-                total += rows.nbytes + sequences.nbytes + entry.offsets.nbytes
-                total += rows.nbytes + 24 * len(sequences)
-            except Exception:
-                continue
+    table = context.instances
+    arrays = (
+        "starts", "ends", "offset", "count", "support", "allowed", "has_pair", "bitmaps"
+    )
+    total = sum(getattr(table, name).nbytes for name in arrays)
+    if context.level == 2:
+        total += (4 + 16) * table.starts.size
+    for parent in context.parents.values():
+        for entry in parent.patterns.values():
+            # The stored arrays, then the pass's stack: the rows again and
+            # 16 bytes per row.
+            rows = entry.rows
+            total += entry.sequences.nbytes + 2 * rows.nbytes + 16 * len(rows)
     return total
 
 

@@ -180,11 +180,11 @@ def _estimate_combination_costs(
     decompositions' parents are found one admission chunk at a time, as the
     evaluation finds them (:func:`~repro.core.engine.parent_index`).  Every
     parent's per-sequence occurrence counts come from one ``np.unique`` over
-    the entries' (parent, sequence) runs and their lengths
-    (``np.diff(offsets)``); a chunk's decompositions of one parent are one
-    product of the new events' rows of the instance table's ``count``
-    matrix with those counts.  Every sum is an exact integer.  A delta pass
-    counts only the sequences from ``delta_start`` on.
+    the entries' (parent, sequence) row keys; a chunk's decompositions of
+    one parent are one product of the new events' rows of the instance
+    table's ``count`` matrix with those counts.  Every sum is an exact
+    integer.  A delta pass counts only the sequences from ``delta_start``
+    on.
     """
     table, level = context.instances, context.level
     nodes, index = parent_index(context)
@@ -222,13 +222,10 @@ def _occurrence_counts(
         [len(e.sequences) for _, e in entries],
     )
     sequences = np.concatenate(empty + [e.sequences for _, e in entries])
-    runs = np.concatenate(empty + [np.diff(e.offsets) for _, e in entries])
     delta = sequences >= start
-    keys, position = np.unique(
-        owners[delta] * n_sequences + sequences[delta], return_inverse=True
+    keys, counts = np.unique(
+        owners[delta] * n_sequences + sequences[delta], return_counts=True
     )
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, position, runs[delta])
     bounds = np.searchsorted(keys // n_sequences, np.arange(len(nodes) + 1))
     return keys % n_sequences, counts, bounds
 

@@ -14,12 +14,13 @@ that already cross process boundaries inside
 :class:`~repro.core.engine.LevelContext` (``EventNode``, ``CombinationNode``,
 ``PatternEntry``, ``MiningConfig``, ``MiningStatistics``) — anything a worker
 can evaluate, a session file can persist.  Each ``PatternEntry`` pickles as
-its pattern plus the three arrays of its CSR occurrence store (format version
-5), and :func:`read_session` checks the level-1 state and every entry whole
-on load: each event's node and its sequence ids (inside ``[0, n_sequences)``,
+its pattern plus the two arrays of its occurrence store (format version 6),
+and :func:`read_session` checks the level-1 state and every entry whole on
+load: each event's node and its sequence ids (inside ``[0, n_sequences)``,
 each with a non-empty instance list), then each entry's array layout, its
-sequence ids, one non-empty run per sequence, and every index against a
-per-(event, sequence) instance-count matrix built once per load.
+sorted sequence ids, one per row, and every index against a per-(event,
+sequence) instance-count matrix built once per load.  A version-5 file's
+entries are converted on load (:func:`_from_version_5`).
 Like any pickle, a session file is a trusted artefact: only load files you
 wrote.
 
@@ -34,11 +35,12 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from ..core.config import MiningConfig
-from ..core.hpg import EventNode, HierarchicalPatternGraph, instance_counts
+from ..core.hpg import EventNode, HierarchicalPatternGraph, PatternEntry, instance_counts
 from ..core.session import MiningSession
 from ..core.stats import MiningStatistics
 from ..exceptions import MiningError, SessionFormatError
@@ -78,13 +80,17 @@ __all__ = ["read_session", "write_session"]
 #:    ``repro.core.bitmap.Bitmap``) loads too: :class:`_SessionUnpickler`
 #:    reads each as a :class:`_RetiredBitmap`, and :func:`read_session`
 #:    drops it (an event's sequence set is its instance dict's keys).
+#: 6. ``PatternEntry`` stores one ``int32`` sequence id per row instead of
+#:    one per run: the pickled state is the pattern plus ``sequences``
+#:    (non-decreasing, one per row) and ``rows``.  Version-5 entries are
+#:    converted on load (:func:`_from_version_5`).
 #:
-#: Only the current version is read; files of any older version raise
+#: Versions 5 and 6 are read; files of any older version raise
 #: :class:`~repro.exceptions.SessionFormatError` and must be re-mined.
 FORMAT_NAME = "repro-mining-session"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 #: Versions :func:`read_session` accepts.
-READABLE_VERSIONS = (FORMAT_VERSION,)
+READABLE_VERSIONS = (5, FORMAT_VERSION)
 
 
 def _is_count(value: object) -> bool:
@@ -105,14 +111,48 @@ class _RetiredBitmap:
     __slots__ = ("_bits", "_length")
 
 
+class _PickledEntry:
+    """A ``PatternEntry`` as unpickled from a file, before its version is
+    known: its pickled state is its ``__dict__``."""
+
+
 class _SessionUnpickler(pickle.Unpickler):
     """The session reader's unpickler: reads the retired ``Bitmap`` of an
-    older format-5 file as a :class:`_RetiredBitmap`."""
+    older format-5 file as a :class:`_RetiredBitmap`, and every entry as a
+    :class:`_PickledEntry`, so entries of any version unpickle and
+    :func:`read_session` builds them once it knows the version."""
+
+    stand_ins = {
+        ("repro.core.bitmap", "Bitmap"): _RetiredBitmap,
+        ("repro.core.hpg", "PatternEntry"): _PickledEntry,
+    }
 
     def find_class(self, module: str, name: str):
-        if (module, name) == ("repro.core.bitmap", "Bitmap"):
-            return _RetiredBitmap
-        return super().find_class(module, name)
+        return self.stand_ins.get((module, name)) or super().find_class(module, name)
+
+
+def _from_version_5(pattern, sequences, offsets, rows) -> PatternEntry:
+    """A version-5 entry's pickled state — ``sequences`` one ``int32`` id
+    per sequence run, strictly ascending, and ``offsets`` the ``int64`` run
+    bounds from 0 to the row count, strictly increasing — as a
+    ``PatternEntry`` with one id per row.  Raises :class:`ValueError` for
+    state that breaks those rules."""
+    runs = np.diff(offsets)
+    if (
+        offsets.ndim != 1
+        or offsets.dtype != np.int64
+        or len(offsets) != len(sequences) + 1
+        or offsets[0] != 0
+        or offsets[-1] != len(rows)
+        or (runs <= 0).any()
+    ):
+        raise ValueError(
+            f"offsets of {pattern!r} do not split its {len(rows)} rows into "
+            "one non-empty run per sequence"
+        )
+    if (np.diff(sequences) <= 0).any():
+        raise ValueError(f"sequence ids of {pattern!r} are not strictly ascending")
+    return PatternEntry(pattern, np.repeat(sequences, runs), rows)
 
 
 def _check_event_node(key: object, node: object, n_sequences: int) -> None:
@@ -223,10 +263,10 @@ def read_session(path: str | Path) -> MiningSession:
         )
     version = payload.get("version")
     if version not in READABLE_VERSIONS:
-        older = isinstance(version, int) and version < FORMAT_VERSION
+        older = isinstance(version, int) and version < READABLE_VERSIONS[0]
         raise SessionFormatError(
             f"{path} uses session format version {version!r}; this build "
-            f"reads version {FORMAT_VERSION} only"
+            f"reads versions {' and '.join(map(str, READABLE_VERSIONS))}"
             + ("; re-mine to upgrade" if older else ""),
             path=path,
             version=version if isinstance(version, int) else None,
@@ -252,13 +292,19 @@ def read_session(path: str | Path) -> MiningSession:
     session.statistics = payload["statistics"]
     session.appends = payload["appends"]
     session._mining_state = payload["mining_state"]
+    build = _from_version_5 if version == 5 else PatternEntry
     try:
         for key, node in session.events.items():
             _check_event_node(key, node, session.n_sequences)
-        nodes = chain.from_iterable(map(dict.values, payload["levels"].values()))
-        for node in chain(session.events.values(), nodes):
             # An older format-5 file's node bitmaps (see FORMAT_VERSION).
             vars(node).pop("bitmap", None)
+        for nodes in payload["levels"].values():
+            for node in nodes.values():
+                vars(node).pop("bitmap", None)
+                node.patterns = {
+                    pattern: build(**vars(stored))
+                    for pattern, stored in node.patterns.items()
+                }
         # Level-1 nodes are the same objects as their ``events`` entries
         # (pickle preserves identity within one payload), so the graph is
         # rebuilt by key.

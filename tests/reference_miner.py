@@ -44,7 +44,7 @@ from repro.core.engine import (
     LevelContext,
     LevelOutcome,
     _finalise_node,
-    _first_run,
+    _first_row,
 )
 from repro.core.events import EventKey
 from repro.core.hpg import CombinationNode, EventNode, Occurrence, PatternEntry
@@ -201,7 +201,7 @@ def admit(
                 entries = [
                     entry
                     for entry in parent.patterns.values()
-                    if _first_run(entry, start) < len(entry.sequences)
+                    if _first_row(entry, start) < len(entry.sequences)
                 ]
                 if not entries:
                     continue
@@ -226,12 +226,11 @@ def from_rows(
     deliver them sequence-major and ascending, so the sort moves
     nothing)."""
     ids = np.fromiter((sid for sid, _ in hits), np.int64, len(hits))
-    sequences, counts = np.unique(ids, return_counts=True)
+    order = np.argsort(ids, kind="stable")
     return PatternEntry(
         pattern,
-        sequences.astype(hpg._INDEX_DTYPE),
-        np.concatenate(([0], np.cumsum(counts))),
-        hpg._checked_rows([row for _, row in hits])[np.argsort(ids, kind="stable")],
+        ids[order].astype(hpg._INDEX_DTYPE),
+        hpg._checked_rows([row for _, row in hits])[order],
     )
 
 
@@ -386,7 +385,7 @@ def _grow_combination_patterns(
             continue
         new_event_node = context.level1[new_event]
         for entry in parent.patterns.values():
-            if _first_run(entry, context.delta_start) == len(entry.sequences):
+            if _first_row(entry, context.delta_start) == len(entry.sequences):
                 continue
             if config.pruning.uses_transitivity and not _may_extend(
                 context, entry.pattern, new_event, stats

@@ -59,12 +59,11 @@ def _level1(rng: random.Random, n_events: int, n_sequences: int):
 def _entry(rng: random.Random, pattern: TemporalPattern, n_sequences: int):
     """A stored entry over random sequences, one or two rows in each."""
     sequences = sorted(rng.sample(range(n_sequences), rng.randint(1, n_sequences)))
-    runs = [rng.randint(1, 2) for _ in sequences]
+    ids = [sequence for sequence in sequences for _ in range(rng.randint(1, 2))]
     return PatternEntry(
         pattern,
-        np.array(sequences, dtype=np.int32),
-        np.concatenate(([0], np.cumsum(runs))).astype(np.int64),
-        np.zeros((sum(runs), len(pattern.events)), dtype=np.int32),
+        np.array(ids, dtype=np.int32),
+        np.zeros((len(ids), len(pattern.events)), dtype=np.int32),
     )
 
 

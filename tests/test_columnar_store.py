@@ -2,7 +2,7 @@
 and the row bound of the vectorized pass.
 
 The store's contract (see :class:`repro.core.hpg.PatternEntry`) is that the
-CSR arrays — ascending sequence ids, row offsets and one int32 row block,
+two arrays — one ascending sequence id per row and one int32 row block,
 whose per-sequence index matrices are views — are a lossless re-encoding of
 the historical instance-tuple lists: endpoint blocks gathered through the
 flat :class:`~repro.core.hpg.InstanceTable` equal the old per-call list
@@ -85,7 +85,7 @@ def _positions(table: InstanceTable, events, sequence_id: int, matrix) -> np.nda
 class TestIndexStore:
     def test_per_hit_and_batched_inserts_build_the_identical_matrix(self):
         """The scalar reference's per-hit rows (``from_rows``) and the
-        vectorized pass's whole checked block build the same three arrays."""
+        vectorized pass's whole checked block build the same two arrays."""
         rng = random.Random(3)
         pattern = _pattern(3)
         rows = [
@@ -95,20 +95,17 @@ class TestIndexStore:
         ]
         per_hit = from_rows(pattern, rows)
         block = hpg_module._checked_rows(np.asarray([row for _, row in rows]))
-        counts = Counter(sequence_id for sequence_id, _ in rows)
         batched = PatternEntry(
-            pattern,
-            np.array([2, 7, 9], dtype=np.int32),
-            np.cumsum([0, counts[2], counts[7], counts[9]]),
-            block,
+            pattern, np.array([sid for sid, _ in rows], dtype=np.int32), block
         )
-        for name in ("sequences", "offsets", "rows"):
+        for name in ("sequences", "rows"):
             built, expected = getattr(per_hit, name), getattr(batched, name)
             assert built.dtype == expected.dtype
             assert np.array_equal(built, expected)
         assert np.array_equal(per_hit.index_matrix(7), batched.index_matrix(7))
         assert per_hit == batched
         assert per_hit.n_occurrences == batched.n_occurrences == len(rows)
+        assert per_hit.support == batched.support == 3
 
     def test_rows_arriving_out_of_sequence_order_fold_in_stably(self):
         """The block is sorted by sequence; each sequence keeps its rows in
@@ -116,9 +113,9 @@ class TestIndexStore:
         entry = from_rows(
             _pattern(2), [(5, (0, 0)), (1, (1, 1)), (5, (2, 2)), (1, (3, 3))]
         )
-        assert entry.sequences.tolist() == [1, 5]
-        assert entry.offsets.tolist() == [0, 2, 4]
+        assert entry.sequences.tolist() == [1, 1, 5, 5]
         assert entry.rows.tolist() == [[1, 1], [3, 3], [0, 0], [2, 2]]
+        assert entry.support == 2
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_matrices_are_ascending_views_of_the_one_block(self, vectorized):
@@ -129,8 +126,8 @@ class TestIndexStore:
         checked = 0
         for _level, _node, entry in session.graph.iter_pattern_entries():
             sequence_ids = [sid for sid, _ in entry.iter_index_matrices()]
-            assert sequence_ids == sorted(set(sequence_ids))
-            assert sequence_ids == entry.sequences.tolist()
+            assert sequence_ids == sorted(set(entry.sequences.tolist()))
+            assert len(sequence_ids) == entry.support
             for sequence_id, matrix in entry.iter_index_matrices():
                 assert np.shares_memory(matrix, entry.rows)
                 assert np.shares_memory(entry.index_matrix(sequence_id), entry.rows)
@@ -140,14 +137,23 @@ class TestIndexStore:
         with pytest.raises(KeyError):
             entry.index_matrix(max(sequence_ids) + 1)
 
-    def test_pickled_state_is_the_pattern_and_three_arrays(self):
-        entry = from_rows(_pattern(2), [(0, (0, 1)), (4, (2, 3))])
-        assert PatternEntry.__slots__ == ("pattern", "sequences", "offsets", "rows")
+    def test_pickled_state_is_the_pattern_and_two_arrays(self):
+        """The support is counted when an entry is built, so it is not
+        pickled: a loaded entry counts it again."""
+        entry = from_rows(_pattern(2), [(0, (0, 1)), (4, (2, 3)), (4, (4, 5))])
+        assert PatternEntry.__slots__ == ("pattern", "sequences", "rows", "support")
         state = entry.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
-        assert set(state) == {"pattern", "sequences", "offsets", "rows"}
-        assert state["sequences"].tolist() == [0, 4]
-        assert state["offsets"].tolist() == [0, 1, 2]
-        assert state["rows"].tolist() == [[0, 1], [2, 3]]
+        assert set(state) == {"pattern", "sequences", "rows"}
+        assert state["sequences"].tolist() == [0, 4, 4]
+        assert state["rows"].tolist() == [[0, 1], [2, 3], [4, 5]]
+        assert pickle.loads(pickle.dumps(entry)).support == entry.support == 2
+
+    def test_an_entry_with_no_rows_has_no_support(self):
+        empty = np.zeros(0, dtype=np.int32)
+        entry = PatternEntry(_pattern(2), empty, empty.reshape(0, 2))
+        assert entry.support == entry.n_occurrences == 0
+        assert list(entry.iter_index_matrices()) == []
+        assert entry.occurrences({}) == {}
 
     def test_pickle_ships_the_arrays_only(self):
         """A pickled entry is its arrays; the copy resolves against the same

@@ -276,9 +276,9 @@ def store_snapshot(graph):
     """The full columnar occurrence store, in iteration (= insertion) order.
 
     Every entry contributes its per-sequence index matrices and, for each of
-    its three CSR arrays, the dtype, shape and raw bytes — comparing
-    snapshots therefore asserts byte-identical evidence, not just
-    byte-identical results (``tolist`` alone would not see a dtype)."""
+    its two arrays, the dtype, shape and raw bytes — comparing snapshots
+    therefore asserts byte-identical evidence, not just byte-identical
+    results (``tolist`` alone would not see a dtype)."""
     return [
         (
             level,
@@ -290,7 +290,7 @@ def store_snapshot(graph):
             ),
             tuple(
                 (array.dtype.str, array.shape, array.tobytes())
-                for array in (entry.sequences, entry.offsets, entry.rows)
+                for array in (entry.sequences, entry.rows)
             ),
         )
         for level, node, entry in graph.iter_pattern_entries()
@@ -505,7 +505,7 @@ class TestCostBalancedSharding:
 
 def _walked_combination_costs(graph, candidates, level):
     """The level-k cost estimate as a Python walk over every parent entry's
-    per-sequence matrices, the reference for the CSR estimator."""
+    per-sequence matrices, the reference for the array estimator."""
     occurrence_counts = {}
     for parent_key, parent in graph.levels.get(level - 1, {}).items():
         counts = {}
@@ -529,9 +529,9 @@ def _walked_combination_costs(graph, candidates, level):
 
 class TestCombinationCostEstimate:
     def test_csr_estimate_equals_the_per_sequence_walk(self):
-        """The level-k estimator reads the entries' CSR arrays and the
-        instance table; its costs are the exact integer sums of the walk at
-        every level of a dataport stand-in."""
+        """The level-k estimator reads the entries' per-row sequence ids and
+        the instance table; its costs are the exact integer sums of the walk
+        at every level of a dataport stand-in."""
         from repro import MiningSession
         from repro.core.session import _estimate_combination_costs
         from repro.core.stats import MiningStatistics

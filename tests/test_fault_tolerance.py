@@ -167,13 +167,7 @@ class TestRetryPolicy:
 
     def test_delay_is_deterministic_and_grows(self):
         policy = RetryPolicy(backoff_seconds=0.1, backoff_multiplier=2.0)
-        delays = [policy.delay(i, seed=2) for i in range(3)]
-        assert delays == [policy.delay(i, seed=2) for i in range(3)]
-        assert delays[0] < delays[1] < delays[2]
-        # Jitter stays within the documented +25% band of the base delay.
-        for round_index, delay in enumerate(delays):
-            base = 0.1 * 2.0**round_index
-            assert base <= delay <= base * 1.25
+        assert [policy.delay(i) for i in range(3)] == [0.1, 0.2, 0.4]
 
     def test_config_threads_the_policy(self):
         policy = RetryPolicy(max_retries=5, shard_timeout=9.0)

@@ -10,12 +10,16 @@ These cover the library's load-bearing invariants:
   confidence anti-monotonicity (Lemma 6), pruning-mode invariance, baseline
   equivalence and the A ⊆ E containment;
 * on random base/delta splits: an append equals the scratch mine of both,
-  store and result, and the bound it settles patterns by is exact.
+  store and result, and the bound it settles patterns by is exact;
+* on random chains of two appends with a session-file round trip before
+  each append and after the last: every step equals the scratch mine.
 """
 
 from __future__ import annotations
 
+import tempfile
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -33,6 +37,7 @@ from repro.core.mutual_information import (
 from repro.core.patterns import TemporalPattern, relation_pairs
 from repro.core.relations import classify, contains, follows, overlaps
 from repro.core.session import _confidence_floor
+from repro.io import read_session, write_session
 from repro.timeseries import (
     EventInstance,
     SequenceDatabase,
@@ -43,7 +48,7 @@ from repro.timeseries import (
 
 from reference_miner import reference_evaluation
 from test_engine_parity import store_snapshot
-from test_session import work_counters
+from test_session import mined_tuples, work_counters
 
 # --------------------------------------------------------------------------- strategies
 @st.composite
@@ -96,20 +101,33 @@ def aligned_symbolic_databases(draw):
     return SymbolicDatabase(series)
 
 
-@st.composite
-def append_splits(draw):
-    """A base database of 3-6 sequences and a delta of 1-4 more, over the
-    series of :func:`small_databases`.  Half the delta sequences repeat a
-    base sequence, so deltas often promote a pattern the base just missed."""
-    base = draw(small_databases())
+def _delta(draw, base, first_id: int, max_size: int) -> list[TemporalSequence]:
+    """1 to ``max_size`` sequences numbered from ``first_id``, over the series
+    of :func:`small_databases`.  Half repeat a base sequence, so deltas often
+    promote a pattern the base just missed."""
     delta = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_size))):
         if draw(st.booleans()):
             instances = list(draw(st.sampled_from(base.sequences)).instances)
         else:
             instances = draw(small_databases()).sequences[0].instances
-        delta.append(TemporalSequence(len(base) + len(delta), list(instances)))
-    return base, delta
+        delta.append(TemporalSequence(first_id + len(delta), list(instances)))
+    return delta
+
+
+@st.composite
+def append_splits(draw):
+    """A base database of 3-6 sequences and a delta of 1-4 more."""
+    base = draw(small_databases())
+    return base, _delta(draw, base, len(base), 4)
+
+
+@st.composite
+def append_chains(draw):
+    """A base database of 3-6 sequences and two deltas of 1-3 more each."""
+    base = draw(small_databases())
+    first = _delta(draw, base, len(base), 3)
+    return base, [first, _delta(draw, base, len(base) + len(first), 3)]
 
 
 RELAXED = settings(
@@ -279,6 +297,45 @@ class TestMiningProperties:
             assert store_snapshot(session.graph) == store_snapshot(scratch.graph)
             counters.append(work_counters(session.statistics))
         assert counters[0] == counters[1]
+
+    @RELAXED
+    @given(
+        append_chains(),
+        st.sampled_from(list(PruningMode)),
+        st.sampled_from([0.3, 0.5]),
+        st.sampled_from([0.3, 0.5, 0.6]),
+    )
+    def test_saved_appends_equal_the_scratch_mine(
+        self, chain, pruning, support, confidence
+    ):
+        """mine(D); save; load; append(ΔD1); save; load; append(ΔD2); save;
+        load: after every step the result and the store equal the scratch
+        mine of every sequence so far."""
+        base, deltas = chain
+        config = MINING_CONFIG.with_thresholds(
+            min_support=support, min_confidence=confidence
+        ).with_pruning(pruning)
+        sequences = list(base.sequences)
+
+        def assert_scratch(session):
+            scratch = MiningSession(config)
+            expected = scratch.mine(SequenceDatabase(sequences))
+            assert mined_tuples(session.result()) == mined_tuples(expected)
+            assert store_snapshot(session.graph) == store_snapshot(scratch.graph)
+
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "state.bin"
+            session = MiningSession(config)
+            session.mine(base)
+            assert_scratch(session)
+            for delta in deltas:
+                session = read_session(write_session(session, path))
+                assert_scratch(session)
+                session.append(delta)
+                sequences += delta
+                assert_scratch(session)
+            session = read_session(write_session(session, path))
+            assert_scratch(session)
 
     @given(st.integers(1, 500), st.floats(0.01, 1.0))
     def test_confidence_floor_is_the_largest_failing_support(self, es, confidence):

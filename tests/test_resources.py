@@ -292,7 +292,14 @@ class TestContextEstimation:
         arrays = sum(
             getattr(table, name).nbytes
             for name in (
-                "starts", "ends", "offset", "count", "allowed", "has_pair", "bitmaps"
+                "starts",
+                "ends",
+                "offset",
+                "count",
+                "support",
+                "allowed",
+                "has_pair",
+                "bitmaps",
             )
         )
         assert table.starts.nbytes == 8 * sum(
@@ -301,17 +308,17 @@ class TestContextEstimation:
             for instances in node.instances_by_sequence.values()
         )
         stored = sum(
-            entry.sequences.nbytes + entry.offsets.nbytes + entry.rows.nbytes
+            entry.sequences.nbytes + entry.rows.nbytes
             for node in graph.levels[2].values()
             for entry in node.patterns.values()
         )
         assert stored > 0
         # The level-k pass stacks each parent once (a copy of its entries'
-        # row blocks plus their runs); the estimate prices exactly those
-        # stacks.
+        # row blocks plus each row's entry and sequence); the estimate prices
+        # exactly those stacks.
         batch = engine._ExtensionBatch(context, None, [])
         stacks = sum(
-            rows.index_rows.nbytes + rows.runs.nbytes
+            rows.index_rows.nbytes + rows.owners.nbytes
             for rows in map(batch._parent_rows, graph.levels[2].values())
         )
         assert stacks > 0
@@ -334,24 +341,24 @@ class TestContextEstimation:
         arrays = sum(
             getattr(table, name).nbytes
             for name in (
-                "starts", "ends", "offset", "count", "allowed", "has_pair", "bitmaps"
+                "starts",
+                "ends",
+                "offset",
+                "count",
+                "support",
+                "allowed",
+                "has_pair",
+                "bitmaps",
             )
         )
         batch = engine._ExtensionBatch(context, None, [])
         stacks = sum(
             batch._event_rows(event).index_rows.nbytes
-            + batch._event_rows(event).runs.nbytes
+            + batch._event_rows(event).owners.nbytes
             for event in graph.level1
         )
         assert stacks > 0
         assert resources.estimate_context_bytes(context) == arrays + stacks
-
-    def test_estimate_never_raises_on_opaque_payloads(self):
-        class Opaque:
-            def __reduce__(self):
-                raise RuntimeError("unpicklable")
-
-        assert resources.estimate_context_bytes(Opaque()) == 0
 
 
 # --------------------------------------------------------------------------- config

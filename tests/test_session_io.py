@@ -105,18 +105,24 @@ class TestRoundTrip:
             assert loaded.events[key] is node
 
 
-class TestCommittedSessionFile:
-    """A format-5 file written by an earlier build (see
-    ``tests/golden/write_session_fixture.py`` for its provenance) loads in
-    this one: same-build round trips cannot see a change to the pickled
-    state of a session object.  Its nodes still carry the retired
-    ``repro.core.bitmap.Bitmap``, which only the session reader's unpickler
-    resolves."""
+@pytest.fixture(params=sorted(session_fixture.FIXTURES))
+def committed_version(request):
+    """The format version of one committed session file."""
+    return request.param
 
-    def test_loads_like_a_fresh_mine_and_takes_the_append(self):
-        fixture = session_fixture.FIXTURE
+
+class TestCommittedSessionFile:
+    """Each committed file, written by an earlier build (see
+    ``tests/golden/write_session_fixture.py`` for their provenance), loads
+    in this one: same-build round trips cannot see a change to the pickled
+    state of a session object.  The format-5 file's nodes still carry the
+    retired ``repro.core.bitmap.Bitmap``, which only the session reader's
+    unpickler resolves, and its entries one sequence id per run."""
+
+    def test_loads_like_a_fresh_mine_and_takes_the_append(self, committed_version):
+        fixture = session_fixture.FIXTURES[committed_version]
         with fixture.open("rb") as handle:
-            assert _SessionUnpickler(handle).load()["version"] == FORMAT_VERSION
+            assert _SessionUnpickler(handle).load()["version"] == committed_version
         loaded = read_session(fixture)
         fresh = MiningSession(session_fixture.CONFIG)
         fresh_result = fresh.mine(session_fixture.base_database())
@@ -132,9 +138,9 @@ class TestCommittedSessionFile:
         assert store_snapshot(loaded.graph) == store_snapshot(scratch.graph)
         assert_same_occurrences(loaded.graph, scratch.graph)
 
-    def test_loaded_nodes_have_a_fresh_nodes_fields(self):
-        """The file's stale node bitmaps are dropped on load."""
-        loaded = read_session(session_fixture.FIXTURE)
+    def test_loaded_nodes_have_a_fresh_nodes_fields(self, committed_version):
+        """A format-5 file's stale node bitmaps are dropped on load."""
+        loaded = read_session(session_fixture.FIXTURES[committed_version])
         fresh = MiningSession(session_fixture.CONFIG)
         fresh.mine(session_fixture.base_database())
         combinations = [
@@ -148,9 +154,11 @@ class TestCommittedSessionFile:
         for node in combinations:
             assert vars(node).keys() == combination_fields
 
-    def test_the_loaded_session_round_trips(self, tmp_path):
-        loaded = read_session(session_fixture.FIXTURE)
-        reread = read_session(write_session(loaded, tmp_path / "state.bin"))
+    def test_the_loaded_session_round_trips(self, committed_version, tmp_path):
+        loaded = read_session(session_fixture.FIXTURES[committed_version])
+        path = write_session(loaded, tmp_path / "state.bin")
+        assert pickle.loads(path.read_bytes())["version"] == FORMAT_VERSION
+        reread = read_session(path)
         assert store_snapshot(reread.graph) == store_snapshot(loaded.graph)
         assert mined_tuples(reread.result()) == mined_tuples(loaded.result())
 
@@ -240,7 +248,7 @@ class TestOlderVersionsRejected:
 
     def _write_older(self, session, tmp_path, version):
         path = write_session(session, tmp_path / "state.bin")
-        assert pickle.loads(path.read_bytes())["version"] == FORMAT_VERSION == 5
+        assert pickle.loads(path.read_bytes())["version"] == FORMAT_VERSION == 6
         rewrite = {2: self._as_v2, 3: self._as_v3, 4: self._as_v4}[version]
         path.write_bytes(pickle.dumps(rewrite(pickle.loads(path.read_bytes()))))
         return path
@@ -420,6 +428,41 @@ class TestGuards:
             read_session(path)
 
 
+class _Version5Entry:
+    """Pickles as a version-5 ``PatternEntry``: one ``int32`` id per
+    sequence run, ``int64`` run bounds ``offsets`` and the row block, as
+    ``edit`` (if any) leaves them."""
+
+    def __init__(self, entry, edit=None):
+        self.entry, self.edit = entry, edit
+
+    def __reduce__(self):
+        ids, counts = np.unique(self.entry.sequences, return_counts=True)
+        state = {
+            "pattern": self.entry.pattern,
+            "sequences": ids.astype(np.int32),
+            "offsets": np.r_[0, np.cumsum(counts)].astype(np.int64),
+            "rows": self.entry.rows,
+        }
+        if self.edit is not None:
+            state = self.edit(state)
+        return copyreg._reconstructor, (PatternEntry, object, None), state
+
+
+def _as_v5(payload, edits=None):
+    """A freshly written payload in the version-5 wire shape; ``edits``
+    maps a pattern to the edit of its entry's state."""
+    edits = edits or {}
+    for nodes in payload["levels"].values():
+        for node in nodes.values():
+            node.patterns = {
+                pattern: _Version5Entry(entry, edits.get(pattern))
+                for pattern, entry in node.patterns.items()
+            }
+    payload["version"] = 5
+    return payload
+
+
 def _run_free_sequence(session, entry):
     """A sequence the entry does not list where every one of its events has
     instances, so an empty run there would read as one more supporting
@@ -436,36 +479,61 @@ def _run_free_sequence(session, entry):
 
 def _with_empty_run(session, entry):
     sequence_id = _run_free_sequence(session, entry)
-    position = int(np.searchsorted(entry.sequences, sequence_id))
-    sequences = np.insert(entry.sequences, position, sequence_id)
-    offsets = np.insert(entry.offsets, position, entry.offsets[position])
-    return sequences, offsets, entry.rows
+
+    def edit(state):
+        position = int(np.searchsorted(state["sequences"], sequence_id))
+        offsets = state["offsets"]
+        state["sequences"] = np.insert(state["sequences"], position, sequence_id)
+        state["offsets"] = np.insert(offsets, position, offsets[position])
+        return state
+
+    return edit
 
 
-#: Malformed CSR arrays, each built from one entry's valid
-#: ``(sequences, offsets, rows)``, and the rule that rejects them.
-_MALFORMED = {
+def _edited(**changes):
+    """An edit replacing state entries by ``changes[name](state[name])``."""
+
+    def edit(state):
+        state.update({name: change(state[name]) for name, change in changes.items()})
+        return state
+
+    return lambda session, entry: edit
+
+
+def _swapped_bounds(offsets):
+    offsets = offsets.copy()
+    offsets[[1, 2]] = offsets[[2, 1]]
+    return offsets
+
+
+#: Version-5 entries breaking version 5's rules, each an edit of one
+#: entry's valid state, and the rule that rejects them.
+_MALFORMED_V5 = {
     "empty-run": (_with_empty_run, "one non-empty run per sequence"),
-    "duplicate-sequence": (
-        lambda session, entry: (
-            np.r_[entry.sequences[:1], entry.sequences[:-1]].astype(np.int32),
-            entry.offsets,
-            entry.rows,
-        ),
+    "decreasing-bound": (
+        _edited(offsets=_swapped_bounds),
+        "one non-empty run per sequence",
+    ),
+    "duplicate-run-id": (
+        _edited(sequences=lambda ids: np.r_[ids[:1], ids[:-1]].astype(np.int32)),
         "not strictly ascending",
     ),
+    "bounds-past-the-rows": (
+        _edited(rows=lambda rows: rows[:-1].copy()),
+        "one non-empty run per sequence",
+    ),
+}
+
+#: Malformed entries of the current format, each built from one entry's
+#: valid ``(sequences, rows)``, and the rule that rejects them.
+_MALFORMED = {
     "descending-sequences": (
-        lambda session, entry: (
-            entry.sequences[::-1].copy(),
-            entry.offsets,
-            entry.rows,
-        ),
-        "not strictly ascending",
+        lambda session, entry: (entry.sequences[::-1].copy(), entry.rows),
+        "not sorted",
     ),
     "sequence-past-the-end": (
         lambda session, entry: (
             np.r_[entry.sequences[:-1], session.n_sequences].astype(np.int32),
-            entry.offsets,
             entry.rows,
         ),
         r"inside \[0, \d+\)",
@@ -473,40 +541,31 @@ _MALFORMED = {
     "negative-sequence": (
         lambda session, entry: (
             np.r_[-1, entry.sequences[1:]].astype(np.int32),
-            entry.offsets,
             entry.rows,
         ),
         r"inside \[0, \d+\)",
     ),
+    "more-ids-than-rows": (
+        lambda session, entry: (entry.sequences, entry.rows[:-1].copy()),
+        r"has \d+ sequence ids for \d+ rows",
+    ),
+    "int64-sequences": (
+        lambda session, entry: (entry.sequences.astype(np.int64), entry.rows),
+        "sequences of .* is not a 1-D int32 array",
+    ),
     "wrong-column-count": (
-        lambda session, entry: (
-            entry.sequences,
-            entry.offsets,
-            entry.rows[:, :-1].copy(),
-        ),
+        lambda session, entry: (entry.sequences, entry.rows[:, :-1].copy()),
         "have 1 columns, not 2",
     ),
     "float64-rows": (
-        lambda session, entry: (
-            entry.sequences,
-            entry.offsets,
-            entry.rows.astype(np.float64),
-        ),
+        lambda session, entry: (entry.sequences, entry.rows.astype(np.float64)),
         "not a 2-D int32 array",
-    ),
-    "offsets-past-the-rows": (
-        lambda session, entry: (
-            entry.sequences,
-            entry.offsets,
-            entry.rows[:-1].copy(),
-        ),
-        "one non-empty run per sequence",
     ),
 }
 
 
 class TestMalformedEvidence:
-    """Version-5 files whose CSR arrays break the layout rules are a clean
+    """Files whose entries break their format's layout rules are a clean
     DataError at load time, never a silently wrong store."""
 
     @staticmethod
@@ -520,14 +579,6 @@ class TestMalformedEvidence:
             ),
             key=lambda entry: entry.support,
         )
-
-    def test_an_empty_run_would_inflate_the_support(self, deep_session):
-        """Why an empty run must be rejected: it reads as one more
-        supporting sequence."""
-        entry = self._entry(deep_session)
-        forged = PatternEntry(entry.pattern, *_with_empty_run(deep_session, entry))
-        assert forged.support == entry.support + 1
-        assert forged.n_occurrences == entry.n_occurrences
 
     @pytest.mark.parametrize("case", sorted(_MALFORMED))
     def test_malformed_arrays_rejected(self, deep_session, tmp_path, case):
@@ -547,6 +598,31 @@ class TestMalformedEvidence:
         assert re.search(rule, str(error.value))
         # The untouched file still reads.
         read_session(write_session(deep_session, tmp_path / "state.bin"))
+
+    def test_a_version_5_file_converts_to_the_same_store(self, deep_session, tmp_path):
+        path = write_session(deep_session, tmp_path / "state.bin")
+        path.write_bytes(pickle.dumps(_as_v5(pickle.loads(path.read_bytes()))))
+        loaded = read_session(path)
+        assert store_snapshot(loaded.graph) == store_snapshot(deep_session.graph)
+        assert mined_tuples(loaded.result()) == mined_tuples(deep_session.result())
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_V5))
+    def test_malformed_version_5_entries_rejected(self, deep_session, tmp_path, case):
+        """Version 5's rules are checked before an entry is converted: an
+        empty run would otherwise vanish in the conversion, and run ids or
+        bounds out of order would scatter a sequence's rows."""
+        entry = self._entry(deep_session)
+        assert entry.support >= 3
+        path = write_session(deep_session, tmp_path / "state.bin")
+        build, rule = _MALFORMED_V5[case]
+        edits = {entry.pattern: build(deep_session, entry)}
+        path.write_bytes(pickle.dumps(_as_v5(pickle.loads(path.read_bytes()), edits)))
+        with pytest.raises(SessionFormatError, match="evidence inconsistent") as error:
+            read_session(path)
+        assert error.value.path == path
+        assert str(path) in str(error.value)
+        assert error.value.version == 5
+        assert re.search(rule, str(error.value))
 
 
 def _malformed_level1(session, case):
