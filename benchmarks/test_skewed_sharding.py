@@ -10,8 +10,8 @@ same contiguous shard.  The level then waits on that one overloaded worker.
 
 This benchmark builds a synthetic database whose per-event instance counts
 follow a Zipf profile, mines it with the process engine twice — once with the
-default cost-balanced (greedy LPT over the miner's per-candidate estimates)
-sharding and once with :class:`ContiguousShardBackend` (contiguous
+default cost-balanced (greedy LPT over the backend's per-candidate
+estimates) sharding and once with :class:`ContiguousShardBackend` (contiguous
 equal-count shards, no estimates) — and asserts the cost-balanced run is at least 1.2x faster on hosts
 with enough CPUs.  Pattern-set parity between the two shardings (and serial)
 is asserted unconditionally; like the speedup benchmark, a heavily loaded
@@ -25,7 +25,7 @@ import random
 import pytest
 
 from repro import HTPGM, MiningConfig, ProcessPoolBackend, SerialBackend
-from repro.core.engine import _split_contiguous_indices, available_workers
+from repro.core.engine import available_workers
 from repro.evaluation import format_table
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
@@ -49,13 +49,18 @@ CONFIG = MiningConfig(
 
 
 class ContiguousShardBackend(ProcessPoolBackend):
-    """The count-balanced baseline: the miner estimates no costs and every
-    batch splits into contiguous equal-count shards."""
+    """The count-balanced baseline: every batch runs on unit costs, so it
+    pays for no estimate, and splits into contiguous equal-count shards."""
 
-    wants_costs = False
+    def run(self, context, candidates, costs=None):
+        return super().run(context, candidates, [1.0] * len(candidates))
 
-    def _shard_indices(self, n_shards, costs, n_items):
-        return _split_contiguous_indices(n_items, n_shards)
+    def _shard_indices(self, n_shards, costs):
+        base, extra = divmod(len(costs), n_shards)
+        bounds = [0]
+        for shard in range(n_shards):
+            bounds.append(bounds[-1] + base + (shard < extra))
+        return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def zipf_skewed_database(

@@ -154,8 +154,8 @@ class MiningConfig:
     engine:
         Execution backend evaluating level candidates: ``"serial"`` (the
         default, in-process) or ``"process"`` (a multiprocessing pool that
-        shards candidate evaluation across workers, balancing shards by the
-        miner's per-candidate cost estimates).  A-HTPGM's pairwise-NMI
+        shards candidate evaluation across workers, balancing shards by
+        per-candidate cost estimates).  A-HTPGM's pairwise-NMI
         correlation phase always runs in the calling process.  Every engine
         mines the identical pattern set; see :mod:`repro.core.engine`.
     n_workers:

@@ -16,25 +16,23 @@ functions over a picklable :class:`LevelContext`, and puts an
 ``ProcessPoolBackend``
     Shards the candidate list across ``n_workers`` processes
     (:mod:`concurrent.futures`), evaluates each shard with the same pure
-    functions, and merges the per-worker :class:`CombinationNode` lists and
-    :class:`MiningStatistics` deterministically (node order = candidate
-    order, wall-clock merged as max-of-shards).  Where ``fork`` exists a
-    fresh pool is forked per batch and inherits the level context through
-    copy-on-write memory; otherwise (or under an explicit non-fork
-    ``start_method``) a persistent pool receives the context pickled with
-    each shard.
+    functions, and concatenates the per-worker :class:`CombinationNode`
+    lists and :class:`MiningStatistics` (counters add, wall-clock merged as
+    max-of-shards); the session merges nodes by their event key, so their
+    order is free.  Where ``fork`` exists a fresh pool is forked per batch
+    and inherits the level context through copy-on-write memory; otherwise
+    (or under an explicit non-fork ``start_method``) a persistent pool
+    receives the context pickled with each shard.
 
-*Cost-balanced sharding.*  The miner estimates every candidate's evaluation
-cost during candidate generation (level 2: instance-pair counts over shared
-sequences; level k: parent occurrence counts × new-event instance counts),
-reading the arrays admission reads, and passes the estimates to
-:meth:`ProcessPoolBackend.run`.  Candidates are then
+*Cost-balanced sharding.*  :meth:`ProcessPoolBackend.run` estimates every
+candidate's evaluation cost (:func:`candidate_costs`; level 2: instance-pair
+counts over shared sequences; level k: parent occurrence counts × new-event
+instance counts), reading the arrays admission reads, whenever its CPU
+split or its memory governor will use the estimates.  Candidates are then
 assigned to shards by greedy LPT (longest processing time first, ties broken
-by candidate index), each shard is re-sorted into ascending candidate order,
-and the merge applies the inverse permutation — so the merged node order, and
-therefore the mined pattern set and the golden fixtures, is byte-identical to
-a serial run while skewed levels no longer wait on one overloaded shard.
-Batches without cost estimates fall back to contiguous equal-count shards.
+by candidate index), so skewed levels no longer wait on one overloaded
+shard; the mined pattern set and the golden fixtures stay byte-identical to
+a serial run.
 
 Under every backend, :func:`evaluate_candidates` admits candidates
 :data:`_ADMISSION_CHUNK` at a time as one matrix of instance-table rows —
@@ -200,7 +198,8 @@ class LevelOutcome:
     """What evaluating a batch of candidates produced.
 
     ``nodes`` holds only combination nodes that retained at least one
-    frequent, confident pattern, in candidate order; ``stats`` holds the work
+    frequent, confident pattern (:func:`evaluate_candidates` returns them in
+    candidate order, a backend in any order); ``stats`` holds the work
     counters bumped during evaluation plus the evaluation wall-clock in
     ``level_seconds`` (already max-merged across shards for parallel runs).
     """
@@ -231,8 +230,8 @@ def evaluate_candidates(
     return LevelOutcome(nodes=nodes, stats=stats)
 
 
-#: Candidates admitted per step (:meth:`_ExtensionBatch.admit` and the
-#: miner's cost estimators): a step maps its candidates to one ``(n, k)``
+#: Candidates admitted per step (:meth:`_ExtensionBatch.admit` and
+#: :func:`candidate_costs`): a step maps its candidates to one ``(n, k)``
 #: matrix of instance-table rows and runs Apriori, the parent lookup and
 #: Lemma 5 as array operations over it, so its arrays (``n`` joint bitmaps
 #: of ``⌈|DSEQ|/64⌉`` words among them) stay bounded.  Results never depend
@@ -349,6 +348,110 @@ def parent_index(context: LevelContext) -> tuple[list[CombinationNode], _RowInde
         [[index[event] for event in node.events] for node in nodes], dtype=np.intp
     ).reshape(len(nodes), context.level - 1)
     return nodes, _RowIndex(rows, len(index))
+
+
+# --------------------------------------------------------------------------- cost model
+def candidate_costs(
+    context: LevelContext, candidates: list[Candidate]
+) -> list[float]:
+    """Per-candidate evaluation cost estimates of one level (every cost at
+    least 1), the weights of :meth:`ProcessPoolBackend.run`'s split."""
+    if context.level == 2:
+        return _estimate_pair_costs(context, candidates)
+    return _estimate_combination_costs(context, candidates)
+
+
+def _estimate_pair_costs(
+    context: LevelContext, candidates: list[Candidate]
+) -> list[float]:
+    """Per-candidate evaluation cost estimates for level 2.
+
+    The dominant cost of a surviving pair is relation classification over the
+    chronologically ordered instance pairs in shared sequences, so the
+    estimate is the product of the two instance counts summed over the shared
+    sequences from ``delta_start`` on (the self-pair analogue: instances
+    choose two).  Every such sum is one entry of the Gram matrix of the
+    instance table's ``count`` matrix (an exact integer product), since a
+    sequence one event lacks contributes 0.  Pairs the Apriori checks of
+    Lemmas 2–3 discard stop after one bitmap intersection, so they are
+    estimated at unit cost; the estimator runs the evaluation's own checks
+    (:func:`apriori`) over the same packed bitmaps, one admission chunk of
+    candidates at a time.
+    """
+    table = context.instances
+    counts = table.count[:, context.delta_start :]
+    products = counts @ counts.T
+    # A self pair's instances choose two: (sum c^2 - sum c) / 2.
+    chosen = (np.diagonal(products) - counts.sum(axis=1)) // 2
+    costs: list[float] = []
+    for _, rows in candidate_chunks(table, candidates):
+        support, _, low, weak = apriori(context, rows)
+        first, second = rows.T
+        pairs = np.where(first == second, chosen[first], products[first, second])
+        doomed = low | weak | (support == 0)
+        costs.extend(np.where(doomed, 1, np.maximum(pairs, 1)).astype(float).tolist())
+    return costs
+
+
+def _estimate_combination_costs(
+    context: LevelContext, candidates: list[Candidate]
+) -> list[float]:
+    """Per-candidate evaluation cost estimates for level ``k >= 3``.
+
+    Evaluating a combination extends every stored occurrence of every parent
+    ``(k-1)``-node with the instances of the remaining event, so the estimate
+    sums, over each (parent, new event) decomposition, the per-sequence
+    product of parent occurrence counts and new-event instance counts.  The
+    decompositions' parents are found one admission chunk at a time, as the
+    evaluation finds them (:func:`parent_index`).  Every parent's
+    per-sequence occurrence counts come from one ``np.unique`` over the
+    entries' (parent, sequence) row keys; a chunk's decompositions of one
+    parent are one product of the new events' rows of the instance table's
+    ``count`` matrix with those counts.  Every sum is an exact integer.  A
+    delta pass counts only the sequences from ``delta_start`` on.
+    """
+    table, level = context.instances, context.level
+    nodes, index = parent_index(context)
+    sequences, counts, bounds = _occurrence_counts(
+        nodes, context.delta_start, table.count.shape[1]
+    )
+    costs = np.zeros(len(candidates), dtype=np.int64)
+    for first, rows in candidate_chunks(table, candidates):
+        rows = np.sort(rows, axis=1)
+        parents = index.find(decompositions(rows).reshape(-1, level - 1))
+        order = np.argsort(parents, kind="stable")
+        groups = np.flatnonzero(np.r_[True, np.diff(parents[order]) != 0, True])
+        for a, b in zip(groups[:-1].tolist(), groups[1:].tolist()):
+            parent = parents[order[a]]
+            if parent < 0:
+                continue
+            runs = slice(bounds[parent], bounds[parent + 1])
+            decomposed = order[a:b]
+            new_rows = rows.ravel()[decomposed, None]
+            products = table.count[new_rows, sequences[runs]] @ counts[runs]
+            costs[first + decomposed // level] += products
+    return np.maximum(costs, 1).astype(float).tolist()
+
+
+def _occurrence_counts(
+    nodes: list[CombinationNode], start: int, n_sequences: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored occurrences of every node per sequence from ``start`` on:
+    sequence ids and row counts, node by node (ascending sequences), and
+    each node's bounds in them."""
+    entries = [(n, e) for n, node in enumerate(nodes) for e in node.patterns.values()]
+    empty = [np.zeros(0, dtype=np.int64)]
+    owners = np.repeat(
+        np.array([n for n, _ in entries], dtype=np.int64),
+        [len(e.sequences) for _, e in entries],
+    )
+    sequences = np.concatenate(empty + [e.sequences for _, e in entries])
+    delta = sequences >= start
+    keys, counts = np.unique(
+        owners[delta] * n_sequences + sequences[delta], return_counts=True
+    )
+    bounds = np.searchsorted(keys // n_sequences, np.arange(len(nodes) + 1))
+    return keys % n_sequences, counts, bounds
 
 
 def _first_row(entry: PatternEntry, delta_start: int) -> int:
@@ -545,10 +648,10 @@ class _ExtensionBatch:
     decompositions — at level 2, one per orientation of the pair, whose
     parent is one event's instances — as arrays, and only survivors that
     queue one get a :class:`CombinationNode`: a candidate that queues no
-    decomposition can only finalise empty, so it is not kept pending.  Once
+    decomposition can store no pattern, so it is not kept pending.  Once
     :data:`_EXTENSION_BATCH_ROWS` rows are queued — counted between
     candidates, so no candidate spans two passes — :meth:`flush` evaluates
-    them in one pass and finalises the queued nodes in candidate order.
+    them in one pass and keeps the queued nodes in candidate order.
     The pass is the scalar reference's per-candidate loops batched: the
     same pairs and gates, Lemmas 4–7 as table lookups (level ``k`` only),
     the scalar loop's early-exit counters rebuilt from each pair's first
@@ -713,17 +816,21 @@ class _ExtensionBatch:
             start = stop
 
     def flush(self) -> None:
-        """Evaluate the queue, then finalise the queued nodes in order."""
+        """Evaluate the queue, then keep the queued nodes in order: every
+        node that stored a pattern (:meth:`_store` stores only admitted
+        ones), and in a delta pass every node, whose patterns the session
+        settles."""
         if self.queue:
             if self.watchdog is not None:
                 self.watchdog.check(len(self.pending))
             self._evaluate()
-        context = self.context
+        stats, level = self.stats, self.context.level
         for node in self.pending:
-            if node.patterns or context.delta_start:
-                node = _finalise_node(context, node, self.stats, context.level)
-                if node is not None:
-                    self.nodes.append(node)
+            if self.context.delta_start:
+                self.nodes.append(node)
+            elif node.patterns:
+                stats.bump(stats.patterns_found, level, len(node.patterns))
+                self.nodes.append(node)
         self.queue, self.pending, self.rows = [], [], 0
 
     def _evaluate(self) -> None:
@@ -888,9 +995,10 @@ def admit_patterns(
     ``event_support`` of the pattern's events — at least
     ``config.min_confidence``.
 
-    The one admission rule (:func:`admits`): :func:`_finalise_node` applies
-    it to evaluated nodes, :class:`~repro.core.session.MiningSession` to the
-    stored nodes an append re-admits or settles.
+    The one admission rule (:func:`admits`), which
+    :class:`~repro.core.session.MiningSession` applies to the stored nodes
+    an append re-admits or settles; the pass applies it as one mask before
+    it stores a pattern (:meth:`_ExtensionBatch._store`).
     """
     return {
         pattern: entry
@@ -917,42 +1025,18 @@ def admits(
     )
 
 
-def _finalise_node(
-    context: LevelContext,
-    node: CombinationNode,
-    stats: MiningStatistics,
-    level: int,
-) -> CombinationNode | None:
-    """Keep only the patterns :func:`admit_patterns` admits; return the node
-    when non-empty.  A delta pass returns every node as found: its patterns
-    hold delta rows only, so admission is the session's to decide."""
-    if context.delta_start:
-        return node
-    node.patterns = admit_patterns(
-        node.patterns, context.event_support, context.min_count, context.config
-    )
-    if node.has_patterns():
-        stats.bump(stats.patterns_found, level, len(node.patterns))
-        return node
-    return None
-
-
 # --------------------------------------------------------------------------- backends
 @runtime_checkable
 class ExecutionBackend(Protocol):
     """Strategy evaluating one level's candidates against a context.
 
     Implementations must be *semantically transparent*: for the same
-    ``(context, candidates)`` input they must produce the same nodes (in
-    candidate order) and the same counter totals as
-    :func:`evaluate_candidates` run serially.  ``level_seconds`` is the one
-    allowed difference — parallel backends report the max over shards, which
-    the miner then combines with its own merge overhead.
-
-    Backends that balance shards by candidate cost expose ``wants_costs =
-    True``; the miner checks it via ``getattr(backend, "wants_costs",
-    False)`` and skips cost estimation entirely for backends that would
-    discard the estimates (the serial backend).
+    ``(context, candidates)`` input they must produce the same nodes, in any
+    order, and the same counter totals as :func:`evaluate_candidates` run
+    serially; the session merges the nodes by their event key.
+    ``level_seconds`` is the one allowed difference — parallel backends
+    report the max over shards, which the miner then combines with its own
+    merge overhead.
     """
 
     name: str
@@ -966,8 +1050,8 @@ class ExecutionBackend(Protocol):
         """Evaluate all candidates and return the merged outcome.
 
         ``costs`` are optional per-candidate cost estimates (aligned with
-        ``candidates``) that parallel backends may use to balance their
-        shards; they must never change the outcome.
+        ``candidates``) that replace the estimates a parallel backend makes
+        itself to balance its shards; they must never change the outcome.
         """
         ...
 
@@ -980,8 +1064,6 @@ class SerialBackend:
     """In-process, in-order evaluation — the original single-threaded miner."""
 
     name = "serial"
-    #: Serial evaluation never shards, so cost estimates would be wasted work.
-    wants_costs = False
 
     def run(
         self,
@@ -1079,12 +1161,11 @@ _CHUNK_SHRINK_FLOOR = 1 << 20
 class ProcessPoolBackend:
     """Shards candidate evaluation across ``n_workers`` processes.
 
-    With per-candidate cost estimates (supplied by the miner) the candidates
-    are partitioned by greedy LPT into near-equal-*cost* shards; without them
-    into contiguous near-equal-*count* shards.  Either way each shard keeps
-    ascending candidate order and the merge restores the global candidate
-    order via the inverse permutation, so the node order is byte-identical
-    to a serial run; statistics merge via
+    :meth:`run` owns the whole split: it estimates every candidate's cost
+    (:func:`candidate_costs`) whenever the CPU split or the memory governor
+    will use the estimates, partitions the candidates by greedy LPT into
+    near-equal-*cost* shards, and concatenates the shards' nodes (the
+    session merges them by key); statistics merge via
     :meth:`MiningStatistics.merge_shard` (counters add, wall-clock maxes).
 
     Two transports are used for the worker payload (the level context), which
@@ -1101,14 +1182,15 @@ class ProcessPoolBackend:
     ``None`` keeps the historical choice — fork when available, the
     platform default otherwise.
 
-    Batches smaller than ``min_candidates_per_worker * 2`` are evaluated
-    in-process: for tiny levels the scheduling overhead dwarfs the work being
-    distributed.
+    Without a budget, batches smaller than ``min_candidates_per_worker * 2``
+    are evaluated in-process and never estimated: for tiny levels the
+    scheduling overhead dwarfs the work being distributed.
 
     ``memory_budget`` (bytes, or a ``"512M"``-style string) puts the whole
     worker fleet under a :class:`~repro.core.resources.ResourceGovernor`:
-    the up-front split is refined so no shard's estimated transient
-    footprint exceeds one worker's share, shipped contexts carry the share
+    the up-front split is refined, from the estimates, so no shard's
+    estimated transient footprint exceeds one worker's share (with any
+    worker count, one included), shipped contexts carry the share
     so workers arm a resident-set watchdog, and shards that still outgrow
     their share (watchdog abort or a raw ``MemoryError``) are recovered by
     :meth:`_recover_memory`'s split-and-degrade chain instead of a verbatim
@@ -1117,8 +1199,6 @@ class ProcessPoolBackend:
     """
 
     name = "process"
-    #: The miner's cost estimates drive the LPT split.
-    wants_costs = True
 
     def __init__(
         self,
@@ -1155,9 +1235,12 @@ class ProcessPoolBackend:
         self.retry = retry if retry is not None else RetryPolicy()
         #: Degradation warnings recorded by this backend over its life.
         self.warnings: list[str] = []
-        #: The warnings of the batch being evaluated, which
-        #: :meth:`_stamp_stats` copies into its :class:`MiningStatistics`.
+        #: The warnings, transport retries and memory splits of the batch
+        #: being evaluated, which :meth:`_stamp_stats` copies into its
+        #: :class:`MiningStatistics`.
         self._batch_warnings: list[str] = []
+        self._batch_retries = 0
+        self._batch_splits = 0
         #: Captured once so ``times=N`` fault budgets survive across rounds.
         self._fault_plan = (
             fault_plan if fault_plan is not None else faults.active_plan()
@@ -1165,7 +1248,6 @@ class ProcessPoolBackend:
         #: The warning of the drop to in-process evaluation, once no pool
         #: could be obtained; every later batch records it again.
         self._degradation: str | None = None
-        self._level_retries: dict[int, int] = {}
         #: Coordinator side of the memory budget (``None`` = ungoverned);
         #: sizes the up-front split and the per-worker watchdog share.
         self.governor = (
@@ -1173,7 +1255,6 @@ class ProcessPoolBackend:
             if memory_budget is not None
             else None
         )
-        self._level_splits: dict[int, int] = {}
         self._executor: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------ lifecycle
@@ -1220,32 +1301,31 @@ class ProcessPoolBackend:
                 f"got {len(costs)} cost estimates for {len(candidates)} candidates"
             )
         level = context.level
-        retries_before = self._level_retries.get(level, 0)
-        splits_before = self._level_splits.get(level, 0)
         self._batch_warnings = [self._degradation] if self._degradation else []
+        self._batch_retries = self._batch_splits = 0
         n_shards = self._shard_count(len(candidates))
-        if self.governor is not None and candidates:
+        governed = self.governor is not None and bool(candidates)
+        if costs is None and (n_shards > 1 or governed):
+            costs = candidate_costs(context, candidates)
+        if governed:
             # The budget may demand a finer split than the CPU count does:
             # cap every shard's estimated transient footprint at one worker's
             # share of the budget (minus the shared context each worker maps).
             n_shards = self.governor.plan_shards(
                 n_shards,
-                costs if costs is not None else [1.0] * len(candidates),
-                bytes_per_cost=self._bytes_per_cost(level),
+                costs,
+                bytes_per_cost=_bytes_per_pair(level),
                 max_shards=len(candidates),
                 context_bytes=resources.estimate_context_bytes(context),
             )
             if context.memory_share_bytes is None:
                 context.memory_share_bytes = self.governor.worker_share
         if n_shards <= 1:
-            return self._stamp_stats(
-                evaluate_candidates(context, candidates),
-                level,
-                retries_before,
-                splits_before,
-            )
-        shard_indices = self._shard_indices(n_shards, costs, len(candidates))
-        shards = [[candidates[i] for i in indices] for indices in shard_indices]
+            return self._stamp_stats(evaluate_candidates(context, candidates), level)
+        shards = [
+            [candidates[i] for i in indices]
+            for indices in self._shard_indices(n_shards, costs)
+        ]
         outcomes = self._run_shards(
             evaluate_candidates,
             context,
@@ -1253,58 +1333,25 @@ class ProcessPoolBackend:
             level=level,
             combine=_combine_level_outcomes,
         )
-        outcome = _merge_indexed_outcomes(shard_indices, shards, outcomes)
-        return self._stamp_stats(outcome, level, retries_before, splits_before)
+        return self._stamp_stats(_combine_level_outcomes(outcomes), level)
 
-    def _bytes_per_cost(self, level: int) -> float:
-        """Transient kernel bytes one unit of candidate cost expands into.
-
-        Costs are instance-pair counts (level 2) or occurrence×instance
-        pair counts (level ``k``), priced by the same :func:`_bytes_per_pair`
-        the vectorized pass chunks with.
-        """
-        return float(_bytes_per_pair(level))
-
-    def _stamp_stats(
-        self,
-        outcome: LevelOutcome,
-        level: int,
-        retries_before: int,
-        splits_before: int,
-    ) -> LevelOutcome:
+    def _stamp_stats(self, outcome: LevelOutcome, level: int) -> LevelOutcome:
         """Record this batch's retries, splits and degradation warnings."""
-        delta = self._level_retries.get(level, 0) - retries_before
-        if delta:
-            outcome.stats.shard_retries[level] = (
-                outcome.stats.shard_retries.get(level, 0) + delta
-            )
-        splits = self._level_splits.get(level, 0) - splits_before
-        if splits:
-            outcome.stats.shard_splits[level] = (
-                outcome.stats.shard_splits.get(level, 0) + splits
-            )
+        stats = outcome.stats
+        stats.bump(stats.shard_retries, level, self._batch_retries)
+        stats.bump(stats.shard_splits, level, self._batch_splits)
         for message in self._batch_warnings:
-            outcome.stats.record_warning(message)
+            stats.record_warning(message)
         return outcome
 
     def _shard_count(self, n_items: int) -> int:
         return min(self.n_workers, max(1, n_items // self.min_candidates_per_worker))
 
-    def would_shard(self, n_items: int) -> bool:
-        """Whether a batch of ``n_items`` would actually be split across workers.
-
-        The miner consults this (together with ``wants_costs``) before paying
-        for cost estimation: sub-threshold batches are evaluated in-process,
-        where the estimates would be discarded.
-        """
-        return self._shard_count(n_items) > 1
-
     def _shard_indices(
-        self, n_shards: int, costs: Sequence[float] | None, n_items: int
+        self, n_shards: int, costs: Sequence[float]
     ) -> list[list[int]]:
-        if costs is not None:
-            return _split_lpt_indices(costs, n_shards)
-        return _split_contiguous_indices(n_items, n_shards)
+        """Candidate indices of each shard (greedy LPT over ``costs``)."""
+        return _split_lpt_indices(costs, n_shards)
 
     def _run_shards(
         self,
@@ -1381,9 +1428,7 @@ class ProcessPoolBackend:
                 retry.append(piece)
                 transport_failures += 1
             if transport_failures:
-                self._level_retries[level] = (
-                    self._level_retries.get(level, 0) + transport_failures
-                )
+                self._batch_retries += transport_failures
                 # Backoff only cushions transport trouble; split pieces carry
                 # *less* work than before and should resubmit immediately.
                 delay = policy.delay(round_index)
@@ -1423,7 +1468,7 @@ class ProcessPoolBackend:
            proving the plan wanted the floor reached), the run fails with a
            clean :class:`MiningError`.
         """
-        self._level_splits[level] = self._level_splits.get(level, 0) + 1
+        self._batch_splits += 1
         if len(piece.items) > 1:
             half = (len(piece.items) + 1) // 2
             self._warn(
@@ -1659,12 +1704,13 @@ class ProcessPoolBackend:
 
 
 def _combine_level_outcomes(chunks: list[LevelOutcome]) -> LevelOutcome:
-    """Reassemble one shard's piece outcomes (already in offset order).
+    """Concatenate the outcomes of disjoint candidate sets: a shard's pieces
+    (in offset order), or a batch's shards.
 
-    Pieces partition the shard's candidate list contiguously, so their node
-    lists concatenate back into exact shard order and their counters add —
-    evaluation counters are strictly per-candidate, which is what makes the
-    split invisible to :func:`_merge_indexed_outcomes` and to parity.
+    Evaluation counters are strictly per-candidate, so they add, and the
+    nodes concatenate: pieces back into shard order, shards into an order
+    the session's merge by key makes irrelevant (see
+    :class:`ExecutionBackend`).
     """
     nodes: list[CombinationNode] = []
     stats = MiningStatistics()
@@ -1674,58 +1720,13 @@ def _combine_level_outcomes(chunks: list[LevelOutcome]) -> LevelOutcome:
     return LevelOutcome(nodes=nodes, stats=stats)
 
 
-def _merge_indexed_outcomes(
-    shard_indices: Sequence[list[int]],
-    shards: Sequence[list[Candidate]],
-    outcomes: Sequence[LevelOutcome],
-) -> LevelOutcome:
-    """Restore global candidate order across shards (the inverse permutation).
-
-    Each worker returns its surviving nodes in shard-candidate order, and a
-    node's canonical event tuple equals the sorted tuple of the candidate it
-    came from (unique per candidate), so a single forward walk over the shard
-    pairs every node with its original candidate index.  Sorting the indexed
-    nodes then reproduces the serial node order exactly, no matter how the
-    LPT assignment scattered the candidates.
-    """
-    indexed: list[tuple[int, CombinationNode]] = []
-    stats = MiningStatistics()
-    for indices, candidates, outcome in zip(shard_indices, shards, outcomes):
-        nodes = iter(outcome.nodes)
-        node = next(nodes, None)
-        for index, candidate in zip(indices, candidates):
-            if node is not None and node.events == tuple(sorted(candidate)):
-                indexed.append((index, node))
-                node = next(nodes, None)
-        if node is not None:
-            raise RuntimeError(
-                "shard returned a node that matches none of its candidates"
-            )
-        stats.merge_shard(outcome.stats)
-    indexed.sort(key=lambda pair: pair[0])
-    return LevelOutcome(nodes=[node for _, node in indexed], stats=stats)
-
-
-def _split_contiguous_indices(n_items: int, n_shards: int) -> list[list[int]]:
-    """Contiguous index chunks whose sizes differ by at most 1."""
-    base, extra = divmod(n_items, n_shards)
-    shards = []
-    start = 0
-    for shard_index in range(n_shards):
-        size = base + (1 if shard_index < extra else 0)
-        shards.append(list(range(start, start + size)))
-        start += size
-    return shards
-
-
 def _split_lpt_indices(costs: Sequence[float], n_shards: int) -> list[list[int]]:
     """Greedy LPT assignment of item indices to near-equal-cost shards.
 
     Items are placed heaviest-first onto the least-loaded shard; every tie
     (equal costs, equal loads) breaks towards the lower index, so the split is
-    fully deterministic.  Each shard's indices are then sorted ascending
-    ("stable reordering") so workers evaluate in candidate order and
-    :func:`_merge_indexed_outcomes` can undo the permutation.
+    fully deterministic.  Each shard's indices are then sorted ascending, so
+    every worker evaluates its candidates in generation order.
     """
     order = sorted(range(len(costs)), key=lambda index: (-costs[index], index))
     loads = [(0.0, shard) for shard in range(n_shards)]

@@ -11,8 +11,8 @@ to die again).  This module makes memory a *governed* resource instead:
   --memory-budget``), divided into equal per-worker shares.
 * :class:`ResourceGovernor` — the coordinator side.  Before a level is
   split, it estimates each shard's working set from data the engine already
-  has — the miner's per-candidate cost estimates (instance-pair counts), the
-  context's columnar ``nbytes`` (see :func:`estimate_context_bytes`) — and
+  has — the backend's per-candidate cost estimates (instance-pair counts),
+  the context's columnar ``nbytes`` (see :func:`estimate_context_bytes`) — and
   raises the shard count until no shard's estimated transient footprint
   exceeds its share of the budget.
 * :class:`MemoryWatchdog` — the worker side.  A stdlib-only resident-set
@@ -307,9 +307,10 @@ class ResourceGovernor:
     ) -> int:
         """Shard count keeping each shard's estimated footprint in budget.
 
-        ``costs`` are the miner's per-candidate cost estimates (instance-pair
-        counts); ``bytes_per_cost`` converts them to transient kernel bytes
-        (the engine supplies its per-level pair/cell constants);
+        ``costs`` are the backend's per-candidate cost estimates
+        (:func:`~repro.core.engine.candidate_costs`, instance-pair counts);
+        ``bytes_per_cost`` converts them to transient kernel bytes (the
+        engine supplies its per-level pair/cell constants);
         ``context_bytes`` is the shared read-only payload, subtracted from
         the share to get the transient headroom.  A floor of 1/8 of the
         share guards against a context so large it would zero the headroom

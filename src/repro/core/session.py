@@ -70,8 +70,6 @@ from dataclasses import replace
 from itertools import combinations
 from typing import NamedTuple
 
-import numpy as np
-
 from ..exceptions import DataError, MiningError
 from ..timeseries.sequences import SequenceDatabase, TemporalSequence
 from . import faults
@@ -83,11 +81,7 @@ from .engine import (
     LevelOutcome,
     admit_patterns,
     admits,
-    apriori,
     backend_from_config,
-    candidate_chunks,
-    decompositions,
-    parent_index,
 )
 from .events import EventKey, TemporalEvent, collect_events
 from .hpg import (
@@ -118,116 +112,6 @@ def _restrict_level1(
     """
     needed = {event for candidate in candidates for event in candidate}
     return {event: graph.level1[event] for event in graph.level1 if event in needed}
-
-
-# --------------------------------------------------------------------------- cost model
-def _backend_uses_costs(backend: ExecutionBackend, n_candidates: int) -> bool:
-    """Whether estimating candidate costs for this level is worth anything.
-
-    Estimates matter only to a cost-balancing backend (``wants_costs``) that
-    will actually shard the batch (``would_shard``); for every other
-    combination — the serial backend, or a level too small to split — the
-    estimates would be discarded, so the miner skips the estimation pass
-    entirely.
-    """
-    if not getattr(backend, "wants_costs", False):
-        return False
-    would_shard = getattr(backend, "would_shard", None)
-    return would_shard is None or would_shard(n_candidates)
-
-
-def _estimate_pair_costs(
-    context: LevelContext, candidates: list[Candidate]
-) -> list[float]:
-    """Per-candidate evaluation cost estimates for level 2.
-
-    The dominant cost of a surviving pair is relation classification over the
-    chronologically ordered instance pairs in shared sequences, so the
-    estimate is the product of the two instance counts summed over the shared
-    sequences from ``delta_start`` on (the self-pair analogue: instances
-    choose two).  Every such sum is one entry of the Gram matrix of the
-    instance table's ``count`` matrix (an exact integer product), since a
-    sequence one event lacks contributes 0.  Pairs the Apriori checks of
-    Lemmas 2–3 discard stop after one bitmap intersection, so they are
-    estimated at unit cost; the estimator runs the evaluation's own checks
-    (:func:`~repro.core.engine.apriori`) over the same packed bitmaps, one
-    admission chunk of candidates at a time.
-    """
-    table = context.instances
-    counts = table.count[:, context.delta_start :]
-    products = counts @ counts.T
-    # A self pair's instances choose two: (sum c^2 - sum c) / 2.
-    chosen = (np.diagonal(products) - counts.sum(axis=1)) // 2
-    costs: list[float] = []
-    for _, rows in candidate_chunks(table, candidates):
-        support, _, low, weak = apriori(context, rows)
-        first, second = rows.T
-        pairs = np.where(first == second, chosen[first], products[first, second])
-        doomed = low | weak | (support == 0)
-        costs.extend(np.where(doomed, 1, np.maximum(pairs, 1)).astype(float).tolist())
-    return costs
-
-
-def _estimate_combination_costs(
-    context: LevelContext, candidates: list[Candidate]
-) -> list[float]:
-    """Per-candidate evaluation cost estimates for level ``k >= 3``.
-
-    Evaluating a combination extends every stored occurrence of every parent
-    ``(k-1)``-node with the instances of the remaining event, so the estimate
-    sums, over each (parent, new event) decomposition, the per-sequence
-    product of parent occurrence counts and new-event instance counts.  The
-    decompositions' parents are found one admission chunk at a time, as the
-    evaluation finds them (:func:`~repro.core.engine.parent_index`).  Every
-    parent's per-sequence occurrence counts come from one ``np.unique`` over
-    the entries' (parent, sequence) row keys; a chunk's decompositions of
-    one parent are one product of the new events' rows of the instance
-    table's ``count`` matrix with those counts.  Every sum is an exact
-    integer.  A delta pass counts only the sequences from ``delta_start``
-    on.
-    """
-    table, level = context.instances, context.level
-    nodes, index = parent_index(context)
-    sequences, counts, bounds = _occurrence_counts(
-        nodes, context.delta_start, table.count.shape[1]
-    )
-    costs = np.zeros(len(candidates), dtype=np.int64)
-    for first, rows in candidate_chunks(table, candidates):
-        rows = np.sort(rows, axis=1)
-        parents = index.find(decompositions(rows).reshape(-1, level - 1))
-        order = np.argsort(parents, kind="stable")
-        groups = np.flatnonzero(np.r_[True, np.diff(parents[order]) != 0, True])
-        for a, b in zip(groups[:-1].tolist(), groups[1:].tolist()):
-            parent = parents[order[a]]
-            if parent < 0:
-                continue
-            runs = slice(bounds[parent], bounds[parent + 1])
-            decomposed = order[a:b]
-            new_rows = rows.ravel()[decomposed, None]
-            products = table.count[new_rows, sequences[runs]] @ counts[runs]
-            costs[first + decomposed // level] += products
-    return np.maximum(costs, 1).astype(float).tolist()
-
-
-def _occurrence_counts(
-    nodes: list[CombinationNode], start: int, n_sequences: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stored occurrences of every node per sequence from ``start`` on:
-    sequence ids and row counts, node by node (ascending sequences), and
-    each node's bounds in them."""
-    entries = [(n, e) for n, node in enumerate(nodes) for e in node.patterns.values()]
-    empty = [np.zeros(0, dtype=np.int64)]
-    owners = np.repeat(
-        np.array([n for n, _ in entries], dtype=np.int64),
-        [len(e.sequences) for _, e in entries],
-    )
-    sequences = np.concatenate(empty + [e.sequences for _, e in entries])
-    delta = sequences >= start
-    keys, counts = np.unique(
-        owners[delta] * n_sequences + sequences[delta], return_counts=True
-    )
-    bounds = np.searchsorted(keys // n_sequences, np.arange(len(nodes) + 1))
-    return keys % n_sequences, counts, bounds
 
 
 class MiningSession:
@@ -719,12 +603,13 @@ class MiningSession:
           provably mined nothing before and would mine nothing now.
 
         The candidates evaluated over every sequence go through one more
-        ``backend.run`` (A-HTPGM's ``pair_filter`` already applied, costs
-        estimated for cost-balancing backends).  The merge walks the
-        canonical candidate order, so node order — and the result — is
-        identical to a from-scratch run.  Returns whether the level produced
-        a node.  ``candidates_generated`` and the Apriori counters count each
-        candidate once; the relation-check counters count both runs' work.
+        ``backend.run`` (A-HTPGM's ``pair_filter`` already applied).  A
+        backend may return its nodes in any order: the merge looks each up
+        by its event key while it walks the canonical candidate order, so
+        node order — and the result — is identical to a from-scratch run.
+        Returns whether the level produced a node.  ``candidates_generated``
+        and the Apriori counters count each candidate once; the
+        relation-check counters count both runs' work.
 
         ``level_seconds`` is *evaluation time + coordinator overhead*: the
         backend reports each run's evaluation wall-clock (for parallel
@@ -808,17 +693,11 @@ class MiningSession:
         stats: MiningStatistics,
     ) -> tuple[LevelOutcome, float]:
         """One ``backend.run`` over ``candidates``, its counters absorbed
-        into ``stats``; returns the outcome and the call's wall-clock."""
-        costs = None
-        if _backend_uses_costs(backend, len(candidates)):
-            estimate = (
-                _estimate_pair_costs
-                if context.level == 2
-                else _estimate_combination_costs
-            )
-            costs = estimate(context, candidates)
+        into ``stats``; returns the outcome and the call's wall-clock.  How
+        the candidates are cut, and whether that needs cost estimates, is
+        the backend's to decide."""
         started = time.perf_counter()
-        outcome = backend.run(context, candidates, costs)
+        outcome = backend.run(context, candidates)
         elapsed = time.perf_counter() - started
         stats.absorb_counters(outcome.stats)
         return outcome, elapsed
@@ -933,7 +812,8 @@ class MiningSession:
         """Build the worker context for one level's candidate batch.
 
         The context builds the level's flat instance table once, for every
-        shard — serial, forked or spawned — and the cost estimators.
+        shard — serial, forked or spawned — and for the process backend's
+        cost estimates.
 
         Memory governance needs nothing extra here: the process backend
         stamps the per-worker budget share onto the context itself, and the

@@ -11,8 +11,10 @@ checks of Lemmas 2–3 on each candidate's sequence set, the intersection of
 its events' level-1 instance-dict keys (Def. 3.13, :func:`shared_sequences`,
 :func:`_open_combination`), the parent lookup and Lemma 5 (the level-``k``
 loop, and :func:`admit`, the engine's admission before it ran in chunks).
-:func:`evaluate_candidates` has the engine's signature and returns the same
-nodes, stored arrays and counters.
+Pattern admission is its own as well: :func:`_finalise_node` filters each
+node's stored patterns through ``admit_patterns``, where the pass never
+stores a pattern its mask rejects.  :func:`evaluate_candidates` has the
+engine's signature and returns the same nodes, stored arrays and counters.
 
 :func:`reference_evaluation` routes every mine, resume and append inside its
 block through this module, on every backend: both backends look
@@ -43,8 +45,8 @@ from repro.core.engine import (
     Candidate,
     LevelContext,
     LevelOutcome,
-    _finalise_node,
     _first_row,
+    admit_patterns,
 )
 from repro.core.events import EventKey
 from repro.core.hpg import CombinationNode, EventNode, Occurrence, PatternEntry
@@ -249,6 +251,27 @@ def _evaluate_pair(
     hits: _Hits = {}
     _grow_pair_patterns(context, candidate, hits, stats)
     return _finalise_node(context, _store_hits(node, hits), stats, level=2)
+
+
+def _finalise_node(
+    context: LevelContext,
+    node: CombinationNode,
+    stats: MiningStatistics,
+    level: int,
+) -> CombinationNode | None:
+    """Keep only the patterns :func:`~repro.core.engine.admit_patterns`
+    admits; return the node when non-empty.  A delta pass returns every node
+    as found: its patterns hold delta rows only, so admission is the
+    session's to decide."""
+    if context.delta_start:
+        return node
+    node.patterns = admit_patterns(
+        node.patterns, context.event_support, context.min_count, context.config
+    )
+    if node.has_patterns():
+        stats.bump(stats.patterns_found, level, len(node.patterns))
+        return node
+    return None
 
 
 def _store_hits(node: CombinationNode, hits: _Hits) -> CombinationNode:

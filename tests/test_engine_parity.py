@@ -22,15 +22,16 @@ from repro import (
     HTPGM,
     ConfigurationError,
     MiningConfig,
+    MiningSession,
     ProcessPoolBackend,
     PruningMode,
     SerialBackend,
 )
 from repro.core.engine import (
     _split_lpt_indices,
-    _split_contiguous_indices,
     available_workers,
     backend_from_config,
+    evaluate_candidates,
 )
 from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
@@ -448,7 +449,7 @@ class TestCostBalancedSharding:
         # a high-instance-count event sorts first.
         costs = [90.0, 80.0, 70.0, 60.0] + [1.0] * 12
         lpt = _split_lpt_indices(costs, 4)
-        contiguous = _split_contiguous_indices(len(costs), 4)
+        contiguous = [list(range(first, first + 4)) for first in range(0, 16, 4)]
         load = lambda shard: sum(costs[i] for i in shard)
         assert max(map(load, lpt)) < max(map(load, contiguous))
         # Perfect split here: one heavy candidate per shard.
@@ -468,19 +469,15 @@ class TestCostBalancedSharding:
         with pytest.raises(ConfigurationError):
             backend.run(context, [(("A", "On"), ("B", "On"))], costs=[1.0, 2.0])
 
-    def test_wants_costs_capability_flag(self):
-        assert SerialBackend().wants_costs is False
-        assert ProcessPoolBackend(n_workers=2).wants_costs is True
-
     def test_miner_skips_estimation_for_backends_that_ignore_costs(self, monkeypatch):
-        """Backends without wants_costs never pay for cost estimation."""
-        import repro.core.session as session_module
+        """Only a batch the process backend shards pays for cost estimation."""
+        import repro.core.engine as engine_module
 
         calls = []
         for name in ("_estimate_pair_costs", "_estimate_combination_costs"):
-            original = getattr(session_module, name)
+            original = getattr(engine_module, name)
             monkeypatch.setattr(
-                session_module,
+                engine_module,
                 name,
                 lambda *args, _original=original, _name=name: (
                     calls.append(_name),
@@ -533,7 +530,7 @@ class TestCombinationCostEstimate:
         the instance table; its costs are the exact integer sums of the walk
         at every level of a dataport stand-in."""
         from repro import MiningSession
-        from repro.core.session import _estimate_combination_costs
+        from repro.core.engine import _estimate_combination_costs
         from repro.core.stats import MiningStatistics
         from repro.datasets import make_dataset
 
@@ -600,7 +597,7 @@ class TestPairCostEstimate:
         import repro.core.engine as engine_module
         from repro import MiningSession
         from repro.core.engine import LevelContext
-        from repro.core.session import _estimate_pair_costs
+        from repro.core.engine import _estimate_pair_costs
 
         config = MiningConfig(
             min_support=0.3,
@@ -806,6 +803,41 @@ class TestBackendBehaviour:
     def test_invalid_start_method_rejected(self):
         with pytest.raises(ConfigurationError):
             ProcessPoolBackend(n_workers=2, start_method="telepathy")
+
+    @pytest.mark.parametrize("operation", ["mine", "append"])
+    def test_nodes_may_come_back_in_any_order(self, operation):
+        """A backend may return its nodes in any order: the session merges
+        them by key, so the result, the store and every level's node order
+        are serial's, for a full mine and for an append's delta pass."""
+        config = MiningConfig(min_support=0.3, min_confidence=0.3, min_overlap=1.0)
+        database = random_database(seed=23, n_sequences=10, max_instances=14)
+        sessions, results = [], []
+        for backend in (SerialBackend(), ReversingBackend()):
+            session = MiningSession(config)
+            if operation == "mine":
+                result = session.mine(database, backend=backend)
+            else:
+                session.mine(SequenceDatabase(database.sequences[:8]), backend=backend)
+                result = session.append(database.sequences[8:], backend=backend)
+            sessions.append(session)
+            results.append(result)
+        serial, reversing = sessions
+        assert reversing.graph.max_level() >= 3
+        assert mined_tuples(results[1]) == mined_tuples(results[0])
+        assert store_snapshot(reversing.graph) == store_snapshot(serial.graph)
+        keys = lambda graph: {k: list(nodes) for k, nodes in graph.levels.items()}
+        assert keys(reversing.graph) == keys(serial.graph)
+
+
+class ReversingBackend(SerialBackend):
+    """Returns :func:`evaluate_candidates`' nodes in reverse order."""
+
+    name = "reversing"
+
+    def run(self, context, candidates, costs=None):
+        outcome = evaluate_candidates(context, candidates)
+        outcome.nodes.reverse()
+        return outcome
 
 
 def run_fake_shards(backend, func):

@@ -15,6 +15,7 @@ planning), the CLI flag guards, and the checkpoint interplay.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -35,6 +36,7 @@ from repro.core import engine, faults, resources
 from repro.core.engine import LevelContext, _ShardPiece
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.io import read_session
+from repro.timeseries import EventInstance, SequenceDatabase, TemporalSequence
 
 from test_engine_parity import mined_tuples, random_database, store_snapshot
 
@@ -62,6 +64,26 @@ def _mine_budgeted(database, plan, **backend_kwargs):
     finally:
         backend.close()
     return session, result, backend
+
+
+def chain_database(n_series, n_sequences=4):
+    """Every sequence holds one instance of each of ``n_series`` series, one
+    after another, so every combination of them is frequent and a mine
+    reaches level ``n_series``."""
+    return SequenceDatabase(
+        [
+            TemporalSequence(
+                sequence_id,
+                [
+                    EventInstance(
+                        start=10.0 * k, end=10.0 * k + 5.0, series=f"S{k}", symbol="On"
+                    )
+                    for k in range(n_series)
+                ],
+            )
+            for sequence_id in range(n_sequences)
+        ]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +257,56 @@ class TestGovernorPlanning:
         huge = resources.ResourceGovernor("1G", 1)
         assert huge.plan_shards(4, [1.0], 1.0, max_shards=100) == 4
 
+    def test_one_worker_plans_from_the_cost_estimates(self, monkeypatch, tmp_path):
+        """A one-worker budget plans every level from the same estimates as
+        two workers do, and runs the shards it plans in its worker."""
+        from repro.datasets import make_dataset
+
+        _, database = make_dataset(
+            "dataport", scale=0.02, attribute_fraction=0.5, seed=3
+        ).transform()
+        config = MiningConfig(
+            min_support=0.4, min_confidence=0.4, min_overlap=1.0, max_pattern_size=3
+        )
+        serial = MiningSession(config)
+        expected = serial.mine(database, backend=SerialBackend())
+
+        plan = resources.ResourceGovernor.plan_shards
+        evaluate = engine._ExtensionBatch._evaluate
+        planned, log = [], tmp_path / "passes"
+
+        def spying(governor, base_shards, costs, *args, **kwargs):
+            n_shards = plan(governor, base_shards, costs, *args, **kwargs)
+            planned.append((sum(costs), n_shards))
+            return n_shards
+
+        def logging_evaluate(batch):
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()} {batch.context.level}\n")
+            evaluate(batch)
+
+        monkeypatch.setattr(resources.ResourceGovernor, "plan_shards", spying)
+        monkeypatch.setattr(engine._ExtensionBatch, "_evaluate", logging_evaluate)
+        costs, shards, level_3_pids = {}, {}, {}
+        for n_workers in (1, 2):
+            planned.clear()
+            log.write_text("")
+            session = MiningSession(config)
+            with ProcessPoolBackend(
+                n_workers=n_workers, memory_budget="4M", start_method="fork"
+            ) as backend:
+                result = session.mine(database, backend=backend)
+            assert mined_tuples(result) == mined_tuples(expected)
+            assert store_snapshot(session.graph) == store_snapshot(serial.graph)
+            costs[n_workers] = [total for total, _ in planned]
+            shards[n_workers] = [n for _, n in planned]
+            logged = [line.split() for line in log.read_text().splitlines()]
+            level_3_pids[n_workers] = {pid for pid, level in logged if level == "3"}
+        # Levels 2 and 3, each planned from the same estimates.
+        assert len(costs[1]) == 2 and costs[1] == costs[2]
+        assert shards[1][1] > 1
+        assert level_3_pids[1] and str(os.getpid()) not in level_3_pids[1]
+
     def test_backend_constructs_governor_from_config(self):
         config = replace(CONFIG, engine="process", memory_budget_bytes=1 << 26)
         from repro.core.engine import backend_from_config
@@ -252,9 +324,22 @@ class TestBytesPerPair:
     the pass's chunking and for the governor's shard planning alike."""
 
     @pytest.mark.parametrize("level", [2, 3, 4, 6])
-    def test_governor_prices_every_level_with_the_pass_formula(self, level):
-        backend = ProcessPoolBackend(n_workers=2, memory_budget=BUDGET)
-        assert backend._bytes_per_cost(level) == engine._bytes_per_pair(level)
+    def test_governor_prices_every_level_with_the_pass_formula(
+        self, level, monkeypatch
+    ):
+        priced = []
+        plan = resources.ResourceGovernor.plan_shards
+
+        def spying(governor, base_shards, costs, bytes_per_cost, **kwargs):
+            priced.append(bytes_per_cost)
+            return plan(governor, base_shards, costs, bytes_per_cost, **kwargs)
+
+        monkeypatch.setattr(resources.ResourceGovernor, "plan_shards", spying)
+        config = replace(CONFIG, max_pattern_size=level)
+        with ProcessPoolBackend(n_workers=2, memory_budget=BUDGET) as backend:
+            result = HTPGM(config, backend=backend).mine(chain_database(level))
+        assert max(mined.size for mined in result) == level
+        assert priced == [engine._bytes_per_pair(k) for k in range(2, level + 1)]
 
     def test_formula_grows_with_the_parent_arity(self):
         step = engine._bytes_per_pair(3) - engine._bytes_per_pair(2)
